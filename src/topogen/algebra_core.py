@@ -230,16 +230,21 @@ def unipotent(
             raise SchemaError("partition parts must be positive")
     else:
         raise SchemaError("unipotent class needs a partition or a decoration")
+    as_type = "none" if dec is None else _derive_as_type(dec, parts)
     return ClassDescriptor(
-        kind="unipotent", order=order, unip=UnipotentData(partition=parts, decoration=dec)
+        kind="unipotent",
+        order=order,
+        unip=UnipotentData(partition=parts, decoration=dec, as_type=as_type),
     )
 
 
 def _derive_as_type(dec: tuple, partition: tuple) -> str:
+    """The a/b/c type of an involution; "none" for other classes and for
+    more than two V(2) summands, which validation rejects."""
     if not partition or max(partition) > 2:
         return "none"
     v2 = sum(mult for kind, size, mult in dec if kind == "V" and size == 2)
-    return {0: "a", 1: "b", 2: "c"}[v2]
+    return {0: "a", 1: "b", 2: "c"}.get(v2, "none")
 
 
 def _validate_semisimple(group: GroupSpec, cls: ClassDescriptor) -> ClassDescriptor:
@@ -362,10 +367,7 @@ def _validate_unipotent(group: GroupSpec, cls: ClassDescriptor) -> ClassDescript
                 raise OrderViolation("unipotent classes have order p")
             if max(data.partition) > group.p:
                 raise OrderViolation(f"parts exceed p = {group.p} for a prime-order class")
-    as_type = "none"
-    if data.decoration is not None:
-        as_type = _derive_as_type(data.decoration, data.partition)
-    return replace(cls, order=order, unip=replace(data, as_type=as_type))
+    return replace(cls, order=order)
 
 
 def validate_class(group: GroupSpec, raw: ClassDescriptor) -> ClassDescriptor:

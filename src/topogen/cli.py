@@ -101,7 +101,11 @@ def class_to_doc(cls: ClassDescriptor) -> dict:
 
 
 def _read_input(path) -> dict:
-    raw = sys.stdin.read() if path in (None, "-") else open(path).read()
+    if path in (None, "-"):
+        raw = sys.stdin.read()
+    else:
+        with open(path) as f:
+            raw = f.read()
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -352,7 +356,7 @@ def _verify_psp4() -> dict:
     }
 
 
-def _verify_so9_count(seed: int) -> dict:
+def _verify_so9_count() -> dict:
     import math
 
     from . import finfield
@@ -371,12 +375,9 @@ def _verify_so9_count(seed: int) -> dict:
 
 @main.command()
 @click.argument("suite", type=click.Choice(["blocks", "centralizers", "psp4", "so9-count"]))
-@click.option("--seed", default=0, type=int)
-@click.option("--trials", default=1000, type=int)
-@click.option("--cap", default=10**6, type=int)
 @_format_opt
 @_guard
-def verify(suite, seed, trials, cap, fmt):
+def verify(suite, fmt):
     """Run a named finite-field cross-check suite."""
     if suite == "blocks":
         out = _verify_blocks()
@@ -385,7 +386,7 @@ def verify(suite, seed, trials, cap, fmt):
     elif suite == "psp4":
         out = _verify_psp4()
     else:
-        out = _verify_so9_count(seed)
+        out = _verify_so9_count()
     _emit({"suite": suite, **out}, fmt)
     if not out.get("passed"):
         sys.exit(1)

@@ -2,8 +2,14 @@
 
 Everything here is independent of the symbolic machinery: explicit matrices,
 exact Gaussian elimination, breadth-first group closure, and exhaustive or
-Monte Carlo generation tests. Prime fields use plain integer arithmetic;
-extension fields use polynomial representatives over an irreducible modulus.
+Monte Carlo generation tests.
+
+Every element of GF(p^k) is one Python int, the packed coefficient vector
+sum c_i * B^i of its representative polynomial over GF(p), with B a power
+of two; a prime-field element is the int 0..p-1. Arithmetic is plain integer
+arithmetic on packed ints followed by one lookup in the field's reduction
+map ``red``, so every kernel runs the same code for prime and extension
+fields, e.g. a matrix entry is ``red[sum(map(mul, row, col))]``.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .algebra_core import ClassDescriptor, GroupSpec, is_prime
@@ -30,6 +37,11 @@ from .errors import (
 # fields
 # ---------------------------------------------------------------------------
 
+# Largest matrix dimension accepted. It sizes the digits of the packed
+# encoding: a sum of MAX_DIM products of elements never carries between
+# digits, since each digit stays below MAX_DIM * k * (p - 1)^2 < B.
+MAX_DIM = 4096
+
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
     for p in range(2, q + 1):
@@ -43,22 +55,6 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
                 raise SchemaError(f"{q} is not a prime power")
             return p, k
     raise SchemaError(f"{q} is not a prime power")
-
-
-def _poly_mul_mod(a, b, modulus, p):
-    deg = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
-    # reduce modulo the monic modulus
-    for i in range(len(prod) - 1, deg - 1, -1):
-        c = prod[i]
-        if c:
-            for j in range(deg + 1):
-                prod[i - deg + j] = (prod[i - deg + j] - c * modulus[j]) % p
-    return tuple(prod[:deg]) + (0,) * (deg - len(prod[:deg]))
 
 
 def _find_irreducible(p: int, k: int) -> tuple:
@@ -110,68 +106,83 @@ def _find_irreducible(p: int, k: int) -> tuple:
     raise SchemaError("no irreducible polynomial found")
 
 
+class _Reducer(dict):
+    """Packed int with unreduced digits below B and of any degree, such as a
+    sum of products of elements -> the element it represents: every digit
+    mod p, then the polynomial modulo the monic modulus. Filled on first use
+    of each key."""
+
+    def __init__(self, p: int, modulus: tuple, shift: int):
+        super().__init__()
+        self.p, self.modulus, self.shift = p, modulus, shift
+
+    def __missing__(self, x: int) -> int:
+        p, modulus, shift = self.p, self.modulus, self.shift
+        k = len(modulus) - 1
+        mask = (1 << shift) - 1
+        digits = []
+        y = x
+        while y:
+            digits.append((y & mask) % p)
+            y >>= shift
+        for i in range(len(digits) - 1, k - 1, -1):
+            c = digits[i]
+            if c:
+                for j in range(k):
+                    digits[i - k + j] = (digits[i - k + j] - c * modulus[j]) % p
+        r = sum(c << (shift * i) for i, c in enumerate(digits[:k]))
+        self[x] = r
+        return r
+
+
 class Field:
-    """Arithmetic in GF(q). Prime-field elements are plain integers; extension
-    field elements are coefficient tuples of length k."""
+    """Arithmetic in GF(q) on packed-int elements (see the module
+    docstring); zero is 0 and one is 1 in every field."""
 
     def __init__(self, q: int):
         self.q = q
         self.p, self.k = _factor_prime_power(q)
-        if self.k == 1:
-            self.zero = 0
-            self.one = 1
-            self.modulus = None
-        else:
-            self.modulus = _find_irreducible(self.p, self.k)
-            self.zero = (0,) * self.k
-            self.one = (1,) + (0,) * (self.k - 1)
+        self.modulus = _find_irreducible(self.p, self.k)
+        self.shift = (MAX_DIM * self.k * (self.p - 1) ** 2).bit_length()
+        self.bound = 1 << (self.shift * self.k)
+        self.zero, self.one = 0, 1
+        # p in every digit: adding it keeps the digits of a - b nonnegative
+        self._p_digits = sum(self.p << (self.shift * i) for i in range(self.k))
+        self.red = _Reducer(self.p, self.modulus, self.shift)
+        elems = [0]
+        for i in range(self.k):
+            elems = [x + (c << (self.shift * i)) for c in range(self.p) for x in elems]
+        self._elements = tuple(elems)
 
     # -- element construction -------------------------------------------------
     def coerce(self, x):
-        if self.k == 1:
-            if isinstance(x, int):
-                return x % self.p
-            raise SchemaError(f"cannot coerce {x!r} into GF({self.q})")
+        """The element of a packed int (0 <= x < bound), of any other
+        integer read mod p, or of a coefficient sequence, lowest degree first."""
         if isinstance(x, int):
-            return ((x % self.p),) + (0,) * (self.k - 1)
-        t = tuple(int(c) % self.p for c in x)
-        if len(t) != self.k:
+            return self.red[x] if 0 <= x < self.bound else x % self.p
+        try:
+            coeffs = [int(c) % self.p for c in x]
+        except (TypeError, ValueError):
+            raise SchemaError(f"cannot coerce {x!r} into GF({self.q})") from None
+        if len(coeffs) != self.k:
             raise SchemaError(f"cannot coerce {x!r} into GF({self.q})")
-        return t
+        return sum(c << (self.shift * i) for i, c in enumerate(coeffs))
 
     def elements(self) -> list:
-        if self.k == 1:
-            return list(range(self.p))
-        out = []
-        for idx in range(self.q):
-            coeffs = []
-            t = idx
-            for _ in range(self.k):
-                coeffs.append(t % self.p)
-                t //= self.p
-            out.append(tuple(coeffs))
-        return out
+        return list(self._elements)
 
     # -- arithmetic ------------------------------------------------------------
     def add(self, a, b):
-        if self.k == 1:
-            return (a + b) % self.p
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        return self.red[a + b]
 
     def sub(self, a, b):
-        if self.k == 1:
-            return (a - b) % self.p
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        return self.red[a + self._p_digits - b]
 
     def neg(self, a):
-        if self.k == 1:
-            return (-a) % self.p
-        return tuple((-x) % self.p for x in a)
+        return self.red[self._p_digits - a]
 
     def mul(self, a, b):
-        if self.k == 1:
-            return (a * b) % self.p
-        return _poly_mul_mod(a, b, self.modulus, self.p)
+        return self.red[a * b]
 
     def inv(self, a):
         if a == self.zero:
@@ -236,6 +247,8 @@ class GFMatrix:
         self.n = len(self.entries)
         if any(len(row) != self.n for row in self.entries):
             raise SchemaError("matrix must be square")
+        if self.n > MAX_DIM:
+            raise SchemaError(f"matrix dimension {self.n} exceeds {MAX_DIM}")
         self.form = (
             tuple(tuple(F.coerce(x) for x in row) for row in form)
             if form is not None
@@ -267,42 +280,19 @@ def _identity(F: Field, n: int):
 
 
 def _mat_mul(F: Field, A, B):
-    n = len(A)
+    red = F.red
     Bt = tuple(zip(*B))
-    out = []
-    if F.k == 1:
-        p = F.p
-        for row in A:
-            out.append(tuple(sum(x * y for x, y in zip(row, col)) % p for col in Bt))
-        return tuple(out)
-    for row in A:
-        new = []
-        for col in Bt:
-            acc = F.zero
-            for x, y in zip(row, col):
-                acc = F.add(acc, F.mul(x, y))
-            new.append(acc)
-        out.append(tuple(new))
-    return tuple(out)
+    return tuple([tuple([red[sum(map(mul, row, col))] for col in Bt]) for row in A])
 
 
 def _mat_vec(F: Field, A, v):
-    if F.k == 1:
-        p = F.p
-        return tuple(sum(x * y for x, y in zip(row, v)) % p for row in A)
-    out = []
-    for row in A:
-        acc = F.zero
-        for x, y in zip(row, v):
-            acc = F.add(acc, F.mul(x, y))
-        out.append(acc)
-    return tuple(out)
+    red = F.red
+    return tuple(red[sum(map(mul, row, v))] for row in A)
 
 
 def _mat_sub(F: Field, A, B):
-    return tuple(
-        tuple(F.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(A, B)
-    )
+    red, P = F.red, F._p_digits
+    return tuple(tuple(red[x + P - y] for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def _transpose(A):
@@ -311,41 +301,25 @@ def _transpose(A):
 
 def _rref(F: Field, rows):
     """Reduced row echelon form; returns (rows, pivot column list)."""
+    red = F.red
     rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
     r = 0
-    if F.k == 1:
-        p = F.p
-        for c in range(ncols):
-            piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = pow(rows[r][c], -1, p)
-            rows[r] = [(inv * x) % p for x in rows[r]]
-            pivot_row = rows[r]
-            for i in range(nrows):
-                f = rows[i][c]
-                if i != r and f:
-                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pivot_row)]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return [tuple(row) for row in rows[:r]], pivots
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c] != F.zero), None)
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
+        # rows r.. vanish left of column c, so row operations start there
         inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        rows[r][c:] = tail = [red[inv * x] for x in rows[r][c:]]
         for i in range(nrows):
-            if i != r and rows[i][c] != F.zero:
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                nf = F.neg(f)
+                rows[i][c:] = [red[x + nf * y] for x, y in zip(rows[i][c:], tail)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -371,50 +345,43 @@ def _nullspace(F: Field, rows, ncols: int):
     return basis
 
 
-def _sparse_rows(F: Field, A):
-    return [
-        {j: x for j, x in enumerate(row) if x != F.zero} for row in A
-    ]
+def _sparse_rows(A):
+    return [{j: x for j, x in enumerate(row) if x} for row in A]
 
 
-def _sparse_mul(F: Field, A, B, n: int):
+def _sparse_mul(F: Field, A, B):
     """Product of sparse row-dict matrices."""
+    red = F.red
     out = []
     for row in A:
         acc: dict = {}
         for k, x in row.items():
             for j, y in B[k].items():
-                v = F.add(acc.get(j, F.zero), F.mul(x, y))
-                if v == F.zero:
-                    acc.pop(j, None)
-                else:
-                    acc[j] = v
-        out.append(acc)
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v for j, s in acc.items() if (v := red[s])})
     return out
 
 
 def _sparse_rank(F: Field, rows) -> int:
     """Rank by sparse elimination (cheap for banded matrices)."""
+    red = F.red
     pivots: dict = {}
-    rank = 0
     for row in rows:
         r = dict(row)
         while r:
             c = min(r)
-            if c in pivots:
-                pr = pivots[c]
-                f = F.mul(r[c], F.inv(pr[c]))
-                for cc, vv in pr.items():
-                    nv = F.sub(r.get(cc, F.zero), F.mul(f, vv))
-                    if nv == F.zero:
-                        r.pop(cc, None)
-                    else:
-                        r[cc] = nv
-            else:
-                pivots[c] = r
-                rank += 1
+            if c not in pivots:
+                inv = F.inv(r[c])
+                pivots[c] = {cc: red[inv * v] for cc, v in r.items()}
                 break
-    return rank
+            nf = F.neg(r[c])
+            for cc, v in pivots[c].items():
+                nv = red[r.get(cc, 0) + nf * v]
+                if nv:
+                    r[cc] = nv
+                else:
+                    r.pop(cc, None)
+    return len(pivots)
 
 
 def _mat_inv(F: Field, A):
@@ -466,7 +433,6 @@ def jordan_type(m: GFMatrix, eigenvalues=None) -> dict:
     scan = F.elements() if eigenvalues is None else [F.coerce(x) for x in eigenvalues]
     for lam in scan:
         shift = _sparse_rows(
-            F,
             _mat_sub(
                 F,
                 m.entries,
@@ -479,7 +445,7 @@ def jordan_type(m: GFMatrix, eigenvalues=None) -> dict:
         ranks = [n, _sparse_rank(F, shift)]
         power = shift
         while ranks[-1] != ranks[-2]:
-            power = _sparse_mul(F, power, shift, n)
+            power = _sparse_mul(F, power, shift)
             ranks.append(_sparse_rank(F, power))
         mult = n - ranks[1]
         if mult == 0:
@@ -556,14 +522,8 @@ def kron(m1: GFMatrix, m2: GFMatrix) -> GFMatrix:
     """Kronecker (tensor) product of two matrices over the same field."""
     if m1.q != m2.q:
         raise SchemaError("tensor factors must live over the same field")
-    F = m1.field
-    a, b = m1.entries, m2.entries
-    na, nb = m1.n, m2.n
-    ent = [
-        [F.mul(a[i][k], b[j][l]) for k in range(na) for l in range(nb)]
-        for i in range(na)
-        for j in range(nb)
-    ]
+    red = m1.field.red
+    ent = [[red[x * y] for x in ra for y in rb] for ra in m1.entries for rb in m2.entries]
     return GFMatrix(m1.q, ent)
 
 
@@ -973,45 +933,44 @@ def standard_generators(family: str, n: int, q: int) -> list[GFMatrix]:
     raise UnsupportedGroup("standard generators implemented for SL and Sp")
 
 
+def _bfs(start, moves, limit):
+    """Everything reachable from ``start`` by repeated ``moves`` (a map from
+    an element to its neighbours), searched breadth first; stops as soon as
+    more than ``limit`` elements are found."""
+    seen = {start}
+    queue = [start]
+    for a in queue:
+        for b in moves(a):
+            if b not in seen:
+                seen.add(b)
+                if len(seen) > limit:
+                    return seen
+                queue.append(b)
+    return seen
+
+
+def _closure(F: Field, gen_entries, limit):
+    """The group generated by the matrices, or more than ``limit`` of it."""
+    return _bfs(
+        _identity(F, len(gen_entries[0])),
+        lambda a: [_mat_mul(F, a, g) for g in gen_entries],
+        limit,
+    )
+
+
 def group_closure(generators: Iterable[GFMatrix], cap: int = 10**6):
     """(size, truncated) of the group generated under matrix multiplication."""
     gens = list(generators)
     if not gens:
         return 1, False
-    F = gens[0].field
-    gen_entries = [g.entries for g in gens]
-    n = gens[0].n
-    seen = {_identity(F, n)}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gen_entries:
-                prod = _mat_mul(F, a, g)
-                if prod not in seen:
-                    seen.add(prod)
-                    new.append(prod)
-                    if len(seen) > cap:
-                        return len(seen), True
-        frontier = new
-    return len(seen), False
+    seen = _closure(gens[0].field, [g.entries for g in gens], cap)
+    return len(seen), len(seen) > cap
 
 
 def _closure_set(F: Field, gen_entries, cap: int):
-    n = len(gen_entries[0])
-    seen = {_identity(F, n)}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gen_entries:
-                prod = _mat_mul(F, a, g)
-                if prod not in seen:
-                    seen.add(prod)
-                    new.append(prod)
-                    if len(seen) > cap:
-                        raise GroupTooLarge(f"closure exceeds cap {cap}")
-        frontier = new
+    seen = _closure(F, gen_entries, cap)
+    if len(seen) > cap:
+        raise GroupTooLarge(f"closure exceeds cap {cap}")
     return seen
 
 
@@ -1021,22 +980,9 @@ def _proper_subgroup(F: Field, gen_entries, order: int):
 
     Bails out early: any subgroup exceeding half the order is the group.
     """
-    n = len(gen_entries[0])
-    seen = {_identity(F, n)}
-    frontier = list(seen)
-    threshold = order // 2
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gen_entries:
-                prod = _mat_mul(F, a, g)
-                if prod not in seen:
-                    seen.add(prod)
-                    if len(seen) > threshold:
-                        return None
-                    new.append(prod)
-        frontier = new
-    return None if len(seen) == order else seen
+    half = order // 2
+    seen = _closure(F, gen_entries, half)
+    return None if len(seen) > half or len(seen) == order else seen
 
 
 def _generates(F: Field, gen_entries, order: int) -> bool:
@@ -1160,23 +1106,17 @@ def exact_generation_probability(
         raise NotApplicable(f"no elements of order {r} or {s} mod center")
     scalars = sorted(data.scalars)
     gen_entries = data.gen_entries
-    gen_invs = [_mat_inv(F, g) for g in gen_entries]
+    gen_pairs = [(g, _mat_inv(F, g)) for g in gen_entries]
+
+    def conjugates(a):
+        return [_mat_mul(F, gi, _mat_mul(F, a, g)) for g, gi in gen_pairs]
+
     # conjugacy classes inside xr
     remaining = set(xr)
     classes = []
     while remaining:
         rep = min(remaining)
-        orbit = {rep}
-        frontier = [rep]
-        while frontier:
-            new = []
-            for a in frontier:
-                for g, gi in zip(gen_entries, gen_invs):
-                    b = _mat_mul(F, gi, _mat_mul(F, a, g))
-                    if b not in orbit:
-                        orbit.add(b)
-                        new.append(b)
-            frontier = new
+        orbit = _bfs(rep, conjugates, len(xr))
         classes.append((rep, len(orbit)))
         remaining -= orbit
     hit_pairs = 0
@@ -1213,15 +1153,8 @@ def _polarization(F: Field, form, kind: str):
     return form
 
 
-def _is_singular_vector(F: Field, form, kind: str, v) -> bool:
-    n = len(v)
-    val = F.zero
-    for i in range(n):
-        if v[i] == F.zero:
-            continue
-        for j in range(n):
-            val = F.add(val, F.mul(F.mul(v[i], form[i][j]), v[j]))
-    return val == F.zero
+def _is_singular_vector(F: Field, form, v) -> bool:
+    return not F.red[sum(map(mul, v, _mat_vec(F, form, v)))]
 
 
 def invariant_subspace_count(
@@ -1299,32 +1232,16 @@ def invariant_subspace_count(
                         for c in elems:
                             yield (c,) + rest
 
+                ext_cols = _transpose(ext_basis)
                 for lead in range(t):
                     for tail in coeff_tuples(t - lead - 1):
                         coeffs = (F.zero,) * lead + (F.one,) + tail
-                        v = [F.zero] * n
-                        for c, b in zip(coeffs, ext_basis):
-                            if c != F.zero:
-                                for i in range(n):
-                                    v[i] = F.add(v[i], F.mul(c, b[i]))
-                        v = tuple(v)
+                        v = _mat_vec(F, ext_cols, coeffs)
                         if type == "totally_singular":
-                            if not _is_singular_vector(F, m.form, m.form_kind, v):
+                            if not _is_singular_vector(F, m.form, v):
                                 continue
-                            ok = True
-                            for u in rows_u:
-                                val = F.zero
-                                for i in range(n):
-                                    if u[i] == F.zero:
-                                        continue
-                                    for j in range(n):
-                                        val = F.add(
-                                            val, F.mul(F.mul(u[i], bil[i][j]), v[j])
-                                        )
-                                if val != F.zero:
-                                    ok = False
-                                    break
-                            if not ok:
+                            bv = _mat_vec(F, bil, v)
+                            if any(F.red[sum(map(mul, u, bv))] for u in rows_u):
                                 continue
                         new_rows, _ = _rref(F, rows_u + [v])
                         key = tuple(new_rows)

@@ -18,7 +18,7 @@ from .algebra_core import (
     unipotent,
     validate_class,
 )
-from .errors import Infeasible, NotApplicable, SchemaError, UnsupportedCase
+from .errors import CentralClass, Infeasible, NotApplicable, SchemaError, UnsupportedCase
 from .invariants import class_dim
 
 
@@ -155,7 +155,7 @@ def _semisimple_max(group: GroupSpec, ctx: QContext):
             cls = semisimple(free=labels, ones=e, **kwargs)
         try:
             cls = validate_class(group, cls)
-        except UnsupportedCase:
+        except (UnsupportedCase, CentralClass):
             continue
         cands.append((cls, class_dim(group, cls).dim_class))
     return _argmax(cands)

@@ -86,6 +86,29 @@ class TestClassdimCommand:
         out = run_json(["classdim"], payload)
         assert out["dim_class"] == 25
 
+    def test_char2_involution_keeps_its_type(self):
+        payload = {
+            "group": {"family": "Sp", "n": 4, "p": 2},
+            "class": {"kind": "unipotent", "decoration": [{"W": 2, "mult": 1}]},
+        }
+        out = run_json(["classdim"], payload)
+        assert out["dim_class"] == 4
+        assert out["class"]["as_type"] == "a"
+
+    def test_input_file(self, tmp_path):
+        path = tmp_path / "query.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "group": {"family": "SO", "n": 11, "p": 0},
+                    "class": {"kind": "unipotent", "partition": [2, 2, 2, 2, 2, 1]},
+                }
+            )
+        )
+        result = run(["classdim", "--input", str(path)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["dim_class"] == 25
+
     def test_dimension_mismatch_exit_2(self):
         payload = {
             "group": {"family": "SO", "n": 11, "p": 0},

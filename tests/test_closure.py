@@ -1,9 +1,12 @@
 """Unit tests for the degeneration (closure) order on unipotent classes."""
 
+from collections import Counter
+
 import pytest
 
 from topogen.algebra_core import GroupSpec, unipotent, validate_class
 from topogen.closure import (
+    _partitions,
     closure_poset_dot,
     dominates,
     enumerate_unipotent_partitions,
@@ -85,6 +88,38 @@ class TestSmallestClass:
         g = GroupSpec("SO", 7, 3)
         with pytest.raises(NoSuchClass):
             smallest_class_with_blocks(g, 2)
+
+
+    @pytest.mark.parametrize("p", [0, 3, 5])
+    def test_result_is_dominated_by_every_admissible_class(self, p):
+        groups = (
+            [("SL", n) for n in range(2, 7)]
+            + [("Sp", n) for n in range(4, 13, 2)]
+            + [("Spin8" if n == 8 else "SO", n) for n in range(5, 13)]
+        )
+        for family, n in groups:
+            g = GroupSpec(family, n, p)
+            # SO6 classes are computed in SL4
+            target = g.class_group()
+            for m in range(1, target.n):
+                try:
+                    pi = smallest_class_with_blocks(g, m).unip.partition
+                except NoSuchClass:
+                    continue
+                assert len(pi) == m and _admissible(target.family, pi)
+                for other in _partitions(target.n):
+                    if len(other) == m and _admissible(target.family, other):
+                        assert dominates(other, pi), (family, n, other, pi)
+
+
+def _admissible(family, partition):
+    """Jordan types of unipotent classes: in Sp odd parts, in SO and Spin8
+    even parts occur with even multiplicity."""
+    counts = Counter(partition)
+    if family == "SL":
+        return True
+    parity = 1 if family == "Sp" else 0
+    return all(c % 2 == 0 for a, c in counts.items() if a % 2 == parity)
 
 
 class TestSplits:

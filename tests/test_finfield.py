@@ -1,6 +1,7 @@
 """Unit tests for the finite-field verification layer."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -52,6 +53,55 @@ class TestField:
     def test_non_prime_power_rejected(self):
         with pytest.raises(SchemaError):
             Field(6)
+
+    def test_oversized_matrix_rejected(self, monkeypatch):
+        # MAX_DIM bounds the digits of sums of products; past it they carry
+        monkeypatch.setattr(finfield, "MAX_DIM", 2)
+        with pytest.raises(SchemaError):
+            GFMatrix(5, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+EXTENSION_FIELDS = [4, 8, 9, 16]
+
+
+class TestExtensionFields:
+    @pytest.mark.parametrize("q", EXTENSION_FIELDS)
+    def test_inverses_and_distributivity(self, q):
+        F = Field(q)
+        elems = F.elements()
+        assert len(set(elems)) == q
+        for a in elems:
+            if a != F.zero:
+                assert F.mul(a, F.inv(a)) == F.one
+            for b in elems:
+                for c in elems:
+                    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+    @pytest.mark.parametrize("q", EXTENSION_FIELDS)
+    def test_matrix_inverse_round_trip(self, q):
+        F = finfield._field(q)
+        elems = F.elements()
+        rng = random.Random(q)
+        identity = finfield._identity(F, 3)
+        found = 0
+        while found < 10:
+            A = tuple(tuple(rng.choice(elems) for _ in range(3)) for _ in range(3))
+            if finfield._rank(F, A) < 3:
+                continue
+            Ainv = finfield._mat_inv(F, A)
+            assert finfield._mat_mul(F, A, Ainv) == identity
+            assert finfield._mat_mul(F, Ainv, A) == identity
+            found += 1
+
+    @pytest.mark.parametrize("q", [4, 8, 9])
+    def test_sl2_closure_matches_order(self, q):
+        size, truncated = group_closure(standard_generators("SL", 2, q))
+        assert (size, truncated) == (group_order("SL", 2, q), False)
+
+    def test_exact_probabilities(self):
+        # PSL2(4) = A5 and PSL2(9) = A6, which is not (2, 3)-generated
+        assert finfield.exact_generation_probability(("SL", 2, 4), 2, 3) == Fraction(2, 5)
+        assert finfield.exact_generation_probability(("SL", 2, 9), 2, 3) == 0
 
 
 class TestJordanType:

@@ -76,6 +76,13 @@ class TestSemisimpleMax:
         _, d4 = max_class(g, QContext(r=5, i=4))
         assert d1 == d4 == 28
 
+    @pytest.mark.parametrize("n, r, want", [(2, 3, 2), (3, 3, 6), (4, 5, 12)])
+    def test_sl_i1_skips_scalar_candidate(self, n, r, want):
+        # with i = 1 the candidate putting one eigenvalue on all of V is
+        # central; the maximum is a regular semisimple class, dim n^2 - n
+        _, dim = max_class(GroupSpec("SL", n, 0), QContext(r=r, i=1))
+        assert dim == want
+
     def test_infeasible_large_orbit(self):
         # i = 10 eigenvalue orbits cannot fit into dimension 4
         with pytest.raises(Infeasible):
