@@ -8,7 +8,7 @@ form-module decomposition. No field elements appear at this layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -140,6 +140,11 @@ class ClassDescriptor:
     order: Union[int, str, None] = None
     eigen: Optional[EigenPattern] = None
     unip: Optional[UnipotentData] = None
+    # the class group validate_class checked this descriptor for; not part
+    # of equality, hash or repr, and dropped by replace()
+    validated_for: Optional[GroupSpec] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
 def _norm_labelled(items, what: str) -> tuple:
@@ -371,17 +376,27 @@ def _validate_unipotent(group: GroupSpec, cls: ClassDescriptor) -> ClassDescript
 
 
 def validate_class(group: GroupSpec, raw: ClassDescriptor) -> ClassDescriptor:
-    """Canonicalize and check a descriptor against a group; raises on failure."""
+    """Canonicalize and check a descriptor against a group; raises on failure.
+
+    The result is stamped with ``group.class_group()``; a descriptor that
+    carries that stamp already is returned as it is.
+    """
     target = group.class_group()
+    if raw.validated_for == target:
+        return raw
     if raw.kind == "semisimple":
         if raw.eigen is None:
             raise SchemaError("semisimple descriptor without a pattern")
-        return _validate_semisimple(target, raw)
-    if raw.kind == "unipotent":
+        out = _validate_semisimple(target, raw)
+    elif raw.kind == "unipotent":
         if raw.unip is None:
             raise SchemaError("unipotent descriptor without a partition")
-        return _validate_unipotent(target, raw)
-    raise SchemaError(f"unknown class kind {raw.kind!r}")
+        out = _validate_unipotent(target, raw)
+    else:
+        raise SchemaError(f"unknown class kind {raw.kind!r}")
+    # out is a fresh copy made by replace(), never the caller's raw
+    object.__setattr__(out, "validated_for", target)
+    return out
 
 
 _DIM_RANK = {

@@ -117,6 +117,21 @@ def _read_input(path) -> dict:
     return doc
 
 
+_REQUIRED = object()
+
+
+def _read(doc: dict, key: str, convert=int, default=_REQUIRED):
+    """``convert(doc[key])``, or of ``default`` when the key is absent; a
+    missing required key or a failed conversion is a SchemaError."""
+    value = doc.get(key, default)
+    if value is _REQUIRED:
+        raise SchemaError(f"missing {key!r}")
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad {key!r}: {exc}") from exc
+
+
 def _emit(doc: dict, fmt: str) -> None:
     doc = {"schema": SCHEMA, **doc}
     if fmt == "json":
@@ -165,9 +180,7 @@ def decide(input_path, fmt):
     from .oracle import decide as _decide
 
     doc = _read_input(input_path)
-    group = parse_group(doc["group"]) if "group" in doc else None
-    if group is None:
-        raise SchemaError("missing 'group'")
+    group = _read(doc, "group", parse_group)
     classes = [parse_class(c) for c in doc.get("classes", [])]
     profiles = doc.get("spin8_profiles")
     verdict = _decide(group, classes, spin8_profiles=profiles)
@@ -189,10 +202,10 @@ def classdim(input_path, fmt):
     from .invariants import class_dim
 
     doc = _read_input(input_path)
-    group = parse_group(doc["group"])
+    group = _read(doc, "group", parse_group)
     # dimension formulas are evaluated without family admissibility
     # validation, so auxiliary Jordan data can be queried too
-    cls = parse_class(doc["class"])
+    cls = _read(doc, "class", parse_class)
     target = group.class_group()
     total = sum(cls.unip.partition) if cls.kind == "unipotent" else cls.eigen.total()
     if total != target.n:
@@ -217,14 +230,14 @@ def closure(input_path, fmt):
     from .closure import closure_poset_dot, in_closure, smallest_class_with_blocks
 
     doc = _read_input(input_path)
-    group = parse_group(doc["group"])
+    group = _read(doc, "group", parse_group)
     if "upper" in doc and "lower" in doc:
         upper = validate_class(group, parse_class(doc["upper"]))
         lower = validate_class(group, parse_class(doc["lower"]))
         _emit({"in_closure": in_closure(group, upper, lower)}, fmt)
         return
     if "blocks" in doc:
-        cls = smallest_class_with_blocks(group, int(doc["blocks"]))
+        cls = smallest_class_with_blocks(group, _read(doc, "blocks"))
         _emit({"class": class_to_doc(cls)}, fmt)
         return
     if doc.get("dot"):
@@ -242,8 +255,8 @@ def genfree(input_path, fmt):
     from .stabilizers import d_value, generically_free
 
     doc = _read_input(input_path)
-    group = doc.get("exceptional") or parse_group(doc["group"])
-    result = generically_free(group, int(doc["dimV"]), int(doc["dimVG"]))
+    group = doc.get("exceptional") or _read(doc, "group", parse_group)
+    result = generically_free(group, _read(doc, "dimV"), _read(doc, "dimVG"))
     _emit({"generically_free": result, "d": str(d_value(group))}, fmt)
 
 
@@ -256,9 +269,11 @@ def maxclass(input_path, fmt):
     from .maxclass import QContext, max_class
 
     doc = _read_input(input_path)
-    group = parse_group(doc["group"])
+    group = _read(doc, "group", parse_group)
     ctx = QContext(
-        r=int(doc["r"]), i=int(doc.get("i", 1)), is_p=bool(doc.get("is_p", False))
+        r=_read(doc, "r"),
+        i=_read(doc, "i", default=1),
+        is_p=bool(doc.get("is_p", False)),
     )
     cls, dim = max_class(group, ctx)
     _emit({"dim": dim, "class": class_to_doc(cls)}, fmt)
@@ -274,7 +289,11 @@ def rslimit(input_path, fmt):
 
     doc = _read_input(input_path)
     limit = rs_limit(
-        doc["family"], int(doc["n"]), int(doc.get("p", 0)), int(doc["r"]), int(doc["s"])
+        _read(doc, "family", str),
+        _read(doc, "n"),
+        _read(doc, "p", default=0),
+        _read(doc, "r"),
+        _read(doc, "s"),
     )
     _emit({"limit": str(limit)}, fmt)
 

@@ -94,29 +94,41 @@ def _char2_successors(group: GroupSpec, state: tuple) -> Iterator[tuple]:
                 yield cand
 
 
-def in_closure(group: GroupSpec, upper: ClassDescriptor, lower: ClassDescriptor) -> bool:
-    if upper.kind != "unipotent" or lower.kind != "unipotent":
-        raise MixedKinds("closure order is defined on unipotent classes")
-    target = group.class_group()
-    if target.p != 2 or target.family == "SL":
-        return dominates(upper.unip.partition, lower.unip.partition)
-    start = _dec_state(upper)
-    goal = _dec_state(lower)
-    if sum(start[0]) + 2 * sum(start[1]) != sum(goal[0]) + 2 * sum(goal[1]):
-        raise SizeMismatch("classes live in different dimensions")
+def _reachable(target: GroupSpec, start: tuple) -> Iterator[tuple]:
+    """Every state the characteristic-2 rules reach from ``start``, each
+    once, breadth first, ``start`` included; lazy, so a search for one goal
+    stops where it finds it."""
     seen = {start}
     frontier = [start]
+    yield start
     while frontier:
-        if goal in seen:
-            return True
         nxt = []
         for state in frontier:
             for cand in _char2_successors(target, state):
                 if cand not in seen:
                     seen.add(cand)
                     nxt.append(cand)
+                    yield cand
         frontier = nxt
-    return goal in seen
+
+
+def _by_dominance(target: GroupSpec) -> bool:
+    """Whether the closure order of target is dominance of partitions
+    (otherwise it is reachability under the characteristic-2 rules)."""
+    return target.p != 2 or target.family == "SL"
+
+
+def in_closure(group: GroupSpec, upper: ClassDescriptor, lower: ClassDescriptor) -> bool:
+    if upper.kind != "unipotent" or lower.kind != "unipotent":
+        raise MixedKinds("closure order is defined on unipotent classes")
+    target = group.class_group()
+    if _by_dominance(target):
+        return dominates(upper.unip.partition, lower.unip.partition)
+    start = _dec_state(upper)
+    goal = _dec_state(lower)
+    if sum(start[0]) + 2 * sum(start[1]) != sum(goal[0]) + 2 * sum(goal[1]):
+        raise SizeMismatch("classes live in different dimensions")
+    return goal in _reachable(target, start)
 
 
 def _near_equal_partition(n: int, m: int) -> tuple:
@@ -187,22 +199,27 @@ def closure_poset_dot(group: GroupSpec) -> str:
             return "|".join(f"{k}{s}x{m}" for k, s, m in c.unip.decoration)
         return ",".join(map(str, c.unip.partition))
 
+    # below[i]: indices of the shapes other than shape i in its closure
+    target = group.class_group()
+    if _by_dominance(target):
+        parts = [c.unip.partition for c in shapes]
+        below = [
+            {j for j, b in enumerate(parts) if j != i and dominates(a, b)}
+            for i, a in enumerate(parts)
+        ]
+    else:
+        states = [_dec_state(c) for c in shapes]
+        below = []
+        for i, a in enumerate(states):
+            reach = set(_reachable(target, a))
+            below.append({j for j, b in enumerate(states) if j != i and b in reach})
     lines = ["digraph closure {"]
     for c in shapes:
         lines.append(f'  "{name(c)}";')
-    for a in shapes:
-        for b in shapes:
-            if a is b or not in_closure(group, a, b):
-                continue
-            # transitive reduction: skip if an intermediate class exists
-            if any(
-                c is not a
-                and c is not b
-                and in_closure(group, a, c)
-                and in_closure(group, c, b)
-                for c in shapes
-            ):
-                continue
-            lines.append(f'  "{name(a)}" -> "{name(b)}";')
+    for i, a in enumerate(shapes):
+        # transitive reduction: drop b when some shape in between exists
+        hasse = below[i].difference(*(below[k] for k in below[i]))
+        for j in sorted(hasse):
+            lines.append(f'  "{name(a)}" -> "{name(shapes[j])}";')
     lines.append("}")
     return "\n".join(lines)

@@ -580,20 +580,21 @@ def invariant_form_matrix(
         if any(x != F.zero for x in row):
             rows.append(tuple(row))
 
-    # invariance: (g^T X g - X)_{kl} = sum_{i,j} g_{ik} X_{ij} g_{jl} - X_{kl}
-    for k in range(n):
-        for l in range(n):
-            coeffs: dict = {}
-            for i in range(n):
-                gik = gt[k][i]
-                if gik == F.zero:
-                    continue
-                for j in range(n):
-                    c = F.mul(gik, g[j][l])
-                    if c != F.zero:
-                        coeffs[var(i, j)] = F.add(coeffs.get(var(i, j), F.zero), c)
-            coeffs[var(k, l)] = F.add(coeffs.get(var(k, l), F.zero), F.neg(F.one))
-            add_row(coeffs)
+    if kind in ("symplectic", "symmetric"):
+        # invariance: (g^T X g - X)_{kl} = sum_{i,j} g_{ik} X_{ij} g_{jl} - X_{kl}
+        for k in range(n):
+            for l in range(n):
+                coeffs: dict = {}
+                for i in range(n):
+                    gik = gt[k][i]
+                    if gik == F.zero:
+                        continue
+                    for j in range(n):
+                        c = F.mul(gik, g[j][l])
+                        if c != F.zero:
+                            coeffs[var(i, j)] = F.add(coeffs.get(var(i, j), F.zero), c)
+                coeffs[var(k, l)] = F.add(coeffs.get(var(k, l), F.zero), F.neg(F.one))
+                add_row(coeffs)
     if kind == "symplectic":
         for i in range(n):
             add_row({var(i, i): F.one})
@@ -604,10 +605,9 @@ def invariant_form_matrix(
             for j in range(i + 1, n):
                 add_row({var(i, j): F.one, var(j, i): F.neg(F.one)})
     elif kind == "quadratic":
-        # Gram matrix upper triangular; invariance above is too strict for
-        # quadratic forms, so rebuild: require g^T X g + (-X) symmetric with
-        # zero diagonal instead of equal to X.
-        rows.clear()
+        # Gram matrix upper triangular; bilinear invariance is too strict
+        # for quadratic forms: require g^T X g + (-X) symmetric with zero
+        # diagonal instead of equal to X.
         for k in range(n):
             # diagonal of g^T X g - X vanishes
             coeffs = {}
@@ -1003,15 +1003,23 @@ def _scalar_matrices(F: Field, n: int, elements):
     return out
 
 
-def _order_mod_center(F: Field, a, scalars: set) -> int:
-    x = a
-    k = 1
-    while x not in scalars:
-        x = _mat_mul(F, x, a)
-        k += 1
-        if k > 10000:
-            raise SchemaError("runaway order computation")
-    return k
+def _orders_mod_center(F: Field, elements, scalars: set) -> list:
+    """(a, order of a modulo the scalars) for every non-scalar a, in sorted
+    order. One power walk a, a^2, ..., a^k (the first power that is scalar)
+    serves all of these powers: a^j has order k / gcd(j, k)."""
+    order: dict = {}
+    for a in elements:
+        if a in scalars or a in order:
+            continue
+        powers = [a]
+        while powers[-1] not in scalars:
+            powers.append(_mat_mul(F, powers[-1], a))
+            if len(powers) > 10000:
+                raise SchemaError("runaway order computation")
+        k = len(powers)
+        for j, x in enumerate(powers[:-1], 1):
+            order[x] = k // gcd(j, k)
+    return [(a, order[a]) for a in sorted(elements) if a not in scalars]
 
 
 class _GroupData:
@@ -1023,15 +1031,12 @@ class _GroupData:
         self.elements = _closure_set(self.F, self.gen_entries, cap)
         self.order = len(self.elements)
         self.scalars = set(_scalar_matrices(self.F, n, self.elements))
+        self._orders: Optional[list] = None  # from _orders_mod_center
 
     def elements_of_order_mod_center(self, r: int) -> list:
-        out = []
-        for a in sorted(self.elements):
-            if a in self.scalars:
-                continue
-            if _order_mod_center(self.F, a, self.scalars) == r:
-                out.append(a)
-        return out
+        if self._orders is None:
+            self._orders = _orders_mod_center(self.F, self.elements, self.scalars)
+        return [a for a, k in self._orders if k == r]
 
 
 @lru_cache(maxsize=8)

@@ -1,5 +1,7 @@
 """Unit tests for the symbolic group/class data model."""
 
+from dataclasses import replace
+
 import pytest
 
 from topogen.algebra_core import (
@@ -17,8 +19,11 @@ from topogen.errors import (
     OrderViolation,
     ParityViolation,
     SchemaError,
+    TopogenError,
     UnsupportedGroup,
 )
+from topogen.oracle import decide
+from topogen.stabilizers import enumerate_class_shapes
 
 
 class TestGroupSpec:
@@ -188,3 +193,56 @@ class TestSO6Descriptors:
         validate_class(g, semisimple(free=[("a", 2), ("b", 2)]))
         with pytest.raises(DimensionMismatch):
             validate_class(g, semisimple(free=[("a", 3), ("b", 3)]))
+
+
+class TestValidationStamp:
+    def test_validated_descriptor_comes_back_unchanged(self):
+        g = GroupSpec("Sp", 4, 3)
+        raw = semisimple(ones=2, minus_ones=2, order=2)
+        v = validate_class(g, raw)
+        assert v is not raw and raw.validated_for is None
+        assert v.validated_for == g
+        assert validate_class(g, v) is v
+
+    def test_replace_drops_the_stamp(self):
+        g = GroupSpec("Sp", 4, 3)
+        v = validate_class(g, semisimple(ones=2, minus_ones=2, order=2))
+        assert replace(v, order=2).validated_for is None
+        with pytest.raises(OrderViolation):
+            validate_class(g, replace(v, order=4))
+
+    def test_stamp_is_per_class_group(self):
+        v = validate_class(GroupSpec("SL", 4, 0), semisimple(free=[("a", 2), ("b", 2)]))
+        with pytest.raises(ParityViolation):
+            validate_class(GroupSpec("Sp", 4, 0), v)
+
+    def test_so6_stamp_is_its_sl4_class_group(self):
+        v = validate_class(GroupSpec("SO", 6, 0), semisimple(free=[("a", 2), ("b", 2)]))
+        assert validate_class(GroupSpec("SL", 4, 0), v) is v
+
+    def test_stamp_leaves_equality_hash_and_repr_alone(self):
+        g = GroupSpec("SO", 10, 2)
+        raw = unipotent(decoration=[{"W": 2, "mult": 2}, {"W": 1, "mult": 1}])
+        v = validate_class(g, raw)
+        fresh = validate_class(g, raw)
+        plain = replace(v)
+        assert plain.validated_for is None
+        for other in (fresh, plain):
+            assert v == other and hash(v) == hash(other) and repr(v) == repr(other)
+
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    @pytest.mark.parametrize("family,n", [("Sp", 4), ("SO", 10), ("SL", 4), ("Spin8", 8)])
+    def test_decide_ignores_the_stamp(self, family, n, p):
+        g = GroupSpec(family, n, p)
+        shapes = enumerate_class_shapes(g)
+        assert all(c.validated_for == g.class_group() for c in shapes)
+
+        def outcome(classes):
+            try:
+                return decide(g, classes)
+            except TopogenError as exc:  # a refusal must match as well
+                return type(exc), str(exc)
+
+        for a in shapes:
+            for b in shapes:
+                assert outcome([a, b]) == outcome([replace(a), replace(b)]), (a, b)

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from topogen.cli import main
@@ -171,3 +172,23 @@ class TestOtherCommands:
         )
         assert result.exit_code == 0
         assert "limit: 1" in result.output
+
+
+class TestMalformedDocumentsExit2:
+    @pytest.mark.parametrize(
+        "command,payload",
+        [
+            ("classdim", {"group": {"family": "SO", "n": 11, "p": 0}}),
+            ("genfree", {"exceptional": "E8", "dimVG": 0}),
+            ("maxclass", {"group": {"family": "Sp", "n": 8, "p": 3}, "r": "x"}),
+            ("rslimit", {}),
+        ],
+        ids=["classdim-no-class", "genfree-no-dimV", "maxclass-bad-r", "rslimit-empty"],
+    )
+    def test_exit_2_without_traceback(self, command, payload):
+        result = run([command], payload)
+        assert result.exit_code == 2, result.output
+        # a deliberate exit, not an exception the runner caught
+        assert isinstance(result.exception, SystemExit)
+        assert "invalid input" in result.output
+        assert "Traceback" not in result.output

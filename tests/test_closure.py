@@ -15,6 +15,7 @@ from topogen.closure import (
     splits_in_G,
 )
 from topogen.errors import NoSuchClass, NotApplicable, SizeMismatch
+from topogen.stabilizers import enumerate_class_shapes
 
 
 class TestDominance:
@@ -152,3 +153,53 @@ class TestEnumerationAndDot:
         dot = closure_poset_dot(g)
         assert dot.startswith("digraph")
         assert "2,2" in dot.replace(" ", "")
+
+
+def _dot_by_triple_loop(group):
+    """The closure poset as first written: a fresh in_closure for every
+    edge and every possible intermediate class, O(k^3) searches."""
+    shapes = enumerate_class_shapes(group, constraints={"kind": "unipotent"})
+
+    def name(c):
+        if c.unip.decoration:
+            return "|".join(f"{k}{s}x{m}" for k, s, m in c.unip.decoration)
+        return ",".join(map(str, c.unip.partition))
+
+    lines = ["digraph closure {"]
+    for c in shapes:
+        lines.append(f'  "{name(c)}";')
+    for a in shapes:
+        for b in shapes:
+            if a is b or not in_closure(group, a, b):
+                continue
+            if any(
+                c is not a
+                and c is not b
+                and in_closure(group, a, c)
+                and in_closure(group, c, b)
+                for c in shapes
+            ):
+                continue
+            lines.append(f'  "{name(a)}" -> "{name(b)}";')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _poset_groups():
+    for p in (0, 2, 3, 5):
+        for n in range(2, 7):
+            yield GroupSpec("SL", n, p)
+        for n in (4, 6, 8, 10, 12):
+            yield GroupSpec("Sp", n, p)
+        for n in (5, 6, 7, 9, 10, 11, 12):
+            if not (n % 2 and p == 2):
+                yield GroupSpec("SO", n, p)
+        yield GroupSpec("Spin8", 8, p)
+
+
+class TestPosetAgainstTripleLoop:
+    @pytest.mark.parametrize(
+        "group", list(_poset_groups()), ids=lambda g: f"{g.family}{g.n}-p{g.p}"
+    )
+    def test_dot_is_byte_identical(self, group):
+        assert closure_poset_dot(group) == _dot_by_triple_loop(group)

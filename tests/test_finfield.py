@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from topogen import finfield
-from topogen.algebra_core import GroupSpec, semisimple, unipotent, validate_class
+from topogen.algebra_core import GroupSpec, is_prime, semisimple, unipotent, validate_class
 from topogen.errors import (
     NonSplit,
     SchemaError,
@@ -28,6 +28,7 @@ from topogen.finfield import (
     standard_generators,
     unipotent_matrix,
 )
+from topogen.stabilizers import enumerate_class_shapes
 
 
 class TestField:
@@ -191,6 +192,34 @@ class TestMatrixFromClass:
         m = matrix_from_class(g, c, 2)
         assert m.form_kind == "quadratic"
 
+    @pytest.mark.parametrize("family,n", [("SO", 10), ("Spin8", 8)])
+    def test_quadratic_forms_of_every_shape_at_char2(self, family, n):
+        g = GroupSpec(family, n, 2)
+        F = finfield._field(2)
+        vectors = [[(x >> i) & 1 for i in range(n)] for x in range(2**n)]
+        built = 0
+        for cls in enumerate_class_shapes(g):
+            try:
+                m = matrix_from_class(g, cls, 2)
+            except Uninstantiable:
+                # GF(2) has no eigenvalue besides 1
+                assert cls.kind == "semisimple"
+                continue
+            built += 1
+            g_, X = m.entries, m.form
+            assert m.form_kind == "quadratic"
+            assert all(X[i][j] == 0 for i in range(n) for j in range(i))
+
+            def Q(v):
+                return sum(X[i][j] * v[i] * v[j] for i in range(n) for j in range(i, n)) % 2
+
+            for v in vectors:
+                gv = [sum(g_[i][j] * v[j] for j in range(n)) % 2 for i in range(n)]
+                assert Q(gv) == Q(v), (cls, v)
+            polarization = [[(X[i][j] + X[j][i]) % 2 for j in range(n)] for i in range(n)]
+            assert finfield._rank(F, polarization) == n
+        assert built
+
     def test_wrong_characteristic_rejected(self):
         g = GroupSpec("Sp", 4, 3)
         c = validate_class(g, unipotent(partition=(2, 2)))
@@ -234,6 +263,31 @@ class TestGroupOrders:
         gens = standard_generators("SL", 2, 7)
         size, truncated = group_closure(gens, cap=10)
         assert truncated and size >= 10
+
+
+def _order_by_own_walk(F, a, scalars):
+    """Order of a modulo the scalars from a power walk of a alone."""
+    x, k = a, 1
+    while x not in scalars:
+        x = finfield._mat_mul(F, x, a)
+        k += 1
+    return k
+
+
+class TestOrdersModCenter:
+    @pytest.mark.parametrize("family,n,q", [("SL", 2, 7), ("SL", 2, 9), ("Sp", 4, 2)])
+    def test_shared_walks_match_one_walk_per_element(self, family, n, q):
+        data = finfield._group_data(family, n, q, 10**6)
+        own = [
+            (a, _order_by_own_walk(data.F, a, data.scalars))
+            for a in sorted(data.elements)
+            if a not in data.scalars
+        ]
+        orders = {k for _, k in own}
+        # composite orders, whose powers have smaller orders
+        assert any(not is_prime(k) for k in orders)
+        for r in orders:
+            assert data.elements_of_order_mod_center(r) == [a for a, k in own if k == r]
 
 
 def _plain_monte_carlo(q, trials, seed, cap=10**6):
