@@ -173,9 +173,8 @@ def semisimple(
     variant: str = "unspecified",
 ) -> ClassDescriptor:
     if isinstance(relations, Mapping):
-        rels = tuple(sorted(relations.items()))
-    else:
-        rels = tuple(sorted(tuple(t) for t in (relations or ())))
+        relations = relations.items()
+    rels = tuple(sorted((str(lab), tag) for lab, tag in (relations or ())))
     pat = EigenPattern(
         mult_one=ones,
         mult_minus_one=minus_ones,
@@ -268,7 +267,8 @@ def _validate_semisimple(group: GroupSpec, cls: ClassDescriptor) -> ClassDescrip
     for lab, tag in pat.relations:
         if lab not in known:
             raise SchemaError(f"relation on unknown label {lab!r}")
-        if not (tag == REL_SQUARE_MINUS_ONE or tag.startswith("order:")):
+        order_tag = isinstance(tag, str) and tag.startswith("order:") and tag[6:].isdecimal()
+        if not (tag == REL_SQUARE_MINUS_ONE or order_tag):
             raise SchemaError(f"unknown relation tag {tag!r}")
     if group.family in ("Sp", "SO", "Spin8"):
         if pat.free:
@@ -397,6 +397,16 @@ def validate_class(group: GroupSpec, raw: ClassDescriptor) -> ClassDescriptor:
     # out is a fresh copy made by replace(), never the caller's raw
     object.__setattr__(out, "validated_for", target)
     return out
+
+
+def check_class_size(group: GroupSpec, classes: Iterable[ClassDescriptor]) -> None:
+    """Raise SchemaError unless every class lives in the natural dimension of
+    ``group.class_group()``; dimension formulas on unvalidated classes need it."""
+    target = group.class_group()
+    for c in classes:
+        total = sum(c.unip.partition) if c.kind == "unipotent" else c.eigen.total()
+        if total != target.n:
+            raise SchemaError(f"class lives in dimension {total}, expected {target.n}")
 
 
 _DIM_RANK = {

@@ -2,26 +2,32 @@
 
 Batch commands over a JSON input document (schema "topogen/1"):
 decide, classdim, closure, genfree, maxclass, rslimit, verify.
-Exit codes: 0 computed result (including Empty verdicts), 2 invalid input,
-3 well-formed but unsupported case.
+Exit codes: 0 computed result (including Empty verdicts), 1 failed verify
+suite, 2 invalid input, 3 well-formed but unsupported case. ``handle`` is
+the in-process entry point; the click group ``main`` is a thin shell on it.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 
 import click
 
 from .algebra_core import (
     ClassDescriptor,
     GroupSpec,
+    check_class_size,
     semisimple,
     unipotent,
     validate_class,
 )
+from .closure import closure_poset_dot, in_closure, smallest_class_with_blocks
 from .errors import InvalidInput, SchemaError, UnsupportedCase
+from .invariants import class_dim
+from .maxclass import QContext, max_class, rs_limit
+from .oracle import decide
+from .stabilizers import d_value, generically_free
 
 SCHEMA = "topogen/1"
 
@@ -33,8 +39,8 @@ SCHEMA = "topogen/1"
 
 def parse_group(doc: dict) -> GroupSpec:
     try:
-        return GroupSpec(doc["family"], int(doc["n"]), int(doc.get("p", 0)))
-    except (KeyError, TypeError, ValueError) as exc:
+        return GroupSpec(_typed(str)(doc["family"]), int(doc["n"]), int(doc.get("p", 0)))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad group document: {exc}") from exc
 
 
@@ -46,14 +52,8 @@ def parse_class(doc: dict) -> ClassDescriptor:
                 order=doc.get("order"),
                 ones=int(doc.get("ones", 0)),
                 minus_ones=int(doc.get("minus_ones", 0)),
-                pairs=[
-                    tuple(x) if isinstance(x, (list, tuple)) else int(x)
-                    for x in doc.get("pairs", [])
-                ],
-                free=[
-                    tuple(x) if isinstance(x, (list, tuple)) else int(x)
-                    for x in doc.get("free", [])
-                ],
+                pairs=[_labelled(x) for x in doc.get("pairs", [])],
+                free=[_labelled(x) for x in doc.get("free", [])],
                 relations=doc.get("relations"),
                 variant=doc.get("variant", "unspecified"),
             )
@@ -63,11 +63,13 @@ def parse_class(doc: dict) -> ClassDescriptor:
                 order=doc.get("order"),
                 decoration=doc.get("decoration"),
             )
-    except InvalidInput:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad class document: {exc}") from exc
-    raise SchemaError(f"unknown class kind {doc.get('kind')!r}")
+    raise SchemaError(f"unknown class kind {kind!r}")
+
+
+def _labelled(x):
+    return tuple(x) if isinstance(x, (list, tuple)) else int(x)
 
 
 def class_to_doc(cls: ClassDescriptor) -> dict:
@@ -100,202 +102,130 @@ def class_to_doc(cls: ClassDescriptor) -> dict:
     return doc
 
 
-def _read_input(path) -> dict:
-    if path in (None, "-"):
-        raw = sys.stdin.read()
-    else:
-        with open(path) as f:
-            raw = f.read()
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"input is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("input document must be a JSON object")
-    if doc.get("schema", SCHEMA) != SCHEMA:
-        raise SchemaError(f"unsupported schema {doc.get('schema')!r}")
-    return doc
-
-
 _REQUIRED = object()
 
 
 def _read(doc: dict, key: str, convert=int, default=_REQUIRED):
-    """``convert(doc[key])``, or of ``default`` when the key is absent; a
-    missing required key or a failed conversion is a SchemaError."""
-    value = doc.get(key, default)
-    if value is _REQUIRED:
-        raise SchemaError(f"missing {key!r}")
+    """``convert(doc[key])``, or ``default`` when the key is absent; a
+    missing required key or a value ``convert`` rejects is a SchemaError."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise SchemaError(f"missing {key!r}")
+        return default
     try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
+        return convert(doc[key])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad {key!r}: {exc}") from exc
 
 
-def _emit(doc: dict, fmt: str) -> None:
-    doc = {"schema": SCHEMA, **doc}
-    if fmt == "json":
-        click.echo(json.dumps(doc, indent=2, default=str))
-    else:
-        for key, value in doc.items():
-            click.echo(f"{key}: {value}")
-
-
-def _guard(fn):
-    """Map library exceptions to stable exit codes."""
-    import functools
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+def _document(doc) -> dict:
+    """The command document ``doc``, given as a dict or as JSON text."""
+    if isinstance(doc, str):
         try:
-            return fn(*args, **kwargs)
-        except InvalidInput as exc:
-            click.echo(f"invalid input: {exc}", err=True)
-            sys.exit(2)
-        except UnsupportedCase as exc:
-            click.echo(f"unsupported case: {exc}", err=True)
-            sys.exit(3)
-
-    return wrapper
-
-
-_input_opt = click.option("--input", "input_path", default=None, help="JSON input file (default stdin)")
-_format_opt = click.option(
-    "--format", "fmt", type=click.Choice(["json", "text"]), default="json"
-)
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"input is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError("input document must be a JSON object")
+    if _read(doc, "schema", str, default=SCHEMA) != SCHEMA:
+        raise SchemaError(f"unsupported schema {doc['schema']!r}")
+    return doc
 
 
-@click.group()
-def main():
-    """Exact decision toolkit for topological generation of simple
-    classical groups by prime-order conjugacy classes."""
+def _typed(kind):
+    """Converter passing values of type ``kind`` through unchanged."""
+
+    def convert(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return value
+
+    return convert
 
 
-@main.command()
-@_input_opt
-@_format_opt
-@_guard
-def decide(input_path, fmt):
+def _profiles(value) -> list:
+    """Spin8 profiles: one list of three integers per class."""
+    for t in value:
+        if not isinstance(t, list) or len(t) != 3 or any(type(d) is not int for d in t):
+            raise ValueError("each Spin8 profile must be a list of three integers")
+    return [tuple(t) for t in value]
+
+
+def _decide(doc: dict) -> dict:
     """Decide emptiness for a tuple of classes."""
-    from .oracle import decide as _decide
-
-    doc = _read_input(input_path)
     group = _read(doc, "group", parse_group)
-    classes = [parse_class(c) for c in doc.get("classes", [])]
-    profiles = doc.get("spin8_profiles")
-    verdict = _decide(group, classes, spin8_profiles=profiles)
+    classes = _read(doc, "classes", lambda v: [parse_class(c) for c in v], default=[])
+    profiles = _read(doc, "spin8_profiles", _profiles, default=None)
+    verdict = decide(group, classes, spin8_profiles=profiles)
     out = {"empty": verdict.empty, "reason": verdict.reason}
     if verdict.reason == "TableRow":
         out["row"] = verdict.case_id
     elif verdict.case_id is not None:
         out["case"] = verdict.case_id
     out["witnesses"] = verdict.witnesses
-    _emit(out, fmt)
+    return out
 
 
-@main.command()
-@_input_opt
-@_format_opt
-@_guard
-def classdim(input_path, fmt):
+def _classdim(doc: dict) -> dict:
     """Class and centralizer dimensions of a single class."""
-    from .invariants import class_dim
-
-    doc = _read_input(input_path)
     group = _read(doc, "group", parse_group)
     # dimension formulas are evaluated without family admissibility
     # validation, so auxiliary Jordan data can be queried too
     cls = _read(doc, "class", parse_class)
-    target = group.class_group()
-    total = sum(cls.unip.partition) if cls.kind == "unipotent" else cls.eigen.total()
-    if total != target.n:
-        raise SchemaError(f"class lives in dimension {total}, expected {target.n}")
+    check_class_size(group, [cls])
     res = class_dim(group, cls)
-    _emit(
-        {
-            "dim_class": res.dim_class,
-            "dim_centralizer": res.dim_centralizer,
-            "class": class_to_doc(cls),
-        },
-        fmt,
-    )
+    return {
+        "dim_class": res.dim_class,
+        "dim_centralizer": res.dim_centralizer,
+        "class": class_to_doc(cls),
+    }
 
 
-@main.command()
-@_input_opt
-@_format_opt
-@_guard
-def closure(input_path, fmt):
+def _closure(doc: dict) -> dict | str:
     """Closure-order queries: containment, smallest class, DOT poset."""
-    from .closure import closure_poset_dot, in_closure, smallest_class_with_blocks
-
-    doc = _read_input(input_path)
     group = _read(doc, "group", parse_group)
     if "upper" in doc and "lower" in doc:
-        upper = validate_class(group, parse_class(doc["upper"]))
-        lower = validate_class(group, parse_class(doc["lower"]))
-        _emit({"in_closure": in_closure(group, upper, lower)}, fmt)
-        return
+        upper = validate_class(group, _read(doc, "upper", parse_class))
+        lower = validate_class(group, _read(doc, "lower", parse_class))
+        return {"in_closure": in_closure(group, upper, lower)}
     if "blocks" in doc:
         cls = smallest_class_with_blocks(group, _read(doc, "blocks"))
-        _emit({"class": class_to_doc(cls)}, fmt)
-        return
-    if doc.get("dot"):
-        click.echo(closure_poset_dot(group))
-        return
+        return {"class": class_to_doc(cls)}
+    if _read(doc, "dot", _typed(bool), default=False):
+        return closure_poset_dot(group)
     raise SchemaError("closure needs 'upper'/'lower', 'blocks', or 'dot'")
 
 
-@main.command()
-@_input_opt
-@_format_opt
-@_guard
-def genfree(input_path, fmt):
+def _genfree(doc: dict) -> dict:
     """Generically-free threshold test."""
-    from .stabilizers import d_value, generically_free
-
-    doc = _read_input(input_path)
-    group = doc.get("exceptional") or _read(doc, "group", parse_group)
+    group = _read(doc, "exceptional", _typed(str), default=None)
+    group = group or _read(doc, "group", parse_group)
     result = generically_free(group, _read(doc, "dimV"), _read(doc, "dimVG"))
-    _emit({"generically_free": result, "d": str(d_value(group))}, fmt)
+    return {"generically_free": result, "d": str(d_value(group))}
 
 
-@main.command()
-@_input_opt
-@_format_opt
-@_guard
-def maxclass(input_path, fmt):
+def _maxclass(doc: dict) -> dict:
     """Maximal-dimension class of prime order r in context (r, i)."""
-    from .maxclass import QContext, max_class
-
-    doc = _read_input(input_path)
     group = _read(doc, "group", parse_group)
     ctx = QContext(
         r=_read(doc, "r"),
         i=_read(doc, "i", default=1),
-        is_p=bool(doc.get("is_p", False)),
+        is_p=_read(doc, "is_p", _typed(bool), default=False),
     )
     cls, dim = max_class(group, ctx)
-    _emit({"dim": dim, "class": class_to_doc(cls)}, fmt)
+    return {"dim": dim, "class": class_to_doc(cls)}
 
 
-@main.command()
-@_input_opt
-@_format_opt
-@_guard
-def rslimit(input_path, fmt):
+def _rslimit(doc: dict) -> dict:
     """Limit of the (r, s) random generation probability."""
-    from .maxclass import rs_limit
-
-    doc = _read_input(input_path)
     limit = rs_limit(
-        _read(doc, "family", str),
+        _read(doc, "family", _typed(str)),
         _read(doc, "n"),
         _read(doc, "p", default=0),
         _read(doc, "r"),
         _read(doc, "s"),
     )
-    _emit({"limit": str(limit)}, fmt)
+    return {"limit": str(limit)}
 
 
 # ---------------------------------------------------------------------------
@@ -392,23 +322,83 @@ def _verify_so9_count() -> dict:
     }
 
 
-@main.command()
-@click.argument("suite", type=click.Choice(["blocks", "centralizers", "psp4", "so9-count"]))
-@_format_opt
-@_guard
-def verify(suite, fmt):
+SUITES = {
+    "blocks": _verify_blocks,
+    "centralizers": _verify_centralizers,
+    "psp4": _verify_psp4,
+    "so9-count": _verify_so9_count,
+}
+
+
+def _verify(doc: dict) -> dict:
     """Run a named finite-field cross-check suite."""
-    if suite == "blocks":
-        out = _verify_blocks()
-    elif suite == "centralizers":
-        out = _verify_centralizers()
-    elif suite == "psp4":
-        out = _verify_psp4()
+    suite = _read(doc, "suite", _typed(str))
+    if suite not in SUITES:
+        raise SchemaError(f"unknown suite {suite!r}")
+    return {"suite": suite, **SUITES[suite]()}
+
+
+COMMANDS = {
+    "decide": _decide,
+    "classdim": _classdim,
+    "closure": _closure,
+    "genfree": _genfree,
+    "maxclass": _maxclass,
+    "rslimit": _rslimit,
+    "verify": _verify,
+}
+
+
+def handle(command: str, doc: dict | str) -> tuple[int, dict | str]:
+    """Run ``command`` on a topogen/1 document (a dict or its JSON text) and
+    return ``(exit_code, out)``: the output document, the DOT text of
+    ``closure`` with ``dot``, or for exit codes 2 and 3 the error message."""
+    try:
+        out = COMMANDS[command](_document(doc))
+    except InvalidInput as exc:
+        return 2, f"invalid input: {exc}"
+    except UnsupportedCase as exc:
+        return 3, f"unsupported case: {exc}"
+    if isinstance(out, dict):
+        out = {"schema": SCHEMA, **out}
+    return int(command == "verify" and not out["passed"]), out
+
+
+# ---------------------------------------------------------------------------
+# click shell
+# ---------------------------------------------------------------------------
+
+
+def _run(fmt, input_path=None, suite=None):
+    if suite is not None:
+        doc = {"suite": suite}
+    elif input_path in (None, "-"):
+        doc = sys.stdin.read()
     else:
-        out = _verify_so9_count()
-    _emit({"suite": suite, **out}, fmt)
-    if not out.get("passed"):
-        sys.exit(1)
+        with open(input_path) as f:
+            doc = f.read()
+    code, out = handle(click.get_current_context().command.name, doc)
+    if isinstance(out, dict) and fmt == "json":
+        out = json.dumps(out, indent=2, default=str)
+    elif isinstance(out, dict):
+        out = "\n".join(f"{key}: {value}" for key, value in out.items())
+    click.echo(out, err=code > 1)
+    if code:
+        sys.exit(code)
+
+
+@click.group()
+def main():
+    """Exact decision toolkit for topological generation of simple
+    classical groups by prime-order conjugacy classes."""
+
+
+_INPUT = click.Option(["--input", "input_path"], help="JSON input file (default stdin)")
+_FORMAT = click.Option(["--format", "fmt"], type=click.Choice(["json", "text"]), default="json")
+_SUITE = click.Argument(["suite"], type=click.Choice(list(SUITES)))
+for _name, _command in COMMANDS.items():
+    _params = [_SUITE if _name == "verify" else _INPUT, _FORMAT]
+    main.add_command(click.Command(_name, callback=_run, params=_params, help=_command.__doc__))
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from .algebra_core import (
     REL_SQUARE_MINUS_ONE,
     ClassDescriptor,
     GroupSpec,
+    check_class_size,
     dim_and_rank,
     validate_class,
 )
@@ -459,11 +460,7 @@ def decide(
 def scott_lower_bound(group: GroupSpec, classes: Sequence[ClassDescriptor]):
     # dimension-formula evaluation only: no family admissibility validation,
     # so the bound can also be evaluated on companion/auxiliary Jordan data
-    target = group.class_group()
-    for c in classes:
-        total = sum(c.unip.partition) if c.kind == "unipotent" else c.eigen.total()
-        if total != target.n:
-            raise SchemaError(f"class lives in dimension {total}, expected {target.n}")
+    check_class_size(group, classes)
     if group.family != "SL" and group.p == 2:
         raise BadCharacteristic(
             "adjoint-module bound implemented for good characteristic only"

@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
+import io
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from click.testing import CliRunner
 
-from topogen.cli import main
+from topogen.cli import handle, main
 
 
 def run(args, payload=None):
@@ -192,3 +195,127 @@ class TestMalformedDocumentsExit2:
         assert isinstance(result.exception, SystemExit)
         assert "invalid input" in result.output
         assert "Traceback" not in result.output
+
+
+SP8 = {"family": "Sp", "n": 8, "p": 3}
+INVOLUTION = {"kind": "semisimple", "order": 2, "ones": 6, "minus_ones": 2}
+SPIN8 = {"family": "Spin8", "n": 8, "p": 0}
+SPIN8_CLASS = {"kind": "semisimple", "ones": 2, "pairs": [2, 1]}
+PARTITION = {"kind": "unipotent", "partition": [2, 2, 2, 2]}
+RS = {"family": "Sp", "n": 4, "p": 7, "r": 2, "s": 3}
+
+
+class TestHandleMalformedDocuments:
+    """Every command, called in-process without click, answers a missing
+    required key or a wrong-typed value of each key it reads with exit 2."""
+
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("decide", {"classes": [INVOLUTION] * 2}),
+            ("decide", {"schema": 1, "group": SP8, "classes": [INVOLUTION] * 2}),
+            ("decide", {"group": 5, "classes": [INVOLUTION] * 2}),
+            ("decide", {"group": {**SP8, "family": 5}, "classes": [INVOLUTION] * 2}),
+            ("decide", {"group": SP8, "classes": 5}),
+            ("decide", {"group": SP8, "classes": [5, 5]}),
+            ("decide", {"group": SPIN8, "classes": [SPIN8_CLASS] * 2, "spin8_profiles": [1, 2]}),
+            ("decide", {"group": SPIN8, "classes": [SPIN8_CLASS] * 2, "spin8_profiles": 5}),
+            (
+                "decide",
+                {"group": SPIN8, "classes": [SPIN8_CLASS] * 2, "spin8_profiles": [[1, 2, "x"]] * 2},
+            ),
+            (
+                "decide",
+                {
+                    "group": {"family": "Sp", "n": 6, "p": 0},
+                    "classes": [{"kind": "semisimple", "pairs": [["a", 1], ["b", 2]], "relations": {"a": 5}}] * 3,
+                },
+            ),
+            ("classdim", {"class": PARTITION}),
+            ("classdim", {"group": SP8}),
+            ("classdim", {"group": "Sp", "class": PARTITION}),
+            ("classdim", {"group": SP8, "class": 5}),
+            ("closure", {"dot": True}),
+            ("closure", {"group": SP8}),
+            ("closure", {"group": [SP8], "dot": True}),
+            ("closure", {"group": SP8, "upper": 5, "lower": PARTITION}),
+            ("closure", {"group": SP8, "upper": PARTITION, "lower": "x"}),
+            ("closure", {"group": SP8, "blocks": "x"}),
+            ("closure", {"group": SP8, "dot": "yes"}),
+            ("genfree", {"dimV": 721, "dimVG": 0}),
+            ("genfree", {"exceptional": 5, "dimV": 721, "dimVG": 0}),
+            ("genfree", {"group": [1], "dimV": 721, "dimVG": 0}),
+            ("genfree", {"exceptional": "E8", "dimV": "x", "dimVG": 0}),
+            ("genfree", {"exceptional": "E8", "dimV": 721}),
+            ("genfree", {"exceptional": "E8", "dimV": 721, "dimVG": [0]}),
+            ("maxclass", {"r": 3}),
+            ("maxclass", {"group": SP8}),
+            ("maxclass", {"group": 5, "r": 3}),
+            ("maxclass", {"group": SP8, "r": "x"}),
+            ("maxclass", {"group": SP8, "r": 5, "i": "x"}),
+            ("maxclass", {"group": {"family": "Sp", "n": 4, "p": 3}, "r": 3, "is_p": "no"}),
+            ("rslimit", {"n": 4, "p": 7, "r": 2, "s": 3}),
+            ("rslimit", {**RS, "family": 5}),
+            ("rslimit", {**RS, "n": "x"}),
+            ("rslimit", {**RS, "p": "x"}),
+            ("rslimit", {**RS, "r": [2]}),
+            ("rslimit", {**RS, "s": {}}),
+            ("verify", {}),
+            ("verify", {"suite": 5}),
+            ("verify", {"suite": "nope"}),
+        ],
+    )
+    def test_exit_2(self, command, doc):
+        code, out = handle(command, doc)
+        assert code == 2, out
+        assert out.startswith("invalid input: ")
+
+    @pytest.mark.parametrize("doc", ["not json", "[1, 2]", [1, 2]])
+    def test_not_a_json_object(self, doc):
+        assert handle("decide", doc)[0] == 2
+
+
+class TestHandle:
+    def test_result_document(self):
+        assert handle("rslimit", RS) == (0, {"schema": "topogen/1", "limit": "1/2"})
+        assert handle("rslimit", json.dumps(RS)) == (0, {"schema": "topogen/1", "limit": "1/2"})
+
+    def test_dot_text(self):
+        code, out = handle("closure", {"group": {"family": "Sp", "n": 4, "p": 3}, "dot": True})
+        assert code == 0 and out.startswith("digraph")
+
+    def test_unsupported_case_exit_3(self):
+        code, out = handle("maxclass", {"group": {"family": "Sp", "n": 4, "p": 0}, "r": 11, "i": 10})
+        assert code == 3 and out.startswith("unsupported case: ")
+
+
+def call_main(monkeypatch, command, payload):
+    """``main.main`` in the form an in-process caller uses: stdin and
+    stdout swapped for buffers, ``standalone_mode=False``."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        main.main(args=[command], prog_name="topogen", standalone_mode=False)
+    return out.getvalue()
+
+
+class TestInProcessEntryForm:
+    def test_exit_0_returns_and_prints_json(self, monkeypatch):
+        out = call_main(monkeypatch, "rslimit", RS)
+        assert json.loads(out) == {"schema": "topogen/1", "limit": "1/2"}
+
+    @pytest.mark.parametrize(
+        "command,payload,code",
+        [
+            ("rslimit", {**RS, "s": 2}, 2),
+            ("maxclass", {"group": {"family": "Sp", "n": 4, "p": 0}, "r": 11, "i": 10}, 3),
+        ],
+    )
+    def test_refusal_raises_system_exit(self, monkeypatch, command, payload, code):
+        with pytest.raises(SystemExit) as info:
+            call_main(monkeypatch, command, payload)
+        assert info.value.code == code
+
+    def test_dot_prints_digraph(self, monkeypatch):
+        out = call_main(monkeypatch, "closure", {"group": {"family": "Sp", "n": 4, "p": 3}, "dot": True})
+        assert out.startswith("digraph")
