@@ -2,7 +2,8 @@
 
 Everything here is independent of the symbolic machinery: explicit matrices,
 exact Gaussian elimination, breadth-first group closure, and exhaustive or
-Monte Carlo generation tests.
+Monte Carlo generation tests, which compare the order of the generated group
+(Schreier–Sims on the points of projective space) with the group's order.
 
 Every element of GF(p^k) is one Python int, the packed coefficient vector
 sum c_i * B^i of its representative polynomial over GF(p), with B a power
@@ -16,8 +17,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+from functools import lru_cache, partial
+from itertools import product
+from math import gcd, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -153,6 +155,7 @@ class Field:
         for i in range(self.k):
             elems = [x + (c << (self.shift * i)) for c in range(self.p) for x in elems]
         self._elements = tuple(elems)
+        self._points: dict = {}  # n -> projective_points(n)
 
     # -- element construction -------------------------------------------------
     def coerce(self, x):
@@ -170,6 +173,25 @@ class Field:
 
     def elements(self) -> list:
         return list(self._elements)
+
+    def projective_points(self, n: int) -> tuple:
+        """(points, index): the points of P^{n-1}(GF(q)), each the vector
+        whose first nonzero coordinate is 1, and a map from every nonzero
+        vector of GF(q)^n to the position of its point. Built once per n."""
+        if n not in self._points:
+            points = [
+                v
+                for v in product(self._elements, repeat=n)
+                if next((x for x in v if x), None) == self.one
+            ]
+            index = {
+                tuple([self.red[c * x] for x in v]): i
+                for i, v in enumerate(points)
+                for c in self._elements
+                if c
+            }
+            self._points[n] = (points, index)
+        return self._points[n]
 
     # -- arithmetic ------------------------------------------------------------
     def add(self, a, b):
@@ -974,20 +996,84 @@ def _closure_set(F: Field, gen_entries, cap: int):
     return seen
 
 
-def _proper_subgroup(F: Field, gen_entries, order: int):
-    """The set of elements of the generated subgroup, or None if it is the
-    whole group of the given order.
+def _projective_perm(F: Field, g) -> tuple:
+    """The permutation the matrix g induces on the points of
+    P^{n-1}(GF(q)) (``Field.projective_points``): point i goes to point
+    perm[i]. Its kernel, on invertible matrices, is the scalars."""
+    points, index = F.projective_points(len(g))
+    red = F.red
+    return tuple([index[tuple([red[sum(map(mul, row, v))] for row in g])] for v in points])
 
-    Bails out early: any subgroup exceeding half the order is the group.
-    """
-    half = order // 2
-    seen = _closure(F, gen_entries, half)
-    return None if len(seen) > half or len(seen) == order else seen
+
+def _perm_group_order(gens) -> int:
+    """Order of the group generated by permutations of range(N), each the
+    sequence of its images, by deterministic Schreier–Sims (Sims 1970) in
+    Knuth's incremental form (Knuth 1991; Seress, *Permutation Group
+    Algorithms*, 2003, sec. 4.2).
+
+    Level k of the stabiliser chain has a base point, the generators added
+    at that level (they fix the earlier base points) and a transversal:
+    for each point of the base point's orbit, an element taking the base
+    point there, with its inverse. Each new generator extends the orbit;
+    each Schreier generator (transversal element times generator, divided
+    by the transversal element of its image) is sifted into the next
+    level and added there when it does not sift to the identity. The
+    order is the product of the orbit lengths. Permutations are lists
+    here: short tuples would fill the interpreter's tuple free lists."""
+    base: list = []
+    added: list = []
+    transversal: list = []
+    # (k, g, True): add g to level k unless it sifts to the identity;
+    # (k, g, False): g lies in level k's group; extend the orbit by its
+    # image of the base point, or sift its Schreier generator into level k + 1
+    work = [(0, list(g), True) for g in gens]
+    while work:
+        k, g, new = work.pop()
+        if not new:
+            image = g[base[k]]
+            u = transversal[k].get(image)
+            if u is None:
+                inv = [0] * len(g)
+                for x, y in enumerate(g):
+                    inv[y] = x
+                transversal[k][image] = (g, inv)
+                work += [(k, [*map(s.__getitem__, g)], False) for s in added[k]]
+            elif u[0] != g:
+                work.append((k + 1, [*map(u[1].__getitem__, g)], True))
+            continue
+        h = g
+        for b, level in zip(base[k:], transversal[k:]):
+            if h[b] != b:
+                u = level.get(h[b])
+                if u is None:
+                    break
+                h = [*map(u[1].__getitem__, h)]
+        else:
+            moved = next((x for x, y in enumerate(h) if x != y), None)
+            if moved is None:
+                continue
+            if k == len(base):
+                identity = list(range(len(g)))
+                base.append(moved)
+                added.append([])
+                transversal.append({moved: (identity, identity)})
+        added[k].append(g)
+        work += [(k, [*map(g.__getitem__, u)], False) for u, _ in transversal[k].values()]
+    return prod(len(level) for level in transversal)
 
 
 def _generates(F: Field, gen_entries, order: int) -> bool:
-    """True iff the generated subgroup is the whole group of the given order."""
-    return _proper_subgroup(F, gen_entries, order) is None
+    """True iff the matrices generate a group of the given order.
+
+    Precondition: ``gen_entries`` holds every scalar matrix of the group,
+    as every caller passes them. The generated group then meets the
+    centre in exactly those scalars, and the scalars are the kernel of the
+    action on P^{n-1}(GF(q)), so its order is |image| times their number;
+    |image| comes from Schreier–Sims (``_perm_group_order``)."""
+    perms = [_projective_perm(F, g) for g in gen_entries]
+    identity = tuple(range(len(perms[0])))
+    scalars = len({g for g, p in zip(gen_entries, perms) if p == identity})
+    return _perm_group_order([p for p in perms if p != identity]) * scalars == order
 
 
 def _scalar_matrices(F: Field, n: int, elements):
@@ -1051,17 +1137,10 @@ def estimate_generation_probability(
     (order-r, order-s mod center) pair generates the group modulo its center.
     Deterministic given (seed, trials); per-trial RNG streams.
 
-    Two reductions skip repeated subgroup searches without changing any
-    per-pair answer, so the result is the same for every (seed, trials) as
-    testing each drawn pair with ``_generates``:
-
-    - the scalars are generators too, so (zx, z'y) generates exactly when
-      (x, y) does, and pairs are memoised by their minimal scalar multiples;
-    - a search that does not generate has built the proper subgroup
-      <x, y, Z>; a later pair inside a known one cannot generate.
-
-    The memo lives for one call; ``cap`` also bounds the total number of
-    elements of the kept subgroups, beyond which no more are kept."""
+    Pairs are memoised, for one call, by the permutations x and y induce
+    on P^{n-1}(GF(q)). The scalars act trivially and are generators too,
+    so (zx, z'y) generates exactly when (x, y) does: the result is the same
+    as testing each drawn pair with ``_generates``."""
     family, n, q = groupspec
     data = _group_data(family, n, q, cap)
     F = data.F
@@ -1070,28 +1149,16 @@ def estimate_generation_probability(
     if not xr or not xs:
         raise NotApplicable(f"no elements of order {r} or {s} mod center")
     scalars = sorted(data.scalars)
-
-    def mod_center(a):
-        return min(_mat_mul(F, z, a) for z in scalars)
-
+    perm = lru_cache(maxsize=None)(partial(_projective_perm, F))
     cache: dict = {}
-    subgroups: list = []
-    stored = 0
     hits = 0
     for t in range(trials):
         rng = random.Random(seed * 1000003 + t)
         x = xr[rng.randrange(len(xr))]
         y = xs[rng.randrange(len(xs))]
-        key = (mod_center(x), mod_center(y))
+        key = (perm(x), perm(y))
         if key not in cache:
-            if any(x in H and y in H for H in subgroups):
-                cache[key] = False
-            else:
-                H = _proper_subgroup(F, [x, y] + scalars, data.order)
-                cache[key] = H is None
-                if H is not None and stored + len(H) <= cap:
-                    subgroups.append(H)
-                    stored += len(H)
+            cache[key] = _generates(F, [x, y] + scalars, data.order)
         hits += cache[key]
     return hits, trials
 
@@ -1212,19 +1279,14 @@ def invariant_subspace_count(
                 # candidate vectors are the v-parts, modulo U
                 cand_rows = [v[:n] for v in sol]
                 space, _ = _rref(F, cand_rows + rows_u)
-                # complement of U inside the solution space
-                ext = []
+                # a complement of U inside the solution space, built greedily:
+                # v is kept when it enlarges the span of U and the kept vectors
+                span, ext_basis = rows_u, []
                 for v in space:
-                    combined, _ = _rref(F, rows_u + [v])
-                    if len(combined) > len(rows_u):
-                        ext.append(v)
-                ext_basis, _ = _rref(F, ext)
-                # drop any component inside U
-                ext_basis = [
-                    v
-                    for v in ext_basis
-                    if len(_rref(F, rows_u + [v])[0]) > len(rows_u)
-                ]
+                    grown, _ = _rref(F, span + [v])
+                    if len(grown) > len(span):
+                        span = grown
+                        ext_basis.append(v)
                 t = len(ext_basis)
                 if t == 0:
                     continue

@@ -8,6 +8,8 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import combinations, product
+from operator import mul
 
 import pytest
 
@@ -413,6 +415,49 @@ class TestCriterion10Properties:
 # ---------------------------------------------------------------------------
 
 
+def _singular_subspaces(m, k):
+    """(all, invariant): the numbers of totally singular k-subspaces of
+    GF(p)^n for the quadratic form v^T X v of ``m.form``, p prime, and of
+    those that ``m`` maps into themselves. Each subspace is listed once, by
+    its reduced echelon basis, row by row; the rows chosen so far are
+    singular and pairwise orthogonal."""
+    p, n, g, X = m.field.p, m.n, m.entries, m.form
+    pol = [[(X[i][j] + X[j][i]) % p for j in range(n)] for i in range(n)]
+    counts = [0, 0]
+
+    def extend(chosen, pivots, rows):
+        if not rows:
+            counts[0] += 1
+            for _, _, image in chosen:
+                # reduce the image against the echelon basis
+                for (v, _, _), pc in zip(chosen, pivots):
+                    image = [(a - image[pc] * b) % p for a, b in zip(image, v)]
+                if any(image):
+                    return
+            counts[1] += 1
+            return
+        for row in rows[0]:
+            later = [[c for c in cands if sum(map(mul, c[0], row[1])) % p == 0] for cands in rows[1:]]
+            extend(chosen + [row], pivots, later)
+
+    for pivots in combinations(range(n), k):
+        rows = []
+        for pc in pivots:
+            free = [c for c in range(pc + 1, n) if c not in pivots]
+            cands = []
+            for values in product(range(p), repeat=len(free)):
+                v = [0] * n
+                v[pc] = 1
+                for c, x in zip(free, values):
+                    v[c] = x
+                if sum(v[i] * X[i][j] * v[j] for i in range(n) for j in range(n)) % p == 0:
+                    polar = [sum(map(mul, r, v)) % p for r in pol]
+                    cands.append((v, polar, [sum(map(mul, r, v)) % p for r in g]))
+            rows.append(cands)
+        extend([], pivots, rows)
+    return tuple(counts)
+
+
 class TestCriterion11GrassmannianCount:
     def test_so9_singular_four_spaces(self):
         with Budget(600.0):
@@ -420,9 +465,12 @@ class TestCriterion11GrassmannianCount:
             for q in (2, 3):
                 m = finfield.unipotent_matrix((2, 2, 2, 2, 1), q, "symmetric")
                 counts[q] = finfield.invariant_subspace_count(m, 4, "totally_singular")
-            assert counts == {2: 239, 3: 3926}
-            slope = math.log(counts[3] / counts[2]) / math.log(3 / 2)
-            assert 5.0 <= slope <= 7.0
+                # every maximal totally singular subspace of GF(q)^9, listed
+                # independently: there are (q + 1)(q^2 + 1)(q^3 + 1)(q^4 + 1)
+                total, invariant = _singular_subspaces(m, 4)
+                assert total == math.prod(q**i + 1 for i in range(1, 5))
+                assert counts[q] == invariant
+            assert counts == {2: 39, 3: 1201}
             # consistent with the catalogued fixed-point dimension
             g = GroupSpec("SO", 9, 0)
             c = validate_class(g, unipotent(partition=(2, 2, 2, 2, 1)))

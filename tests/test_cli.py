@@ -113,6 +113,14 @@ class TestClassdimCommand:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["dim_class"] == 25
 
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_input_file_exit_2(self, tmp_path, name):
+        result = run(["classdim", "--input", str(tmp_path / name)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "invalid input: cannot read the document" in result.output
+        assert "Traceback" not in result.output
+
     def test_dimension_mismatch_exit_2(self):
         payload = {
             "group": {"family": "SO", "n": 11, "p": 0},
@@ -263,6 +271,30 @@ class TestHandleMalformedDocuments:
             ("verify", {}),
             ("verify", {"suite": 5}),
             ("verify", {"suite": "nope"}),
+            # integer fields take JSON integers only: no floats, bools or strings
+            ("rslimit", {**RS, "r": 2.9}),
+            ("rslimit", {**RS, "n": True}),
+            ("rslimit", {**RS, "p": "7"}),
+            ("maxclass", {"group": SP8, "r": 5.9, "i": 4}),
+            ("maxclass", {"group": SP8, "r": 5, "i": 4.0}),
+            ("maxclass", {"group": SP8, "r": 5, "i": True}),
+            ("genfree", {"exceptional": "E8", "dimV": 721.0, "dimVG": 0}),
+            ("decide", {"group": {**SP8, "n": 8.0}, "classes": [INVOLUTION] * 3}),
+            ("decide", {"group": {**SP8, "p": 3.0}, "classes": [INVOLUTION] * 3}),
+            ("decide", {"group": SP8, "classes": [{**INVOLUTION, "ones": 6.0}] * 3}),
+            ("decide", {"group": SP8, "classes": [{**INVOLUTION, "minus_ones": "2"}] * 3}),
+            ("decide", {"group": SPIN8, "classes": [{**SPIN8_CLASS, "pairs": [2.0, 1]}] * 2}),
+            ("decide", {"group": SP8, "classes": [{"kind": "semisimple", "ones": 6, "pairs": [["a", True]]}] * 3}),
+            ("classdim", {"group": SP8, "class": {**PARTITION, "partition": [2, 2, 2, 2.0]}}),
+            ("classdim", {"group": SP8, "class": {**PARTITION, "order": 3.0}}),
+            (
+                "classdim",
+                {"group": {"family": "Sp", "n": 4, "p": 2}, "class": {"kind": "unipotent", "decoration": [{"W": 2.0, "mult": 1}]}},
+            ),
+            ("closure", {"group": SP8, "blocks": 2.5}),
+            # a block count below 1 is malformed, not an unsupported case
+            ("closure", {"group": SP8, "blocks": 0}),
+            ("closure", {"group": SP8, "blocks": -3}),
         ],
     )
     def test_exit_2(self, command, doc):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -320,6 +321,72 @@ class TestMonteCarlo:
             ("SL", 2, 5), 2, 3, trials=300, seed=3, cap=120
         )
         assert got == _plain_monte_carlo(5, 300, 3, cap=120)
+
+
+def _bfs_generates(F, gen_entries, order):
+    """The breadth-first generation test: list the generated group, and
+    stop once it holds more than half of the order."""
+    half = order // 2
+    seen = finfield._closure(F, gen_entries, half)
+    return len(seen) > half or len(seen) == order
+
+
+def _class_representatives(data, elements):
+    """The smallest element of each conjugacy class within ``elements``."""
+    F = data.F
+    inverse = {g: finfield._mat_inv(F, g) for g in data.elements}
+    remaining, reps = set(elements), []
+    while remaining:
+        rep = min(remaining)
+        reps.append(rep)
+        remaining -= {finfield._mat_mul(F, finfield._mat_mul(F, gi, rep), g) for g, gi in inverse.items()}
+    return reps
+
+
+PROJECTIVE_GROUPS = [("SL", 2, q) for q in (4, 5, 7, 8, 9, 11, 13, 16)] + [
+    ("SL", 3, 2),
+    ("SL", 3, 3),
+    ("Sp", 4, 2),
+    ("Sp", 4, 3),
+]
+
+
+class TestSchreierSims:
+    @pytest.mark.parametrize("family,n,q", PROJECTIVE_GROUPS)
+    def test_order_of_standard_generators(self, family, n, q):
+        F = finfield._field(q)
+        perms = [finfield._projective_perm(F, g.entries) for g in standard_generators(family, n, q)]
+        assert len(perms[0]) == (q**n - 1) // (q - 1)
+        assert finfield._perm_group_order(perms) == projective_order(family, n, q)
+
+    @pytest.mark.parametrize("family,n,q", [("SL", 2, 7), ("SL", 2, 9), ("SL", 2, 8), ("Sp", 4, 2)])
+    def test_generates_matches_bfs(self, family, n, q):
+        data = finfield._group_data(family, n, q, 10**6)
+        scalars = sorted(data.scalars)
+        answers = []
+        for x in _class_representatives(data, data.elements_of_order_mod_center(2)):
+            for y in data.elements_of_order_mod_center(3):
+                gens = [x, y] + scalars
+                answer = finfield._generates(data.F, gens, data.order)
+                assert answer == _bfs_generates(data.F, gens, data.order), (x, y)
+                answers.append(answer)
+        # PSL2(9) = A6 and Sp4(2) = S6 are not (2, 3)-generated
+        assert any(answers) == ((family, q) in {("SL", 7), ("SL", 8)})
+
+    @pytest.mark.parametrize("n,q", [(2, 5), (3, 4), (3, 7), (4, 3)])
+    def test_scalars_only_give_order_one(self, n, q):
+        F = finfield._field(q)
+        # the scalars of SL_n(q): lambda I with lambda^n = 1
+        scalars = [
+            tuple(tuple(lam if i == j else 0 for j in range(n)) for i in range(n))
+            for lam in F.elements()[1:]
+            if F.pow(lam, n) == F.one
+        ]
+        assert len(scalars) == gcd(n, q - 1)
+        perms = [finfield._projective_perm(F, z) for z in scalars]
+        assert finfield._perm_group_order(perms) == 1
+        assert finfield._generates(F, scalars, len(scalars))
+        assert not finfield._generates(F, scalars, 2 * len(scalars))
 
 
 class TestInvariantSubspaceCount:
