@@ -9,6 +9,7 @@ form-module decomposition. No field elements appear at this layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import index
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -186,21 +187,34 @@ def semisimple(
     return ClassDescriptor(kind="semisimple", order=order, eigen=pat)
 
 
+def _whole(x, what: str) -> int:
+    """``x`` as an int, if it is an integer (an int, or a type with
+    ``__index__``) and not a bool."""
+    if not isinstance(x, bool):
+        try:
+            return index(x)
+        except TypeError:
+            pass
+    raise SchemaError(f"{what} must be an integer, not {x!r}")
+
+
 def _norm_decoration(decoration) -> Optional[tuple]:
     if decoration is None:
         return None
     merged: dict[tuple, int] = {}
     for item in decoration:
         if isinstance(item, Mapping):
-            mult = int(item.get("mult", 1))
+            mult = item.get("mult", 1)
             if "V" in item:
-                kind, size = "V", int(item["V"])
+                kind, size = "V", item["V"]
             elif "W" in item:
-                kind, size = "W", int(item["W"])
+                kind, size = "W", item["W"]
             else:
                 raise SchemaError(f"bad decoration record {item!r}")
         else:
             kind, size, mult = item
+        size = _whole(size, "a decoration size")
+        mult = _whole(mult, "a decoration multiplicity")
         if kind not in ("V", "W") or size < 1 or mult < 1:
             raise SchemaError(f"bad decoration record {item!r}")
         if kind == "V" and size % 2:
@@ -217,6 +231,8 @@ def unipotent(
     decoration=None,
 ) -> ClassDescriptor:
     dec = _norm_decoration(decoration)
+    if partition is not None:
+        partition = [_whole(a, "a partition part") for a in partition]
     parts: tuple[int, ...]
     if dec is not None:
         derived = []
@@ -229,7 +245,7 @@ def unipotent(
         if partition is not None and tuple(sorted(partition, reverse=True)) != parts:
             raise DimensionMismatch("partition inconsistent with decoration")
     elif partition is not None:
-        parts = tuple(sorted((int(a) for a in partition), reverse=True))
+        parts = tuple(sorted(partition, reverse=True))
         if any(a < 1 for a in parts):
             raise SchemaError("partition parts must be positive")
     else:

@@ -62,12 +62,9 @@ def parse_class(doc: dict) -> ClassDescriptor:
                 variant=doc.get("variant", "unspecified"),
             )
         if kind == "unipotent":
-            partition = doc.get("partition")
-            decoration = doc.get("decoration")
+            # unipotent() itself refuses parts, sizes and mults that are not integers
             return unipotent(
-                partition=None if partition is None else [_int(a) for a in partition],
-                order=order,
-                decoration=None if decoration is None else [_record(x) for x in decoration],
+                partition=doc.get("partition"), order=order, decoration=doc.get("decoration")
             )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad class document: {exc}") from exc
@@ -87,13 +84,6 @@ def _labelled(x):
         label, mult = x
         return label, _int(mult)
     return _int(x)
-
-
-def _record(x):
-    """A decoration record; its size ("V"/"W") and "mult" are integers."""
-    if isinstance(x, dict):
-        return {key: _int(v) if key in ("V", "W", "mult") else v for key, v in x.items()}
-    return x
 
 
 def class_to_doc(cls: ClassDescriptor) -> dict:

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import product
-from math import gcd, prod
-from operator import mul
+from math import gcd, inf
+from operator import eq, mul
 from typing import Iterable, Optional, Sequence
 
 from .algebra_core import ClassDescriptor, GroupSpec, is_prime
@@ -309,7 +309,7 @@ def _mat_mul(F: Field, A, B):
 
 def _mat_vec(F: Field, A, v):
     red = F.red
-    return tuple(red[sum(map(mul, row, v))] for row in A)
+    return tuple([red[sum(map(mul, row, v))] for row in A])
 
 
 def _mat_sub(F: Field, A, B):
@@ -980,13 +980,38 @@ def _closure(F: Field, gen_entries, limit):
     )
 
 
+def _closure_order(F: Field, gen_entries, cap: int) -> int:
+    """The order of the group the invertible matrices generate, or cap + 1
+    when it exceeds cap, by ``_schreier_sims`` on their action on column
+    vectors, which is faithful. The base points are standard basis
+    vectors, and the group is not listed."""
+    identity = _identity(F, len(gen_entries[0]))
+    return _schreier_sims(
+        gen_entries,
+        identity,
+        mul=lambda a, b: _mat_mul(F, b, a),
+        inv=partial(_mat_inv, F),
+        image=partial(_mat_vec, F),
+        moved=lambda g: next((e for e, col in zip(identity, zip(*g)) if col != e), None),
+        cap=cap,
+    )
+
+
 def group_closure(generators: Iterable[GFMatrix], cap: int = 10**6):
-    """(size, truncated) of the group generated under matrix multiplication."""
+    """(size, truncated) of the group the invertible matrices generate:
+    (its order, False), or (cap + 1, True) when the order exceeds cap. The
+    order comes from ``_closure_order``, and the group is not listed.
+    Generators of different q or n, or singular ones, raise SchemaError."""
     gens = list(generators)
     if not gens:
         return 1, False
-    seen = _closure(gens[0].field, [g.entries for g in gens], cap)
-    return len(seen), len(seen) > cap
+    if len({(g.q, g.n) for g in gens}) > 1:
+        raise SchemaError("generators must share the field and the dimension")
+    F = gens[0].field
+    if any(_rank(F, g.entries) < g.n for g in gens):
+        raise SchemaError("generators must be invertible")
+    order = _closure_order(F, [g.entries for g in gens], cap)
+    return (order, False) if order <= cap else (cap + 1, True)
 
 
 def _closure_set(F: Field, gen_entries, cap: int):
@@ -1005,11 +1030,31 @@ def _projective_perm(F: Field, g) -> tuple:
     return tuple([index[tuple([red[sum(map(mul, row, v))] for row in g])] for v in points])
 
 
-def _perm_group_order(gens) -> int:
-    """Order of the group generated by permutations of range(N), each the
-    sequence of its images, by deterministic Schreier–Sims (Sims 1970) in
-    Knuth's incremental form (Knuth 1991; Seress, *Permutation Group
-    Algorithms*, 2003, sec. 4.2).
+def _perm_mul(a, b) -> tuple:
+    """The permutation a, then b."""
+    return tuple(map(b.__getitem__, a))
+
+
+def _perm_inv(a) -> list:
+    return sorted(range(len(a)), key=a.__getitem__)
+
+
+def _conjugate(a, g, g_inv) -> tuple:
+    """g^-1, then a, then g."""
+    return tuple(map(g.__getitem__, map(a.__getitem__, g_inv)))
+
+
+def _commute(a, b) -> bool:
+    return all(map(eq, map(a.__getitem__, b), map(b.__getitem__, a)))
+
+
+def _schreier_sims(gens, identity, mul, inv, image, moved, cap=inf) -> int:
+    """Order of the group generated by ``gens``, acting faithfully on some
+    points, by deterministic Schreier–Sims (Sims 1970) in Knuth's
+    incremental form (Knuth 1991; Seress, *Permutation Group Algorithms*,
+    2003, sec. 4.2). The group is given by its operations: mul(a, b) is a,
+    then b; image(g, p) is the point g sends p to; moved(g) is a point g
+    moves, or None when g is the identity.
 
     Level k of the stabiliser chain has a base point, the generators added
     at that level (they fix the earlier base points) and a transversal:
@@ -1018,62 +1063,76 @@ def _perm_group_order(gens) -> int:
     each Schreier generator (transversal element times generator, divided
     by the transversal element of its image) is sifted into the next
     level and added there when it does not sift to the identity. The
-    order is the product of the orbit lengths. Permutations are lists
-    here: short tuples would fill the interpreter's tuple free lists."""
+    order is the product of the orbit lengths. That product never exceeds
+    the order while the chain grows, so once it exceeds cap the answer is
+    cap + 1."""
     base: list = []
     added: list = []
     transversal: list = []
+    order = 1  # the product of the orbit lengths
     # (k, g, True): add g to level k unless it sifts to the identity;
     # (k, g, False): g lies in level k's group; extend the orbit by its
     # image of the base point, or sift its Schreier generator into level k + 1
-    work = [(0, list(g), True) for g in gens]
+    work = [(0, g, True) for g in gens]
     while work:
         k, g, new = work.pop()
         if not new:
-            image = g[base[k]]
-            u = transversal[k].get(image)
+            point = image(g, base[k])
+            level = transversal[k]
+            u = level.get(point)
             if u is None:
-                inv = [0] * len(g)
-                for x, y in enumerate(g):
-                    inv[y] = x
-                transversal[k][image] = (g, inv)
-                work += [(k, [*map(s.__getitem__, g)], False) for s in added[k]]
+                order = order // len(level) * (len(level) + 1)
+                if order > cap:
+                    return cap + 1
+                level[point] = (g, inv(g))
+                work += [(k, mul(g, s), False) for s in added[k]]
             elif u[0] != g:
-                work.append((k + 1, [*map(u[1].__getitem__, g)], True))
+                work.append((k + 1, mul(g, u[1]), True))
             continue
         h = g
         for b, level in zip(base[k:], transversal[k:]):
-            if h[b] != b:
-                u = level.get(h[b])
+            point = image(h, b)
+            if point != b:
+                u = level.get(point)
                 if u is None:
                     break
-                h = [*map(u[1].__getitem__, h)]
+                h = mul(h, u[1])
         else:
-            moved = next((x for x, y in enumerate(h) if x != y), None)
-            if moved is None:
+            point = moved(h)
+            if point is None:
                 continue
             if k == len(base):
-                identity = list(range(len(g)))
-                base.append(moved)
+                base.append(point)
                 added.append([])
-                transversal.append({moved: (identity, identity)})
+                transversal.append({point: (identity, identity)})
         added[k].append(g)
-        work += [(k, [*map(g.__getitem__, u)], False) for u, _ in transversal[k].values()]
-    return prod(len(level) for level in transversal)
+        work += [(k, mul(u, g), False) for u, _ in transversal[k].values()]
+    return order
 
 
-def _generates(F: Field, gen_entries, order: int) -> bool:
-    """True iff the matrices generate a group of the given order.
+def _perm_group_order(gens) -> int:
+    """Order of the group generated by permutations of range(N), each the
+    sequence of its images, by ``_schreier_sims``. Permutations are lists
+    here: short tuples would fill the interpreter's tuple free lists."""
+    if not gens:
+        return 1
+    return _schreier_sims(
+        [list(g) for g in gens],
+        list(range(len(gens[0]))),
+        mul=lambda a, b: [*map(b.__getitem__, a)],
+        inv=_perm_inv,
+        image=list.__getitem__,
+        moved=lambda g: next((x for x, y in enumerate(g) if x != y), None),
+    )
 
-    Precondition: ``gen_entries`` holds every scalar matrix of the group,
-    as every caller passes them. The generated group then meets the
-    centre in exactly those scalars, and the scalars are the kernel of the
-    action on P^{n-1}(GF(q)), so its order is |image| times their number;
-    |image| comes from Schreier–Sims (``_perm_group_order``)."""
-    perms = [_projective_perm(F, g) for g in gen_entries]
-    identity = tuple(range(len(perms[0])))
-    scalars = len({g for g, p in zip(gen_entries, perms) if p == identity})
-    return _perm_group_order([p for p in perms if p != identity]) * scalars == order
+
+def _generates(perms, order: int) -> bool:
+    """True iff the permutations generate a group of the given order, by
+    Schreier–Sims (``_perm_group_order``). Callers pass the permutations
+    some matrices induce on P^{n-1}(GF(q)) and the order of PG = G/Z, the
+    image of G there, so the answer is whether the matrices generate G
+    modulo its centre."""
+    return _perm_group_order(perms) == order
 
 
 def _scalar_matrices(F: Field, n: int, elements):
@@ -1089,40 +1148,73 @@ def _scalar_matrices(F: Field, n: int, elements):
     return out
 
 
-def _orders_mod_center(F: Field, elements, scalars: set) -> list:
-    """(a, order of a modulo the scalars) for every non-scalar a, in sorted
-    order. One power walk a, a^2, ..., a^k (the first power that is scalar)
-    serves all of these powers: a^j has order k / gcd(j, k)."""
+def _orders_mod_center(elements, center: set, product) -> list:
+    """(a, order of a modulo the center) for every a of a group outside
+    its central subgroup ``center``, in sorted order; ``product`` is the
+    group's multiplication. One power walk a, a^2, ..., a^k (the first power in
+    the center) serves all of these powers: a^j has order k / gcd(j, k)."""
     order: dict = {}
     for a in elements:
-        if a in scalars or a in order:
+        if a in center or a in order:
             continue
         powers = [a]
-        while powers[-1] not in scalars:
-            powers.append(_mat_mul(F, powers[-1], a))
+        while powers[-1] not in center:
+            powers.append(product(powers[-1], a))
             if len(powers) > 10000:
                 raise SchemaError("runaway order computation")
         k = len(powers)
         for j, x in enumerate(powers[:-1], 1):
             order[x] = k // gcd(j, k)
-    return [(a, order[a]) for a in sorted(elements) if a not in scalars]
+    return [(a, order[a]) for a in sorted(elements) if a not in center]
 
 
 class _GroupData:
+    """The group G generated by ``standard_generators(family, n, q)``: its
+    order, and the permutations its generators induce on the points of
+    P^{n-1}(GF(q)), which generate PG = G/Z. The matrices of G are listed
+    only when Monte Carlo first asks for them, and PG only when an exact
+    probability does."""
+
     def __init__(self, family: str, n: int, q: int, cap: int):
-        self.family, self.n, self.q = family, n, q
+        self.family, self.n, self.q, self.cap = family, n, q, cap
         self.F = _field(q)
         gens = standard_generators(family, n, q)
         self.gen_entries = [g.entries for g in gens]
-        self.elements = _closure_set(self.F, self.gen_entries, cap)
-        self.order = len(self.elements)
-        self.scalars = set(_scalar_matrices(self.F, n, self.elements))
-        self._orders: Optional[list] = None  # from _orders_mod_center
+        self.order = _closure_order(self.F, self.gen_entries, cap)
+        if self.order > cap:
+            raise GroupTooLarge(f"closure exceeds cap {cap}")
+        self.gen_perms = [_projective_perm(self.F, g) for g in self.gen_entries]
+        self.pg_order = _perm_group_order(self.gen_perms)
+
+    @cached_property
+    def elements(self) -> set:
+        return _closure_set(self.F, self.gen_entries, self.cap)
+
+    @cached_property
+    def scalars(self) -> set:
+        return set(_scalar_matrices(self.F, self.n, self.elements))
+
+    @cached_property
+    def _orders(self) -> list:
+        return _orders_mod_center(self.elements, self.scalars, partial(_mat_mul, self.F))
 
     def elements_of_order_mod_center(self, r: int) -> list:
-        if self._orders is None:
-            self._orders = _orders_mod_center(self.F, self.elements, self.scalars)
         return [a for a, k in self._orders if k == r]
+
+    @cached_property
+    def pg_elements(self) -> set:
+        """PG, listed breadth first over products of permutations."""
+        identity = tuple(range(len(self.gen_perms[0])))
+        moves = lambda a: [_perm_mul(a, g) for g in self.gen_perms]
+        return _bfs(identity, moves, self.pg_order)
+
+    @cached_property
+    def pg_orders(self) -> list:
+        """(a, order of a) for every a != 1 of PG, in sorted order. The
+        order of a permutation, the lcm of its cycle lengths, is the order
+        modulo the centre of the matrices it comes from."""
+        identity = tuple(range(len(self.gen_perms[0])))
+        return _orders_mod_center(self.pg_elements, {identity}, _perm_mul)
 
 
 @lru_cache(maxsize=8)
@@ -1138,18 +1230,15 @@ def estimate_generation_probability(
     Deterministic given (seed, trials); per-trial RNG streams.
 
     Pairs are memoised, for one call, by the permutations x and y induce
-    on P^{n-1}(GF(q)). The scalars act trivially and are generators too,
-    so (zx, z'y) generates exactly when (x, y) does: the result is the same
-    as testing each drawn pair with ``_generates``."""
+    on P^{n-1}(GF(q)). The scalars act trivially, so that pair is (x, y)
+    modulo the centre, and ``_generates`` tests whether it generates PG."""
     family, n, q = groupspec
     data = _group_data(family, n, q, cap)
-    F = data.F
     xr = data.elements_of_order_mod_center(r)
     xs = data.elements_of_order_mod_center(s)
     if not xr or not xs:
         raise NotApplicable(f"no elements of order {r} or {s} mod center")
-    scalars = sorted(data.scalars)
-    perm = lru_cache(maxsize=None)(partial(_projective_perm, F))
+    perm = lru_cache(maxsize=None)(partial(_projective_perm, data.F))
     cache: dict = {}
     hits = 0
     for t in range(trials):
@@ -1158,7 +1247,7 @@ def estimate_generation_probability(
         y = xs[rng.randrange(len(xs))]
         key = (perm(x), perm(y))
         if key not in cache:
-            cache[key] = _generates(F, [x, y] + scalars, data.order)
+            cache[key] = _generates(key, data.pg_order)
         hits += cache[key]
     return hits, trials
 
@@ -1166,47 +1255,39 @@ def estimate_generation_probability(
 def exact_generation_probability(
     groupspec: tuple, r: int, s: int, cap: int = 10**6
 ) -> Fraction:
-    """Exact probability over all (order-r, order-s mod center) pairs, using
-    conjugacy reduction on the first element and centralizer-orbit reduction
-    on the second."""
+    """Exact probability over all (order-r, order-s mod center) pairs.
+
+    It is computed in PG = G/Z, listed as permutations of the points of
+    P^{n-1}(GF(q)): each element of PG is one scalar coset of G, so the
+    pairs of G are those of PG, each |Z|^2 times, and the order of x
+    modulo the centre is the order of its permutation. Conjugacy
+    reduction on the first element and centraliser-orbit reduction on the
+    second leave one ``_generates`` call per pair of orbits."""
     family, n, q = groupspec
     data = _group_data(family, n, q, cap)
-    F = data.F
-    xr = data.elements_of_order_mod_center(r)
-    xs = data.elements_of_order_mod_center(s)
+    xr = [a for a, k in data.pg_orders if k == r]
+    xs = [a for a, k in data.pg_orders if k == s]
     if not xr or not xs:
         raise NotApplicable(f"no elements of order {r} or {s} mod center")
-    scalars = sorted(data.scalars)
-    gen_entries = data.gen_entries
-    gen_pairs = [(g, _mat_inv(F, g)) for g in gen_entries]
-
-    def conjugates(a):
-        return [_mat_mul(F, gi, _mat_mul(F, a, g)) for g, gi in gen_pairs]
+    gen_pairs = [(g, _perm_inv(g)) for g in data.gen_perms]
 
     # conjugacy classes inside xr
     remaining = set(xr)
     classes = []
     while remaining:
         rep = min(remaining)
-        orbit = _bfs(rep, conjugates, len(xr))
+        orbit = _bfs(rep, lambda a: [_conjugate(a, *g) for g in gen_pairs], len(xr))
         classes.append((rep, len(orbit)))
         remaining -= orbit
     hit_pairs = 0
     for rep, class_size in classes:
-        cent = [
-            g
-            for g in data.elements
-            if _mat_mul(F, g, rep) == _mat_mul(F, rep, g)
-        ]
-        cent_inv = {g: _mat_inv(F, g) for g in cent}
+        cent = [(g, _perm_inv(g)) for g in data.pg_elements if _commute(g, rep)]
         unseen = set(xs)
         while unseen:
             y = min(unseen)
-            orbit = set()
-            for g in cent:
-                orbit.add(_mat_mul(F, g, _mat_mul(F, y, cent_inv[g])))
+            orbit = {_conjugate(y, *g) for g in cent}
             unseen -= orbit
-            if _generates(F, [rep, y] + scalars, data.order):
+            if _generates([rep, y], data.pg_order):
                 hit_pairs += class_size * len(orbit)
     return Fraction(hit_pairs, len(xr) * len(xs))
 

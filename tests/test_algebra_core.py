@@ -127,6 +127,28 @@ class TestSemisimpleValidation:
 
 
 class TestUnipotentValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"partition": (2.5, 2)},
+            {"partition": (2.0, 2)},
+            {"partition": (True, 1)},
+            {"decoration": [{"W": 2.5, "mult": 1}]},
+            {"decoration": [{"V": 2, "mult": 1.0}]},
+            {"decoration": [{"W": True}]},
+            {"decoration": [("W", 2, 1.0)]},
+            {"decoration": [("V", 2.0, 1)]},
+        ],
+    )
+    def test_parts_sizes_and_mults_must_be_integers(self, kwargs):
+        with pytest.raises(SchemaError):
+            unipotent(**kwargs)
+
+    def test_integer_parts_accepted(self):
+        assert unipotent(partition=[2, 3, 1]).unip.partition == (3, 2, 1)
+        dec = unipotent(decoration=[("W", 2, 1), {"V": 2}]).unip.decoration
+        assert dec == (("V", 2, 1), ("W", 2, 1))
+
     def test_sp_odd_part_parity(self):
         with pytest.raises(ParityViolation):
             validate_class(GroupSpec("Sp", 4, 0), unipotent(partition=(3, 1)))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -9,7 +10,9 @@ import pytest
 from topogen import finfield
 from topogen.algebra_core import GroupSpec, is_prime, semisimple, unipotent, validate_class
 from topogen.errors import (
+    GroupTooLarge,
     NonSplit,
+    NotApplicable,
     SchemaError,
     Uninstantiable,
 )
@@ -266,6 +269,120 @@ class TestGroupOrders:
         assert truncated and size >= 10
 
 
+def _closure(gens, limit):
+    """The group the matrices generate, listed breadth first with the
+    field's own arithmetic; stops once it holds more than ``limit``."""
+    F = gens[0].field
+    n = gens[0].n
+
+    def product(a, b):
+        return tuple(tuple(reduce(F.add, map(F.mul, row, col)) for col in zip(*b)) for row in a)
+
+    one = tuple(tuple(F.one if i == j else F.zero for j in range(n)) for i in range(n))
+    seen, queue = {one}, [one]
+    for a in queue:
+        for g in gens:
+            b = product(a, g.entries)
+            if b not in seen:
+                seen.add(b)
+                if len(seen) > limit:
+                    return seen
+                queue.append(b)
+    return seen
+
+
+CLOSURE_GROUPS = [("SL", 2, q) for q in (4, 5, 7, 8, 9, 11)] + [
+    ("SL", 3, 2),
+    ("SL", 3, 3),
+    ("Sp", 4, 2),
+]
+
+
+def _check_closure_caps(gens, order):
+    """group_closure against the contract (min(order, cap + 1), order > cap)
+    for caps below, at and above the order."""
+    for cap in (1, 10, order // 2, order - 1, order, order + 1, 10**6):
+        want = (order, False) if order <= cap else (cap + 1, True)
+        assert group_closure(gens, cap=cap) == want, cap
+
+
+class TestGroupClosure:
+    @pytest.mark.parametrize("family,n,q", CLOSURE_GROUPS)
+    def test_standard_generators_against_bfs(self, family, n, q):
+        gens = standard_generators(family, n, q)
+        order = len(_closure(gens, 10**6))
+        assert order == group_order(family, n, q)
+        _check_closure_caps(gens, order)
+
+    def test_proper_subgroup_against_bfs(self):
+        # the upper triangular matrices of SL2(7): order 7 * 6
+        gens = [GFMatrix(7, ((1, 1), (0, 1))), GFMatrix(7, ((3, 0), (0, 5)))]
+        order = len(_closure(gens, 10**6))
+        assert order == 42
+        _check_closure_caps(gens, order)
+
+    def test_large_groups_are_not_listed(self):
+        # SL2(97) moves all 9408 nonzero vectors and has 912576 elements;
+        # SL3(11), of order about 2e8, is over the default cap. Listing
+        # either takes about 20 s and 200-300 MB.
+        gens = standard_generators("SL", 2, 97)
+        assert group_closure(gens) == (group_order("SL", 2, 97), False)
+        assert group_closure(gens, cap=10**5) == (10**5 + 1, True)
+        assert group_closure(standard_generators("SL", 3, 11)) == (10**6 + 1, True)
+
+    @pytest.mark.parametrize(
+        "other", [standard_generators("SL", 2, 7), standard_generators("SL", 3, 5)]
+    )
+    def test_mixed_generators_rejected(self, other):
+        with pytest.raises(SchemaError):
+            group_closure(standard_generators("SL", 2, 5) + other)
+
+    def test_singular_generator_rejected(self):
+        with pytest.raises(SchemaError):
+            group_closure(standard_generators("SL", 2, 5) + [GFMatrix(5, ((1, 0), (0, 0)))])
+
+
+def _by_all_pairs(group, r, s):
+    """The generation probability over all pairs of elements of G/Z of
+    orders r and s, one matrix for each scalar coset, each pair tested by
+    listing the group it generates (``_bfs_generates``)."""
+    data = finfield._group_data(*group, 10**6)
+    F = data.F
+    scalars = sorted(data.scalars)
+
+    def cosets(k):
+        elements = data.elements_of_order_mod_center(k)
+        return {min(finfield._mat_mul(F, a, z) for z in scalars) for a in elements}
+
+    # the identity adds nothing to a generating set
+    others = [z for z in scalars if z != finfield._identity(F, len(z))]
+    xr, xs = cosets(r), cosets(s)
+    hits = sum(_bfs_generates(F, [x, y] + others, data.order) for x in xr for y in xs)
+    return Fraction(hits, len(xr) * len(xs))
+
+
+class TestExactProbability:
+    @pytest.mark.parametrize(
+        "group,r,s",
+        [(("SL", 2, q), 2, 3) for q in (4, 5, 7, 8)] + [(("SL", 3, 2), 2, 3), (("SL", 2, 7), 3, 3)],
+    )
+    def test_against_all_pairs(self, group, r, s):
+        exact = finfield.exact_generation_probability(group, r, s)
+        assert exact == _by_all_pairs(group, r, s)
+        if (group, r, s) == (("SL", 2, 7), 3, 3):
+            assert exact == Fraction(9, 28)
+
+    @pytest.mark.parametrize("r,s", [(2, 5), (1, 3), (3, 1)])
+    def test_missing_orders_not_applicable(self, r, s):
+        # PSL2(7) has order 168 = 2^3 * 3 * 7; order 1 is the centre
+        with pytest.raises(NotApplicable):
+            finfield.exact_generation_probability(("SL", 2, 7), r, s)
+
+    def test_cap_below_the_order(self):
+        with pytest.raises(GroupTooLarge):
+            finfield.exact_generation_probability(("SL", 2, 7), 2, 3, cap=100)
+
+
 def _order_by_own_walk(F, a, scalars):
     """Order of a modulo the scalars from a power walk of a alone."""
     x, k = a, 1
@@ -296,13 +413,14 @@ def _plain_monte_carlo(q, trials, seed, cap=10**6):
     data = finfield._group_data("SL", 2, q, cap)
     xr = data.elements_of_order_mod_center(2)
     xs = data.elements_of_order_mod_center(3)
-    scalars = sorted(data.scalars)
+    pg_order = data.order // len(data.scalars)
     hits = 0
     for t in range(trials):
         rng = random.Random(seed * 1000003 + t)
         x = xr[rng.randrange(len(xr))]
         y = xs[rng.randrange(len(xs))]
-        hits += finfield._generates(data.F, [x, y] + scalars, data.order)
+        perms = [finfield._projective_perm(data.F, g) for g in (x, y)]
+        hits += finfield._generates(perms, pg_order)
     return hits, trials
 
 
@@ -367,7 +485,8 @@ class TestSchreierSims:
         for x in _class_representatives(data, data.elements_of_order_mod_center(2)):
             for y in data.elements_of_order_mod_center(3):
                 gens = [x, y] + scalars
-                answer = finfield._generates(data.F, gens, data.order)
+                perms = [finfield._projective_perm(data.F, g) for g in (x, y)]
+                answer = finfield._generates(perms, data.order // len(scalars))
                 assert answer == _bfs_generates(data.F, gens, data.order), (x, y)
                 answers.append(answer)
         # PSL2(9) = A6 and Sp4(2) = S6 are not (2, 3)-generated
@@ -385,8 +504,8 @@ class TestSchreierSims:
         assert len(scalars) == gcd(n, q - 1)
         perms = [finfield._projective_perm(F, z) for z in scalars]
         assert finfield._perm_group_order(perms) == 1
-        assert finfield._generates(F, scalars, len(scalars))
-        assert not finfield._generates(F, scalars, 2 * len(scalars))
+        assert finfield._generates(perms, 1)
+        assert not finfield._generates(perms, 2)
 
 
 class TestInvariantSubspaceCount:
