@@ -1,9 +1,11 @@
 """Brute-force verification layer over small finite fields.
 
 Everything here is independent of the symbolic machinery: explicit matrices,
-exact Gaussian elimination, breadth-first group closure, and exhaustive or
-Monte Carlo generation tests, which compare the order of the generated group
-(Schreier–Sims on the points of projective space) with the group's order.
+exact Gaussian elimination, and exhaustive or Monte Carlo generation tests,
+which compare the order of the generated group (Schreier–Sims on the points
+of projective space) with the group's order. The only group ever listed is
+PG = G/Z, breadth first, as permutations of the points of projective space;
+a group of matrices is measured by Schreier–Sims on vectors, never listed.
 
 Every element of GF(p^k) is one Python int, the packed coefficient vector
 sum c_i * B^i of its representative polynomial over GF(p), with B a power
@@ -797,10 +799,6 @@ def matrix_from_class(
         return GFMatrix(q, g)
     if kind == "symmetric" and F.p == 2:
         kind = "quadratic"
-    if kind == "symplectic" and F.p == 2:
-        # skew = symmetric in characteristic 2; the alternating constraint
-        # in the solver keeps the diagonal zero
-        pass
     form = invariant_form_matrix(g, q, kind)
     if form is None:
         raise Uninstantiable("no nondegenerate invariant form over GF(q)")
@@ -971,15 +969,6 @@ def _bfs(start, moves, limit):
     return seen
 
 
-def _closure(F: Field, gen_entries, limit):
-    """The group generated by the matrices, or more than ``limit`` of it."""
-    return _bfs(
-        _identity(F, len(gen_entries[0])),
-        lambda a: [_mat_mul(F, a, g) for g in gen_entries],
-        limit,
-    )
-
-
 def _closure_order(F: Field, gen_entries, cap: int) -> int:
     """The order of the group the invertible matrices generate, or cap + 1
     when it exceeds cap, by ``_schreier_sims`` on their action on column
@@ -1014,13 +1003,6 @@ def group_closure(generators: Iterable[GFMatrix], cap: int = 10**6):
     return (order, False) if order <= cap else (cap + 1, True)
 
 
-def _closure_set(F: Field, gen_entries, cap: int):
-    seen = _closure(F, gen_entries, cap)
-    if len(seen) > cap:
-        raise GroupTooLarge(f"closure exceeds cap {cap}")
-    return seen
-
-
 def _projective_perm(F: Field, g) -> tuple:
     """The permutation the matrix g induces on the points of
     P^{n-1}(GF(q)) (``Field.projective_points``): point i goes to point
@@ -1033,6 +1015,16 @@ def _projective_perm(F: Field, g) -> tuple:
 def _perm_mul(a, b) -> tuple:
     """The permutation a, then b."""
     return tuple(map(b.__getitem__, a))
+
+
+def _closure_set(perms, cap: int) -> set:
+    """The group the permutations generate, listed breadth first; raises
+    GroupTooLarge when it has more than ``cap`` elements."""
+    identity = tuple(range(len(perms[0])))
+    seen = _bfs(identity, lambda a: [_perm_mul(a, g) for g in perms], cap)
+    if len(seen) > cap:
+        raise GroupTooLarge(f"closure exceeds cap {cap}")
+    return seen
 
 
 def _perm_inv(a) -> list:
@@ -1135,86 +1127,51 @@ def _generates(perms, order: int) -> bool:
     return _perm_group_order(perms) == order
 
 
-def _scalar_matrices(F: Field, n: int, elements):
-    out = []
-    for lam in F.elements():
-        if lam == F.zero:
-            continue
-        s = tuple(
-            tuple(lam if i == j else F.zero for j in range(n)) for i in range(n)
-        )
-        if s in elements:
-            out.append(s)
-    return out
-
-
-def _orders_mod_center(elements, center: set, product) -> list:
-    """(a, order of a modulo the center) for every a of a group outside
-    its central subgroup ``center``, in sorted order; ``product`` is the
-    group's multiplication. One power walk a, a^2, ..., a^k (the first power in
-    the center) serves all of these powers: a^j has order k / gcd(j, k)."""
+def _orders_mod_center(elements) -> list:
+    """(a, order of a) for every a != 1 of a group of permutations, in
+    sorted order. For PG that is the order modulo the centre of the
+    matrices a comes from. One power walk a, a^2, ..., a^k, which stops
+    when a^(k+1) = a, so that a^k = 1, serves all of these powers: a^j has
+    order k / gcd(j, k)."""
     order: dict = {}
     for a in elements:
-        if a in center or a in order:
+        if a in order:
             continue
         powers = [a]
-        while powers[-1] not in center:
-            powers.append(product(powers[-1], a))
-            if len(powers) > 10000:
-                raise SchemaError("runaway order computation")
+        while (b := _perm_mul(powers[-1], a)) != a:
+            powers.append(b)
         k = len(powers)
-        for j, x in enumerate(powers[:-1], 1):
+        for j, x in enumerate(powers, 1):
             order[x] = k // gcd(j, k)
-    return [(a, order[a]) for a in sorted(elements) if a not in center]
+    return sorted((a, k) for a, k in order.items() if k > 1)
 
 
 class _GroupData:
     """The group G generated by ``standard_generators(family, n, q)``: its
-    order, and the permutations its generators induce on the points of
-    P^{n-1}(GF(q)), which generate PG = G/Z. The matrices of G are listed
-    only when Monte Carlo first asks for them, and PG only when an exact
-    probability does."""
+    order, by Schreier–Sims on vectors, and the permutations its generators
+    induce on the points of P^{n-1}(GF(q)), which generate PG = G/Z. PG is
+    the only group listed, when a probability first asks for it; the
+    matrices of G never are."""
 
     def __init__(self, family: str, n: int, q: int, cap: int):
-        self.family, self.n, self.q, self.cap = family, n, q, cap
-        self.F = _field(q)
-        gens = standard_generators(family, n, q)
-        self.gen_entries = [g.entries for g in gens]
-        self.order = _closure_order(self.F, self.gen_entries, cap)
+        self.cap = cap
+        F = _field(q)
+        gen_entries = [g.entries for g in standard_generators(family, n, q)]
+        self.order = _closure_order(F, gen_entries, cap)
         if self.order > cap:
             raise GroupTooLarge(f"closure exceeds cap {cap}")
-        self.gen_perms = [_projective_perm(self.F, g) for g in self.gen_entries]
+        self.gen_perms = [_projective_perm(F, g) for g in gen_entries]
         self.pg_order = _perm_group_order(self.gen_perms)
-
-    @cached_property
-    def elements(self) -> set:
-        return _closure_set(self.F, self.gen_entries, self.cap)
-
-    @cached_property
-    def scalars(self) -> set:
-        return set(_scalar_matrices(self.F, self.n, self.elements))
-
-    @cached_property
-    def _orders(self) -> list:
-        return _orders_mod_center(self.elements, self.scalars, partial(_mat_mul, self.F))
-
-    def elements_of_order_mod_center(self, r: int) -> list:
-        return [a for a, k in self._orders if k == r]
 
     @cached_property
     def pg_elements(self) -> set:
         """PG, listed breadth first over products of permutations."""
-        identity = tuple(range(len(self.gen_perms[0])))
-        moves = lambda a: [_perm_mul(a, g) for g in self.gen_perms]
-        return _bfs(identity, moves, self.pg_order)
+        return _closure_set(self.gen_perms, self.cap)
 
     @cached_property
     def pg_orders(self) -> list:
-        """(a, order of a) for every a != 1 of PG, in sorted order. The
-        order of a permutation, the lcm of its cycle lengths, is the order
-        modulo the centre of the matrices it comes from."""
-        identity = tuple(range(len(self.gen_perms[0])))
-        return _orders_mod_center(self.pg_elements, {identity}, _perm_mul)
+        """(a, order of a) for every a != 1 of PG, in sorted order."""
+        return _orders_mod_center(self.pg_elements)
 
 
 @lru_cache(maxsize=8)
@@ -1229,23 +1186,22 @@ def estimate_generation_probability(
     (order-r, order-s mod center) pair generates the group modulo its center.
     Deterministic given (seed, trials); per-trial RNG streams.
 
-    Pairs are memoised, for one call, by the permutations x and y induce
-    on P^{n-1}(GF(q)). The scalars act trivially, so that pair is (x, y)
-    modulo the centre, and ``_generates`` tests whether it generates PG."""
+    x and y are drawn from PG = G/Z, as permutations of the points of
+    P^{n-1}(GF(q)) (``_GroupData.pg_orders``). Each element of PG is a
+    coset of |Z| matrices of one order modulo the centre, so this draw has
+    the distribution of a draw from G. Pairs are memoised, for one call,
+    and ``_generates`` tests whether a pair generates PG."""
     family, n, q = groupspec
     data = _group_data(family, n, q, cap)
-    xr = data.elements_of_order_mod_center(r)
-    xs = data.elements_of_order_mod_center(s)
+    xr = [a for a, k in data.pg_orders if k == r]
+    xs = [a for a, k in data.pg_orders if k == s]
     if not xr or not xs:
         raise NotApplicable(f"no elements of order {r} or {s} mod center")
-    perm = lru_cache(maxsize=None)(partial(_projective_perm, data.F))
     cache: dict = {}
     hits = 0
     for t in range(trials):
         rng = random.Random(seed * 1000003 + t)
-        x = xr[rng.randrange(len(xr))]
-        y = xs[rng.randrange(len(xs))]
-        key = (perm(x), perm(y))
+        key = (xr[rng.randrange(len(xr))], xs[rng.randrange(len(xs))])
         if key not in cache:
             cache[key] = _generates(key, data.pg_order)
         hits += cache[key]

@@ -328,37 +328,21 @@ def _family_case(group, classes) -> Optional[str]:
     return None
 
 
-def _table_row(group, classes) -> Optional[str]:
-    """Identifier of the matching published table row, if any."""
-    fam, n, p, r = group.family, group.n, group.p, len(classes)
-    m = n // 2
-    if fam == "SO" and n % 2 == 0 and r == 2 and m >= 5:
-        if _so_even_case(group, classes):
-            return f"SO{n}-r2"
-    if fam == "SO" and n % 2 == 1:
-        if r == 2 and _so_odd_case(group, classes) == "oddorth-ii":
-            return f"SO{n}-r2"
-        if r == 3 and _so_odd_case(group, classes) == "oddorth-i":
-            return "SO5-r3"
-    if fam == "Sp" and p != 2:
-        case = _sp_odd_case(group, classes)
-        if case == "sp4odd-ii":
-            return "Sp4-r2"
-        if case == "sp4odd-iii":
-            return "Sp4-r3"
-        if case == "sp4odd-iv":
-            return "Sp4-r4"
-        if case == "sp6odd-iii":
-            return "Sp6-r3"
-        if case == "spodd-iii":
-            return "Sp8-r3"
-    if fam == "Sp" and p == 2 and n == 4:
-        case = _sp_even_case(group, classes)
-        if case == "sp4even-ii":
-            return "Sp4-r3"
-        if case == "sp4even-iii":
-            return "Sp4-r4"
-    return None
+# family case -> identifier of the matching published table row; the cases
+# sl2, sp6odd-ii and spodd-ii have none
+_TABLE_ROW = {
+    "so2nodd": "SO{n}-r2",
+    "so2neven": "SO{n}-r2",
+    "oddorth-ii": "SO{n}-r2",
+    "oddorth-i": "SO5-r3",
+    "sp4odd-ii": "Sp4-r2",
+    "sp4odd-iii": "Sp4-r3",
+    "sp4even-ii": "Sp4-r3",
+    "sp4odd-iv": "Sp4-r4",
+    "sp4even-iii": "Sp4-r4",
+    "sp6odd-iii": "Sp6-r3",
+    "spodd-iii": "Sp8-r3",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +428,10 @@ def decide(
     if n >= 3 and r == 2 and all(is_quadratic(c) for c in classes):
         return Verdict(True, "QuadraticPair", witnesses=witnesses)
     case = _family_case(group, classes)
+    if case in _TABLE_ROW:
+        row = _TABLE_ROW[case].format(n=n)
+        return Verdict(True, "TableRow", case_id=row, witnesses=witnesses)
     if case is not None:
-        row = _table_row(group, classes)
-        if row is not None:
-            return Verdict(True, "TableRow", case_id=row, witnesses=witnesses)
         return Verdict(True, "FamilyTheoremCase", case_id=case, witnesses=witnesses)
     return Verdict(False, "Generic", witnesses=witnesses)
 

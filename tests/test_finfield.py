@@ -1,9 +1,13 @@
 """Unit tests for the finite-field verification layer."""
 
+import ast
+import importlib
 import random
+import types
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -269,20 +273,24 @@ class TestGroupOrders:
         assert truncated and size >= 10
 
 
-def _closure(gens, limit):
-    """The group the matrices generate, listed breadth first with the
-    field's own arithmetic; stops once it holds more than ``limit``."""
-    F = gens[0].field
-    n = gens[0].n
+def _product(F, a, b):
+    """The matrix product with the field's own arithmetic."""
+    cols = tuple(zip(*b))
+    return tuple([tuple([reduce(F.add, map(F.mul, row, col)) for col in cols]) for row in a])
 
-    def product(a, b):
-        return tuple(tuple(reduce(F.add, map(F.mul, row, col)) for col in zip(*b)) for row in a)
 
-    one = tuple(tuple(F.one if i == j else F.zero for j in range(n)) for i in range(n))
+def _scalar(F, lam, n):
+    return tuple(tuple(lam if i == j else F.zero for j in range(n)) for i in range(n))
+
+
+def _closure(F, gen_entries, limit, product=_product):
+    """The group the matrices generate, listed breadth first, by default
+    with the field's own arithmetic; stops once it holds more than ``limit``."""
+    one = _scalar(F, F.one, len(gen_entries[0]))
     seen, queue = {one}, [one]
     for a in queue:
-        for g in gens:
-            b = product(a, g.entries)
+        for g in gen_entries:
+            b = product(F, a, g)
             if b not in seen:
                 seen.add(b)
                 if len(seen) > limit:
@@ -310,14 +318,14 @@ class TestGroupClosure:
     @pytest.mark.parametrize("family,n,q", CLOSURE_GROUPS)
     def test_standard_generators_against_bfs(self, family, n, q):
         gens = standard_generators(family, n, q)
-        order = len(_closure(gens, 10**6))
+        order = len(_closure(finfield._field(q), [g.entries for g in gens], 10**6))
         assert order == group_order(family, n, q)
         _check_closure_caps(gens, order)
 
     def test_proper_subgroup_against_bfs(self):
         # the upper triangular matrices of SL2(7): order 7 * 6
         gens = [GFMatrix(7, ((1, 1), (0, 1))), GFMatrix(7, ((3, 0), (0, 5)))]
-        order = len(_closure(gens, 10**6))
+        order = len(_closure(finfield._field(7), [g.entries for g in gens], 10**6))
         assert order == 42
         _check_closure_caps(gens, order)
 
@@ -342,22 +350,46 @@ class TestGroupClosure:
             group_closure(standard_generators("SL", 2, 5) + [GFMatrix(5, ((1, 0), (0, 0)))])
 
 
+def _order_by_own_walk(F, a, scalars):
+    """Order of a modulo the scalars from a power walk of a alone."""
+    x, k = a, 1
+    while x not in scalars:
+        x = _product(F, x, a)
+        k += 1
+    return k
+
+
+@lru_cache(maxsize=None)
+def _listing(family, n, q):
+    """(F, G, Z, order): the field, the matrices of the group G that
+    ``standard_generators`` generate, listed by ``_closure``, its scalars
+    lambda I with lambda^n = 1, and the order modulo Z of every matrix of G
+    outside Z, each from its own power walk."""
+    F = finfield._field(q)
+    G = _closure(F, [g.entries for g in standard_generators(family, n, q)], 10**6)
+    roots = [lam for lam in F.elements() if lam and F.pow(lam, n) == F.one]
+    Z = [z for z in (_scalar(F, lam, n) for lam in roots) if z in G]
+    order = {a: _order_by_own_walk(F, a, Z) for a in G if a not in Z}
+    return F, G, Z, order
+
+
+def _of_order(order, r):
+    return sorted(a for a, k in order.items() if k == r)
+
+
 def _by_all_pairs(group, r, s):
     """The generation probability over all pairs of elements of G/Z of
     orders r and s, one matrix for each scalar coset, each pair tested by
     listing the group it generates (``_bfs_generates``)."""
-    data = finfield._group_data(*group, 10**6)
-    F = data.F
-    scalars = sorted(data.scalars)
+    F, G, Z, order = _listing(*group)
 
     def cosets(k):
-        elements = data.elements_of_order_mod_center(k)
-        return {min(finfield._mat_mul(F, a, z) for z in scalars) for a in elements}
+        return {min(_product(F, a, z) for z in Z) for a in _of_order(order, k)}
 
     # the identity adds nothing to a generating set
-    others = [z for z in scalars if z != finfield._identity(F, len(z))]
+    others = [z for z in Z if z != _scalar(F, F.one, group[1])]
     xr, xs = cosets(r), cosets(s)
-    hits = sum(_bfs_generates(F, [x, y] + others, data.order) for x in xr for y in xs)
+    hits = sum(_bfs_generates(F, [x, y] + others, len(G)) for x in xr for y in xs)
     return Fraction(hits, len(xr) * len(xs))
 
 
@@ -383,44 +415,31 @@ class TestExactProbability:
             finfield.exact_generation_probability(("SL", 2, 7), 2, 3, cap=100)
 
 
-def _order_by_own_walk(F, a, scalars):
-    """Order of a modulo the scalars from a power walk of a alone."""
-    x, k = a, 1
-    while x not in scalars:
-        x = finfield._mat_mul(F, x, a)
-        k += 1
-    return k
-
-
 class TestOrdersModCenter:
     @pytest.mark.parametrize("family,n,q", [("SL", 2, 7), ("SL", 2, 9), ("Sp", 4, 2)])
     def test_shared_walks_match_one_walk_per_element(self, family, n, q):
-        data = finfield._group_data(family, n, q, 10**6)
-        own = [
-            (a, _order_by_own_walk(data.F, a, data.scalars))
-            for a in sorted(data.elements)
-            if a not in data.scalars
-        ]
-        orders = {k for _, k in own}
+        F, G, Z, order = _listing(family, n, q)
         # composite orders, whose powers have smaller orders
-        assert any(not is_prime(k) for k in orders)
-        for r in orders:
-            assert data.elements_of_order_mod_center(r) == [a for a, k in own if k == r]
+        assert any(not is_prime(k) for k in order.values())
+        own: dict = {}
+        for a, k in order.items():
+            own.setdefault(finfield._projective_perm(F, a), set()).add(k)
+        assert all(len(ks) == 1 for ks in own.values())
+        data = finfield._group_data(family, n, q, 10**6)
+        assert data.pg_orders == sorted((x, k) for x, (k,) in own.items())
 
 
 def _plain_monte_carlo(q, trials, seed, cap=10**6):
     """The Monte Carlo estimate with one subgroup search per drawn pair."""
     data = finfield._group_data("SL", 2, q, cap)
-    xr = data.elements_of_order_mod_center(2)
-    xs = data.elements_of_order_mod_center(3)
-    pg_order = data.order // len(data.scalars)
+    xr = [a for a, k in data.pg_orders if k == 2]
+    xs = [a for a, k in data.pg_orders if k == 3]
     hits = 0
     for t in range(trials):
         rng = random.Random(seed * 1000003 + t)
         x = xr[rng.randrange(len(xr))]
         y = xs[rng.randrange(len(xs))]
-        perms = [finfield._projective_perm(data.F, g) for g in (x, y)]
-        hits += finfield._generates(perms, pg_order)
+        hits += finfield._generates([x, y], projective_order("SL", 2, q))
     return hits, trials
 
 
@@ -443,21 +462,21 @@ class TestMonteCarlo:
 
 def _bfs_generates(F, gen_entries, order):
     """The breadth-first generation test: list the generated group, and
-    stop once it holds more than half of the order."""
+    stop once it holds more than half of the order. The library's matrix
+    product keeps the many listings fast; ``_listing`` pins it on G."""
     half = order // 2
-    seen = finfield._closure(F, gen_entries, half)
+    seen = _closure(F, gen_entries, half, finfield._mat_mul)
     return len(seen) > half or len(seen) == order
 
 
-def _class_representatives(data, elements):
-    """The smallest element of each conjugacy class within ``elements``."""
-    F = data.F
-    inverse = {g: finfield._mat_inv(F, g) for g in data.elements}
+def _class_representatives(F, G, elements):
+    """The smallest element of each conjugacy class of G within ``elements``."""
+    inverse = {g: finfield._mat_inv(F, g) for g in G}
     remaining, reps = set(elements), []
     while remaining:
         rep = min(remaining)
         reps.append(rep)
-        remaining -= {finfield._mat_mul(F, finfield._mat_mul(F, gi, rep), g) for g, gi in inverse.items()}
+        remaining -= {_product(F, _product(F, gi, rep), g) for g, gi in inverse.items()}
     return reps
 
 
@@ -479,15 +498,13 @@ class TestSchreierSims:
 
     @pytest.mark.parametrize("family,n,q", [("SL", 2, 7), ("SL", 2, 9), ("SL", 2, 8), ("Sp", 4, 2)])
     def test_generates_matches_bfs(self, family, n, q):
-        data = finfield._group_data(family, n, q, 10**6)
-        scalars = sorted(data.scalars)
+        F, G, Z, order = _listing(family, n, q)
         answers = []
-        for x in _class_representatives(data, data.elements_of_order_mod_center(2)):
-            for y in data.elements_of_order_mod_center(3):
-                gens = [x, y] + scalars
-                perms = [finfield._projective_perm(data.F, g) for g in (x, y)]
-                answer = finfield._generates(perms, data.order // len(scalars))
-                assert answer == _bfs_generates(data.F, gens, data.order), (x, y)
+        for x in _class_representatives(F, G, _of_order(order, 2)):
+            for y in _of_order(order, 3):
+                perms = [finfield._projective_perm(F, g) for g in (x, y)]
+                answer = finfield._generates(perms, len(G) // len(Z))
+                assert answer == _bfs_generates(F, [x, y] + Z, len(G)), (x, y)
                 answers.append(answer)
         # PSL2(9) = A6 and Sp4(2) = S6 are not (2, 3)-generated
         assert any(answers) == ((family, q) in {("SL", 7), ("SL", 8)})
@@ -506,6 +523,44 @@ class TestSchreierSims:
         assert finfield._perm_group_order(perms) == 1
         assert finfield._generates(perms, 1)
         assert not finfield._generates(perms, 2)
+
+
+class TestProjectiveDraws:
+    """Monte Carlo draws from PG = G/Z: a uniform draw of an element of PG
+    of order r has the distribution of a uniform draw of a matrix of G of
+    order r modulo Z, because each element of PG is the image of |Z| such
+    matrices."""
+
+    @pytest.mark.parametrize("q", [5, 7, 8, 9])
+    def test_each_order_is_z_matrices_per_permutation(self, q):
+        F, G, Z, order = _listing("SL", 2, q)
+        pg_orders = finfield._group_data("SL", 2, q, 10**6).pg_orders
+        assert set(order.values()) == {k for _, k in pg_orders}
+        for r in set(order.values()):
+            matrices = _of_order(order, r)
+            perms = {a for a, k in pg_orders if k == r}
+            assert len(matrices) == len(Z) * len(perms), r
+            assert {finfield._projective_perm(F, a) for a in matrices} == perms, r
+
+
+def test_traced_private_kernels_are_module_functions():
+    """The benchmark's traced runs wrap these private kernels by name
+    (``COUNTED_PRIVATE`` in ``perfbench/tracing.py``); read the table from
+    the source, without installing the tracer."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()
+    counted = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["COUNTED_PRIVATE"]
+    )
+    assert counted
+    for layer, names in counted.items():
+        module = importlib.import_module(f"topogen.{layer}")
+        for name in names:
+            fn = vars(module).get(name)
+            assert isinstance(fn, types.FunctionType), (layer, name)
+            assert fn.__module__ == module.__name__, (layer, name)
 
 
 class TestInvariantSubspaceCount:
