@@ -286,6 +286,8 @@ def _validate_semisimple(group: GroupSpec, cls: ClassDescriptor) -> ClassDescrip
         order_tag = isinstance(tag, str) and tag.startswith("order:") and tag[6:].isdecimal()
         if not (tag == REL_SQUARE_MINUS_ONE or order_tag):
             raise SchemaError(f"unknown relation tag {tag!r}")
+        if order_tag and int(tag[6:]) == 0:
+            raise SchemaError(f"relation tag {tag!r}: an order is at least 1")
     if group.family in ("Sp", "SO", "Spin8"):
         if pat.free:
             raise ParityViolation("eigenvalues must come in inverse pairs for Sp/SO")

@@ -1,11 +1,19 @@
 """Brute-force verification layer over small finite fields.
 
 Everything here is independent of the symbolic machinery: explicit matrices,
-exact Gaussian elimination, and exhaustive or Monte Carlo generation tests,
-which compare the order of the generated group (Schreier–Sims on the points
-of projective space) with the group's order. The only group ever listed is
+exact linear algebra, and exhaustive or Monte Carlo generation tests, which
+compare the order of the generated group (Schreier–Sims on the points of
+projective space) with the group's order. The only group ever listed is
 PG = G/Z, breadth first, as permutations of the points of projective space;
 a group of matrices is measured by Schreier–Sims on vectors, never listed.
+
+All elimination is one sparse kernel, ``_echelon``: rows as dicts column ->
+element in, the reduced row echelon form out as {pivot column: row}, which
+is canonical. Rank, nullspace and inverse read that form. The n^2-unknown
+systems of centralisers and invariant forms are built as sparse rows; Jordan
+types take the rank of (g - lam)^k from the echelon rows of (g - lam)^(k-1)
+times g - lam; invariant subspaces are kept as their echelon forms, which
+are also their keys.
 
 Every element of GF(p^k) is one Python int, the packed coefficient vector
 sum c_i * B^i of its representative polynomial over GF(p), with B a power
@@ -214,11 +222,13 @@ class Field:
         return self.pow(a, self.q - 2)
 
     def pow(self, a, e: int):
+        if a == self.zero:
+            if e < 0:
+                raise ZeroDivisionError("inverting zero field element")
+            return self.zero if e else self.one
         result = self.one
         base = a
-        e %= self.q - 1 if a != self.zero else 1
-        if a == self.zero:
-            return self.zero if e else self.one
+        e %= self.q - 1
         while e:
             if e & 1:
                 result = self.mul(result, base)
@@ -237,7 +247,7 @@ class Field:
 
     def element_of_order(self, r: int):
         """Some multiplicative element of exact order r, or None."""
-        if (self.q - 1) % r != 0:
+        if r < 1 or (self.q - 1) % r != 0:
             return None
         for a in self.elements():
             if a != self.zero and self.element_order(a) == r:
@@ -267,7 +277,12 @@ class GFMatrix:
         self.q = q
         self.field = _field(q)
         F = self.field
-        self.entries = tuple(tuple(F.coerce(x) for x in row) for row in entries)
+        # an int in [0, bound) is coerced by one lookup, as Field.coerce does
+        red, bound = F.red, F.bound
+        self.entries = tuple(
+            tuple([red[x] if type(x) is int and 0 <= x < bound else F.coerce(x) for x in row])
+            for row in entries
+        )
         self.n = len(self.entries)
         if any(len(row) != self.n for row in self.entries):
             raise SchemaError("matrix must be square")
@@ -323,98 +338,99 @@ def _transpose(A):
     return tuple(zip(*A))
 
 
-def _rref(F: Field, rows):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
+def _shift(F: Field, g, lam):
+    """g - lam I."""
+    return tuple(row[:i] + (F.sub(row[i], lam),) + row[i + 1 :] for i, row in enumerate(g))
+
+
+def _echelon(F: Field, rows, base: Optional[dict] = None) -> dict:
+    """The reduced echelon form of the rows, and of the rows of the form
+    ``base`` when given (it is left as it is): {pivot column: row}, each row
+    a dict column -> nonzero element with 1 at its pivot and 0 at every
+    other pivot column. A row may be such a dict or a dense sequence.
+
+    Rows are inserted one at a time, in decreasing order of their first
+    nonzero column. A row is reduced by subtracting, for each pivot column
+    where it is nonzero, that multiple of the pivot's row: pivot rows
+    vanish at each other's pivots, so the multiples are the row's own
+    entries and one pass suffices. A nonzero remainder becomes the row of
+    its first column, which is then cleared from the rows of smaller
+    pivots. Each pivot is the first column of a vector of the row space,
+    so the pivots, and with them the rows, are those of the reduced row
+    echelon form whatever the order of insertion; the order only keeps the
+    intermediate forms, and the clearing, small on banded and triangular
+    systems."""
     red = F.red
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        # rows r.. vanish left of column c, so row operations start there
-        inv = F.inv(rows[r][c])
-        rows[r][c:] = tail = [red[inv * x] for x in rows[r][c:]]
-        for i in range(nrows):
-            f = rows[i][c]
-            if i != r and f:
-                nf = F.neg(f)
-                rows[i][c:] = [red[x + nf * y] for x, y in zip(rows[i][c:], tail)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return [tuple(row) for row in rows[:r]], pivots
+    form = dict(base or {})
+    # rows are zero left of their pivots: a pivot left of all others clears nothing
+    low = min(form, default=inf)
+    pending = [
+        r
+        for row in rows
+        if (r := dict(row) if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x})
+    ]
+    pending.sort(key=min, reverse=True)
+    for r in pending:
+        if hits := form.keys() & r.keys():
+            for t, c in enumerate(hits, 1):
+                nf = F.neg(r.pop(c))
+                for j, y in form[c].items():
+                    if j != c:
+                        r[j] = r.get(j, 0) + nf * y
+                if t % (MAX_DIM - 1) == 0:  # sums of more products could carry
+                    r = {j: red[x] for j, x in r.items()}
+            r = {j: x for j, s in r.items() if (x := red[s])}
+            if not r:
+                continue
+        c = min(r)
+        if r[c] != F.one:
+            inv = F.inv(r[c])
+            r = {j: red[inv * x] for j, x in r.items()}
+        if c > low:
+            for d, e in form.items():
+                if f := e.get(c):
+                    nf = F.neg(f)
+                    e = dict(e)
+                    for j, y in r.items():
+                        if x := red[e.get(j, 0) + nf * y]:
+                            e[j] = x
+                        else:
+                            e.pop(j, None)
+                    form[d] = e
+        low = min(low, c)
+        form[c] = r
+    return form
 
 
 def _rank(F: Field, rows) -> int:
-    return len(_rref(F, rows)[0])
+    return len(_echelon(F, rows))
 
 
 def _nullspace(F: Field, rows, ncols: int):
-    """Basis of {v : A v = 0} for the matrix with the given rows."""
-    rref, pivots = _rref(F, rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of {v : A v = 0} for the matrix with the given rows, one vector
+    for each non-pivot column fc: 1 at fc, and minus the pivot rows' entries
+    of column fc at their pivots."""
+    form = _echelon(F, rows)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in form:
+            continue
         v = [F.zero] * ncols
         v[fc] = F.one
-        for r, pc in enumerate(pivots):
-            v[pc] = F.neg(rref[r][fc])
+        for pc, row in form.items():
+            if fc in row:
+                v[pc] = F.neg(row[fc])
         basis.append(tuple(v))
     return basis
 
 
-def _sparse_rows(A):
-    return [{j: x for j, x in enumerate(row) if x} for row in A]
-
-
-def _sparse_mul(F: Field, A, B):
-    """Product of sparse row-dict matrices."""
-    red = F.red
-    out = []
-    for row in A:
-        acc: dict = {}
-        for k, x in row.items():
-            for j, y in B[k].items():
-                acc[j] = acc.get(j, 0) + x * y
-        out.append({j: v for j, s in acc.items() if (v := red[s])})
-    return out
-
-
-def _sparse_rank(F: Field, rows) -> int:
-    """Rank by sparse elimination (cheap for banded matrices)."""
-    red = F.red
-    pivots: dict = {}
-    for row in rows:
-        r = dict(row)
-        while r:
-            c = min(r)
-            if c not in pivots:
-                inv = F.inv(r[c])
-                pivots[c] = {cc: red[inv * v] for cc, v in r.items()}
-                break
-            nf = F.neg(r[c])
-            for cc, v in pivots[c].items():
-                nv = red[r.get(cc, 0) + nf * v]
-                if nv:
-                    r[cc] = nv
-                else:
-                    r.pop(cc, None)
-    return len(pivots)
-
-
 def _mat_inv(F: Field, A):
+    """The inverse, from the reduced echelon form of [A | I]."""
     n = len(A)
-    aug = [list(row) + list(idrow) for row, idrow in zip(A, _identity(F, n))]
-    rref, pivots = _rref(F, aug)
-    if pivots[:n] != list(range(n)):
+    form = _echelon(F, [tuple(row) + e for row, e in zip(A, _identity(F, n))])
+    if max(form) >= n:
         raise ZeroDivisionError("singular matrix")
-    return tuple(tuple(row[n:]) for row in rref)
+    return tuple(tuple(form[i].get(n + j, F.zero) for j in range(n)) for i in range(n))
 
 
 def _check_form_preserved(F: Field, g, form, kind: str) -> None:
@@ -455,22 +471,23 @@ def jordan_type(m: GFMatrix, eigenvalues=None) -> dict:
     result = {}
     accounted = 0
     scan = F.elements() if eigenvalues is None else [F.coerce(x) for x in eigenvalues]
+    red = F.red
     for lam in scan:
-        shift = _sparse_rows(
-            _mat_sub(
-                F,
-                m.entries,
-                tuple(
-                    tuple(lam if i == j else F.zero for j in range(n))
-                    for i in range(n)
-                ),
-            ),
-        )
-        ranks = [n, _sparse_rank(F, shift)]
-        power = shift
+        # rank((m - lam)^k): the row space of N^k is that of N^(k-1) times N
+        N = [{j: x for j, x in enumerate(row) if x} for row in _shift(F, m.entries, lam)]
+
+        def times_n(w):
+            acc: dict = {}
+            for i, x in w.items():
+                for j, y in N[i].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            return {j: x for j, s in acc.items() if (x := red[s])}
+
+        form = _echelon(F, N)
+        ranks = [n, len(form)]
         while ranks[-1] != ranks[-2]:
-            power = _sparse_mul(F, power, shift)
-            ranks.append(_sparse_rank(F, power))
+            form = _echelon(F, map(times_n, form.values()))
+            ranks.append(len(form))
         mult = n - ranks[1]
         if mult == 0:
             continue
@@ -489,7 +506,7 @@ def jordan_type(m: GFMatrix, eigenvalues=None) -> dict:
 
 def fixed_space_dim(m: GFMatrix) -> int:
     F = m.field
-    return m.n - _rank(F, _mat_sub(F, m.entries, _identity(F, m.n)))
+    return m.n - _rank(F, _shift(F, m.entries, F.one))
 
 
 # ---------------------------------------------------------------------------
@@ -592,80 +609,49 @@ def invariant_form_matrix(
     F = _field(q)
     g = tuple(tuple(F.coerce(x) for x in row) for row in entries)
     n = len(g)
-    gt = _transpose(g)
-    # unknowns: X_{ij}, i, j in [0, n); linear equations over GF(q)
+    red, minus_one = F.red, F.neg(F.one)
+    g_cols = [{i: x for i, x in enumerate(col) if x} for col in zip(*g)]
+    # unknowns: X_{ij}, i, j in [0, n), numbered i * n + j; each equation
+    # over GF(q) is a sparse row: unknown -> coefficient
     var = lambda i, j: i * n + j
     rows = []
 
-    def add_row(coeffs: dict):
-        row = [F.zero] * (n * n)
-        for v, c in coeffs.items():
-            row[v] = F.add(row[v], c)
-        if any(x != F.zero for x in row):
-            rows.append(tuple(row))
+    def invariance(*pairs):
+        """The row of the sum over the pairs (a, b) of (g^T X g - X)_{ab},
+        with (g^T X g)_{ab} = sum_{i,j} g_{ia} X_{ij} g_{jb}."""
+        coeffs: dict = {}
+        for a, b in pairs:
+            for i, x in g_cols[a].items():
+                for j, y in g_cols[b].items():
+                    coeffs[var(i, j)] = coeffs.get(var(i, j), 0) + x * y
+            coeffs[var(a, b)] = coeffs.get(var(a, b), 0) + minus_one
+        rows.append({v: x for v, c in coeffs.items() if (x := red[c])})
 
     if kind in ("symplectic", "symmetric"):
-        # invariance: (g^T X g - X)_{kl} = sum_{i,j} g_{ik} X_{ij} g_{jl} - X_{kl}
         for k in range(n):
             for l in range(n):
-                coeffs: dict = {}
-                for i in range(n):
-                    gik = gt[k][i]
-                    if gik == F.zero:
-                        continue
-                    for j in range(n):
-                        c = F.mul(gik, g[j][l])
-                        if c != F.zero:
-                            coeffs[var(i, j)] = F.add(coeffs.get(var(i, j), F.zero), c)
-                coeffs[var(k, l)] = F.add(coeffs.get(var(k, l), F.zero), F.neg(F.one))
-                add_row(coeffs)
+                invariance((k, l))
     if kind == "symplectic":
         for i in range(n):
-            add_row({var(i, i): F.one})
+            rows.append({var(i, i): F.one})
             for j in range(i + 1, n):
-                add_row({var(i, j): F.one, var(j, i): F.one})
+                rows.append({var(i, j): F.one, var(j, i): F.one})
     elif kind == "symmetric":
         for i in range(n):
             for j in range(i + 1, n):
-                add_row({var(i, j): F.one, var(j, i): F.neg(F.one)})
+                rows.append({var(i, j): F.one, var(j, i): minus_one})
     elif kind == "quadratic":
         # Gram matrix upper triangular; bilinear invariance is too strict
-        # for quadratic forms: require g^T X g + (-X) symmetric with zero
-        # diagonal instead of equal to X.
+        # for quadratic forms: require g^T X g - X symmetric with zero
+        # diagonal instead of zero.
         for k in range(n):
-            # diagonal of g^T X g - X vanishes
-            coeffs = {}
-            for i in range(n):
-                gik = gt[k][i]
-                if gik == F.zero:
-                    continue
-                for j in range(n):
-                    c = F.mul(gik, g[j][k])
-                    if c != F.zero:
-                        coeffs[var(i, j)] = F.add(coeffs.get(var(i, j), F.zero), c)
-            coeffs[var(k, k)] = F.add(coeffs.get(var(k, k), F.zero), F.neg(F.one))
-            add_row(coeffs)
-        for k in range(n):
+            invariance((k, k))
             for l in range(k + 1, n):
-                coeffs = {}
-                for (a, b) in ((k, l), (l, k)):
-                    for i in range(n):
-                        gia = gt[a][i]
-                        if gia == F.zero:
-                            continue
-                        for j in range(n):
-                            c = F.mul(gia, g[j][b])
-                            if c != F.zero:
-                                coeffs[var(i, j)] = F.add(
-                                    coeffs.get(var(i, j), F.zero), c
-                                )
-                coeffs[var(k, l)] = F.add(coeffs.get(var(k, l), F.zero), F.neg(F.one))
-                coeffs[var(l, k)] = F.add(coeffs.get(var(l, k), F.zero), F.neg(F.one))
-                add_row(coeffs)
+                invariance((k, l), (l, k))
         # lower triangle forced to zero (canonical representative)
         for i in range(n):
             for j in range(i):
-                add_row({var(i, j): F.one})
+                rows.append({var(i, j): F.one})
     else:
         raise SchemaError(f"unknown form kind {kind!r}")
     basis = _nullspace(F, rows, n * n)
@@ -702,12 +688,10 @@ def invariant_form_matrix(
             return X
     rng = random.Random(seed + 0xC0FFEE)
     elems = F.elements()
+    columns = _transpose(basis)
     for _ in range(2000):
-        v = [F.zero] * (n * n)
-        for b in basis:
-            c = elems[rng.randrange(len(elems))]
-            v = [F.add(x, F.mul(c, y)) for x, y in zip(v, b)]
-        X = unflatten(tuple(v))
+        coeffs = [elems[rng.randrange(len(elems))] for _ in basis]
+        X = unflatten(_mat_vec(F, columns, coeffs))
         if good(X):
             return X
     return None
@@ -831,42 +815,34 @@ def centralizer_lie_dim(group: GroupSpec, m: GFMatrix) -> int:
     F = m.field
     n = m.n
     g = m.entries
-    var = lambda i, j: i * n + j
+    red, P = F.red, F._p_digits
+    # unknowns: X_{ij}, numbered i * n + j; rows are sparse, unknown -> coefficient
     rows = []
-    # Xg - gX = 0
-    for k in range(n):
-        for l in range(n):
-            row = [F.zero] * (n * n)
-            for j in range(n):
-                row[var(k, j)] = F.add(row[var(k, j)], g[j][l])
-            for i in range(n):
-                row[var(i, l)] = F.sub(row[var(i, l)], g[k][i])
-            if any(x != F.zero for x in row):
-                rows.append(tuple(row))
     if target.family == "SL":
-        row = [F.zero] * (n * n)
-        for i in range(n):
-            row[var(i, i)] = F.one
-        rows.append(tuple(row))
+        rows.append({i * n + i: F.one for i in range(n)})
     else:
-        J = m.form
-        if J is None:
+        if m.form is None:
             raise SchemaError("Sp/SO centralizer needs a form-tagged matrix")
-        if m.form_kind == "quadratic":
-            J = tuple(
-                tuple(F.add(J[i][j], J[j][i]) for j in range(n)) for i in range(n)
-            )
+        J = _polarization(F, m.form, m.form_kind)
+        J_rows = [{j: x for j, x in enumerate(row) if x} for row in J]
+        J_cols = [{i: x for i, x in enumerate(col) if x} for col in zip(*J)]
         # (X^T J + J X)_{kl} = sum_i X_{ik} J_{il} + sum_j J_{kj} X_{jl}
         for k in range(n):
             for l in range(n):
-                row = [F.zero] * (n * n)
-                for i in range(n):
-                    row[var(i, k)] = F.add(row[var(i, k)], J[i][l])
-                for j in range(n):
-                    row[var(j, l)] = F.add(row[var(j, l)], J[k][j])
-                if any(x != F.zero for x in row):
-                    rows.append(tuple(row))
-    return len(_nullspace(F, rows, n * n))
+                coeffs = {i * n + k: x for i, x in J_cols[l].items()}
+                for j, x in J_rows[k].items():
+                    coeffs[j * n + l] = coeffs.get(j * n + l, 0) + x
+                rows.append({v: x for v, c in coeffs.items() if (x := red[c])})
+    g_rows = [{i: x for i, x in enumerate(row) if x} for row in g]
+    g_cols = [{j: x for j, x in enumerate(col) if x} for col in zip(*g)]
+    # (Xg - gX)_{kl} = sum_j X_{kj} g_{jl} - sum_i g_{ki} X_{il}
+    for k in range(n):
+        for l in range(n):
+            coeffs = {k * n + j: x for j, x in g_cols[l].items()}
+            for i, x in g_rows[k].items():
+                coeffs[i * n + l] = coeffs.get(i * n + l, 0) + P - x
+            rows.append({v: x for v, c in coeffs.items() if (x := red[c])})
+    return n * n - _rank(F, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1148,10 +1124,13 @@ def _orders_mod_center(elements) -> list:
 
 class _GroupData:
     """The group G generated by ``standard_generators(family, n, q)``: its
-    order, by Schreier–Sims on vectors, and the permutations its generators
-    induce on the points of P^{n-1}(GF(q)), which generate PG = G/Z. PG is
-    the only group listed, when a probability first asks for it; the
-    matrices of G never are."""
+    order, by Schreier–Sims on vectors, and generators of PG = G/Z: the
+    permutations the standard generators induce on the points of
+    P^{n-1}(GF(q)), each kept only if it enlarges the group of those kept
+    before it (Sp4(3) keeps 5 of its 10), so that listing PG and its
+    conjugacy classes takes no redundant products. PG is the only group
+    listed, when a probability first asks for it; the matrices of G never
+    are."""
 
     def __init__(self, family: str, n: int, q: int, cap: int):
         self.cap = cap
@@ -1160,8 +1139,13 @@ class _GroupData:
         self.order = _closure_order(F, gen_entries, cap)
         if self.order > cap:
             raise GroupTooLarge(f"closure exceeds cap {cap}")
-        self.gen_perms = [_projective_perm(F, g) for g in gen_entries]
-        self.pg_order = _perm_group_order(self.gen_perms)
+        self.gen_perms, self.pg_order = [], 1
+        for g in gen_entries:
+            perm = _projective_perm(F, g)
+            order = _perm_group_order(self.gen_perms + [perm])
+            if order > self.pg_order:
+                self.gen_perms.append(perm)
+                self.pg_order = order
 
     @cached_property
     def pg_elements(self) -> set:
@@ -1285,72 +1269,56 @@ def invariant_subspace_count(
         raise SchemaError("totally singular counting needs a form-tagged matrix")
     bil = _polarization(F, m.form, m.form_kind) if m.form is not None else None
     # jordan_type raises NonSplit when stable flags would not be exhaustive
-    eigenvalues = list(jordan_type(m).keys())
-    shifts = {
-        lam: _mat_sub(
-            F,
-            m.entries,
-            tuple(
-                tuple(lam if i == j else F.zero for j in range(n)) for i in range(n)
-            ),
-        )
-        for lam in eigenvalues
-    }
+    shifts = [_shift(F, m.entries, lam) for lam in jordan_type(m)]
     elems = F.elements()
-    nonzero = [x for x in elems if x != F.zero]
+    red = F.red
 
-    current = {(): None}
+    # each subspace U is kept as its reduced echelon form; its rows, as a
+    # set, are the canonical key of U
+    current = {frozenset(): {}}
     visited = 0
     for _dim in range(k):
         nxt = {}
-        for basis in current:
-            rows_u = list(basis)
-            for lam in eigenvalues:
-                shift = shifts[lam]
-                # v with (m - lam) v in U: nullspace of [shift | -u_basis]
-                aug_rows = []
+        for U in current.values():
+            for shift in shifts:
+                # W = {v : (m - lam) v in U}. A vector x is in U when, at
+                # every non-pivot i of U, x_i = sum_c x_c u_c[i] over U's
+                # echelon rows u_c; for x = (m - lam) v that is one linear
+                # condition on v per non-pivot i
+                rows = []
                 for i in range(n):
-                    row = list(shift[i]) + [F.neg(u[i]) for u in rows_u]
-                    aug_rows.append(tuple(row))
-                sol = _nullspace(F, aug_rows, n + len(rows_u))
-                # candidate vectors are the v-parts, modulo U
-                cand_rows = [v[:n] for v in sol]
-                space, _ = _rref(F, cand_rows + rows_u)
-                # a complement of U inside the solution space, built greedily:
-                # v is kept when it enlarges the span of U and the kept vectors
-                span, ext_basis = rows_u, []
-                for v in space:
-                    grown, _ = _rref(F, span + [v])
-                    if len(grown) > len(span):
-                        span = grown
-                        ext_basis.append(v)
-                t = len(ext_basis)
-                if t == 0:
-                    continue
+                    if i in U:
+                        continue
+                    row = shift[i]
+                    for c, u in U.items():
+                        if i in u:
+                            nf = F.neg(u[i])
+                            row = [red[x + nf * y] for x, y in zip(row, shift[c])]
+                    rows.append(row)
+                if type == "totally_singular":
+                    # and v orthogonal to U: B(u, v) = 0 for U's echelon rows
+                    for u in U.values():
+                        rows.append(
+                            [red[sum(x * bil[i][j] for i, x in u.items())] for j in range(n)]
+                        )
+                W = _echelon(F, _nullspace(F, rows, n), U)
+                # W contains U; W's echelon rows at the pivots U lacks span
+                # a complement of U, and each of its lines gives one U + v
+                ext = [W[c] for c in sorted(W) if c not in U]
+                t = len(ext)
+                ext_cols = _transpose([[e.get(j, F.zero) for j in range(n)] for e in ext])
                 # lines of the extension space: normalized coefficient tuples
-                def coeff_tuples(depth):
-                    if depth == 0:
-                        yield ()
-                        return
-                    for rest in coeff_tuples(depth - 1):
-                        for c in elems:
-                            yield (c,) + rest
-
-                ext_cols = _transpose(ext_basis)
                 for lead in range(t):
-                    for tail in coeff_tuples(t - lead - 1):
+                    for tail in product(elems, repeat=t - lead - 1):
                         coeffs = (F.zero,) * lead + (F.one,) + tail
                         v = _mat_vec(F, ext_cols, coeffs)
-                        if type == "totally_singular":
-                            if not _is_singular_vector(F, m.form, v):
-                                continue
-                            bv = _mat_vec(F, bil, v)
-                            if any(F.red[sum(map(mul, u, bv))] for u in rows_u):
-                                continue
-                        new_rows, _ = _rref(F, rows_u + [v])
-                        key = tuple(new_rows)
+                        # U is totally singular and v orthogonal to it: Q is Q(v) on v + U
+                        if type == "totally_singular" and not _is_singular_vector(F, m.form, v):
+                            continue
+                        grown = _echelon(F, [v], U)
+                        key = frozenset(frozenset(r.items()) for r in grown.values())
                         if key not in nxt:
-                            nxt[key] = None
+                            nxt[key] = grown
                             visited += 1
                             if visited > budget:
                                 raise EnumerationTooLarge(

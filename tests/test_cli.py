@@ -295,6 +295,14 @@ class TestHandleMalformedDocuments:
             # a block count below 1 is malformed, not an unsupported case
             ("closure", {"group": SP8, "blocks": 0}),
             ("closure", {"group": SP8, "blocks": -3}),
+            # a label of order 0 would divide by zero in the SO6 products
+            (
+                "decide",
+                {
+                    "group": {"family": "SO", "n": 6, "p": 0},
+                    "classes": [{"kind": "semisimple", "ones": 2, "pairs": [["a", 1]], "relations": [["a", "order:0"]]}] * 2,
+                },
+            ),
         ],
     )
     def test_exit_2(self, command, doc):

@@ -1,11 +1,13 @@
 """Unit tests for the finite-field verification layer."""
 
 import ast
+import hashlib
 import importlib
 import random
 import types
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import product
 from math import gcd
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from topogen.errors import (
     NotApplicable,
     SchemaError,
     Uninstantiable,
+    UnsupportedCase,
 )
 from topogen.finfield import (
     Field,
@@ -58,6 +61,17 @@ class TestField:
         a = F.element_of_order(3)
         assert F.element_order(a) == 3
         assert F.element_of_order(5) is None  # 5 does not divide 6
+        assert F.element_of_order(0) is None
+
+    @pytest.mark.parametrize("q", [5, 4])
+    def test_pow_is_repeated_multiplication(self, q):
+        # zero included: 0^0 = 1 and 0^e = 0 for e > 0
+        F = Field(q)
+        for a in F.elements():
+            x = F.one
+            for e in range(2 * q):
+                assert F.pow(a, e) == x, (a, e)
+                x = F.mul(x, a)
 
     def test_non_prime_power_rejected(self):
         with pytest.raises(SchemaError):
@@ -111,6 +125,63 @@ class TestExtensionFields:
         # PSL2(4) = A5 and PSL2(9) = A6, which is not (2, 3)-generated
         assert finfield.exact_generation_probability(("SL", 2, 4), 2, 3) == Fraction(2, 5)
         assert finfield.exact_generation_probability(("SL", 2, 9), 2, 3) == 0
+
+
+def _row_space_size(F, rows):
+    """The number of vectors in the span of the rows, listed one by one."""
+    span = {(F.zero,) * len(rows[0])}
+    for row in rows:
+        span = {tuple(map(F.add, s, (F.mul(c, x) for x in row))) for s in span for c in F.elements()}
+    return len(span)
+
+
+def _random_matrix(F, rng, nrows, ncols, rank):
+    """A random nrows x ncols matrix of rank at most ``rank``: the product of
+    random nrows x rank and rank x ncols matrices."""
+    elems = F.elements()
+    B = tuple(tuple(rng.choice(elems) for _ in range(rank)) for _ in range(nrows))
+    C = tuple(tuple(rng.choice(elems) for _ in range(ncols)) for _ in range(rank))
+    return _product(F, B, C)
+
+
+class TestEchelonKernel:
+    """``_rank``, ``_nullspace`` and ``_mat_inv``, which read the one sparse
+    reduced echelon form, against the field's own arithmetic."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_rank_and_nullspace(self, q):
+        F = finfield._field(q)
+        rng = random.Random(q)
+        for _ in range(12):
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+            A = _random_matrix(F, rng, nrows, ncols, rng.randint(1, 4))
+            rank = finfield._rank(F, A)
+            assert q**rank == _row_space_size(F, A), A
+            assert rank == finfield._rank(F, tuple(zip(*A)))
+            # sparse rows give the same answers as dense ones
+            sparse = [{j: x for j, x in enumerate(row) if x} for row in A]
+            basis = finfield._nullspace(F, A, ncols)
+            assert basis == finfield._nullspace(F, sparse, ncols)
+            assert rank + len(basis) == ncols
+            for v in basis:
+                assert _product(F, A, tuple((x,) for x in v)) == tuple((F.zero,) for _ in A)
+            if basis:
+                assert finfield._rank(F, basis) == len(basis)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_inverse(self, q):
+        F = finfield._field(q)
+        rng = random.Random(q)
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            A = _random_matrix(F, rng, n, n, n)
+            if _row_space_size(F, A) < q**n:
+                with pytest.raises(ZeroDivisionError):
+                    finfield._mat_inv(F, A)
+                continue
+            assert _product(F, A, finfield._mat_inv(F, A)) == _scalar(F, F.one, n)
+        with pytest.raises(ZeroDivisionError):
+            finfield._mat_inv(F, ((F.one, F.one), (F.one, F.one)))
 
 
 class TestJordanType:
@@ -189,6 +260,12 @@ class TestMatrixFromClass:
         m = matrix_from_class(g, c, 11)
         assert m.form_kind == "symplectic"
 
+    def test_order_zero_label_rejected(self):
+        g = GroupSpec("Sp", 4, 0)
+        c = semisimple(pairs=[("a", 2)], relations={"a": "order:0"})
+        with pytest.raises(SchemaError):
+            matrix_from_class(g, c, 5)
+
     def test_quadratic_form_at_char2(self):
         g = GroupSpec("SO", 10, 2)
         c = validate_class(
@@ -227,6 +304,36 @@ class TestMatrixFromClass:
             polarization = [[(X[i][j] + X[j][i]) % 2 for j in range(n)] for i in range(n)]
             assert finfield._rank(F, polarization) == n
         assert built
+
+    def test_models_unchanged(self):
+        # sha256 of the repr of the list of (entries, form, form_kind), or
+        # the name of the UnsupportedCase raised, for every shape of
+        # enumerate_class_shapes; first 16 hex digits, as computed by the
+        # dense Gaussian elimination this layer used before its sparse
+        # echelon kernel. The forms found by the random fallback of
+        # invariant_form_matrix are among them.
+        digests = {
+            ("Sp", 4, 3): (7, "081996ca4ad57e18"),
+            ("Sp", 4, 5): (8, "d4687958a866d849"),
+            ("Sp", 6, 3): (13, "9982a838f4679ad9"),
+            ("Sp", 6, 5): (15, "f406ef64e8b72a87"),
+            ("SO", 7, 3): (13, "0085e0b8b06669d7"),
+            ("SO", 7, 5): (14, "539f28a092d753dc"),
+            ("Spin8", 8, 3): (20, "935bf2ca66a987d6"),
+            ("Spin8", 8, 5): (23, "31d2fc2a14ef0824"),
+        }
+        for (family, n, q), digest in digests.items():
+            group = GroupSpec(family, n, q)
+            models = []
+            for cls in enumerate_class_shapes(group):
+                try:
+                    m = matrix_from_class(group, cls, q)
+                except UnsupportedCase as exc:
+                    models.append(type(exc).__name__)
+                    continue
+                models.append((m.entries, m.form, m.form_kind))
+            got = (len(models), hashlib.sha256(repr(models).encode()).hexdigest()[:16])
+            assert got == digest, (family, n, q)
 
     def test_wrong_characteristic_rejected(self):
         g = GroupSpec("Sp", 4, 3)
@@ -561,6 +668,11 @@ def test_traced_private_kernels_are_module_functions():
             fn = vars(module).get(name)
             assert isinstance(fn, types.FunctionType), (layer, name)
             assert fn.__module__ == module.__name__, (layer, name)
+    # one elimination kernel, ``_echelon``: the dense and the rank-only
+    # eliminations it replaced are gone
+    assert isinstance(finfield._echelon, types.FunctionType)
+    for name in ("_rref", "_sparse_rows", "_sparse_rank", "_sparse_mul"):
+        assert not hasattr(finfield, name), name
 
 
 class TestInvariantSubspaceCount:
@@ -578,3 +690,32 @@ class TestInvariantSubspaceCount:
         m = unipotent_matrix((2, 2, 1), 3, "symmetric")
         count = invariant_subspace_count(m, 1, "totally_singular")
         assert count >= 1
+
+    @pytest.mark.parametrize(
+        "q,entries",
+        [
+            (3, ((1, 1, 0), (0, 1, 0), (0, 0, 2))),
+            (2, ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1))),
+            # diag(1, 1, x), x a generator of GF(4) over GF(2)
+            (4, ((1, 0, 0), (0, 1, 0), (0, 0, (0, 1)))),
+        ],
+    )
+    def test_any_type_against_all_subspaces(self, q, entries):
+        m = GFMatrix(q, entries)
+        F, g, n = m.field, m.entries, m.n
+        assert jordan_type(m)  # the characteristic polynomial splits
+        vectors = list(product(F.elements(), repeat=n))
+        # every subspace of GF(q)^n as its set of vectors, dimension by dimension
+        layer = {frozenset([(F.zero,) * n])}
+        for k in range(n + 1):
+            invariant = sum(
+                all(tuple(reduce(F.add, map(F.mul, row, v)) for row in g) in S for v in S)
+                for S in layer
+            )
+            assert invariant_subspace_count(m, k, "any") == invariant, k
+            layer = {
+                frozenset(tuple(map(F.add, s, (F.mul(c, x) for x in v))) for s in S for c in F.elements())
+                for S in layer
+                for v in vectors
+                if v not in S
+            }
