@@ -993,14 +993,10 @@ def _perm_mul(a, b) -> tuple:
     return tuple(map(b.__getitem__, a))
 
 
-def _closure_set(perms, cap: int) -> set:
-    """The group the permutations generate, listed breadth first; raises
-    GroupTooLarge when it has more than ``cap`` elements."""
+def _closure_set(perms) -> set:
+    """The group the permutations generate, listed breadth first."""
     identity = tuple(range(len(perms[0])))
-    seen = _bfs(identity, lambda a: [_perm_mul(a, g) for g in perms], cap)
-    if len(seen) > cap:
-        raise GroupTooLarge(f"closure exceeds cap {cap}")
-    return seen
+    return _bfs(identity, lambda a: [_perm_mul(a, g) for g in perms], inf)
 
 
 def _perm_inv(a) -> list:
@@ -1123,34 +1119,32 @@ def _orders_mod_center(elements) -> list:
 
 
 class _GroupData:
-    """The group G generated by ``standard_generators(family, n, q)``: its
-    order, by Schreier–Sims on vectors, and generators of PG = G/Z: the
-    permutations the standard generators induce on the points of
-    P^{n-1}(GF(q)), each kept only if it enlarges the group of those kept
-    before it (Sp4(3) keeps 5 of its 10), so that listing PG and its
-    conjugacy classes takes no redundant products. PG is the only group
+    """PG = G/Z for the group G generated by ``standard_generators(family,
+    n, q)``: generators of PG, the permutations the standard generators
+    induce on the points of P^{n-1}(GF(q)), each kept only if it enlarges
+    the group of those kept before it (Sp4(3) keeps 5 of its 10), so that
+    listing PG and its conjugacy classes takes no redundant products, and
+    the order of PG, by Schreier–Sims on those points. Raises
+    GroupTooLarge when that order exceeds ``cap``. PG is the only group
     listed, when a probability first asks for it; the matrices of G never
     are."""
 
     def __init__(self, family: str, n: int, q: int, cap: int):
-        self.cap = cap
         F = _field(q)
-        gen_entries = [g.entries for g in standard_generators(family, n, q)]
-        self.order = _closure_order(F, gen_entries, cap)
-        if self.order > cap:
-            raise GroupTooLarge(f"closure exceeds cap {cap}")
         self.gen_perms, self.pg_order = [], 1
-        for g in gen_entries:
-            perm = _projective_perm(F, g)
+        for g in standard_generators(family, n, q):
+            perm = _projective_perm(F, g.entries)
             order = _perm_group_order(self.gen_perms + [perm])
             if order > self.pg_order:
                 self.gen_perms.append(perm)
                 self.pg_order = order
+        if self.pg_order > cap:
+            raise GroupTooLarge(f"G/Z has order {self.pg_order}, over the cap {cap}")
 
     @cached_property
     def pg_elements(self) -> set:
         """PG, listed breadth first over products of permutations."""
-        return _closure_set(self.gen_perms, self.cap)
+        return _closure_set(self.gen_perms)
 
     @cached_property
     def pg_orders(self) -> list:
@@ -1174,7 +1168,8 @@ def estimate_generation_probability(
     P^{n-1}(GF(q)) (``_GroupData.pg_orders``). Each element of PG is a
     coset of |Z| matrices of one order modulo the centre, so this draw has
     the distribution of a draw from G. Pairs are memoised, for one call,
-    and ``_generates`` tests whether a pair generates PG."""
+    and ``_generates`` tests whether a pair generates PG. Raises
+    GroupTooLarge when PG has more than ``cap`` elements."""
     family, n, q = groupspec
     data = _group_data(family, n, q, cap)
     xr = [a for a, k in data.pg_orders if k == r]
@@ -1202,7 +1197,8 @@ def exact_generation_probability(
     pairs of G are those of PG, each |Z|^2 times, and the order of x
     modulo the centre is the order of its permutation. Conjugacy
     reduction on the first element and centraliser-orbit reduction on the
-    second leave one ``_generates`` call per pair of orbits."""
+    second leave one ``_generates`` call per pair of orbits. Raises
+    GroupTooLarge when PG has more than ``cap`` elements."""
     family, n, q = groupspec
     data = _group_data(family, n, q, cap)
     xr = [a for a, k in data.pg_orders if k == r]

@@ -21,7 +21,6 @@ from .errors import NotApplicable, UnsupportedChar2Class
 class EigenProfile:
     d: int  # largest eigenspace dimension on the natural module
     e: int  # dimension of the 1-eigenspace
-    spin8: Optional[tuple] = None  # (d1, d3, d4) across the three 8-dim modules
 
 
 @dataclass(frozen=True)

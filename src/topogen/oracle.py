@@ -34,8 +34,9 @@ from .invariants import EigenProfile, class_dim, eigen_profile, is_quadratic
 @dataclass(frozen=True)
 class Verdict:
     empty: bool
-    reason: str  # DimObstruction | SpChar2FixedVector | QuadraticPair |
-    #              TableRow | FamilyTheoremCase | Generic
+    # the rule of ``decide`` that fired: DimObstruction, SpChar2FixedVector,
+    # QuadraticPair, TableRow or FamilyTheoremCase; Generic when none did
+    reason: str
     case_id: Optional[str] = None
     witnesses: dict = field(default_factory=dict)
 
@@ -153,8 +154,10 @@ def _so6_products(pat) -> Counter:
     return +products
 
 
-def _so6_quadratic(cls: ClassDescriptor, p: int) -> bool:
-    """Minimal polynomial degree 2 on the 6-dimensional natural module."""
+def _quadratic(group: GroupSpec, cls: ClassDescriptor) -> bool:
+    """Minimal polynomial of degree 2 on the natural module."""
+    if group.family != "SO" or group.n != 6:
+        return is_quadratic(cls)
     if cls.kind == "semisimple":
         return len(_so6_products(cls.eigen)) == 2
     parts = cls.unip.partition
@@ -162,13 +165,34 @@ def _so6_quadratic(cls: ClassDescriptor, p: int) -> bool:
     if parts == (2, 1, 1):
         return True
     if parts == (2, 2):
-        return p == 2
+        return group.p == 2
     return False
+
+
+# (family, n) -> case of a quadratic pair, where that needs one
+_QUADRATIC_CASE = {("SO", 6): "so6", ("Spin8", 8): "so8"}
 
 
 # ---------------------------------------------------------------------------
 # Spin8 triality profiles
 # ---------------------------------------------------------------------------
+
+
+# spin8_profile by odd-characteristic partition and by _ss_sig
+_SPIN8_UNIPOTENT = {
+    (3, 3, 1, 1): (4, 4, 4),
+    (5, 3): (2, 2, 2),
+    (7, 1): (2, 2, 2),
+    (3, 1, 1, 1, 1, 1): (6, 4, 4),
+}
+_SPIN8_SEMISIMPLE = {
+    (4, 4, ()): (4, 4, 4),
+    (6, 0, (1,)): (6, 4, 4),
+    (2, 0, (3,)): (3, 4, 4),
+    (4, 0, (2,)): (4, 3, 4),
+    (4, 0, (1, 1)): (4, 2, 2),
+    (0, 0, (2, 2)): (2, 4, 2),
+}
 
 
 def spin8_profile(cls: ClassDescriptor) -> tuple:
@@ -184,31 +208,17 @@ def spin8_profile(cls: ClassDescriptor) -> tuple:
             return (4, 6, 4)
         if char2 and parts == (2, 2, 1, 1, 1, 1) and cls.unip.as_type == "c":
             return (6, 6, 6)
-        table = {
-            (3, 3, 1, 1): (4, 4, 4),
-            (5, 3): (2, 2, 2),
-            (7, 1): (2, 2, 2),
-            (3, 1, 1, 1, 1, 1): (6, 4, 4),
-        }
-        if not char2 and parts in table:
-            return table[parts]
+        if not char2 and parts in _SPIN8_UNIPOTENT:
+            return _SPIN8_UNIPOTENT[parts]
         raise OutsideCatalog(f"no catalogued profile for partition {parts}")
     sig = _ss_sig(cls)
-    table = {
-        (4, 4, ()): (4, 4, 4),
-        (6, 0, (1,)): (6, 4, 4),
-        (2, 0, (3,)): (3, 4, 4),
-        (4, 0, (2,)): (4, 3, 4),
-        (4, 0, (1, 1)): (4, 2, 2),
-        (0, 0, (2, 2)): (2, 4, 2),
-    }
-    if sig in table:
-        return table[sig]
+    if sig in _SPIN8_SEMISIMPLE:
+        return _SPIN8_SEMISIMPLE[sig]
     raise OutsideCatalog(f"no catalogued profile for pattern {sig}")
 
 
 # ---------------------------------------------------------------------------
-# family-specific emptiness cases (rules (0)-(2) already checked)
+# family-specific emptiness cases (the first three rules already checked)
 # ---------------------------------------------------------------------------
 
 
@@ -313,11 +323,15 @@ def _sp_even_case(group, classes) -> Optional[str]:
     return None
 
 
-def _family_case(group, classes) -> Optional[str]:
+def _family_case(group, classes, modules) -> Optional[str]:
     fam = group.family
     if fam == "SL":
         return _sl_case(group, classes)
     if fam == "SO":
+        if group.n == 6:
+            # the dimension bound on the SL4 module W
+            w = modules["W"]
+            return "so6" if w["sum_d"] > w["dim"] * (len(classes) - 1) else None
         if group.n % 2 == 0:
             return _so_even_case(group, classes)
         return _so_odd_case(group, classes)
@@ -350,57 +364,40 @@ _TABLE_ROW = {
 # ---------------------------------------------------------------------------
 
 
-def _decide_spin8(group, classes, spin8_profiles) -> Verdict:
-    r = len(classes)
-    if spin8_profiles is not None:
-        if len(spin8_profiles) != r:
-            raise SchemaError("need one profile triple per class")
-        profiles = [tuple(t) for t in spin8_profiles]
-    else:
-        profiles = []
-        for c in classes:
+def _module_profiles(group, classes, spin8_profiles=None) -> tuple:
+    """(d, e, modules, bounded): per class, the largest eigenspace and the
+    1-eigenspace on the natural module; the other modules the rules read,
+    {name: {"dim", "d", "sum_d"}}; and (case_id, dim, d) for each module
+    the dimension rule reads, in order. SO6's natural module is V, the
+    exterior square of the SL4 module W its classes are given on. Spin8's
+    is triality module 1; its d and those of modules 3 and 4 come from
+    ``spin8_profiles``, one (d1, d3, d4) per class, or ``spin8_profile``."""
+    if group.family == "Spin8":
+        if spin8_profiles is None:
             try:
-                profiles.append(spin8_profile(c))
+                spin8_profiles = [spin8_profile(c) for c in classes]
             except OutsideCatalog as exc:
                 raise MissingSpin8Profile(str(exc)) from exc
-    witnesses = {
-        "r": r,
-        "n": 8,
-        "profiles": [list(t) for t in profiles],
-        "sum_d_by_module": [sum(t[j] for t in profiles) for j in range(3)],
-    }
-    for j in range(3):
-        total = sum(t[j] for t in profiles)
-        if total > 8 * (r - 1):
-            return Verdict(
-                True,
-                "DimObstruction",
-                case_id=f"module-{(1, 3, 4)[j]}",
-                witnesses=witnesses,
-            )
-    if r == 2 and all(is_quadratic(c) for c in classes):
-        return Verdict(True, "QuadraticPair", case_id="so8", witnesses=witnesses)
-    return Verdict(False, "Generic", witnesses=witnesses)
-
-
-def _decide_so6(group, classes) -> Verdict:
-    r = len(classes)
-    v_profiles = [so6_transfer(c) for c in classes]
-    w_profiles = [eigen_profile(GroupSpec("SL", 4, group.p), c) for c in classes]
-    witnesses = {
-        "r": r,
-        "n": 6,
-        "d_on_V": [pr.d for pr in v_profiles],
-        "d_on_W": [pr.d for pr in w_profiles],
-        "sum_d": sum(pr.d for pr in v_profiles),
-    }
-    if sum(pr.d for pr in v_profiles) > 6 * (r - 1):
-        return Verdict(True, "DimObstruction", witnesses=witnesses)
-    if r == 2 and all(_so6_quadratic(c, group.p) for c in classes):
-        return Verdict(True, "QuadraticPair", case_id="so6", witnesses=witnesses)
-    if sum(pr.d for pr in w_profiles) > 4 * (r - 1):
-        return Verdict(True, "FamilyTheoremCase", case_id="so6", witnesses=witnesses)
-    return Verdict(False, "Generic", witnesses=witnesses)
+        elif len(spin8_profiles) != len(classes):
+            raise SchemaError("need one profile triple per class")
+        ds = [t[0] for t in spin8_profiles]
+        bounded = [("module-1", 8, ds)]
+        modules = {}
+        for j, name in ((1, "module-3"), (2, "module-4")):
+            d = [t[j] for t in spin8_profiles]
+            modules[name] = {"dim": 8, "d": d, "sum_d": sum(d)}
+            bounded.append((name, 8, d))
+        return ds, [eigen_profile(group, c).e for c in classes], modules, bounded
+    if group.family == "SO" and group.n == 6:
+        w = group.class_group()
+        d = [eigen_profile(w, c).d for c in classes]
+        modules = {"W": {"dim": 4, "d": d, "sum_d": sum(d)}}
+        profiles = [so6_transfer(c) for c in classes]
+    else:
+        modules = {}
+        profiles = [eigen_profile(group, c) for c in classes]
+    ds = [pr.d for pr in profiles]
+    return ds, [pr.e for pr in profiles], modules, ((None, group.n, ds),)
 
 
 def decide(
@@ -408,26 +405,29 @@ def decide(
     classes: Sequence[ClassDescriptor],
     spin8_profiles: Optional[Sequence] = None,
 ) -> Verdict:
+    """Whether no tuple of the classes topologically generates the group:
+    the first rule that fires, in the order below, or Generic. Witnesses:
+    r, n, and d, e, sum_d, sum_e on the natural module; ``modules`` on the
+    others (``_module_profiles``). Only Spin8 reads ``spin8_profiles``."""
     classes = [validate_class(group, c) for c in classes]
     r = len(classes)
     if r < 2:
         raise SchemaError("need at least two classes")
-    if group.family == "Spin8":
-        return _decide_spin8(group, classes, spin8_profiles)
-    if group.family == "SO" and group.n == 6:
-        return _decide_so6(group, classes)
     n = group.n
-    profiles = [eigen_profile(group, c) for c in classes]
-    ds = [pr.d for pr in profiles]
-    es = [pr.e for pr in profiles]
-    witnesses = {"r": r, "n": n, "d": ds, "e": es, "sum_d": sum(ds), "sum_e": sum(es)}
-    if sum(ds) > n * (r - 1):
-        return Verdict(True, "DimObstruction", witnesses=witnesses)
-    if group.family == "Sp" and group.p == 2 and sum(es) >= n * (r - 1):
+    ds, es, modules, bounded = _module_profiles(group, classes, spin8_profiles)
+    sum_e = sum(es)
+    witnesses = {
+        "r": r, "n": n, "d": ds, "e": es, "sum_d": sum(ds), "sum_e": sum_e, "modules": modules
+    }
+    for case_id, dim, d in bounded:
+        if sum(d) > dim * (r - 1):
+            return Verdict(True, "DimObstruction", case_id, witnesses)
+    if group.family == "Sp" and group.p == 2 and sum_e >= n * (r - 1):
         return Verdict(True, "SpChar2FixedVector", witnesses=witnesses)
-    if n >= 3 and r == 2 and all(is_quadratic(c) for c in classes):
-        return Verdict(True, "QuadraticPair", witnesses=witnesses)
-    case = _family_case(group, classes)
+    if n >= 3 and r == 2 and all(_quadratic(group, c) for c in classes):
+        case = _QUADRATIC_CASE.get((group.family, n))
+        return Verdict(True, "QuadraticPair", case, witnesses)
+    case = _family_case(group, classes, modules)
     if case in _TABLE_ROW:
         row = _TABLE_ROW[case].format(n=n)
         return Verdict(True, "TableRow", case_id=row, witnesses=witnesses)
@@ -457,9 +457,14 @@ def scott_lower_bound(group: GroupSpec, classes: Sequence[ClassDescriptor]):
 
 
 def min_generators(group: GroupSpec, cls: ClassDescriptor) -> int:
+    """The least r for which r conjugates of the class can generate. The
+    search starts at the least r the dimension rule allows on every module
+    it reads: r (dim - d) >= dim."""
     cls = validate_class(group, cls)
     n = group.class_group().n if group.family != "Spin8" else 8
-    for r in range(2, n + 2):
+    bounded = _module_profiles(group, [cls])[3]
+    start = max(2, *(-(-dim // (dim - d)) for _, dim, (d,) in bounded))
+    for r in range(start, n + 2):
         if not decide(group, [cls] * r).empty:
             return r
     raise AssertionError("every class generates with at most n+1 conjugates")

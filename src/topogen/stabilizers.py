@@ -18,6 +18,7 @@ from .algebra_core import (
     unipotent,
     validate_class,
 )
+from .closure import _partitions, enumerate_unipotent_partitions
 from .errors import BoundExceeded, UnsupportedCase, UnsupportedGroup
 
 # Exceptional-type thresholds are pure data lookups keyed by type name.
@@ -78,8 +79,6 @@ def generically_free(
 
 
 def _unipotent_shapes(target: GroupSpec) -> list[ClassDescriptor]:
-    from .closure import enumerate_unipotent_partitions
-
     n, p = target.n, target.p
     out = []
     if p == 2 and target.family in ("Sp", "SO", "Spin8"):
@@ -108,21 +107,12 @@ def _unipotent_shapes(target: GroupSpec) -> list[ClassDescriptor]:
     return out
 
 
-def _pair_multisets(total: int):
-    """Multisets of positive pair multiplicities summing to total."""
-    from .closure import _partitions
-
-    return list(_partitions(total))
-
-
 def _semisimple_shapes(target: GroupSpec) -> list[ClassDescriptor]:
     n, p = target.n, target.p
     fam = target.family
     out = []
     if fam == "SL":
         # multiplicity pattern of symbolically independent eigenvalues
-        from .closure import _partitions
-
         for mults in _partitions(n):
             if len(mults) < 2:
                 continue
@@ -156,7 +146,7 @@ def _semisimple_shapes(target: GroupSpec) -> list[ClassDescriptor]:
     # odd prime order (order tag left generic): 1-eigenspace plus pairs
     for pair_total in range(1, n // 2 + 1):
         a = n - 2 * pair_total
-        for mults in _pair_multisets(pair_total):
+        for mults in _partitions(pair_total):
             pairs = [(f"l{i + 1}", m) for i, m in enumerate(mults)]
             try:
                 out.append(validate_class(target, semisimple(ones=a, pairs=pairs)))
@@ -210,10 +200,6 @@ class CValue:
     skipped: bool  # some shapes were skipped for lack of dimension data
 
 
-def _shape_sort_key(cls: ClassDescriptor) -> str:
-    return repr(cls)
-
-
 def c_value(group: GroupSpec, bound: int = 12) -> CValue:
     """max{r * dim C} over class shapes C, r = minimal generator count."""
     from .invariants import class_dim
@@ -221,7 +207,7 @@ def c_value(group: GroupSpec, bound: int = 12) -> CValue:
 
     best: Optional[tuple] = None
     skipped = False
-    for cls in sorted(enumerate_class_shapes(group, bound=bound), key=_shape_sort_key):
+    for cls in sorted(enumerate_class_shapes(group, bound=bound), key=repr):
         try:
             dim = class_dim(group, cls).dim_class
             r = min_generators(group, cls)

@@ -284,8 +284,8 @@ class TestCriterion7MinGenerators:
 class TestCriterion8PSp43:
     def test_exact_enumeration(self):
         with Budget(600.0):
-            data = finfield._group_data("Sp", 4, 3, 10**6)
-            assert data.order == finfield.group_order("Sp", 4, 3) == 51840
+            order, _ = finfield.group_closure(finfield.standard_generators("Sp", 4, 3))
+            assert order == finfield.group_order("Sp", 4, 3) == 51840
             assert finfield.projective_order("Sp", 4, 3) == 25920
             assert finfield.exact_generation_probability(("Sp", 4, 3), 2, 3) == 0
             assert finfield.exact_generation_probability(("Sp", 4, 3), 3, 3) == 0

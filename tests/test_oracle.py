@@ -1,9 +1,18 @@
 """Unit tests for the emptiness decision engine."""
 
+import itertools
+
 import pytest
 
 from topogen.algebra_core import GroupSpec, semisimple, unipotent, validate_class
-from topogen.errors import BadCharacteristic, MissingSpin8Profile, SchemaError
+from topogen.errors import (
+    BadCharacteristic,
+    MissingSpin8Profile,
+    OutsideCatalog,
+    SchemaError,
+    UnsupportedGroup,
+)
+from topogen.invariants import eigen_profile
 from topogen.oracle import (
     decide,
     min_generators,
@@ -11,6 +20,7 @@ from topogen.oracle import (
     so6_transfer,
     spin8_profile,
 )
+from topogen.stabilizers import enumerate_class_shapes
 
 SP4 = GroupSpec("Sp", 4, 0)
 MI22 = semisimple(ones=2, minus_ones=2, order=2)
@@ -137,7 +147,7 @@ class TestSO6Route:
         u = unipotent(partition=(3, 1))
         v = decide(g, [s, u])
         assert v.empty and v.reason == "FamilyTheoremCase" and v.case_id == "so6"
-        assert v.witnesses["d_on_W"] == [3, 2]
+        assert v.witnesses["modules"]["W"]["d"] == [3, 2]
 
     def test_generic_pair(self):
         g = GroupSpec("SO", 6, 0)
@@ -239,3 +249,120 @@ class TestMinGenerators:
         g = GroupSpec("Sp", 6, 2)
         b1 = unipotent(decoration=[{"V": 2, "mult": 1}, {"W": 1, "mult": 2}], order=2)
         assert min_generators(g, b1) == 7
+
+
+# ---------------------------------------------------------------------------
+# invariants of the one rule chain, over every class shape
+# ---------------------------------------------------------------------------
+
+WITNESS_KEYS = {"r", "n", "d", "e", "sum_d", "sum_e", "modules"}
+
+
+def _natural_d(g, c):
+    """Largest eigenspace on the natural module, computed apart from decide,
+    or None for a Spin8 shape outside the triality catalogue."""
+    if g.family == "Spin8":
+        try:
+            return spin8_profile(c)[0]
+        except OutsideCatalog:
+            return None
+    if g.family == "SO" and g.n == 6:
+        return so6_transfer(c).d
+    return eigen_profile(g, c).d
+
+
+def _verdict(g, classes):
+    """decide's verdict, or None when it refuses for want of a Spin8 profile."""
+    try:
+        return decide(g, classes)
+    except MissingSpin8Profile:
+        return None
+
+
+def _sweep_groups():
+    """Every group that enumerate_class_shapes accepts at p = 0, 2, 3, with
+    SL_n for n <= 6 only: SL_n has no family case for n >= 3, so larger n
+    would only repeat the rules SL3..SL6 reach, at over three times the cost."""
+    out = []
+    for p, family, n in itertools.product((0, 2, 3), ("SL", "Sp", "SO", "Spin8"), range(2, 13)):
+        if family == "SL" and n > 6:
+            continue
+        try:
+            out.append(GroupSpec(family, n, p))
+        except UnsupportedGroup:
+            continue
+    return out
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """(group, shapes, {(i, j): verdict}) for every ordered pair of shapes."""
+    out = []
+    for g in _sweep_groups():
+        shapes = [validate_class(g, c) for c in enumerate_class_shapes(g)]
+        verdicts = {
+            (i, j): _verdict(g, [a, b])
+            for (i, a), (j, b) in itertools.product(enumerate(shapes), repeat=2)
+        }
+        out.append((g, shapes, verdicts))
+    return out
+
+
+class TestRuleChainSweep:
+    def test_covers_every_family(self, sweep):
+        assert {g.family for g, _, _ in sweep} == {"SL", "Sp", "SO", "Spin8"}
+        assert sum(len(shapes) for _, shapes, _ in sweep) == 980
+
+    def test_symmetric(self, sweep):
+        for g, shapes, verdicts in sweep:
+            for (i, j), v in verdicts.items():
+                w = verdicts[j, i]
+                if v is None or w is None:
+                    assert v is w, (g, i, j)
+                    continue
+                assert (v.empty, v.reason, v.case_id) == (w.empty, w.reason, w.case_id), (g, i, j)
+
+    def test_one_witness_schema(self, sweep):
+        for g, shapes, verdicts in sweep:
+            natural = [_natural_d(g, c) for c in shapes]
+            for (i, j), v in verdicts.items():
+                if v is None:
+                    continue
+                w = v.witnesses
+                assert w.keys() == WITNESS_KEYS, (g, i, j)
+                assert w["sum_d"] == sum(w["d"]) == natural[i] + natural[j], (g, i, j)
+                assert w["sum_e"] == sum(w["e"])
+                for m in w["modules"].values():
+                    assert m.keys() == {"dim", "d", "sum_d"} and m["sum_d"] == sum(m["d"])
+
+    def test_third_class_keeps_nonempty(self, sweep):
+        # each multiset of three shapes once, for n <= 8: it must not be
+        # empty when one of its pairs is not
+        for g, shapes, verdicts in sweep:
+            if g.n > 8:
+                continue
+            for i, j, k in itertools.combinations_with_replacement(range(len(shapes)), 3):
+                if all(v is None or v.empty for v in (verdicts[i, j], verdicts[i, k], verdicts[j, k])):
+                    continue
+                u = _verdict(g, [shapes[i], shapes[j], shapes[k]])
+                assert u is None or not u.empty, (g, i, j, k)
+
+    def test_min_generators_bounds(self, sweep):
+        for g, shapes, verdicts in sweep:
+            for i, c in enumerate(shapes):
+                v = verdicts[i, i]
+                if v is None:
+                    continue
+                w = v.witnesses
+                # the dimension rule reads the natural module and, for
+                # Spin8, triality modules 3 and 4
+                bounded = [(w["n"], w["d"][0])] + [
+                    (m["dim"], m["d"][0]) for name, m in w["modules"].items() if name != "W"
+                ]
+                lower = 2
+                while any(lower * d > dim * (lower - 1) for dim, d in bounded):
+                    lower += 1
+                r = min_generators(g, c)
+                assert r >= lower, (g, c)
+                assert not decide(g, [c] * r).empty, (g, c)
+                assert r == 2 or decide(g, [c] * (r - 1)).empty, (g, c)
