@@ -13,6 +13,7 @@ from operator import index
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
+    BoundExceeded,
     CentralClass,
     DimensionMismatch,
     OrderViolation,
@@ -29,14 +30,35 @@ UNIPOTENT_CHAR_0 = "unipotent-char-0"
 REL_SQUARE_MINUS_ONE = "square_is_minus_one"
 
 
+# Miller-Rabin with the prime bases up to 41 decides primality exactly below
+# _PRIME_LIMIT (Sorenson and Webster, Math. Comp. 2017); larger numbers are
+# refused, so no query can make the test slow or wrong
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+# the small numbers most queries carry (p, class orders) are looked up; below
+# 43^2 a number is prime iff no smaller base divides it
+_SMALL_PRIMES = frozenset(m for m in range(2, 43 * 43) if all(m % a for a in _PRIME_BASES if a < m))
+
+
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    """Whether ``m`` is prime; BoundExceeded for ``m`` of 3.3e24 and more."""
+    if m < 43 * 43:
+        return m in _SMALL_PRIMES
+    if m >= _PRIME_LIMIT:
+        raise BoundExceeded(f"primality is decided below {_PRIME_LIMIT} only, got {m}")
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -3,16 +3,16 @@
 Batch commands over a JSON input document (schema "topogen/1"):
 decide, classdim, closure, genfree, maxclass, rslimit, verify.
 Exit codes: 0 computed result (including Empty verdicts), 1 failed verify
-suite, 2 invalid input, 3 well-formed but unsupported case. ``handle`` is
-the in-process entry point; the click group ``main`` is a thin shell on it.
+suite, 2 invalid input (and usage errors), 3 well-formed but unsupported
+case. ``handle`` is the in-process entry point; ``main`` is a thin argparse
+shell on it, with its parser built once at import.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
-
-import click
 
 from .algebra_core import (
     ClassDescriptor,
@@ -137,7 +137,8 @@ def _document(doc) -> dict:
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nested deeper than the decoder can follow
             raise SchemaError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("input document must be a JSON object")
@@ -375,44 +376,67 @@ def handle(command: str, doc: dict | str) -> tuple[int, dict | str]:
 
 
 # ---------------------------------------------------------------------------
-# click shell
+# argparse shell
 # ---------------------------------------------------------------------------
 
 
-def _run(fmt, input_path=None, suite=None):
-    try:
-        if suite is not None:
-            doc = {"suite": suite}
-        elif input_path in (None, "-"):
-            doc = sys.stdin.read()
+class _Shell:
+    """The ``topogen`` command line on ``handle``, with its parser built once.
+
+    ``main`` is an instance, not a function, so that it keeps its ``main``
+    method when tools wrap every public function of this module."""
+
+    def __init__(self):
+        self.parser = argparse.ArgumentParser(
+            prog="topogen",
+            description="Exact decision toolkit for topological generation of simple "
+            "classical groups by prime-order conjugacy classes.",
+        )
+        commands = self.parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+        for name, command in COMMANDS.items():
+            sub = commands.add_parser(
+                name, help=command.__doc__, description=command.__doc__, allow_abbrev=False
+            )
+            if name == "verify":
+                sub.add_argument("suite", choices=SUITES, metavar="SUITE")
+            else:
+                sub.add_argument("--input", help="JSON input file (default stdin)")
+            sub.add_argument("--format", choices=("json", "text"), default="json")
+
+    def __call__(self, args=None):
+        self.main(args)
+
+    def main(self, args=None, prog_name="topogen", standalone_mode=True):
+        """Run the command line ``args`` (default ``sys.argv[1:]``). It
+        returns on exit 0 and raises ``SystemExit(code)`` otherwise, 2 for a
+        usage error with the usage on stderr; ``--help`` exits through
+        ``SystemExit(0)``. ``prog_name`` and ``standalone_mode`` change
+        nothing: they keep the call form
+        ``main.main(args=[...], prog_name="topogen", standalone_mode=False)``
+        working."""
+        ns = self.parser.parse_args(args)
+        try:
+            if ns.command == "verify":
+                doc = {"suite": ns.suite}
+            elif ns.input in (None, "-"):
+                doc = sys.stdin.read()
+            else:
+                with open(ns.input) as f:
+                    doc = f.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            code, out = 2, f"invalid input: cannot read the document: {exc}"
         else:
-            with open(input_path) as f:
-                doc = f.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        code, out = 2, f"invalid input: cannot read the document: {exc}"
-    else:
-        code, out = handle(click.get_current_context().command.name, doc)
-    if isinstance(out, dict) and fmt == "json":
-        out = json.dumps(out, indent=2, default=str)
-    elif isinstance(out, dict):
-        out = "\n".join(f"{key}: {value}" for key, value in out.items())
-    click.echo(out, err=code > 1)
-    if code:
-        sys.exit(code)
+            code, out = handle(ns.command, doc)
+        if isinstance(out, dict) and ns.format == "json":
+            out = json.dumps(out, indent=2, default=str)
+        elif isinstance(out, dict):
+            out = "\n".join(f"{key}: {value}" for key, value in out.items())
+        print(out, file=sys.stderr if code > 1 else sys.stdout)
+        if code:
+            sys.exit(code)
 
 
-@click.group()
-def main():
-    """Exact decision toolkit for topological generation of simple
-    classical groups by prime-order conjugacy classes."""
-
-
-_INPUT = click.Option(["--input", "input_path"], help="JSON input file (default stdin)")
-_FORMAT = click.Option(["--format", "fmt"], type=click.Choice(["json", "text"]), default="json")
-_SUITE = click.Argument(["suite"], type=click.Choice(list(SUITES)))
-for _name, _command in COMMANDS.items():
-    _params = [_SUITE if _name == "verify" else _INPUT, _FORMAT]
-    main.add_command(click.Command(_name, callback=_run, params=_params, help=_command.__doc__))
+main = _Shell()
 
 
 if __name__ == "__main__":

@@ -235,20 +235,28 @@ def _so_even_case(group, classes) -> Optional[str]:
     p = group.p
     if len(classes) != 2 or m < 5:
         return None
+    # the semisimple options x1 = (lambda I_{m-1}, lambda^-1 I_{m-1}, mu, mu^-1)
+    # and x2 = (lambda I_m, lambda^-1 I_m) complete the product: every pair
+    # they add is below the adjoint-module bound (scott_lower_bound), which
+    # is proved in good characteristic only, so at p = 2 they stay open
+    ss_x1 = lambda c: p != 2 and _is_ss(c, 0, 0, (m - 1, 1))
+    ss_x2 = lambda c: p != 2 and _is_ss(c, 0, 0, (m,))
     if m % 2:  # m >= 5 odd
         x1_opts = [
             lambda c: _is_ss(c, 2, 0, (m - 1,)),
             lambda c: p != 2 and _is_unip(c, (3, 3) + (2,) * (m - 3)),
+            ss_x1,
         ]
-        x2 = lambda c: _is_unip(c, (2,) * (m - 1) + (1, 1), a_type_if_char2=True)
+        x2 = lambda c: _is_unip(c, (2,) * (m - 1) + (1, 1), a_type_if_char2=True) or ss_x2(c)
         case = "so2nodd"
     else:  # m >= 6 even
         x1_opts = [
             lambda c: _is_ss(c, 2, 0, (m - 1,)),
             lambda c: p != 2 and _is_unip(c, (3, 3) + (2,) * (m - 4) + (1, 1)),
             lambda c: p != 2 and _is_unip(c, (3,) + (2,) * (m - 2) + (1,)),
+            ss_x1,
         ]
-        x2 = lambda c: _is_unip(c, (2,) * m, a_type_if_char2=True)
+        x2 = lambda c: _is_unip(c, (2,) * m, a_type_if_char2=True) or ss_x2(c)
         case = "so2neven"
     for a, b in (classes, classes[::-1]):
         if x2(b) and any(opt(a) for opt in x1_opts):

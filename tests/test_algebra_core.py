@@ -14,6 +14,7 @@ from topogen.algebra_core import (
     validate_class,
 )
 from topogen.errors import (
+    BoundExceeded,
     CentralClass,
     DimensionMismatch,
     OrderViolation,
@@ -72,6 +73,25 @@ class TestPartitionHelpers:
 
     def test_is_prime(self):
         assert [m for m in range(14) if is_prime(m)] == [2, 3, 5, 7, 11, 13]
+
+    def test_is_prime_agrees_with_trial_division(self):
+        sieve = [True] * 100000
+        sieve[0] = sieve[1] = False
+        for d in range(2, 317):
+            sieve[d * d :: d] = [False] * len(range(d * d, 100000, d))
+        assert all(is_prime(m) == sieve[m] for m in range(100000))
+
+    def test_is_prime_large(self):
+        # strong pseudoprime to the bases 2, 3, 5 and 7
+        assert not is_prime(3215031751)
+        assert is_prime(2**61 - 1) and is_prime(10**12 + 39)
+        assert not is_prime((2**31 - 1) * (10**12 + 39))
+
+    def test_is_prime_refuses_past_its_bound(self):
+        with pytest.raises(BoundExceeded):
+            is_prime(2**89 - 1)
+        with pytest.raises(BoundExceeded):
+            GroupSpec("SL", 2, 2**89 - 1)
 
 
 class TestSemisimpleValidation:

@@ -2,19 +2,43 @@
 
 import io
 import json
+import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
-from click.testing import CliRunner
 
 from topogen.cli import handle, main
 
 
-def run(args, payload=None):
-    runner = CliRunner()
-    inp = json.dumps(payload) if payload is not None else None
-    return runner.invoke(main, args, input=inp)
+class Result(NamedTuple):
+    exit_code: int
+    output: str  # stdout, then stderr
+    stderr: str
+    exception: Optional[BaseException]  # what ended a run with a nonzero exit code
+
+
+def run(args, payload=None, text=None):
+    """``main.main(args)`` with stdin holding ``payload`` as JSON (or the
+    raw ``text``), and stdout and stderr swapped for buffers."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(payload) if payload is not None else text or "")
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            main.main(args, prog_name="topogen")
+        code, exception = 0, None
+    except SystemExit as exc:
+        code = exc.code or 0
+        exception = exc if code else None
+    except Exception as exc:
+        code, exception = 1, exc
+    finally:
+        sys.stdin = stdin
+    return Result(code, out.getvalue() + err.getvalue(), err.getvalue(), exception)
 
 
 def run_json(args, payload):
@@ -77,7 +101,7 @@ class TestDecideCommand:
         assert result.exit_code == 2
 
     def test_malformed_json_exit_2(self):
-        result = CliRunner().invoke(main, ["decide"], input="not json")
+        result = run(["decide"], text="not json")
         assert result.exit_code == 2
 
 
@@ -324,6 +348,21 @@ class TestHandle:
         code, out = handle("closure", {"group": {"family": "Sp", "n": 4, "p": 3}, "dot": True})
         assert code == 0 and out.startswith("digraph")
 
+    def test_large_prime_answers_fast(self):
+        # trial division up to sqrt(r) would take minutes here
+        start = time.perf_counter()
+        code, out = handle("rslimit", {**RS, "r": 2**61 - 1})
+        assert (code, out) == (0, {"schema": "topogen/1", "limit": "1"})
+        assert time.perf_counter() - start < 0.5
+
+    def test_prime_past_the_bound_exit_3(self):
+        code, out = handle("rslimit", {**RS, "r": 2**89 - 1})
+        assert code == 3 and out.startswith("unsupported case: primality")
+
+    def test_deeply_nested_json_exit_2(self):
+        code, out = handle("decide", "[" * 100000)
+        assert code == 2 and out.startswith("invalid input: input is not valid JSON: ")
+
     def test_unsupported_case_exit_3(self):
         code, out = handle("maxclass", {"group": {"family": "Sp", "n": 4, "p": 0}, "r": 11, "i": 10})
         assert code == 3 and out.startswith("unsupported case: ")
@@ -359,3 +398,63 @@ class TestInProcessEntryForm:
     def test_dot_prints_digraph(self, monkeypatch):
         out = call_main(monkeypatch, "closure", {"group": {"family": "Sp", "n": 4, "p": 3}, "dot": True})
         assert out.startswith("digraph")
+
+
+class TestShell:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bogus"],
+            ["rslimit", "--format", "xml"],
+            ["verify", "bogus"],
+            [],
+            ["rslimit", "--form", "text"],
+        ],
+        ids=["unknown-command", "format-xml", "verify-bogus", "no-command", "abbreviated-option"],
+    )
+    def test_usage_error_exit_2(self, args):
+        result = run(args, RS)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("usage: topogen")
+        assert result.output == result.stderr
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("args", [["--help"], ["decide", "--help"], ["verify", "--help"]])
+    def test_help_exit_0(self, args):
+        result = run(args)
+        assert result.exit_code == 0 and result.exception is None
+        assert result.output.startswith("usage: topogen")
+
+    def test_text_format(self):
+        result = run(["rslimit", "--format", "text"], RS)
+        assert (result.exit_code, result.output) == (0, "schema: topogen/1\nlimit: 1/2\n")
+
+    def test_refusal_goes_to_stderr(self):
+        result = run(["rslimit"], {**RS, "s": 2})
+        assert result.exit_code == 2
+        assert result.output == result.stderr
+        assert result.stderr.startswith("invalid input: ") and result.stderr.endswith("\n")
+
+    def test_console_script_call_exits_with_the_code(self, monkeypatch):
+        # the console script calls main() and exits with what it returns
+        monkeypatch.setattr(sys, "argv", ["topogen", "rslimit"])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(RS)))
+        with redirect_stdout(io.StringIO()) as out:
+            assert main() is None
+        assert json.loads(out.getvalue())["limit"] == "1/2"
+
+    def test_module_run_end_to_end(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {"PYTHONPATH": src, "PATH": ""}
+        done = subprocess.run(
+            [sys.executable, "-m", "topogen.cli", "rslimit"],
+            input=json.dumps(RS), capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout) == {"schema": "topogen/1", "limit": "1/2"}
+        check = "import sys, topogen.cli; print('click' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", check], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr

@@ -12,7 +12,8 @@ from topogen.errors import (
     SchemaError,
     UnsupportedGroup,
 )
-from topogen.invariants import eigen_profile
+from topogen.closure import in_closure
+from topogen.invariants import class_dim, eigen_profile
 from topogen.oracle import (
     decide,
     min_generators,
@@ -279,12 +280,12 @@ def _verdict(g, classes):
         return None
 
 
-def _sweep_groups():
-    """Every group that enumerate_class_shapes accepts at p = 0, 2, 3, with
+def _sweep_groups(primes=(0, 2, 3)):
+    """Every group that enumerate_class_shapes accepts at ``primes``, with
     SL_n for n <= 6 only: SL_n has no family case for n >= 3, so larger n
     would only repeat the rules SL3..SL6 reach, at over three times the cost."""
     out = []
-    for p, family, n in itertools.product((0, 2, 3), ("SL", "Sp", "SO", "Spin8"), range(2, 13)):
+    for p, family, n in itertools.product(primes, ("SL", "Sp", "SO", "Spin8"), range(2, 13)):
         if family == "SL" and n > 6:
             continue
         try:
@@ -346,6 +347,31 @@ class TestRuleChainSweep:
                     continue
                 u = _verdict(g, [shapes[i], shapes[j], shapes[k]])
                 assert u is None or not u.empty, (g, i, j, k)
+
+    def test_no_generic_pair_below_the_adjoint_bound(self, sweep):
+        # scott_lower_bound is necessary for generation wherever it is
+        # defined, so a pair below it must be empty
+        checked = set()
+        for g, shapes, verdicts in sweep:
+            if g.family != "SL" and g.p == 2:
+                continue
+            checked.add((g.family, g.n, g.p))
+            for (i, j), v in verdicts.items():
+                if v is not None and v.reason == "Generic":
+                    assert scott_lower_bound(g, [shapes[i], shapes[j]])[0], (g, i, j)
+        assert {("SO", n, p) for n in (10, 12) for p in (0, 3)} <= checked
+
+    def test_closure_lowers_class_dim(self):
+        # a class in the closure of another, distinct one has smaller dimension
+        containments = 0
+        for g in _sweep_groups((0, 2, 3, 5)):
+            shapes = [c for c in enumerate_class_shapes(g) if c.kind == "unipotent"]
+            dims = [(c, class_dim(g, c).dim_class) for c in shapes]
+            for (upper, up), (lower, low) in itertools.permutations(dims, 2):
+                if in_closure(g, upper, lower):
+                    assert low < up, (g, upper, lower)
+                    containments += 1
+        assert containments == 2915
 
     def test_min_generators_bounds(self, sweep):
         for g, shapes, verdicts in sweep:
