@@ -96,6 +96,10 @@ class GroupSpec:
                 raise UnsupportedGroup("odd orthogonal groups require p != 2")
         if f == "Spin8" and n != 8:
             raise UnsupportedGroup("Spin8 fixes n = 8")
+        if f == "SO" and n == 6:
+            # built once here, not in each class_group() call; an attribute,
+            # not a field, so equality, hash and repr do not see it
+            object.__setattr__(self, "_sl4", GroupSpec("SL", 4, self.p))
 
     @property
     def is_orthogonal(self) -> bool:
@@ -109,7 +113,7 @@ class GroupSpec:
         self-describing.
         """
         if self.family == "SO" and self.n == 6:
-            return GroupSpec("SL", 4, self.p)
+            return self._sl4
         return self
 
 

@@ -46,17 +46,16 @@ def is_quadratic(cls: ClassDescriptor) -> bool:
     return len(cls.eigen.mults()) == 2
 
 
-def _semisimple_centralizer_dim(group: GroupSpec, cls: ClassDescriptor) -> int:
-    pat = cls.eigen
-    a, b = pat.mult_one, pat.mult_minus_one
-    pair_sq = sum(m * m for _, m in pat.pairs)
-    fam = group.family
-    if fam == "Sp":
+def _semisimple_centralizer_dim(family: str, a: int, b: int, pair_mults=(), free_mults=()) -> int:
+    """From the multiplicities: a and b of the eigenvalues 1 and -1, one
+    entry per inverse pair {lam, lam^-1}, one per unpaired eigenvalue."""
+    pair_sq = sum(m * m for m in pair_mults)
+    if family == "Sp":
         return a * (a + 1) // 2 + b * (b + 1) // 2 + pair_sq
-    if fam in ("SO", "Spin8"):
+    if family in ("SO", "Spin8"):
         return a * (a - 1) // 2 + b * (b - 1) // 2 + pair_sq
     # SL: sum of squared multiplicities over all distinct eigenvalues, minus 1
-    return sum(m * m for m in pat.mults()) - 1
+    return a * a + b * b + 2 * pair_sq + sum(m * m for m in free_mults) - 1
 
 
 def _unipotent_centralizer_dim_odd(fam: str, partition: tuple) -> int:
@@ -98,7 +97,14 @@ def class_dim(group: GroupSpec, cls: ClassDescriptor) -> ClassDim:
     target = group.class_group()
     dim_g, _ = dim_and_rank(target)
     if cls.kind == "semisimple":
-        cent = _semisimple_centralizer_dim(target, cls)
+        pat = cls.eigen
+        cent = _semisimple_centralizer_dim(
+            target.family,
+            pat.mult_one,
+            pat.mult_minus_one,
+            [m for _, m in pat.pairs],
+            [m for _, m in pat.free],
+        )
     elif target.p == 2 and target.family in ("Sp", "SO", "Spin8"):
         cent = _unipotent_centralizer_dim_char2(target, cls)
     else:

@@ -9,17 +9,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .algebra_core import (
     ClassDescriptor,
     GroupSpec,
+    dim_and_rank,
     is_prime,
     semisimple,
     unipotent,
     validate_class,
 )
-from .errors import CentralClass, Infeasible, NotApplicable, SchemaError, UnsupportedCase
-from .invariants import class_dim
+from .errors import Infeasible, NotApplicable, SchemaError, UnsupportedCase
+from .invariants import _semisimple_centralizer_dim, class_dim
 
 
 @dataclass(frozen=True)
@@ -72,25 +74,42 @@ def _unipotent_max(group: GroupSpec, p_order: int):
     return _argmax(cands)
 
 
+def _best(cands, build):
+    """_argmax over build(key) for the (key, dim) candidates of greatest
+    dimension; the others are never built or validated."""
+    top, keys = None, []
+    for key, dim in cands:
+        if top is None or dim > top:
+            top, keys = dim, [key]
+        elif dim == top:
+            keys.append(key)
+    return _argmax((build(key), top) for key in keys)
+
+
 def _involution_max(group: GroupSpec):
     if group.family == "SL":
-        cands = []
-        for b in range(2, group.n, 2):
-            cls = validate_class(
-                group, semisimple(ones=group.n - b, minus_ones=b, order=2)
-            )
-            cands.append((cls, class_dim(group, cls).dim_class))
-        if group.n % 2 == 0:
-            cls = validate_class(
+        n = group.n
+        dim_g = dim_and_rank(group)[0]
+        # key b: (1^(n-b), (-1)^b); key 0: (lam, lam^-1) with lam^2 = -1,
+        # each n/2 times
+        cands = ((b, dim_g - _semisimple_centralizer_dim("SL", n - b, b)) for b in range(2, n, 2))
+        if n % 2 == 0:
+            pair = _semisimple_centralizer_dim("SL", 0, 0, pair_mults=(n // 2,))
+            cands = chain(cands, [(0, dim_g - pair)])
+
+        def build(b):
+            if b:
+                return validate_class(group, semisimple(ones=n - b, minus_ones=b, order=2))
+            return validate_class(
                 group,
                 semisimple(
-                    pairs=[("l1", group.n // 2)],
+                    pairs=[("l1", n // 2)],
                     relations={"l1": "square_is_minus_one"},
                     order=2,
                 ),
             )
-            cands.append((cls, class_dim(group, cls).dim_class))
-        return _argmax(cands)
+
+        return _best(cands, build)
     from .stabilizers import enumerate_class_shapes
 
     shapes = enumerate_class_shapes(
@@ -134,31 +153,38 @@ def _semisimple_max(group: GroupSpec, ctx: QContext):
         pairing = "pairs"
     if slots == 0:
         raise Infeasible(f"no order-{r} torus element with i = {i}")
-    cands = []
-    for mults in _mult_vectors(slots, weight, n):
-        e = n - weight * sum(mults)
-        if e < 0:
-            continue
-        if fam == "Sp" and e % 2:
-            continue
-        if group.is_orthogonal and e % 2 != n % 2:
-            continue
+    dim_g = dim_and_rank(group)[0]
+
+    def cands():
+        for mults in _mult_vectors(slots, weight, n):
+            e = n - weight * sum(mults)
+            if e < 0:
+                continue
+            if fam == "Sp" and e % 2:
+                continue
+            if group.is_orthogonal and e % 2 != n % 2:
+                continue
+            each = [a for a in mults for _ in range(labels_per_slot)]
+            if pairing == "pairs":
+                cent = _semisimple_centralizer_dim(fam, e, 0, pair_mults=each)
+            elif n in each:
+                continue  # lam I_n is central
+            else:
+                cent = _semisimple_centralizer_dim(fam, e, 0, free_mults=each)
+            yield mults, dim_g - cent
+
+    def build(mults):
         labels = []
         for j, a in enumerate(mults):
             for k in range(labels_per_slot):
                 labels.append((f"l{j + 1}_{k + 1}", a))
-        relations = {lab: f"order:{r}" for lab, _ in labels}
-        kwargs = {"relations": relations, "order": r}
+        e = n - weight * sum(mults)
+        kwargs = {"relations": {lab: f"order:{r}" for lab, _ in labels}, "order": r}
         if pairing == "pairs":
-            cls = semisimple(ones=e, pairs=labels, **kwargs)
-        else:
-            cls = semisimple(free=labels, ones=e, **kwargs)
-        try:
-            cls = validate_class(group, cls)
-        except (UnsupportedCase, CentralClass):
-            continue
-        cands.append((cls, class_dim(group, cls).dim_class))
-    return _argmax(cands)
+            return validate_class(group, semisimple(ones=e, pairs=labels, **kwargs))
+        return validate_class(group, semisimple(free=labels, ones=e, **kwargs))
+
+    return _best(cands(), build)
 
 
 def max_class(group: GroupSpec, ctx: QContext) -> tuple[ClassDescriptor, int]:

@@ -28,7 +28,13 @@ from .errors import (
     OutsideCatalog,
     SchemaError,
 )
-from .invariants import EigenProfile, class_dim, eigen_profile, is_quadratic
+from .invariants import (
+    EigenProfile,
+    _wedge2_blocks,
+    class_dim,
+    eigen_profile,
+    is_quadratic,
+)
 
 
 @dataclass(frozen=True)
@@ -129,18 +135,26 @@ def so6_transfer(sl4_class: ClassDescriptor) -> EigenProfile:
     (distinct untagged labels are treated as multiplicatively independent).
     """
     if sl4_class.kind == "unipotent":
-        parts = sl4_class.unip.partition
-        if sum(parts) != 4:
-            raise SchemaError("transfer expects a 4-dimensional class")
-        from .invariants import _wedge2_blocks
-
-        blocks = _wedge2_blocks(parts)
-        return EigenProfile(d=blocks, e=blocks)
-    pat = sl4_class.eigen
-    if pat.total() != 4:
+        total = sum(sl4_class.unip.partition)
+    else:
+        total = sl4_class.eigen.total()
+    if total != 4:
         raise SchemaError("transfer expects a 4-dimensional class")
-    products = _so6_products(pat)
-    return EigenProfile(d=max(products.values()), e=products.get((1, ()), 0))
+    return _so6_image(sl4_class, 0)[0]
+
+
+def _so6_image(sl4_class: ClassDescriptor, p: int) -> tuple[EigenProfile, bool]:
+    """so6_transfer's profile, and whether the minimal polynomial on the
+    exterior square has degree 2 (in characteristic p)."""
+    if sl4_class.kind == "unipotent":
+        parts = sl4_class.unip.partition
+        blocks = _wedge2_blocks(parts)
+        # exterior-square Jordan types of the partitions of 4
+        quadratic = parts == (2, 1, 1) or (parts == (2, 2) and p == 2)
+        return EigenProfile(d=blocks, e=blocks), quadratic
+    products = _so6_products(sl4_class.eigen)
+    profile = EigenProfile(d=max(products.values()), e=products.get((1, ()), 0))
+    return profile, len(products) == 2
 
 
 def _so6_products(pat) -> Counter:
@@ -152,21 +166,6 @@ def _so6_products(pat) -> Counter:
         for s2, m2 in syms[i + 1 :]:
             products[_mul_symbols(pat, s1, s2)] += m1 * m2
     return +products
-
-
-def _quadratic(group: GroupSpec, cls: ClassDescriptor) -> bool:
-    """Minimal polynomial of degree 2 on the natural module."""
-    if group.family != "SO" or group.n != 6:
-        return is_quadratic(cls)
-    if cls.kind == "semisimple":
-        return len(_so6_products(cls.eigen)) == 2
-    parts = cls.unip.partition
-    # exterior-square Jordan types of the partitions of 4
-    if parts == (2, 1, 1):
-        return True
-    if parts == (2, 2):
-        return group.p == 2
-    return False
 
 
 # (family, n) -> case of a quadratic pair, where that needs one
@@ -373,13 +372,15 @@ _TABLE_ROW = {
 
 
 def _module_profiles(group, classes, spin8_profiles=None) -> tuple:
-    """(d, e, modules, bounded): per class, the largest eigenspace and the
-    1-eigenspace on the natural module; the other modules the rules read,
-    {name: {"dim", "d", "sum_d"}}; and (case_id, dim, d) for each module
-    the dimension rule reads, in order. SO6's natural module is V, the
-    exterior square of the SL4 module W its classes are given on. Spin8's
-    is triality module 1; its d and those of modules 3 and 4 come from
-    ``spin8_profiles``, one (d1, d3, d4) per class, or ``spin8_profile``."""
+    """(d, e, modules, bounded, quadratic): per class, the largest
+    eigenspace and the 1-eigenspace on the natural module; the other
+    modules the rules read, {name: {"dim", "d", "sum_d"}}; (case_id, dim,
+    d) for each module the dimension rule reads, in order; and, lazily,
+    per class whether its minimal polynomial on the natural module has
+    degree 2. SO6's natural module is V, the exterior square of the SL4
+    module W its classes are given on. Spin8's is triality module 1; its d
+    and those of modules 3 and 4 come from ``spin8_profiles``, one
+    (d1, d3, d4) per class, or ``spin8_profile``."""
     if group.family == "Spin8":
         if spin8_profiles is None:
             try:
@@ -395,17 +396,19 @@ def _module_profiles(group, classes, spin8_profiles=None) -> tuple:
             d = [t[j] for t in spin8_profiles]
             modules[name] = {"dim": 8, "d": d, "sum_d": sum(d)}
             bounded.append((name, 8, d))
-        return ds, [eigen_profile(group, c).e for c in classes], modules, bounded
+        es = [eigen_profile(group, c).e for c in classes]
+        return ds, es, modules, bounded, map(is_quadratic, classes)
     if group.family == "SO" and group.n == 6:
         w = group.class_group()
         d = [eigen_profile(w, c).d for c in classes]
         modules = {"W": {"dim": 4, "d": d, "sum_d": sum(d)}}
-        profiles = [so6_transfer(c) for c in classes]
+        profiles, quadratic = zip(*(_so6_image(c, group.p) for c in classes))
     else:
         modules = {}
         profiles = [eigen_profile(group, c) for c in classes]
+        quadratic = map(is_quadratic, classes)
     ds = [pr.d for pr in profiles]
-    return ds, [pr.e for pr in profiles], modules, ((None, group.n, ds),)
+    return ds, [pr.e for pr in profiles], modules, ((None, group.n, ds),), quadratic
 
 
 def decide(
@@ -422,7 +425,7 @@ def decide(
     if r < 2:
         raise SchemaError("need at least two classes")
     n = group.n
-    ds, es, modules, bounded = _module_profiles(group, classes, spin8_profiles)
+    ds, es, modules, bounded, quadratic = _module_profiles(group, classes, spin8_profiles)
     sum_e = sum(es)
     witnesses = {
         "r": r, "n": n, "d": ds, "e": es, "sum_d": sum(ds), "sum_e": sum_e, "modules": modules
@@ -432,7 +435,7 @@ def decide(
             return Verdict(True, "DimObstruction", case_id, witnesses)
     if group.family == "Sp" and group.p == 2 and sum_e >= n * (r - 1):
         return Verdict(True, "SpChar2FixedVector", witnesses=witnesses)
-    if n >= 3 and r == 2 and all(_quadratic(group, c) for c in classes):
+    if n >= 3 and r == 2 and all(quadratic):
         case = _QUADRATIC_CASE.get((group.family, n))
         return Verdict(True, "QuadraticPair", case, witnesses)
     case = _family_case(group, classes, modules)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 from .algebra_core import (
@@ -155,13 +156,32 @@ def _semisimple_shapes(target: GroupSpec) -> list[ClassDescriptor]:
     return out
 
 
+@lru_cache(maxsize=256)
+def _shape_table(target: GroupSpec) -> tuple[ClassDescriptor, ...]:
+    """Every shape of ``target``, unipotent then semisimple, each once.
+
+    Built once per class group; the bound of 256 holds every class group
+    a typical caller cycles through (c_value over a sweep of groups), so
+    the table does not thrash.
+    """
+    seen = set()
+    unique = []
+    for c in _unipotent_shapes(target) + _semisimple_shapes(target):
+        key = repr(c)
+        if key not in seen:
+            seen.add(key)
+            unique.append(c)
+    return tuple(unique)
+
+
 def enumerate_class_shapes(
     group: GroupSpec, constraints: Optional[dict] = None, bound: int = 12
 ) -> list[ClassDescriptor]:
     """Duplicate-free canonical shapes of prime-order-mod-center classes.
 
     Semisimple shapes are enumerated up to renaming of the symbolic
-    eigenvalue labels. `constraints` may fix "kind" and/or "order".
+    eigenvalue labels. `constraints` may fix "kind" and/or "order". The
+    result is a new list; the validated descriptors in it are shared.
     """
     target = group.class_group()
     if (8 if group.family == "Spin8" else target.n) > bound:
@@ -169,22 +189,11 @@ def enumerate_class_shapes(
     constraints = constraints or {}
     want_kind = constraints.get("kind")
     want_order = constraints.get("order")
-    shapes: list[ClassDescriptor] = []
-    if want_kind in (None, "unipotent"):
-        shapes.extend(_unipotent_shapes(target))
-    if want_kind in (None, "semisimple"):
-        shapes.extend(_semisimple_shapes(target))
-    if want_order is not None:
-        shapes = [c for c in shapes if c.order in (want_order, None)]
-    # canonical dedup
-    seen = set()
-    unique = []
-    for c in shapes:
-        key = repr(c)
-        if key not in seen:
-            seen.add(key)
-            unique.append(c)
-    return unique
+    return [
+        c
+        for c in _shape_table(target)
+        if want_kind in (None, c.kind) and (want_order is None or c.order in (want_order, None))
+    ]
 
 
 # ---------------------------------------------------------------------------

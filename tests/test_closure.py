@@ -1,5 +1,6 @@
 """Unit tests for the degeneration (closure) order on unipotent classes."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -203,3 +204,20 @@ class TestPosetAgainstTripleLoop:
     )
     def test_dot_is_byte_identical(self, group):
         assert closure_poset_dot(group) == _dot_by_triple_loop(group)
+
+    def test_dot_unchanged(self):
+        # sha256 of the DOT texts of _poset_groups at each p, joined by blank
+        # lines, as closure_poset_dot drew them when it enumerated the
+        # shapes afresh on every call; first 16 hex digits
+        digests = {
+            0: "2be0f9496ff466dd",
+            2: "ad8737f2c449a82e",
+            3: "690a9a0b26859221",
+            5: "14146af29f77e35c",
+        }
+        got = {}
+        for g in _poset_groups():
+            got.setdefault(g.p, []).append(closure_poset_dot(g))
+        for p, texts in got.items():
+            got[p] = hashlib.sha256("\n\n".join(texts).encode()).hexdigest()[:16]
+        assert got == digests

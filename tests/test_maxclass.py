@@ -1,11 +1,13 @@
 """Unit tests for maximal prime-order classes and the (r, s) limit table."""
 
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from topogen.algebra_core import GroupSpec
-from topogen.errors import Infeasible, NotApplicable, SchemaError
+from topogen.errors import Infeasible, NotApplicable, SchemaError, TopogenError
 from topogen.maxclass import QContext, exchange_gain, max_class, rs_limit
 
 
@@ -87,6 +89,59 @@ class TestSemisimpleMax:
         # i = 10 eigenvalue orbits cannot fit into dimension 4
         with pytest.raises(Infeasible):
             max_class(GroupSpec("Sp", 4, 0), QContext(r=11, i=10))
+
+
+def _contexts(p, r):
+    """Every QContext of order r in characteristic p."""
+    if r == p:
+        return [QContext(r=r, is_p=True)]
+    if r == 2:
+        return [QContext(r=2)]
+    return [QContext(r=r, i=i) for i in range(1, r) if (r - 1) % i == 0]
+
+
+class TestPinnedAnswers:
+    GROUPS = {
+        "SL": [("SL", n) for n in range(2, 13)],
+        "Sp": [("Sp", n) for n in range(4, 13, 2)],
+        "SO": [("SO", n) for n in (7, 9, 10, 11, 12)],
+    }
+
+    def test_unchanged(self):
+        # sha256 of the repr of (class, dim), or of the name of the error
+        # raised, for SL2-12, Sp4-12 and SO7-12 at p = 0, 2, 3, 5 and every
+        # r in (2, 3, 5, 7) and i, as computed when every candidate class was
+        # built and validated; first 16 hex digits
+        digests = {
+            "SL": (407, "2973f4c60c634790"),
+            "Sp": (185, "c6bde9767a80f7c6"),
+            "SO": (155, "71aededa3dd0be98"),
+        }
+        got = {}
+        for key, groups in self.GROUPS.items():
+            answers = []
+            for (family, n), p, r in itertools.product(groups, (0, 2, 3, 5), (2, 3, 5, 7)):
+                if family == "SO" and n % 2 and p == 2:
+                    continue
+                for ctx in _contexts(p, r):
+                    try:
+                        answers.append(max_class(GroupSpec(family, n, p), ctx))
+                    except TopogenError as exc:
+                        answers.append(type(exc).__name__)
+            got[key] = (len(answers), hashlib.sha256(repr(answers).encode()).hexdigest()[:16])
+        assert got == digests
+
+    def test_sl2000(self):
+        g = GroupSpec("SL", 2000, 0)
+        # (1^1000, (-1)^1000) ties at n^2 / 2; repr order picks the lam pair
+        cls, dim = max_class(g, QContext(r=2))
+        assert dim == 2000**2 // 2
+        assert cls.eigen.pairs == (("l1", 1000),) and cls.eigen.mult_one == 0
+        # i = 2: one Frobenius orbit of two order-3 eigenvalues, each a times,
+        # and 1 on the other 2000 - 2a; a = 667 spreads them most evenly
+        cls, dim = max_class(g, QContext(r=3, i=2))
+        assert dim == 2000**2 - 666**2 - 2 * 667**2
+        assert cls.eigen.mult_one == 666
 
 
 class TestRsLimit:

@@ -1,5 +1,6 @@
 """Unit tests for the emptiness decision engine."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -307,6 +308,31 @@ def sweep():
         }
         out.append((g, shapes, verdicts))
     return out
+
+
+class TestSO6Pinned:
+    def test_verdicts_unchanged(self):
+        # sha256 of the repr of the verdicts, witnesses included, of every
+        # multiset of two and of three SO6 shapes at p, as decide gave them
+        # when so6_transfer and the quadratic test each computed the
+        # exterior-square products; first 16 hex digits
+        digests = {
+            0: (156, "b50373f6dfde7bbb"),
+            2: (77, "6516d8c1be9edba2"),
+            3: (112, "d5c8c1c945010760"),
+            5: (156, "b50373f6dfde7bbb"),
+        }
+        got = {}
+        for p in digests:
+            g = GroupSpec("SO", 6, p)
+            shapes = enumerate_class_shapes(g)
+            verdicts = [
+                decide(g, tup)
+                for r in (2, 3)
+                for tup in itertools.combinations_with_replacement(shapes, r)
+            ]
+            got[p] = (len(verdicts), hashlib.sha256(repr(verdicts).encode()).hexdigest()[:16])
+        assert got == digests
 
 
 class TestRuleChainSweep:

@@ -7,12 +7,16 @@ import pytest
 from topogen.algebra_core import GroupSpec
 from topogen.errors import BoundExceeded, UnsupportedGroup
 from topogen.stabilizers import (
+    _semisimple_shapes,
+    _unipotent_shapes,
     c_value,
     d_value,
     dprime_value,
     enumerate_class_shapes,
     generically_free,
 )
+
+from test_oracle import _sweep_groups
 
 
 class TestThresholds:
@@ -83,6 +87,64 @@ class TestShapeEnumeration:
         shapes = enumerate_class_shapes(g)
         reprs = [repr(c) for c in shapes]
         assert len(reprs) == len(set(reprs))
+
+
+def _fresh_shapes(group, constraints):
+    """The shapes as enumerate_class_shapes built them on every call before
+    they were tabled: the kinds asked for, filtered by order, deduplicated."""
+    target = group.class_group()
+    kind, order = constraints.get("kind"), constraints.get("order")
+    shapes = []
+    if kind in (None, "unipotent"):
+        shapes.extend(_unipotent_shapes(target))
+    if kind in (None, "semisimple"):
+        shapes.extend(_semisimple_shapes(target))
+    if order is not None:
+        shapes = [c for c in shapes if c.order in (order, None)]
+    unique = []
+    for c in shapes:
+        if repr(c) not in map(repr, unique):
+            unique.append(c)
+    return unique
+
+
+class TestShapeTable:
+    CONSTRAINTS = (
+        {},
+        {"kind": "unipotent"},
+        {"kind": "semisimple"},
+        {"order": 2},
+        {"order": 3},
+        {"order": 5},
+        {"kind": "unipotent", "order": 2},
+        {"kind": "unipotent", "order": 3},
+        {"kind": "semisimple", "order": 2},
+        {"kind": "semisimple", "order": 3},
+    )
+
+    def test_matches_a_fresh_build(self):
+        for g in _sweep_groups((0, 2, 3, 5)):
+            for constraints in self.CONSTRAINTS:
+                want = [repr(c) for c in _fresh_shapes(g, constraints)]
+                for _ in range(2):
+                    got = enumerate_class_shapes(g, constraints or None)
+                    assert [repr(c) for c in got] == want, (g, constraints)
+
+    def test_returned_list_is_the_callers(self):
+        g = GroupSpec("Sp", 6, 3)
+        want = enumerate_class_shapes(g)
+        mutated = enumerate_class_shapes(g)
+        assert mutated == want and mutated is not want
+        mutated.reverse()
+        mutated.pop()
+        assert enumerate_class_shapes(g) == want == _fresh_shapes(g, {})
+
+    def test_bound_checked_before_the_table(self):
+        for g, bound in ((GroupSpec("SL", 10, 0), 9), (GroupSpec("Spin8", 8, 3), 7)):
+            assert enumerate_class_shapes(g)
+            with pytest.raises(BoundExceeded):
+                enumerate_class_shapes(g, bound=bound)
+            assert enumerate_class_shapes(g, bound=bound + 1) == enumerate_class_shapes(g)
 
 
 class TestCValue:
