@@ -9,6 +9,7 @@ W-summands, two local rules trade V-summands.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .algebra_core import ClassDescriptor, GroupSpec, unipotent, validate_class
@@ -189,10 +190,18 @@ def enumerate_unipotent_partitions(group: GroupSpec, max_part: int | None = None
 
 
 def closure_poset_dot(group: GroupSpec) -> str:
-    """DOT rendering of the closure order on prime-order unipotent classes."""
+    """DOT rendering of the closure order on prime-order unipotent classes.
+
+    Computed once per class group, in a table of at most 256 class groups.
+    """
+    return _poset_dot(group.class_group())
+
+
+@lru_cache(maxsize=256)
+def _poset_dot(target: GroupSpec) -> str:
     from .stabilizers import enumerate_class_shapes
 
-    shapes = enumerate_class_shapes(group, constraints={"kind": "unipotent"})
+    shapes = enumerate_class_shapes(target, constraints={"kind": "unipotent"})
 
     def name(c):
         if c.unip.decoration:
@@ -200,7 +209,6 @@ def closure_poset_dot(group: GroupSpec) -> str:
         return ",".join(map(str, c.unip.partition))
 
     # below[i]: indices of the shapes other than shape i in its closure
-    target = group.class_group()
     if _by_dominance(target):
         parts = [c.unip.partition for c in shapes]
         below = [

@@ -255,7 +255,7 @@ class Field:
         return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _field(q: int) -> Field:
     return Field(q)
 

@@ -121,21 +121,17 @@ def _involution_max(group: GroupSpec):
 
 def _mult_vectors(total_slots: int, weight: int, budget: int):
     """Nonincreasing tuples (a_1 >= ... >= a_k), k <= total_slots, with
-    weight * sum(a) <= budget and sum(a) >= 1."""
-    out = []
+    weight * sum(a) <= budget and sum(a) >= 1, depth first, one at a time:
+    there are about budget^k / k! of them, so they are never listed."""
 
-    def rec(prefix, remaining_slots, cap):
-        if prefix:
-            out.append(tuple(prefix))
-        if remaining_slots == 0:
-            return
-        used = weight * sum(prefix)
-        top = min(cap, (budget - used) // weight)
-        for a in range(1, top + 1):
-            rec(prefix + [a], remaining_slots - 1, a)
+    def rec(prefix, remaining_slots, cap, left):
+        for a in range(1, min(cap, left // weight) + 1):
+            vec = prefix + (a,)
+            yield vec
+            if remaining_slots > 1:
+                yield from rec(vec, remaining_slots - 1, a, left - weight * a)
 
-    rec([], total_slots, budget // weight if weight else 0)
-    return out
+    return rec((), total_slots, budget, budget) if total_slots else iter(())
 
 
 def _semisimple_max(group: GroupSpec, ctx: QContext):

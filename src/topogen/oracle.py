@@ -108,14 +108,15 @@ def _symbols(pat) -> list:
     return syms
 
 
-def _mul_symbols(pat, s1, s2):
+def _mul_symbols(relations: dict, s1, s2):
+    """s1 * s2, each label's exponent reduced by its tag in relations."""
     sign = s1[0] * s2[0]
     exps = dict(s1[1])
     for lab, e in s2[1]:
         exps[lab] = exps.get(lab, 0) + e
     out = []
     for lab, e in sorted(exps.items()):
-        rel = pat.relation_of(lab)
+        rel = relations.get(lab)
         if rel == REL_SQUARE_MINUS_ONE:
             e %= 4
             if e >= 2:
@@ -160,11 +161,13 @@ def _so6_image(sl4_class: ClassDescriptor, p: int) -> tuple[EigenProfile, bool]:
 def _so6_products(pat) -> Counter:
     """Multiset of pairwise eigenvalue products (symbols with multiplicity)."""
     syms = _symbols(pat)
+    # the first tag of a label wins, as in EigenPattern.relation_of
+    relations = dict(reversed(pat.relations))
     products: Counter = Counter()
     for i, (s1, m1) in enumerate(syms):
-        products[_mul_symbols(pat, s1, s1)] += m1 * (m1 - 1) // 2
+        products[_mul_symbols(relations, s1, s1)] += m1 * (m1 - 1) // 2
         for s2, m2 in syms[i + 1 :]:
-            products[_mul_symbols(pat, s1, s2)] += m1 * m2
+            products[_mul_symbols(relations, s1, s2)] += m1 * m2
     return +products
 
 

@@ -174,6 +174,14 @@ def _shape_table(target: GroupSpec) -> tuple[ClassDescriptor, ...]:
     return tuple(unique)
 
 
+def _bounded_class_group(group: GroupSpec, bound: int) -> GroupSpec:
+    """group.class_group(), after checking the natural dimension against bound."""
+    target = group.class_group()
+    if (8 if group.family == "Spin8" else target.n) > bound:
+        raise BoundExceeded(f"shape enumeration bounded at n = {bound}")
+    return target
+
+
 def enumerate_class_shapes(
     group: GroupSpec, constraints: Optional[dict] = None, bound: int = 12
 ) -> list[ClassDescriptor]:
@@ -183,9 +191,7 @@ def enumerate_class_shapes(
     eigenvalue labels. `constraints` may fix "kind" and/or "order". The
     result is a new list; the validated descriptors in it are shared.
     """
-    target = group.class_group()
-    if (8 if group.family == "Spin8" else target.n) > bound:
-        raise BoundExceeded(f"shape enumeration bounded at n = {bound}")
+    target = _bounded_class_group(group, bound)
     constraints = constraints or {}
     want_kind = constraints.get("kind")
     want_order = constraints.get("order")
@@ -210,13 +216,23 @@ class CValue:
 
 
 def c_value(group: GroupSpec, bound: int = 12) -> CValue:
-    """max{r * dim C} over class shapes C, r = minimal generator count."""
+    """max{r * dim C} over class shapes C, r = minimal generator count.
+
+    Computed once per group, in a table of at most 256 groups; the bound is
+    checked on every call, before the table.
+    """
+    _bounded_class_group(group, bound)
+    return _c_value(group)
+
+
+@lru_cache(maxsize=256)
+def _c_value(group: GroupSpec) -> CValue:
     from .invariants import class_dim
     from .oracle import min_generators
 
     best: Optional[tuple] = None
     skipped = False
-    for cls in sorted(enumerate_class_shapes(group, bound=bound), key=repr):
+    for cls in sorted(_shape_table(group.class_group()), key=repr):
         try:
             dim = class_dim(group, cls).dim_class
             r = min_generators(group, cls)

@@ -8,6 +8,7 @@ import pytest
 from topogen.algebra_core import GroupSpec, unipotent, validate_class
 from topogen.closure import (
     _partitions,
+    _poset_dot,
     closure_poset_dot,
     dominates,
     enumerate_unipotent_partitions,
@@ -17,6 +18,8 @@ from topogen.closure import (
 )
 from topogen.errors import NoSuchClass, NotApplicable, SizeMismatch
 from topogen.stabilizers import enumerate_class_shapes
+
+from test_oracle import _sweep_groups
 
 
 class TestDominance:
@@ -221,3 +224,20 @@ class TestPosetAgainstTripleLoop:
         for p, texts in got.items():
             got[p] = hashlib.sha256("\n\n".join(texts).encode()).hexdigest()[:16]
         assert got == digests
+
+
+class TestPosetTable:
+    def test_repeat_and_fresh_calls_agree(self):
+        # the sweep includes SO6, whose class group is SL4
+        groups = _sweep_groups((0, 2, 3, 5))
+        first = [closure_poset_dot(g) for g in groups]
+        second = [closure_poset_dot(g) for g in groups]
+        _poset_dot.cache_clear()
+        fresh = [closure_poset_dot(g) for g in groups]
+        assert first == second == fresh
+
+    def test_keyed_by_class_group(self):
+        _poset_dot.cache_clear()
+        for p in (0, 2, 3, 5):
+            assert closure_poset_dot(GroupSpec("SO", 6, p)) == closure_poset_dot(GroupSpec("SL", 4, p))
+        assert _poset_dot.cache_info().currsize == 4

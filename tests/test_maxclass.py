@@ -8,7 +8,7 @@ import pytest
 
 from topogen.algebra_core import GroupSpec
 from topogen.errors import Infeasible, NotApplicable, SchemaError, TopogenError
-from topogen.maxclass import QContext, exchange_gain, max_class, rs_limit
+from topogen.maxclass import QContext, _mult_vectors, exchange_gain, max_class, rs_limit
 
 
 class TestQContext:
@@ -84,6 +84,22 @@ class TestSemisimpleMax:
         # central; the maximum is a regular semisimple class, dim n^2 - n
         _, dim = max_class(GroupSpec("SL", n, 0), QContext(r=r, i=1))
         assert dim == want
+
+    def test_sl_r3_i1_near_equal_split(self):
+        # three eigenvalues 1, w, w^2 with multiplicities e, a1, a2: the
+        # centralizer has dimension e^2 + a1^2 + a2^2 - 1, least when the
+        # split of n is near equal
+        for n in range(2, 61):
+            q, s = divmod(n, 3)
+            split = (q + 1,) * s + (q,) * (3 - s)
+            _, dim = max_class(GroupSpec("SL", n, 0), QContext(r=3, i=1))
+            assert dim == n * n - sum(a * a for a in split), n
+
+    def test_mult_vectors_are_streamed(self):
+        # about n^2 / 2 vectors for two slots: never listed at once
+        vectors = _mult_vectors(2, 1, 2000)
+        assert iter(vectors) is vectors
+        assert next(vectors) == (1,)
 
     def test_infeasible_large_orbit(self):
         # i = 10 eigenvalue orbits cannot fit into dimension 4

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from topogen.algebra_core import GroupSpec
-from topogen.errors import BoundExceeded, UnsupportedGroup
+from topogen.errors import BoundExceeded, TopogenError, UnsupportedGroup
+import topogen.oracle
 from topogen.stabilizers import (
+    _c_value,
     _semisimple_shapes,
     _unipotent_shapes,
     c_value,
@@ -164,3 +166,47 @@ class TestCValue:
         assert cv.c == 48
         assert cv.r == 3
         assert cv.skipped  # some shapes have no catalogued dimension data
+
+
+def _outcome(fn, group):
+    try:
+        return fn(group)
+    except TopogenError as exc:
+        return type(exc).__name__
+
+
+class TestCValueTable:
+    def test_repeat_and_fresh_calls_agree(self):
+        # the sweep includes SO6, whose class group is SL4
+        groups = _sweep_groups((0, 2, 3, 5))
+        first = [_outcome(c_value, g) for g in groups]
+        second = [_outcome(c_value, g) for g in groups]
+        _c_value.cache_clear()
+        fresh = [_outcome(c_value, g) for g in groups]
+        assert first == second == fresh
+
+    def test_so6_has_its_own_entry(self, monkeypatch):
+        # SO6 shares SL4's shapes but its r and dim C come from SO6 itself
+        seen = []
+        real = topogen.oracle.min_generators
+
+        def recording(group, cls):
+            seen.append(group)
+            return real(group, cls)
+
+        monkeypatch.setattr(topogen.oracle, "min_generators", recording)
+        _c_value.cache_clear()
+        for p in (0, 2, 3, 5):
+            so6, sl4 = GroupSpec("SO", 6, p), GroupSpec("SL", 4, p)
+            c_value(sl4)
+            seen.clear()
+            assert c_value(so6) == _c_value.__wrapped__(so6)
+            assert seen and set(seen) == {so6}
+        assert _c_value.cache_info().currsize == 8
+
+    def test_bound_checked_before_the_table(self):
+        g = GroupSpec("Sp", 12, 3)
+        cv = c_value(g)
+        with pytest.raises(BoundExceeded):
+            c_value(g, bound=8)
+        assert c_value(g, bound=12) == cv
