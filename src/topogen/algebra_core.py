@@ -8,9 +8,10 @@ form-module decomposition. No field elements appear at this layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 from operator import index
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import (
     BoundExceeded,
@@ -78,6 +79,7 @@ class GroupSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise UnsupportedGroup(f"unknown family {self.family!r}")
+        _set_whole(self, "n", "p")
         if self.p != 0 and not is_prime(self.p):
             raise SchemaError(f"characteristic must be 0 or prime, got {self.p}")
         if self.n < 1:
@@ -168,23 +170,26 @@ class ClassDescriptor:
     eigen: Optional[EigenPattern] = None
     unip: Optional[UnipotentData] = None
     # the class group validate_class checked this descriptor for; not part
-    # of equality, hash or repr, and dropped by replace()
+    # of equality, hash or repr, and dropped by dataclasses.replace()
     validated_for: Optional[GroupSpec] = field(
         default=None, init=False, compare=False, repr=False
     )
 
 
 def _norm_labelled(items, what: str) -> tuple:
-    """Normalize [(label, mult)] (also plain ints -> auto labels)."""
+    """Normalize [(label, mult)] (also plain multiplicities -> auto labels)."""
+    if not items:
+        return ()
     merged: dict[str, int] = {}
     auto = 0
     for item in items:
-        if isinstance(item, int):
+        if isinstance(item, (tuple, list)):
+            lab, m = item
+        else:
             auto += 1
             lab, m = f"l{auto}", item
-        else:
-            lab, m = item
-        if not isinstance(m, int) or m < 1:
+        m = _whole(m, f"a {what} multiplicity")
+        if m < 1:
             raise SchemaError(f"{what} multiplicity must be a positive integer")
         merged[str(lab)] = merged.get(str(lab), 0) + m
     return tuple(sorted(merged.items(), key=lambda t: (-t[1], t[0])))
@@ -199,9 +204,10 @@ def semisimple(
     relations: Union[Mapping[str, str], Iterable, None] = None,
     variant: str = "unspecified",
 ) -> ClassDescriptor:
+    ones, minus_ones = _whole(ones, "ones"), _whole(minus_ones, "minus_ones")
     if isinstance(relations, Mapping):
         relations = relations.items()
-    rels = tuple(sorted((str(lab), tag) for lab, tag in (relations or ())))
+    rels = tuple(sorted((str(lab), tag) for lab, tag in relations)) if relations else ()
     pat = EigenPattern(
         mult_one=ones,
         mult_minus_one=minus_ones,
@@ -222,6 +228,13 @@ def _whole(x, what: str) -> int:
         except TypeError:
             pass
     raise SchemaError(f"{what} must be an integer, not {x!r}")
+
+
+def _set_whole(obj, *names: str) -> None:
+    """Check that the named fields of the frozen ``obj`` are integers
+    (SchemaError otherwise) and store them as plain ints."""
+    for name in names:
+        object.__setattr__(obj, name, _whole(getattr(obj, name), name))
 
 
 def _norm_decoration(decoration) -> Optional[tuple]:
@@ -293,7 +306,8 @@ def _derive_as_type(dec: tuple, partition: tuple) -> str:
     return {0: "a", 1: "b", 2: "c"}.get(v2, "none")
 
 
-def _validate_semisimple(group: GroupSpec, cls: ClassDescriptor) -> ClassDescriptor:
+def _validate_semisimple(group: GroupSpec, cls: ClassDescriptor) -> EigenPattern:
+    """The pattern of ``cls``, checked against ``group``, relations sorted."""
     pat = cls.eigen
     n = group.n
     if pat.mult_one < 0 or pat.mult_minus_one < 0:
@@ -350,29 +364,31 @@ def _validate_semisimple(group: GroupSpec, cls: ClassDescriptor) -> ClassDescrip
                     raise OrderViolation(
                         f"label order {k} incompatible with class order {r} mod center"
                     )
+    if not pat.relations:
+        return pat
+    # semisimple() sorts already; only a hand-built pattern is rebuilt
     rels = tuple(sorted((lab, tag) for lab, tag in pat.relations))
-    pat = replace(pat, relations=rels)
-    return replace(cls, eigen=pat)
+    if rels == pat.relations:
+        return pat
+    return EigenPattern(pat.mult_one, pat.mult_minus_one, pat.pairs, pat.free, rels, pat.variant)
 
 
 def _check_admissible_partition(group: GroupSpec, partition: tuple) -> None:
     fam = group.family
     if fam == "SL":
         return
-    from collections import Counter
-
-    counts = Counter(partition)
-    if fam == "Sp":
-        bad = [a for a, c in counts.items() if a % 2 == 1 and c % 2 == 1]
-        if bad:
+    # Sp: odd parts need even multiplicity; SO: even parts. Bad parts are
+    # listed in the order they first occur
+    parity = 1 if fam == "Sp" else 0
+    bad = [a for a in dict.fromkeys(partition) if a % 2 == parity and partition.count(a) % 2]
+    if bad:
+        if parity:
             raise ParityViolation(f"odd parts {bad} need even multiplicity in Sp")
-    else:
-        bad = [a for a, c in counts.items() if a % 2 == 0 and c % 2 == 1]
-        if bad:
-            raise ParityViolation(f"even parts {bad} need even multiplicity in SO")
+        raise ParityViolation(f"even parts {bad} need even multiplicity in SO")
 
 
-def _validate_unipotent(group: GroupSpec, cls: ClassDescriptor) -> ClassDescriptor:
+def _validate_unipotent(group: GroupSpec, cls: ClassDescriptor) -> Union[int, str, None]:
+    """The order of ``cls``, checked against ``group`` and derived if absent."""
     data = cls.unip
     n = group.n
     if sum(data.partition) != n:
@@ -416,7 +432,7 @@ def _validate_unipotent(group: GroupSpec, cls: ClassDescriptor) -> ClassDescript
                 raise OrderViolation("unipotent classes have order p")
             if max(data.partition) > group.p:
                 raise OrderViolation(f"parts exceed p = {group.p} for a prime-order class")
-    return replace(cls, order=order)
+    return order
 
 
 def validate_class(group: GroupSpec, raw: ClassDescriptor) -> ClassDescriptor:
@@ -426,19 +442,22 @@ def validate_class(group: GroupSpec, raw: ClassDescriptor) -> ClassDescriptor:
     carries that stamp already is returned as it is.
     """
     target = group.class_group()
-    if raw.validated_for == target:
+    stamp = raw.validated_for
+    if stamp is target or stamp == target:
         return raw
-    if raw.kind == "semisimple":
-        if raw.eigen is None:
+    kind, order, eigen = raw.kind, raw.order, raw.eigen
+    if kind == "semisimple":
+        if eigen is None:
             raise SchemaError("semisimple descriptor without a pattern")
-        out = _validate_semisimple(target, raw)
-    elif raw.kind == "unipotent":
+        eigen = _validate_semisimple(target, raw)
+    elif kind == "unipotent":
         if raw.unip is None:
             raise SchemaError("unipotent descriptor without a partition")
-        out = _validate_unipotent(target, raw)
+        order = _validate_unipotent(target, raw)
     else:
-        raise SchemaError(f"unknown class kind {raw.kind!r}")
-    # out is a fresh copy made by replace(), never the caller's raw
+        raise SchemaError(f"unknown class kind {kind!r}")
+    # a fresh descriptor, never the caller's raw; frozen parts are shared
+    out = ClassDescriptor(kind, order, eigen, raw.unip)
     object.__setattr__(out, "validated_for", target)
     return out
 

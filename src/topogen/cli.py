@@ -79,9 +79,11 @@ def _int(value) -> int:
 
 
 def _labelled(x):
-    """A multiplicity, or a [label, multiplicity] pair."""
+    """A multiplicity, or a [label, multiplicity] pair with a string label."""
     if isinstance(x, list):
         label, mult = x
+        if type(label) is not str:
+            raise TypeError(f"an eigenvalue label is a string, got {label!r}")
         return label, _int(mult)
     return _int(x)
 

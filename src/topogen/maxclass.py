@@ -14,6 +14,7 @@ from itertools import chain
 from .algebra_core import (
     ClassDescriptor,
     GroupSpec,
+    _set_whole,
     dim_and_rank,
     is_prime,
     semisimple,
@@ -31,6 +32,7 @@ class QContext:
     is_p: bool = False  # r equals the field characteristic
 
     def __post_init__(self):
+        _set_whole(self, "r", "i")
         if not is_prime(self.r):
             raise SchemaError("r must be prime")
         if self.is_p:

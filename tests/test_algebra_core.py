@@ -1,11 +1,15 @@
 """Unit tests for the symbolic group/class data model."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 from topogen.algebra_core import (
+    ClassDescriptor,
+    EigenPattern,
     GroupSpec,
+    UnipotentData,
     conjugate_partition,
     dim_and_rank,
     is_prime,
@@ -23,8 +27,12 @@ from topogen.errors import (
     TopogenError,
     UnsupportedGroup,
 )
+from topogen.cli import parse_class
+from topogen.maxclass import QContext
 from topogen.oracle import decide
 from topogen.stabilizers import enumerate_class_shapes
+
+from test_oracle import _sweep_groups
 
 
 class TestGroupSpec:
@@ -64,6 +72,69 @@ class TestGroupSpec:
         assert dim_and_rank(GroupSpec("Sp", 4, 0)) == (10, 2)
         assert dim_and_rank(GroupSpec("SO", 9, 3)) == (36, 4)
         assert dim_and_rank(GroupSpec("Spin8", 8, 0)) == (28, 4)
+
+
+class _Index:
+    """An integer type that is not int: it has ``__index__`` only."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("bad", [3.0, True, "3"])
+    def test_group_n(self, bad):
+        with pytest.raises(SchemaError):
+            GroupSpec("SL", bad, 0)
+
+    @pytest.mark.parametrize("bad", [2.0, True, "2", 0.0])
+    def test_group_p(self, bad):
+        with pytest.raises(SchemaError):
+            GroupSpec("SL", 3, bad)
+
+    def test_group_index_types_become_ints(self):
+        g = GroupSpec("Sp", _Index(4), _Index(3))
+        assert type(g.n) is int and type(g.p) is int
+        assert g == GroupSpec("Sp", 4, 3) and hash(g) == hash(GroupSpec("Sp", 4, 3))
+        assert dim_and_rank(g) == (10, 2)
+
+    @pytest.mark.parametrize("kwargs", [{"r": 3.0}, {"r": True}, {"r": "3"}, {"r": 5, "i": 2.0},
+                                        {"r": 5, "i": True}, {"r": 5, "i": "2"},
+                                        {"r": 3, "i": 1.0, "is_p": True}])
+    def test_qcontext(self, kwargs):
+        with pytest.raises(SchemaError):
+            QContext(**kwargs)
+
+    def test_qcontext_index_types_become_ints(self):
+        ctx = QContext(r=_Index(7), i=_Index(2))
+        assert ctx == QContext(r=7, i=2) and type(ctx.r) is int and ctx.t == 3
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"ones": 2.0, "pairs": [("a", 1)]},
+            {"ones": True, "minus_ones": 3},
+            {"ones": "2", "pairs": [("a", 1)]},
+            {"ones": 2, "minus_ones": 2.0},
+            {"ones": 2, "minus_ones": False},
+            {"ones": 2, "pairs": [("a", True)]},
+            {"ones": 2, "pairs": [("a", 1.0)]},
+            {"ones": 2, "pairs": [True]},
+            {"free": [("a", 2), ("b", "2")]},
+            {"free": [2.0, 2]},
+        ],
+    )
+    def test_semisimple_multiplicities(self, kwargs):
+        with pytest.raises(SchemaError):
+            semisimple(**kwargs)
+
+    def test_semisimple_index_types_become_ints(self):
+        c = semisimple(ones=_Index(2), pairs=[("a", _Index(1))])
+        assert c == semisimple(ones=2, pairs=[("a", 1)])
+        assert type(c.eigen.mult_one) is int and type(c.eigen.pairs[0][1]) is int
 
 
 class TestPartitionHelpers:
@@ -288,3 +359,163 @@ class TestValidationStamp:
         for a in shapes:
             for b in shapes:
                 assert outcome([a, b]) == outcome([replace(a), replace(b)]), (a, b)
+
+
+# class documents as the topogen/1 front end receives them; relations are
+# listed out of order on purpose, and most documents fit some groups below
+# and fail on the others
+_SAMPLE_DOCS = [
+    {"kind": "semisimple", "order": 2, "ones": 2, "minus_ones": 2},
+    {"kind": "semisimple", "order": 2, "ones": 6, "minus_ones": 2},
+    {"kind": "semisimple", "order": 2, "ones": 1, "minus_ones": 4},
+    {"kind": "semisimple", "order": 3, "ones": 2, "pairs": [["a", 1]], "relations": {"a": "order:3"}},
+    {"kind": "semisimple", "order": 5, "pairs": [["z", 1], ["a", 1]],
+     "relations": {"z": "order:5", "a": "order:10"}},
+    {"kind": "semisimple", "order": 3, "pairs": [["y", 2], ["b", 1], ["c", 1]],
+     "relations": {"y": "order:3", "c": "order:3", "b": "order:6"}},
+    {"kind": "semisimple", "order": 2, "pairs": [["i", 2]], "relations": {"i": "square_is_minus_one"}},
+    {"kind": "semisimple", "order": 2, "pairs": [["i", 3]], "relations": {"i": "square_is_minus_one"}},
+    {"kind": "semisimple", "pairs": [["a", 1], ["b", 1]], "relations": {"b": "order:7", "a": "order:4"}},
+    {"kind": "semisimple", "ones": 2, "pairs": [["q", 1]], "relations": {"r": "order:3"}},
+    {"kind": "semisimple", "ones": 2, "pairs": [["q", 1]], "relations": {"q": "order:0"}},
+    {"kind": "semisimple", "ones": 2, "pairs": [["q", 1]], "relations": {"q": "cube"}},
+    {"kind": "semisimple", "free": [["a", 2], ["b", 1], ["c", 1]]},
+    {"kind": "semisimple", "free": [["a", 2], ["b", 2]], "relations": {"b": "order:3", "a": "order:3"}},
+    {"kind": "semisimple", "free": [1, 1, 1, 1]},
+    {"kind": "semisimple", "pairs": [["a", 1]], "free": [["a", 1], ["b", 1]]},
+    {"kind": "semisimple", "ones": 4},
+    {"kind": "semisimple", "order": 4, "ones": 2, "minus_ones": 2},
+    {"kind": "semisimple", "order": 3, "ones": 1, "pairs": [["a", 1], ["b", 1]], "variant": "plus"},
+    {"kind": "unipotent", "partition": [2, 2]},
+    {"kind": "unipotent", "partition": [2, 1, 1]},
+    {"kind": "unipotent", "partition": [3, 1]},
+    {"kind": "unipotent", "partition": [3, 2, 1]},
+    {"kind": "unipotent", "partition": [4, 2, 1]},
+    {"kind": "unipotent", "partition": [2, 2, 1]},
+    {"kind": "unipotent", "partition": [3, 3, 2, 2]},
+    {"kind": "unipotent", "partition": [5, 3, 1, 1]},
+    {"kind": "unipotent", "partition": [1, 1, 1, 1]},
+    {"kind": "unipotent", "partition": [2, 2], "order": 3},
+    {"kind": "unipotent", "partition": [2, 2], "order": "unipotent-char-0"},
+    {"kind": "unipotent", "partition": [4], "order": 3},
+    {"kind": "unipotent", "decoration": [{"W": 2, "mult": 1}]},
+    {"kind": "unipotent", "decoration": [{"V": 2, "mult": 2}], "order": 2},
+    {"kind": "unipotent", "decoration": [{"V": 2, "mult": 1}, {"W": 1, "mult": 1}]},
+    {"kind": "unipotent", "decoration": [{"V": 2, "mult": 3}]},
+    {"kind": "unipotent", "decoration": [{"V": 4, "mult": 1}]},
+]
+
+_SAMPLE_GROUPS = [
+    GroupSpec("SL", 4, 0),
+    GroupSpec("SL", 4, 3),
+    GroupSpec("Sp", 4, 0),
+    GroupSpec("Sp", 4, 2),
+    GroupSpec("Sp", 6, 3),
+    GroupSpec("Sp", 8, 5),
+    GroupSpec("SO", 5, 3),
+    GroupSpec("SO", 6, 0),
+    GroupSpec("SO", 7, 3),
+    GroupSpec("SO", 10, 2),
+    GroupSpec("Spin8", 8, 0),
+]
+
+# descriptors built by hand, not by semisimple() or unipotent(): relations
+# out of order or as lists, an unsorted partition, both payloads present
+_HAND_BUILT = [
+    ClassDescriptor(
+        "semisimple",
+        3,
+        EigenPattern(
+            mult_one=2, pairs=(("b", 1), ("a", 1)), relations=(("b", "order:3"), ("a", "order:6"))
+        ),
+    ),
+    ClassDescriptor(
+        "semisimple",
+        None,
+        EigenPattern(free=(("x", 2), ("y", 2)), relations=[["y", "order:5"], ["x", "order:5"]]),
+    ),
+    ClassDescriptor(
+        "semisimple", 2, EigenPattern(mult_one=2, mult_minus_one=2), UnipotentData(partition=(2, 2))
+    ),
+    ClassDescriptor("unipotent", None, EigenPattern(mult_one=4), UnipotentData(partition=(2, 2))),
+    ClassDescriptor("unipotent", None, None, UnipotentData(partition=(1, 2, 3))),
+    ClassDescriptor("unipotent", None, None, UnipotentData(partition=(1, 2, 4))),
+    ClassDescriptor("unipotent", None, None, UnipotentData(partition=[1, 1, 2])),
+    ClassDescriptor("semisimple"),
+    ClassDescriptor("unipotent"),
+    ClassDescriptor("nilpotent", None, EigenPattern(mult_one=4)),
+]
+
+
+def _validation_outcome(group, raw):
+    try:
+        v = validate_class(group, raw)
+    except TopogenError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"{v!r} @ {v.validated_for!r}"
+
+
+def _validation_cases():
+    """(group, raw descriptor) pairs: every sweep shape, unstamped, against
+    its group; the sample documents and hand-built descriptors against the
+    sample groups."""
+    for g in _sweep_groups((0, 2, 3, 5)):
+        for shape in enumerate_class_shapes(g):
+            yield g, replace(shape)
+    raws = [parse_class(doc) for doc in _SAMPLE_DOCS] + _HAND_BUILT
+    for g in _SAMPLE_GROUPS:
+        for raw in raws:
+            yield g, raw
+
+
+def _validation_digest():
+    lines = [f"{g!r} | {raw!r} | {_validation_outcome(g, raw)}" for g, raw in _validation_cases()]
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestValidationDigest:
+    def test_results_match_the_pinned_digest(self):
+        # pins every result (equality, repr, stamp) and every refusal text;
+        # recompute it only for a deliberate change of validation output
+        assert _validation_digest() == (
+            1882,
+            "3b98795919587190b633a43bee4a2fb36ca6c0a7fbcaf7bed5fe6435a590bb35",
+        )
+
+    def test_callers_object_stays_unstamped(self):
+        for g, raw in _validation_cases():
+            try:
+                v = validate_class(g, raw)
+            except TopogenError:
+                continue
+            assert v is not raw and raw.validated_for is None
+            assert v.validated_for == g.class_group()
+
+    def test_hand_built_relations_come_back_sorted(self):
+        raw = _HAND_BUILT[0]
+        v = validate_class(GroupSpec("Sp", 6, 0), raw)
+        assert v.eigen.relations == (("a", "order:6"), ("b", "order:3"))
+        assert raw.eigen.relations == (("b", "order:3"), ("a", "order:6"))
+        assert v == replace(raw, eigen=replace(raw.eigen, relations=v.eigen.relations))
+
+    def test_sorted_pattern_is_shared(self):
+        raw = semisimple(order=3, ones=2, pairs=[("a", 1)], relations={"a": "order:3"})
+        v = validate_class(GroupSpec("Sp", 4, 0), raw)
+        assert v is not raw and v.eigen is raw.eigen
+
+    @pytest.mark.parametrize(
+        "group,partition,text",
+        [
+            (GroupSpec("Sp", 6, 0), (3, 2, 1), "odd parts [3, 1] need even multiplicity in Sp"),
+            (GroupSpec("Sp", 6, 0), (1, 2, 3), "odd parts [1, 3] need even multiplicity in Sp"),
+            (GroupSpec("Sp", 8, 5), (5, 3), "odd parts [5, 3] need even multiplicity in Sp"),
+            (GroupSpec("SO", 7, 0), (4, 2, 1), "even parts [4, 2] need even multiplicity in SO"),
+            (GroupSpec("SO", 7, 3), (1, 2, 4), "even parts [2, 4] need even multiplicity in SO"),
+            (GroupSpec("Spin8", 8, 0), (4, 3, 1), "even parts [4] need even multiplicity in SO"),
+        ],
+    )
+    def test_parity_violation_texts(self, group, partition, text):
+        raw = ClassDescriptor("unipotent", None, None, UnipotentData(partition=partition))
+        with pytest.raises(ParityViolation) as info:
+            validate_class(group, raw)
+        assert str(info.value) == text

@@ -339,6 +339,28 @@ class TestHandleMalformedDocuments:
         assert handle("decide", doc)[0] == 2
 
 
+class TestEigenvalueLabels:
+    @pytest.mark.parametrize("label", [None, True, [1], {"a": 1}, 3, 1.5])
+    @pytest.mark.parametrize("field", ["pairs", "free"])
+    def test_label_must_be_a_string(self, field, label):
+        group = SP8 if field == "pairs" else {"family": "SL", "n": 4, "p": 0}
+        cls = {"kind": "semisimple", "ones": 4 if field == "pairs" else 2, field: [[label, 1], ["b", 1]]}
+        code, out = handle("classdim", {"group": group, "class": cls})
+        assert code == 2, out
+        assert out.startswith("invalid input: ")
+
+    def test_null_label_exits_2_from_the_shell(self):
+        cls = {"kind": "semisimple", "ones": 4, "pairs": [[None, 1], ["b", 1]]}
+        result = run(["classdim"], {"group": SP8, "class": cls})
+        assert result.exit_code == 2, result.output
+
+    def test_string_labels_are_echoed(self):
+        cls = {"kind": "semisimple", "ones": 4, "pairs": [["x", 1], ["b", 1]]}
+        code, out = handle("classdim", {"group": SP8, "class": cls})
+        assert code == 0, out
+        assert sorted(map(tuple, out["class"]["pairs"])) == [("b", 1), ("x", 1)]
+
+
 class TestHandle:
     def test_result_document(self):
         assert handle("rslimit", RS) == (0, {"schema": "topogen/1", "limit": "1/2"})
