@@ -184,6 +184,8 @@ def _norm_labelled(items, what: str) -> tuple:
     auto = 0
     for item in items:
         if isinstance(item, (tuple, list)):
+            if len(item) != 2:
+                raise SchemaError(f"a labelled {what} must be a (label, multiplicity) pair, not {item!r}")
             lab, m = item
         else:
             auto += 1

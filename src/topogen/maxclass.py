@@ -1,15 +1,18 @@
 """Maximal-dimension prime-order classes over finite fields.
 
 The field size q enters only through the multiplicative-order parameter i
-(the least i with r | q^i - 1); the optimization itself is an exact finite
-search over eigenvalue-orbit shapes (or unipotent partitions when r = p).
+(the least i with r | q^i - 1). For semisimple classes the optimum is in
+closed form: once the 1-eigenspace dimension is fixed, the centralizer
+dimension grows with the sum of the squared multiplicities, whose total is
+fixed, so the near-equal split is the one candidate (exchange_gain is the
+one-step form of this argument). Unipotent classes (r = p) and Sp/SO/Spin8
+involutions are ranked over the class shape table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .algebra_core import (
     ClassDescriptor,
@@ -21,6 +24,7 @@ from .algebra_core import (
     unipotent,
     validate_class,
 )
+from .closure import _near_equal_partition
 from .errors import Infeasible, NotApplicable, SchemaError, UnsupportedCase
 from .invariants import _semisimple_centralizer_dim, class_dim
 
@@ -33,6 +37,8 @@ class QContext:
 
     def __post_init__(self):
         _set_whole(self, "r", "i")
+        if not isinstance(self.is_p, bool):
+            raise SchemaError(f"is_p must be a bool, not {self.is_p!r}")
         if not is_prime(self.r):
             raise SchemaError("r must be prime")
         if self.is_p:
@@ -92,12 +98,13 @@ def _involution_max(group: GroupSpec):
     if group.family == "SL":
         n = group.n
         dim_g = dim_and_rank(group)[0]
-        # key b: (1^(n-b), (-1)^b); key 0: (lam, lam^-1) with lam^2 = -1,
-        # each n/2 times
-        cands = ((b, dim_g - _semisimple_centralizer_dim("SL", n - b, b)) for b in range(2, n, 2))
+        # key b: (1^(n-b), (-1)^b), whose centralizer (n-b)^2 + b^2 - 1 is
+        # least at the even b nearest n/2; key 0: (lam, lam^-1) with
+        # lam^2 = -1, each n/2 times
+        evens = {2 * (n // 4), 2 * -(-n // 4)}
+        cands = [(b, dim_g - _semisimple_centralizer_dim("SL", n - b, b)) for b in evens if 2 <= b < n]
         if n % 2 == 0:
-            pair = _semisimple_centralizer_dim("SL", 0, 0, pair_mults=(n // 2,))
-            cands = chain(cands, [(0, dim_g - pair)])
+            cands.append((0, dim_g - _semisimple_centralizer_dim("SL", 0, 0, pair_mults=(n // 2,))))
 
         def build(b):
             if b:
@@ -121,21 +128,6 @@ def _involution_max(group: GroupSpec):
     return _argmax((c, class_dim(group, c).dim_class) for c in shapes)
 
 
-def _mult_vectors(total_slots: int, weight: int, budget: int):
-    """Nonincreasing tuples (a_1 >= ... >= a_k), k <= total_slots, with
-    weight * sum(a) <= budget and sum(a) >= 1, depth first, one at a time:
-    there are about budget^k / k! of them, so they are never listed."""
-
-    def rec(prefix, remaining_slots, cap, left):
-        for a in range(1, min(cap, left // weight) + 1):
-            vec = prefix + (a,)
-            yield vec
-            if remaining_slots > 1:
-                yield from rec(vec, remaining_slots - 1, a, left - weight * a)
-
-    return rec((), total_slots, budget, budget) if total_slots else iter(())
-
-
 def _semisimple_max(group: GroupSpec, ctx: QContext):
     n = group.n
     r, i = ctx.r, ctx.i
@@ -154,19 +146,17 @@ def _semisimple_max(group: GroupSpec, ctx: QContext):
     dim_g = dim_and_rank(group)[0]
 
     def cands():
-        for mults in _mult_vectors(slots, weight, n):
-            e = n - weight * sum(mults)
-            if e < 0:
-                continue
-            if fam == "Sp" and e % 2:
-                continue
-            if group.is_orthogonal and e % 2 != n % 2:
-                continue
+        # s blocks of dimension weight leave a 1-eigenspace of dimension
+        # e = n - weight * s, of the parity Sp and SO need (weight is even
+        # for inverse pairs); they are spread near equally over the slots,
+        # so no eigenvalue fills V: with i = 1 there are r - 1 >= 2 slots,
+        # else weight >= 2
+        for s in range(1, n // weight + 1):
+            e = n - weight * s
+            mults = tuple(a for a in _near_equal_partition(s, slots) if a)
             each = [a for a in mults for _ in range(labels_per_slot)]
             if pairing == "pairs":
                 cent = _semisimple_centralizer_dim(fam, e, 0, pair_mults=each)
-            elif n in each:
-                continue  # lam I_n is central
             else:
                 cent = _semisimple_centralizer_dim(fam, e, 0, free_mults=each)
             yield mults, dim_g - cent
@@ -187,7 +177,7 @@ def _semisimple_max(group: GroupSpec, ctx: QContext):
 
 def max_class(group: GroupSpec, ctx: QContext) -> tuple[ClassDescriptor, int]:
     """The maximal-dimension class of elements of order r modulo the center,
-    together with its dimension, by exact search."""
+    together with its dimension."""
     target = group.class_group()
     if ctx.is_p:
         if target.p == 0:

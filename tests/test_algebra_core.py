@@ -103,7 +103,8 @@ class TestIntegerFields:
 
     @pytest.mark.parametrize("kwargs", [{"r": 3.0}, {"r": True}, {"r": "3"}, {"r": 5, "i": 2.0},
                                         {"r": 5, "i": True}, {"r": 5, "i": "2"},
-                                        {"r": 3, "i": 1.0, "is_p": True}])
+                                        {"r": 3, "i": 1.0, "is_p": True}, {"r": 3, "is_p": "no"},
+                                        {"r": 3, "is_p": 1}, {"r": 3, "is_p": None}])
     def test_qcontext(self, kwargs):
         with pytest.raises(SchemaError):
             QContext(**kwargs)
@@ -125,6 +126,9 @@ class TestIntegerFields:
             {"ones": 2, "pairs": [True]},
             {"free": [("a", 2), ("b", "2")]},
             {"free": [2.0, 2]},
+            {"pairs": [("a", 1, 2)]},
+            {"free": [("a",)]},
+            {"pairs": [[]]},
         ],
     )
     def test_semisimple_multiplicities(self, kwargs):

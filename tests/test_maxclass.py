@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from topogen.algebra_core import GroupSpec
+from topogen.algebra_core import GroupSpec, semisimple, validate_class
 from topogen.errors import Infeasible, NotApplicable, SchemaError, TopogenError
-from topogen.maxclass import QContext, _mult_vectors, exchange_gain, max_class, rs_limit
+from topogen.invariants import class_dim
+from topogen.maxclass import QContext, exchange_gain, max_class, rs_limit
 
 
 class TestQContext:
@@ -95,12 +96,6 @@ class TestSemisimpleMax:
             _, dim = max_class(GroupSpec("SL", n, 0), QContext(r=3, i=1))
             assert dim == n * n - sum(a * a for a in split), n
 
-    def test_mult_vectors_are_streamed(self):
-        # about n^2 / 2 vectors for two slots: never listed at once
-        vectors = _mult_vectors(2, 1, 2000)
-        assert iter(vectors) is vectors
-        assert next(vectors) == (1,)
-
     def test_infeasible_large_orbit(self):
         # i = 10 eigenvalue orbits cannot fit into dimension 4
         with pytest.raises(Infeasible):
@@ -114,6 +109,87 @@ def _contexts(p, r):
     if r == 2:
         return [QContext(r=2)]
     return [QContext(r=r, i=i) for i in range(1, r) if (r - 1) % i == 0]
+
+
+def _argmax_by_dim(classes, group):
+    """(class, dim) of greatest class dimension among those of ``classes``
+    that validate in ``group``, ties going to the least repr; None if none
+    does."""
+    best = None
+    for cls in classes:
+        try:
+            cls = validate_class(group, cls)
+        except TopogenError:
+            continue
+        dim = class_dim(group, cls).dim_class
+        if best is None or dim > best[1] or (dim == best[1] and repr(cls) < repr(best[0])):
+            best = (cls, dim)
+    return best
+
+
+def _reference_semisimple_max(group, ctx):
+    """max_class by exhaustive search: one class for every nonincreasing
+    multiplicity vector (a_1 >= ... >= a_k) with k at most the number of
+    eigenvalue slots and i-orbits of total dimension at most n."""
+    n, r, i = group.n, ctx.r, ctx.i
+    if group.family == "SL":
+        slots, weight, per_slot, kind = ctx.t, i, i, "free"
+    elif i % 2 == 0:
+        slots, weight, per_slot, kind = ctx.t, i, i // 2, "pairs"
+    else:
+        slots, weight, per_slot, kind = ctx.t // 2, 2 * i, i, "pairs"
+
+    def vectors(prefix, cap, left):
+        for a in range(1, min(cap, left // weight) + 1):
+            yield prefix + (a,)
+            if len(prefix) + 1 < slots:
+                yield from vectors(prefix + (a,), a, left - weight * a)
+
+    def classes():
+        for mults in vectors((), n, n) if slots else ():
+            labels = [(f"l{j + 1}_{k + 1}", a) for j, a in enumerate(mults) for k in range(per_slot)]
+            yield semisimple(
+                ones=n - weight * sum(mults),
+                relations={lab: f"order:{r}" for lab, _ in labels},
+                order=r,
+                **{kind: labels},
+            )
+
+    return _argmax_by_dim(classes(), group)
+
+
+class TestReferenceSearch:
+    """max_class against a brute-force ranking of every candidate class."""
+
+    @pytest.mark.parametrize(
+        "family, ns",
+        [("SL", range(2, 17)), ("Sp", range(4, 17, 2)), ("SO", [n for n in range(7, 17) if n != 8])],
+    )
+    def test_semisimple(self, family, ns):
+        for n, p, r in itertools.product(ns, (0, 3, 5), (3, 5, 7, 11, 13)):
+            if r == p:
+                continue
+            group = GroupSpec(family, n, p)
+            for ctx in _contexts(p, r):
+                want = _reference_semisimple_max(group, ctx)
+                if want is None:
+                    with pytest.raises(Infeasible):
+                        max_class(group, ctx)
+                    continue
+                cls, dim = max_class(group, ctx)
+                assert (repr(cls), dim) == (repr(want[0]), want[1]), (group, ctx)
+
+    def test_sl_involutions(self):
+        for n, p in itertools.product(range(2, 41), (0, 3, 5)):
+            group = GroupSpec("SL", n, p)
+            classes = [semisimple(ones=n - b, minus_ones=b, order=2) for b in range(2, n, 2)]
+            if n % 2 == 0:
+                classes.append(
+                    semisimple(pairs=[("l1", n // 2)], relations={"l1": "square_is_minus_one"}, order=2)
+                )
+            cls, dim = max_class(group, QContext(r=2))
+            want = _argmax_by_dim(classes, group)
+            assert (repr(cls), dim) == (repr(want[0]), want[1]), n
 
 
 class TestPinnedAnswers:
@@ -158,6 +234,47 @@ class TestPinnedAnswers:
         cls, dim = max_class(g, QContext(r=3, i=2))
         assert dim == 2000**2 - 666**2 - 2 * 667**2
         assert cls.eigen.mult_one == 666
+
+
+class TestSemisimpleSweep:
+    GROUPS = {
+        "SL": [("SL", n) for n in range(2, 41)],
+        "Sp": [("Sp", n) for n in range(4, 41, 2)],
+        "SO": [("SO", n) for n in range(6, 41) if n != 8],
+    }
+
+    def test_unchanged(self):
+        # sha256 of the repr of (class, dim), or of the name of the error
+        # raised, for SL2-40, Sp4-40 and SO6-40 at p = 0, 2, 3, 5, 7, 11,
+        # every r in (3, 5, 7, 11, 13) other than p and every i, as computed
+        # by a search over every multiplicity vector; first 16 hex digits
+        digests = {
+            "SL": (3939, "0fed661afd3e1b3b"),
+            "Sp": (1919, "dfe79ffbc77d60fd"),
+            "SO": (3111, "6c448428ac379ae4"),
+        }
+        got = {}
+        for key, groups in self.GROUPS.items():
+            answers = []
+            for (family, n), p, r in itertools.product(groups, (0, 2, 3, 5, 7, 11), (3, 5, 7, 11, 13)):
+                if r == p or (family == "SO" and n % 2 and p == 2):
+                    continue
+                for ctx in _contexts(p, r):
+                    try:
+                        answers.append(max_class(GroupSpec(family, n, p), ctx))
+                    except TopogenError as exc:
+                        answers.append(type(exc).__name__)
+            got[key] = (len(answers), hashlib.sha256(repr(answers).encode()).hexdigest()[:16])
+        assert got == digests
+
+    def test_sl2000_i1(self):
+        g = GroupSpec("SL", 2000, 0)
+        # r = 3: 1, w, w^2 split 2000 as 667, 667, 666
+        _, dim = max_class(g, QContext(r=3, i=1))
+        assert dim == 2666666 == 2000**2 - 2 * 667**2 - 666**2
+        # r = 13: 13 eigenvalues, 2000 = 153 * 13 + 11
+        _, dim = max_class(g, QContext(r=13, i=1))
+        assert dim == 3692306 == 2000**2 - 11 * 154**2 - 2 * 153**2
 
 
 class TestRsLimit:
