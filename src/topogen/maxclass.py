@@ -148,12 +148,13 @@ def _semisimple_max(group: GroupSpec, ctx: QContext):
     def cands():
         # s blocks of dimension weight leave a 1-eigenspace of dimension
         # e = n - weight * s, of the parity Sp and SO need (weight is even
-        # for inverse pairs); they are spread near equally over the slots,
-        # so no eigenvalue fills V: with i = 1 there are r - 1 >= 2 slots,
-        # else weight >= 2
+        # for inverse pairs); they are spread near equally over the slots
+        # (at most s of them are used, so large r costs nothing), and no
+        # eigenvalue fills V: with i = 1 there are r - 1 >= 2 slots, else
+        # weight >= 2
         for s in range(1, n // weight + 1):
             e = n - weight * s
-            mults = tuple(a for a in _near_equal_partition(s, slots) if a)
+            mults = _near_equal_partition(s, min(s, slots))
             each = [a for a in mults for _ in range(labels_per_slot)]
             if pairing == "pairs":
                 cent = _semisimple_centralizer_dim(fam, e, 0, pair_mults=each)

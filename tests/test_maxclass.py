@@ -276,6 +276,18 @@ class TestSemisimpleSweep:
         _, dim = max_class(g, QContext(r=13, i=1))
         assert dim == 3692306 == 2000**2 - 11 * 154**2 - 2 * 153**2
 
+    @pytest.mark.parametrize("r", [1000000007, 2**63 + 29])
+    def test_large_r(self, r):
+        # once there are more slots than blocks, r no longer changes the
+        # answer; r - 1 slots must not be materialised
+        sl3 = GroupSpec("SL", 3, 0)
+        assert max_class(sl3, QContext(r=r))[1] == max_class(sl3, QContext(r=5))[1] == 6
+        for family, n in [("SL", 7), ("Sp", 8), ("SO", 9), ("SO", 10)]:
+            g = GroupSpec(family, n, 0)
+            small, dim = max_class(g, QContext(r=11))
+            cls, big_dim = max_class(g, QContext(r=r))
+            assert big_dim == dim and cls.eigen.mult_one == small.eigen.mult_one
+
 
 class TestRsLimit:
     def test_sp4_exceptional_rows(self):
