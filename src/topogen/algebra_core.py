@@ -8,6 +8,7 @@ form-module decomposition. No field elements appear at this layer.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import index
@@ -252,8 +253,10 @@ def _norm_decoration(decoration) -> Optional[tuple]:
                 kind, size = "W", item["W"]
             else:
                 raise SchemaError(f"bad decoration record {item!r}")
-        else:
+        elif isinstance(item, (tuple, list)) and len(item) == 3:
             kind, size, mult = item
+        else:
+            raise SchemaError(f"a decoration item must be a mapping or a triple, not {item!r}")
         size = _whole(size, "a decoration size")
         mult = _whole(mult, "a decoration multiplicity")
         if kind not in ("V", "W") or size < 1 or mult < 1:
@@ -375,16 +378,19 @@ def _validate_semisimple(group: GroupSpec, cls: ClassDescriptor) -> EigenPattern
     return EigenPattern(pat.mult_one, pat.mult_minus_one, pat.pairs, pat.free, rels, pat.variant)
 
 
+def _unpaired_parts(group: GroupSpec, partition: tuple) -> list:
+    """The parts of a unipotent partition that break the group's parity
+    rule, in the order they first occur: in Sp every odd part, in SO every
+    even part, needs even multiplicity; SL has no rule."""
+    if group.family == "SL":
+        return []
+    parity = 1 if group.family == "Sp" else 0
+    return [a for a, c in Counter(partition).items() if a % 2 == parity and c % 2]
+
+
 def _check_admissible_partition(group: GroupSpec, partition: tuple) -> None:
-    fam = group.family
-    if fam == "SL":
-        return
-    # Sp: odd parts need even multiplicity; SO: even parts. Bad parts are
-    # listed in the order they first occur
-    parity = 1 if fam == "Sp" else 0
-    bad = [a for a in dict.fromkeys(partition) if a % 2 == parity and partition.count(a) % 2]
-    if bad:
-        if parity:
+    if bad := _unpaired_parts(group, partition):
+        if group.family == "Sp":
             raise ParityViolation(f"odd parts {bad} need even multiplicity in Sp")
         raise ParityViolation(f"even parts {bad} need even multiplicity in SO")
 

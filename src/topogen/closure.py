@@ -12,7 +12,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .algebra_core import ClassDescriptor, GroupSpec, unipotent, validate_class
+from .algebra_core import ClassDescriptor, GroupSpec, _unpaired_parts, unipotent, validate_class
 from .errors import MixedKinds, NoSuchClass, NotApplicable, SizeMismatch
 
 
@@ -50,7 +50,7 @@ def _dec_state(cls: ClassDescriptor) -> tuple:
 
 
 def _state_valid(group: GroupSpec, vs: tuple, ws: tuple) -> bool:
-    if any(Counter(vs)[s] > 2 for s in set(vs)):
+    if any(c > 2 for c in Counter(vs).values()):
         return False
     if group.is_orthogonal and len(vs) % 2:
         return False
@@ -137,15 +137,6 @@ def _near_equal_partition(n: int, m: int) -> tuple:
     return (q + 1,) * s + (q,) * (m - s)
 
 
-def _admissible(group: GroupSpec, partition: tuple) -> bool:
-    counts = Counter(partition)
-    if group.family == "Sp":
-        return all(c % 2 == 0 for a, c in counts.items() if a % 2)
-    if group.is_orthogonal:
-        return all(c % 2 == 0 for a, c in counts.items() if a % 2 == 0)
-    return True
-
-
 def smallest_class_with_blocks(group: GroupSpec, m: int) -> ClassDescriptor:
     target = group.class_group()
     n = target.n
@@ -155,7 +146,7 @@ def smallest_class_with_blocks(group: GroupSpec, m: int) -> ClassDescriptor:
         if target.is_orthogonal and (n - m) % 2:
             raise NoSuchClass("block count must match n mod 2 for SO")
         pi = _near_equal_partition(n, m)
-        assert _admissible(target, pi), pi
+        assert not _unpaired_parts(target, pi), pi
         return validate_class(target, unipotent(partition=pi))
     # characteristic 2, Sp/SO: the unique smallest class exists for m even
     # and is the all-W class with near-equal W parts
@@ -184,7 +175,7 @@ def enumerate_unipotent_partitions(group: GroupSpec, max_part: int | None = None
     cap = max_part or target.n
     out = []
     for pi in _partitions(target.n, cap):
-        if max(pi) > 1 and _admissible(target, pi):
+        if max(pi) > 1 and not _unpaired_parts(target, pi):
             out.append(pi)
     return out
 

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import product
-from math import gcd, inf
+from math import gcd, inf, prod
 from operator import eq, mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .algebra_core import ClassDescriptor, GroupSpec, is_prime
 from .errors import (
@@ -72,48 +72,26 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 def _find_irreducible(p: int, k: int) -> tuple:
     """Monic irreducible polynomial of degree k over GF(p), low coeffs first."""
 
-    def is_irreducible(coeffs):
-        # trial division by all monic polynomials of degree <= k // 2
-        def poly_mod(a, b):
-            a = list(a)
-            while len(a) >= len(b) and any(a):
-                while a and a[-1] == 0:
-                    a.pop()
-                if len(a) < len(b):
-                    break
-                c = a[-1] * pow(b[-1], -1, p) % p
-                shift = len(a) - len(b)
+    def monic(d):
+        """The monic polynomials of degree d, the lowest coefficient varying fastest."""
+        return (low[::-1] + (1,) for low in product(range(p), repeat=d))
+
+    def divides(b, a) -> bool:
+        """True when the monic polynomial b divides a."""
+        a = list(a)
+        for shift in range(len(a) - len(b), -1, -1):
+            if c := a[shift + len(b) - 1]:
                 for i, x in enumerate(b):
                     a[shift + i] = (a[shift + i] - c * x) % p
-                while a and a[-1] == 0:
-                    a.pop()
-            return a
+        return not any(a)
 
-        for d in range(1, k // 2 + 1):
-            for idx in range(p**d):
-                low = []
-                t = idx
-                for _ in range(d):
-                    low.append(t % p)
-                    t //= p
-                divisor = low + [1]
-                if not poly_mod(list(coeffs), divisor):
-                    return False
-        return True
-
-    # prefer x^2 + 1 when it works (nice arithmetic for GF(9))
-    candidates = []
+    candidates = list(monic(k))
     if k == 2:
-        candidates.append((1, 0, 1))
-    for idx in range(p**k):
-        low = []
-        t = idx
-        for _ in range(k):
-            low.append(t % p)
-            t //= p
-        candidates.append(tuple(low) + (1,))
+        # prefer x^2 + 1 when it works (nice arithmetic for GF(9))
+        candidates.insert(0, (1, 0, 1))
     for c in candidates:
-        if is_irreducible(c):
+        # trial division by all monic polynomials of degree <= k // 2
+        if not any(divides(b, c) for d in range(1, k // 2 + 1) for b in monic(d)):
             return c
     raise SchemaError("no irreducible polynomial found")
 
@@ -433,25 +411,29 @@ def _mat_inv(F: Field, A):
     return tuple(tuple(form[i].get(n + j, F.zero) for j in range(n)) for i in range(n))
 
 
-def _check_form_preserved(F: Field, g, form, kind: str) -> None:
-    gt = _transpose(g)
-    if kind in ("symplectic", "symmetric"):
-        lhs = _mat_mul(F, _mat_mul(F, gt, form), g)
-        if lhs != form:
-            raise SchemaError("matrix does not preserve the declared form")
-        return
+def _polarization(F: Field, form, kind: str):
+    n = len(form)
     if kind == "quadratic":
-        # Q(gx) = Q(x) iff g^T F g + F is symmetric with zero diagonal
-        diff = _mat_sub(F, _mat_mul(F, _mat_mul(F, gt, form), g), form)
-        n = len(diff)
-        for i in range(n):
-            if diff[i][i] != F.zero:
-                raise SchemaError("matrix does not preserve the quadratic form")
-            for j in range(i + 1, n):
-                if F.add(diff[i][j], diff[j][i]) != F.zero:
-                    raise SchemaError("matrix does not preserve the quadratic form")
-        return
-    raise SchemaError(f"unknown form kind {kind!r}")
+        return tuple(
+            tuple(F.add(form[i][j], form[j][i]) for j in range(n)) for i in range(n)
+        )
+    return form
+
+
+def _is_singular_vector(F: Field, form, v) -> bool:
+    return not F.red[sum(map(mul, v, _mat_vec(F, form, v)))]
+
+
+def _check_form_preserved(F: Field, g, form, kind: str) -> None:
+    if kind not in ("symplectic", "symmetric", "quadratic"):
+        raise SchemaError(f"unknown form kind {kind!r}")
+    diff = _mat_sub(F, _mat_mul(F, _mat_mul(F, _transpose(g), form), g), form)
+    if kind == "quadratic":
+        # Q(gx) = Q(x) iff g^T F g - F is alternating: zero diagonal and polarization
+        if any(diff[i][i] for i in range(len(diff))) or any(map(any, _polarization(F, diff, kind))):
+            raise SchemaError("matrix does not preserve the quadratic form")
+    elif any(map(any, diff)):
+        raise SchemaError("matrix does not preserve the declared form")
 
 
 # ---------------------------------------------------------------------------
@@ -515,48 +497,27 @@ def fixed_space_dim(m: GFMatrix) -> int:
 
 
 def induced_matrix(m: GFMatrix, functor: str) -> GFMatrix:
-    F = m.field
-    g = m.entries
-    n = m.n
+    """The action of m on V (x) V ("tensor" or "tensor_square"), on the
+    exterior square ("wedge2", basis e_i ^ e_j, i < j) or on the symmetric
+    square ("sym2", basis e_i e_j, i <= j)."""
     if functor in ("tensor", "tensor_square"):
-        basis = [(i, j) for i in range(n) for j in range(n)]
-        rows = {}
-        for bi, (i, j) in enumerate(basis):
-            for bk, (k, l) in enumerate(basis):
-                rows[(bk, bi)] = F.mul(g[k][i], g[l][j])
-        size = len(basis)
-        ent = tuple(
-            tuple(rows.get((r, c), F.zero) for c in range(size)) for r in range(size)
-        )
-        return GFMatrix(m.q, ent)
-    if functor == "wedge2":
-        basis = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        idx = {b: t for t, b in enumerate(basis)}
-        size = len(basis)
-        ent = [[F.zero] * size for _ in range(size)]
-        for (i, j), c in idx.items():
-            for (k, l), r in idx.items():
-                val = F.sub(
-                    F.mul(g[k][i], g[l][j]), F.mul(g[l][i], g[k][j])
-                )
-                ent[r][c] = val
-        return GFMatrix(m.q, tuple(tuple(row) for row in ent))
-    if functor == "sym2":
-        basis = [(i, j) for i in range(n) for j in range(i, n)]
-        idx = {b: t for t, b in enumerate(basis)}
-        size = len(basis)
-        ent = [[F.zero] * size for _ in range(size)]
-        for (i, j), c in idx.items():
-            for (k, l), r in idx.items():
-                if k == l:
-                    val = F.mul(g[k][i], g[k][j])
-                else:
-                    val = F.add(
-                        F.mul(g[k][i], g[l][j]), F.mul(g[l][i], g[k][j])
-                    )
-                ent[r][c] = val
-        return GFMatrix(m.q, tuple(tuple(row) for row in ent))
-    raise NotApplicable(f"unknown functor {functor!r}")
+        return kron(m, m)
+    if functor not in ("wedge2", "sym2"):
+        raise NotApplicable(f"unknown functor {functor!r}")
+    F, g, n = m.field, m.entries, m.n
+    red = F.red
+    combine = F.sub if functor == "wedge2" else F.add
+    basis = [(i, j) for i in range(n) for j in range(i + (functor == "wedge2"), n)]
+    ent = [
+        [
+            red[g[k][i] * g[k][j]]
+            if k == l
+            else combine(red[g[k][i] * g[l][j]], red[g[l][i] * g[k][j]])
+            for i, j in basis
+        ]
+        for k, l in basis
+    ]
+    return GFMatrix(m.q, ent)
 
 
 def kron(m1: GFMatrix, m2: GFMatrix) -> GFMatrix:
@@ -664,23 +625,12 @@ def invariant_form_matrix(
     def good(X):
         if kind != "quadratic":
             return _rank(F, X) == n
-        pol = tuple(
-            tuple(F.add(X[i][j], X[j][i]) for j in range(n)) for i in range(n)
-        )
+        pol = _polarization(F, X, kind)
         want = n if (n % 2 == 0 or F.p != 2) else n - 1
         if _rank(F, pol) < want:
             return False
-        if want == n - 1:
-            # the quadratic form must not vanish on the radical of the
-            # polarization
-            for v in _nullspace(F, pol, n):
-                val = F.zero
-                for i in range(n):
-                    for j in range(n):
-                        val = F.add(val, F.mul(F.mul(v[i], X[i][j]), v[j]))
-                if val == F.zero:
-                    return False
-        return True
+        # the quadratic form must not vanish on the radical of the polarization
+        return want == n or not any(_is_singular_vector(F, X, v) for v in _nullspace(F, pol, n))
 
     for v in basis:
         X = unflatten(v)
@@ -779,14 +729,7 @@ def matrix_from_class(
             tuple(diag[i] if i == j else F.zero for j in range(n)) for i in range(n)
         )
     kind = _FORM_KIND[target.family]
-    if kind is None:
-        return GFMatrix(q, g)
-    if kind == "symmetric" and F.p == 2:
-        kind = "quadratic"
-    form = invariant_form_matrix(g, q, kind)
-    if form is None:
-        raise Uninstantiable("no nondegenerate invariant form over GF(q)")
-    return GFMatrix(q, g, form=form, form_kind=kind)
+    return GFMatrix(q, g) if kind is None else _with_form(q, g, kind)
 
 
 def unipotent_matrix(partition: Sequence[int], q: int, form_kind: str) -> GFMatrix:
@@ -794,13 +737,19 @@ def unipotent_matrix(partition: Sequence[int], q: int, form_kind: str) -> GFMatr
     without going through a group descriptor."""
     F = _field(q)
     blocks = [_jordan_block(F, a, F.one) for a in sorted(partition, reverse=True)]
-    g = _block_diag(F, blocks)
-    if form_kind == "symmetric" and F.p == 2:
-        form_kind = "quadratic"
-    form = invariant_form_matrix(g, q, form_kind)
+    return _with_form(q, _block_diag(F, blocks), form_kind)
+
+
+def _with_form(q: int, g, kind: str) -> GFMatrix:
+    """The matrix g tagged with a nondegenerate invariant form of the kind,
+    a quadratic one for "symmetric" at p = 2; Uninstantiable when g
+    preserves none."""
+    if kind == "symmetric" and _field(q).p == 2:
+        kind = "quadratic"
+    form = invariant_form_matrix(g, q, kind)
     if form is None:
         raise Uninstantiable("no nondegenerate invariant form over GF(q)")
-    return GFMatrix(q, g, form=form, form_kind=form_kind)
+    return GFMatrix(q, g, form=form, form_kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -851,29 +800,13 @@ def centralizer_lie_dim(group: GroupSpec, m: GFMatrix) -> int:
 
 
 def group_order(family: str, n: int, q: int, epsilon: int = 1) -> int:
+    m = n // 2
     if family == "SL":
-        order = q ** (n * (n - 1) // 2)
-        for i in range(2, n + 1):
-            order *= q**i - 1
-        return order
-    if family == "Sp":
-        m = n // 2
-        order = q ** (m * m)
-        for i in range(1, m + 1):
-            order *= q ** (2 * i) - 1
-        return order
+        return q ** (n * (n - 1) // 2) * prod(q**i - 1 for i in range(2, n + 1))
+    if family == "Sp" or family in ("SO", "Spin8") and n % 2:
+        return q ** (m * m) * prod(q ** (2 * i) - 1 for i in range(1, m + 1))
     if family in ("SO", "Spin8"):
-        if n % 2:
-            m = n // 2
-            order = q ** (m * m)
-            for i in range(1, m + 1):
-                order *= q ** (2 * i) - 1
-            return order
-        m = n // 2
-        order = q ** (m * (m - 1)) * (q**m - epsilon)
-        for i in range(1, m):
-            order *= q ** (2 * i) - 1
-        return order
+        return q ** (m * (m - 1)) * (q**m - epsilon) * prod(q ** (2 * i) - 1 for i in range(1, m))
     raise UnsupportedGroup(f"no order formula for {family}")
 
 
@@ -929,18 +862,15 @@ def standard_generators(family: str, n: int, q: int) -> list[GFMatrix]:
     raise UnsupportedGroup("standard generators implemented for SL and Sp")
 
 
-def _bfs(start, moves, limit):
+def _bfs(start, moves) -> set:
     """Everything reachable from ``start`` by repeated ``moves`` (a map from
-    an element to its neighbours), searched breadth first; stops as soon as
-    more than ``limit`` elements are found."""
+    an element to its neighbours), searched breadth first."""
     seen = {start}
     queue = [start]
     for a in queue:
         for b in moves(a):
             if b not in seen:
                 seen.add(b)
-                if len(seen) > limit:
-                    return seen
                 queue.append(b)
     return seen
 
@@ -996,7 +926,7 @@ def _perm_mul(a, b) -> tuple:
 def _closure_set(perms) -> set:
     """The group the permutations generate, listed breadth first."""
     identity = tuple(range(len(perms[0])))
-    return _bfs(identity, lambda a: [_perm_mul(a, g) for g in perms], inf)
+    return _bfs(identity, lambda a: [_perm_mul(a, g) for g in perms])
 
 
 def _perm_inv(a) -> list:
@@ -1118,43 +1048,53 @@ def _orders_mod_center(elements) -> list:
     return sorted((a, k) for a, k in order.items() if k > 1)
 
 
-class _GroupData:
+class _GroupData(NamedTuple):
     """PG = G/Z for the group G generated by ``standard_generators(family,
-    n, q)``: generators of PG, the permutations the standard generators
-    induce on the points of P^{n-1}(GF(q)), each kept only if it enlarges
-    the group of those kept before it (Sp4(3) keeps 5 of its 10), so that
-    listing PG and its conjugacy classes takes no redundant products, and
-    the order of PG, by Schreier–Sims on those points. Raises
-    GroupTooLarge when that order exceeds ``cap``. PG is the only group
-    listed, when a probability first asks for it; the matrices of G never
-    are."""
+    n, q)``, from ``_group_data``. PG is the only group listed; the
+    matrices of G never are."""
 
-    def __init__(self, family: str, n: int, q: int, cap: int):
-        F = _field(q)
-        self.gen_perms, self.pg_order = [], 1
-        for g in standard_generators(family, n, q):
-            perm = _projective_perm(F, g.entries)
-            order = _perm_group_order(self.gen_perms + [perm])
-            if order > self.pg_order:
-                self.gen_perms.append(perm)
-                self.pg_order = order
-        if self.pg_order > cap:
-            raise GroupTooLarge(f"G/Z has order {self.pg_order}, over the cap {cap}")
-
-    @cached_property
-    def pg_elements(self) -> set:
-        """PG, listed breadth first over products of permutations."""
-        return _closure_set(self.gen_perms)
-
-    @cached_property
-    def pg_orders(self) -> list:
-        """(a, order of a) for every a != 1 of PG, in sorted order."""
-        return _orders_mod_center(self.pg_elements)
+    # permutations the standard generators induce on the points of
+    # P^{n-1}(GF(q)), each kept only if it enlarges the group of those kept
+    # before it (Sp4(3) keeps 5 of its 10), so that listing PG and its
+    # conjugacy classes takes no redundant products
+    gen_perms: list
+    # the order of PG, by Schreier–Sims on those points
+    pg_order: int
+    # PG, listed breadth first over products of permutations
+    pg_elements: set
+    # (a, order of a) for every a != 1 of PG, in sorted order
+    pg_orders: list
 
 
 @lru_cache(maxsize=8)
 def _group_data(family: str, n: int, q: int, cap: int) -> _GroupData:
-    return _GroupData(family, n, q, cap)
+    """The ``_GroupData`` of the group; raises GroupTooLarge, before PG is
+    listed, when its order exceeds ``cap``."""
+    F = _field(q)
+    gen_perms, pg_order = [], 1
+    for g in standard_generators(family, n, q):
+        perm = _projective_perm(F, g.entries)
+        order = _perm_group_order(gen_perms + [perm])
+        if order > pg_order:
+            gen_perms.append(perm)
+            pg_order = order
+    if pg_order > cap:
+        raise GroupTooLarge(f"G/Z has order {pg_order}, over the cap {cap}")
+    elements = _closure_set(gen_perms)
+    return _GroupData(gen_perms, pg_order, elements, _orders_mod_center(elements))
+
+
+def _elements_of_orders(groupspec: tuple, r: int, s: int, cap: int) -> tuple:
+    """(data, xr, xs): the ``_GroupData`` of the group, and its elements of
+    order r and of order s modulo the centre. Raises NotApplicable when
+    either list is empty."""
+    family, n, q = groupspec
+    data = _group_data(family, n, q, cap)
+    xr = [a for a, k in data.pg_orders if k == r]
+    xs = [a for a, k in data.pg_orders if k == s]
+    if not xr or not xs:
+        raise NotApplicable(f"no elements of order {r} or {s} mod center")
+    return data, xr, xs
 
 
 def estimate_generation_probability(
@@ -1170,12 +1110,7 @@ def estimate_generation_probability(
     the distribution of a draw from G. Pairs are memoised, for one call,
     and ``_generates`` tests whether a pair generates PG. Raises
     GroupTooLarge when PG has more than ``cap`` elements."""
-    family, n, q = groupspec
-    data = _group_data(family, n, q, cap)
-    xr = [a for a, k in data.pg_orders if k == r]
-    xs = [a for a, k in data.pg_orders if k == s]
-    if not xr or not xs:
-        raise NotApplicable(f"no elements of order {r} or {s} mod center")
+    data, xr, xs = _elements_of_orders(groupspec, r, s, cap)
     cache: dict = {}
     hits = 0
     for t in range(trials):
@@ -1199,12 +1134,7 @@ def exact_generation_probability(
     reduction on the first element and centraliser-orbit reduction on the
     second leave one ``_generates`` call per pair of orbits. Raises
     GroupTooLarge when PG has more than ``cap`` elements."""
-    family, n, q = groupspec
-    data = _group_data(family, n, q, cap)
-    xr = [a for a, k in data.pg_orders if k == r]
-    xs = [a for a, k in data.pg_orders if k == s]
-    if not xr or not xs:
-        raise NotApplicable(f"no elements of order {r} or {s} mod center")
+    data, xr, xs = _elements_of_orders(groupspec, r, s, cap)
     gen_pairs = [(g, _perm_inv(g)) for g in data.gen_perms]
 
     # conjugacy classes inside xr
@@ -1212,7 +1142,7 @@ def exact_generation_probability(
     classes = []
     while remaining:
         rep = min(remaining)
-        orbit = _bfs(rep, lambda a: [_conjugate(a, *g) for g in gen_pairs], len(xr))
+        orbit = _bfs(rep, lambda a: [_conjugate(a, *g) for g in gen_pairs])
         classes.append((rep, len(orbit)))
         remaining -= orbit
     hit_pairs = 0
@@ -1231,19 +1161,6 @@ def exact_generation_probability(
 # ---------------------------------------------------------------------------
 # invariant subspaces
 # ---------------------------------------------------------------------------
-
-
-def _polarization(F: Field, form, kind: str):
-    n = len(form)
-    if kind == "quadratic":
-        return tuple(
-            tuple(F.add(form[i][j], form[j][i]) for j in range(n)) for i in range(n)
-        )
-    return form
-
-
-def _is_singular_vector(F: Field, form, v) -> bool:
-    return not F.red[sum(map(mul, v, _mat_vec(F, form, v)))]
 
 
 def invariant_subspace_count(

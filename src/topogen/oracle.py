@@ -475,7 +475,7 @@ def min_generators(group: GroupSpec, cls: ClassDescriptor) -> int:
     search starts at the least r the dimension rule allows on every module
     it reads: r (dim - d) >= dim."""
     cls = validate_class(group, cls)
-    n = group.class_group().n if group.family != "Spin8" else 8
+    n = group.class_group().n
     bounded = _module_profiles(group, [cls])[3]
     start = max(2, *(-(-dim // (dim - d)) for _, dim, (d,) in bounded))
     for r in range(start, n + 2):

@@ -84,9 +84,8 @@ def _unipotent_shapes(target: GroupSpec) -> list[ClassDescriptor]:
     out = []
     if p == 2 and target.family in ("Sp", "SO", "Spin8"):
         # prime order at p = 2 means involutions; enumerate decorations
-        natural = 8 if target.family == "Spin8" else n
         vchoices = (0, 2) if target.is_orthogonal else (0, 1, 2)
-        for s in range(1, natural // 2 + 1):
+        for s in range(1, n // 2 + 1):
             for v in vchoices:
                 if v > s or (s - v) % 2:
                     continue
@@ -95,8 +94,8 @@ def _unipotent_shapes(target: GroupSpec) -> list[ClassDescriptor]:
                     dec.append({"V": 2, "mult": v})
                 if s - v:
                     dec.append({"W": 2, "mult": (s - v) // 2})
-                if natural - 2 * s:
-                    dec.append({"W": 1, "mult": (natural - 2 * s) // 2})
+                if n - 2 * s:
+                    dec.append({"W": 1, "mult": (n - 2 * s) // 2})
                 try:
                     out.append(validate_class(target, unipotent(decoration=dec, order=2)))
                 except UnsupportedCase:
@@ -177,7 +176,7 @@ def _shape_table(target: GroupSpec) -> tuple[ClassDescriptor, ...]:
 def _bounded_class_group(group: GroupSpec, bound: int) -> GroupSpec:
     """group.class_group(), after checking the natural dimension against bound."""
     target = group.class_group()
-    if (8 if group.family == "Spin8" else target.n) > bound:
+    if target.n > bound:
         raise BoundExceeded(f"shape enumeration bounded at n = {bound}")
     return target
 

@@ -239,6 +239,11 @@ class TestUnipotentValidation:
         with pytest.raises(SchemaError):
             unipotent(**kwargs)
 
+    @pytest.mark.parametrize("item", [("V", 2), 5, "VW", ("V", 2, 1, 0)])
+    def test_decoration_items_are_mappings_or_triples(self, item):
+        with pytest.raises(SchemaError):
+            unipotent(decoration=[item])
+
     def test_integer_parts_accepted(self):
         assert unipotent(partition=[2, 3, 1]).unip.partition == (3, 2, 1)
         dec = unipotent(decoration=[("W", 2, 1), {"V": 2}]).unip.decoration

@@ -15,6 +15,7 @@ import pytest
 
 from topogen import finfield
 from topogen.algebra_core import GroupSpec, is_prime, semisimple, unipotent, validate_class
+from topogen.closure import _partitions
 from topogen.errors import (
     GroupTooLarge,
     NonSplit,
@@ -22,6 +23,7 @@ from topogen.errors import (
     SchemaError,
     Uninstantiable,
     UnsupportedCase,
+    UnsupportedGroup,
 )
 from topogen.finfield import (
     Field,
@@ -378,6 +380,146 @@ class TestGroupOrders:
         gens = standard_generators("SL", 2, 7)
         size, truncated = group_closure(gens, cap=10)
         assert truncated and size >= 10
+
+
+def _digest(x) -> str:
+    return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+
+
+class TestPinnedConstructions:
+    """Answers of the matrix, form, field and order constructions, each
+    computed before these constructions were reduced to one code path
+    apiece; the digests are sha256 of the repr of the listed values, first
+    16 hex digits."""
+
+    def test_induced_matrices(self):
+        # every functor of random n x n matrices, n <= 5, and of Jordan
+        # blocks of sizes 2-6, over prime and extension fields
+        out = []
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            F = finfield._field(q)
+            rng = random.Random(q)
+            elems = F.elements()
+            mats = [tuple(tuple(rng.choice(elems) for _ in range(n)) for _ in range(n)) for n in range(1, 6)]
+            mats += [finfield._jordan_block(F, a, F.one) for a in range(2, 7)]
+            for g in mats:
+                for functor in ("tensor", "tensor_square", "wedge2", "sym2"):
+                    out.append(induced_matrix(GFMatrix(q, g), functor).entries)
+        assert (len(out), _digest(out)) == (280, "13d583d48b872308")
+
+    def test_moduli(self):
+        moduli = {
+            4: (1, 1, 1),
+            8: (1, 1, 0, 1),
+            9: (1, 0, 1),
+            16: (1, 1, 0, 0, 1),
+            25: (2, 0, 1),
+            27: (1, 2, 0, 1),
+            32: (1, 0, 1, 0, 0, 1),
+            49: (1, 0, 1),
+            81: (2, 1, 0, 0, 1),
+            121: (1, 0, 1),
+            125: (1, 1, 0, 1),
+            128: (1, 1, 0, 0, 0, 0, 0, 1),
+            243: (1, 2, 0, 0, 0, 1),
+            256: (1, 1, 0, 1, 1, 0, 0, 0, 1),
+        }
+        assert {q: Field(q).modulus for q in moduli} == moduli
+
+    def test_group_orders(self):
+        orders = {
+            ("SL", 2, 2, 1): 6,
+            ("SL", 2, 3, 1): 24,
+            ("SL", 3, 2, 1): 168,
+            ("SL", 3, 3, 1): 5616,
+            ("SL", 4, 2, 1): 20160,
+            ("SL", 4, 3, 1): 12130560,
+            ("Sp", 2, 2, 1): 6,
+            ("Sp", 2, 3, 1): 24,
+            ("Sp", 4, 2, 1): 720,
+            ("Sp", 4, 3, 1): 51840,
+            ("Sp", 6, 2, 1): 1451520,
+            ("Sp", 6, 3, 1): 9170703360,
+            ("SO", 3, 2, 1): 6,
+            ("SO", 3, 3, 1): 24,
+            ("SO", 5, 2, 1): 720,
+            ("SO", 5, 3, 1): 51840,
+            ("SO", 7, 2, 1): 1451520,
+            ("SO", 7, 3, 1): 9170703360,
+            ("SO", 4, 2, 1): 36,
+            ("SO", 4, 2, -1): 60,
+            ("SO", 4, 3, 1): 576,
+            ("SO", 4, 3, -1): 720,
+            ("SO", 6, 2, 1): 20160,
+            ("SO", 6, 2, -1): 25920,
+            ("SO", 6, 3, 1): 12130560,
+            ("SO", 6, 3, -1): 13063680,
+            ("SO", 8, 2, 1): 174182400,
+            ("SO", 8, 2, -1): 197406720,
+            ("SO", 8, 3, 1): 19808719257600,
+            ("SO", 8, 3, -1): 20303937239040,
+        }
+        assert {key: group_order(*key) for key in orders} == orders
+        assert group_order("Spin8", 8, 3, -1) == orders[("SO", 8, 3, -1)]
+        with pytest.raises(UnsupportedGroup):
+            group_order("G2", 7, 3)
+
+    def test_char2_form_models(self):
+        # (entries, form, form_kind) of unipotent_matrix, or the name of the
+        # UnsupportedCase raised, for every partition of n = 2..5 over GF(2)
+        # and GF(4); symmetric asks for a quadratic form there, which for
+        # odd n must not vanish on the radical of its polarization
+        out = []
+        for q in (2, 4):
+            for n in range(2, 6):
+                for part in _partitions(n):
+                    for kind in ("symplectic", "symmetric")[n % 2 :]:
+                        try:
+                            m = unipotent_matrix(part, q, kind)
+                        except UnsupportedCase as exc:
+                            out.append(type(exc).__name__)
+                            continue
+                        out.append((m.entries, m.form, m.form_kind))
+        assert (len(out), _digest(out)) == (48, "227d9b14dd602cfe")
+
+    @pytest.mark.parametrize(
+        "q,entries,form,kind,message",
+        [
+            (3, ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+             ((0, 0, 1, 0), (0, 0, 0, 1), (2, 0, 0, 0), (0, 2, 0, 0)), "symplectic",
+             "matrix does not preserve the declared form"),
+            (5, ((1, 1), (0, 1)), ((1, 0), (0, 1)), "symmetric",
+             "matrix does not preserve the declared form"),
+            # Q = x0 x1 over GF(2) and GF(3): Q(x0 + x1, x1) = x0 x1 + x1^2
+            (2, ((1, 1), (0, 1)), ((0, 1), (0, 0)), "quadratic",
+             "matrix does not preserve the quadratic form"),
+            (3, ((1, 1), (0, 1)), ((0, 1), (0, 0)), "quadratic",
+             "matrix does not preserve the quadratic form"),
+            # Q = x0^2 + x0 x1 over GF(2): Q(x1, x0) = x1^2 + x0 x1
+            (2, ((0, 1), (1, 0)), ((1, 1), (0, 0)), "quadratic",
+             "matrix does not preserve the quadratic form"),
+            (5, ((1, 0), (0, 1)), ((1, 0), (0, 1)), "hermitian", "unknown form kind 'hermitian'"),
+            (5, ((1, 0), (0, 1)), ((1, 0), (0, 1)), None, "form matrix given without a form kind"),
+        ],
+    )
+    def test_form_refusals(self, q, entries, form, kind, message):
+        with pytest.raises(SchemaError) as exc:
+            GFMatrix(q, entries, form=form, form_kind=kind)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "q,entries,form,kind",
+        [
+            (3, ((0, 0, 1, 0), (0, 1, 0, 0), (2, 0, 0, 0), (0, 0, 0, 1)),
+             ((0, 0, 1, 0), (0, 0, 0, 1), (2, 0, 0, 0), (0, 2, 0, 0)), "symplectic"),
+            (5, ((0, 1), (1, 0)), ((1, 0), (0, 1)), "symmetric"),
+            # swapping x0 and x1 preserves x0 x1, though g^T F g != F
+            (2, ((0, 1), (1, 0)), ((0, 1), (0, 0)), "quadratic"),
+            (3, ((0, 1), (1, 0)), ((0, 1), (0, 0)), "quadratic"),
+        ],
+    )
+    def test_form_preserved(self, q, entries, form, kind):
+        assert GFMatrix(q, entries, form=form, form_kind=kind).form_kind == kind
 
 
 def _product(F, a, b):
