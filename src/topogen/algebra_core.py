@@ -378,18 +378,18 @@ def _validate_semisimple(group: GroupSpec, cls: ClassDescriptor) -> EigenPattern
     return EigenPattern(pat.mult_one, pat.mult_minus_one, pat.pairs, pat.free, rels, pat.variant)
 
 
-def _unpaired_parts(group: GroupSpec, partition: tuple) -> list:
-    """The parts of a unipotent partition that break the group's parity
+def _unpaired_parts(family: str, partition: tuple) -> list:
+    """The parts of a unipotent partition that break the family's parity
     rule, in the order they first occur: in Sp every odd part, in SO every
     even part, needs even multiplicity; SL has no rule."""
-    if group.family == "SL":
+    if family == "SL":
         return []
-    parity = 1 if group.family == "Sp" else 0
+    parity = 1 if family == "Sp" else 0
     return [a for a, c in Counter(partition).items() if a % 2 == parity and c % 2]
 
 
 def _check_admissible_partition(group: GroupSpec, partition: tuple) -> None:
-    if bad := _unpaired_parts(group, partition):
+    if bad := _unpaired_parts(group.family, partition):
         if group.family == "Sp":
             raise ParityViolation(f"odd parts {bad} need even multiplicity in Sp")
         raise ParityViolation(f"even parts {bad} need even multiplicity in SO")

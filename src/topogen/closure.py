@@ -146,7 +146,7 @@ def smallest_class_with_blocks(group: GroupSpec, m: int) -> ClassDescriptor:
         if target.is_orthogonal and (n - m) % 2:
             raise NoSuchClass("block count must match n mod 2 for SO")
         pi = _near_equal_partition(n, m)
-        assert not _unpaired_parts(target, pi), pi
+        assert not _unpaired_parts(target.family, pi), pi
         return validate_class(target, unipotent(partition=pi))
     # characteristic 2, Sp/SO: the unique smallest class exists for m even
     # and is the all-W class with near-equal W parts
@@ -175,7 +175,7 @@ def enumerate_unipotent_partitions(group: GroupSpec, max_part: int | None = None
     cap = max_part or target.n
     out = []
     for pi in _partitions(target.n, cap):
-        if max(pi) > 1 and not _unpaired_parts(target, pi):
+        if max(pi) > 1 and not _unpaired_parts(target.family, pi):
             out.append(pi)
     return out
 

@@ -6,6 +6,9 @@ compare the order of the generated group (Schreier–Sims on the points of
 projective space) with the group's order. The only group ever listed is
 PG = G/Z, breadth first, as permutations of the points of projective space;
 a group of matrices is measured by Schreier–Sims on vectors, never listed.
+A permutation is the bytes of its images, composed, inverted and conjugated
+by the C-level ``bytes.translate`` and ``bytes.maketrans``; that caps
+projective space at 256 points, more than any G/Z of order <= 10^6 acts on.
 
 All elimination is one sparse kernel, ``_echelon``: rows as dicts column ->
 element in, the reduced row echelon form out as {pivot column: row}, which
@@ -30,10 +33,10 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import gcd, inf, prod
-from operator import eq, mul
+from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .algebra_core import ClassDescriptor, GroupSpec, is_prime
+from .algebra_core import ClassDescriptor, GroupSpec, _unpaired_parts, is_prime
 from .errors import (
     EnumerationTooLarge,
     GroupTooLarge,
@@ -732,10 +735,18 @@ def matrix_from_class(
     return GFMatrix(q, g) if kind is None else _with_form(q, g, kind)
 
 
+_NO_FORM = "no nondegenerate invariant form over GF(q)"
+
+
 def unipotent_matrix(partition: Sequence[int], q: int, form_kind: str) -> GFMatrix:
     """Block-diagonal unipotent matrix with an invariant nondegenerate form,
-    without going through a group descriptor."""
+    without going through a group descriptor. The parity rule of Sp, or of
+    SO at odd p, where it is exact, refuses a partition without a search."""
     F = _field(q)
+    # the family whose parity rule holds for the form; SL has none
+    family = {"symplectic": "Sp", "symmetric": "SO" if F.p != 2 else "SL"}.get(form_kind, "SL")
+    if _unpaired_parts(family, tuple(partition)):
+        raise Uninstantiable(_NO_FORM)
     blocks = [_jordan_block(F, a, F.one) for a in sorted(partition, reverse=True)]
     return _with_form(q, _block_diag(F, blocks), form_kind)
 
@@ -748,7 +759,7 @@ def _with_form(q: int, g, kind: str) -> GFMatrix:
         kind = "quadratic"
     form = invariant_form_matrix(g, q, kind)
     if form is None:
-        raise Uninstantiable("no nondegenerate invariant form over GF(q)")
+        raise Uninstantiable(_NO_FORM)
     return GFMatrix(q, g, form=form, form_kind=kind)
 
 
@@ -909,37 +920,33 @@ def group_closure(generators: Iterable[GFMatrix], cap: int = 10**6):
     return (order, False) if order <= cap else (cap + 1, True)
 
 
-def _projective_perm(F: Field, g) -> tuple:
+def _projective_perm(F: Field, g) -> bytes:
     """The permutation the matrix g induces on the points of
-    P^{n-1}(GF(q)) (``Field.projective_points``): point i goes to point
-    perm[i]. Its kernel, on invertible matrices, is the scalars."""
+    P^{n-1}(GF(q)) (``Field.projective_points``), as bytes: point i goes
+    to point perm[i]. Its kernel, on invertible matrices, is the scalars."""
     points, index = F.projective_points(len(g))
     red = F.red
-    return tuple([index[tuple([red[sum(map(mul, row, v))] for row in g])] for v in points])
+    return bytes([index[tuple([red[sum(map(mul, row, v))] for row in g])] for v in points])
 
 
-def _perm_mul(a, b) -> tuple:
-    """The permutation a, then b."""
-    return tuple(map(b.__getitem__, a))
+# the identity on 256 points, the most a permutation of bytes can move
+_BYTES = bytes(range(256))
+
+
+def _table(a: bytes) -> bytes:
+    """x.translate(_table(a)) is x, then a, for x a permutation or a table."""
+    return a + _BYTES[len(a) :]
 
 
 def _closure_set(perms) -> set:
     """The group the permutations generate, listed breadth first."""
-    identity = tuple(range(len(perms[0])))
-    return _bfs(identity, lambda a: [_perm_mul(a, g) for g in perms])
+    tables = [_table(g) for g in perms]
+    return _bfs(_BYTES[: len(perms[0])], lambda a: map(a.translate, tables))
 
 
-def _perm_inv(a) -> list:
-    return sorted(range(len(a)), key=a.__getitem__)
-
-
-def _conjugate(a, g, g_inv) -> tuple:
-    """g^-1, then a, then g."""
-    return tuple(map(g.__getitem__, map(a.__getitem__, g_inv)))
-
-
-def _commute(a, b) -> bool:
-    return all(map(eq, map(a.__getitem__, b), map(b.__getitem__, a)))
+def _conjugate(a: bytes, g: bytes, g_table: bytes) -> bytes:
+    """g^-1, then a, then g: the permutation taking g[x] to g[a[x]]."""
+    return bytes.maketrans(g, a.translate(g_table))[: len(a)]
 
 
 def _schreier_sims(gens, identity, mul, inv, image, moved, cap=inf) -> int:
@@ -1005,18 +1012,18 @@ def _schreier_sims(gens, identity, mul, inv, image, moved, cap=inf) -> int:
 
 
 def _perm_group_order(gens) -> int:
-    """Order of the group generated by permutations of range(N), each the
-    sequence of its images, by ``_schreier_sims``. Permutations are lists
-    here: short tuples would fill the interpreter's tuple free lists."""
+    """Order of the group generated by permutations of range(N), N <= 256,
+    each the bytes of its images, by ``_schreier_sims`` on their
+    translation tables (``_table``), which compose by ``bytes.translate``."""
     if not gens:
         return 1
     return _schreier_sims(
-        [list(g) for g in gens],
-        list(range(len(gens[0]))),
-        mul=lambda a, b: [*map(b.__getitem__, a)],
-        inv=_perm_inv,
-        image=list.__getitem__,
-        moved=lambda g: next((x for x, y in enumerate(g) if x != y), None),
+        [_table(g) for g in gens],
+        _BYTES,
+        mul=bytes.translate,
+        inv=lambda a: bytes.maketrans(a, _BYTES),
+        image=bytes.__getitem__,
+        moved=lambda g: None if g == _BYTES else next(x for x, y in enumerate(g) if x != y),
     )
 
 
@@ -1039,8 +1046,9 @@ def _orders_mod_center(elements) -> list:
     for a in elements:
         if a in order:
             continue
+        table = _table(a)
         powers = [a]
-        while (b := _perm_mul(powers[-1], a)) != a:
+        while (b := powers[-1].translate(table)) != a:
             powers.append(b)
         k = len(powers)
         for j, x in enumerate(powers, 1):
@@ -1051,7 +1059,8 @@ def _orders_mod_center(elements) -> list:
 class _GroupData(NamedTuple):
     """PG = G/Z for the group G generated by ``standard_generators(family,
     n, q)``, from ``_group_data``. PG is the only group listed; the
-    matrices of G never are."""
+    matrices of G never are. Its permutations are bytes (``_table``), and
+    bytes of one length sort as tuples of ints."""
 
     # permutations the standard generators induce on the points of
     # P^{n-1}(GF(q)), each kept only if it enlarges the group of those kept
@@ -1069,7 +1078,10 @@ class _GroupData(NamedTuple):
 @lru_cache(maxsize=8)
 def _group_data(family: str, n: int, q: int, cap: int) -> _GroupData:
     """The ``_GroupData`` of the group; raises GroupTooLarge, before PG is
-    listed, when its order exceeds ``cap``."""
+    listed, when its order exceeds ``cap``, and before any permutation is
+    built when P^{n-1}(GF(q)) has over 256 points (no G/Z of order <= 10^6 does)."""
+    if (points := (q**n - 1) // (q - 1)) > 256:
+        raise GroupTooLarge(f"P^{n - 1}(GF({q})) has {points} points, over the cap 256")
     F = _field(q)
     gen_perms, pg_order = [], 1
     for g in standard_generators(family, n, q):
@@ -1135,7 +1147,7 @@ def exact_generation_probability(
     second leave one ``_generates`` call per pair of orbits. Raises
     GroupTooLarge when PG has more than ``cap`` elements."""
     data, xr, xs = _elements_of_orders(groupspec, r, s, cap)
-    gen_pairs = [(g, _perm_inv(g)) for g in data.gen_perms]
+    gen_pairs = [(g, _table(g)) for g in data.gen_perms]
 
     # conjugacy classes inside xr
     remaining = set(xr)
@@ -1147,7 +1159,9 @@ def exact_generation_probability(
         remaining -= orbit
     hit_pairs = 0
     for rep, class_size in classes:
-        cent = [(g, _perm_inv(g)) for g in data.pg_elements if _commute(g, rep)]
+        rep_table = _table(rep)
+        cent = [(g, t) for g in data.pg_elements
+                if g.translate(rep_table) == rep.translate(t := _table(g))]
         unseen = set(xs)
         while unseen:
             y = min(unseen)

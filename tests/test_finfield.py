@@ -482,6 +482,44 @@ class TestPinnedConstructions:
                         out.append((m.entries, m.form, m.form_kind))
         assert (len(out), _digest(out)) == (48, "227d9b14dd602cfe")
 
+    def test_unipotent_models(self):
+        # (entries, form, form_kind) of unipotent_matrix, or the name and
+        # message of the UnsupportedCase raised, for every partition of
+        # n <= 6 over six fields, computed while every refusal still came
+        # from the search for an invariant form
+        out = []
+        for q in (2, 3, 4, 5, 7, 9):
+            for n in range(1, 7):
+                for part in _partitions(n):
+                    for kind in ("symplectic", "symmetric"):
+                        try:
+                            m = unipotent_matrix(part, q, kind)
+                        except UnsupportedCase as exc:
+                            out.append((type(exc).__name__, str(exc)))
+                            continue
+                        out.append((m.entries, m.form, m.form_kind))
+        assert (len(out), _digest(out)) == (348, "6e130f0b0bb72e15")
+
+    @pytest.mark.parametrize(
+        "part,q,kind",
+        [
+            ((3, 1, 1), 3, "symplectic"),
+            ((1,), 2, "symplectic"),
+            ((2, 1, 1), 5, "symmetric"),
+            ((3, 2), 7, "symmetric"),
+        ],
+    )
+    def test_parity_refusals_skip_the_form_search(self, monkeypatch, part, q, kind):
+        def search(*args):
+            raise AssertionError("invariant form searched for")
+
+        monkeypatch.setattr(finfield, "invariant_form_matrix", search)
+        with pytest.raises(Uninstantiable, match="no nondegenerate invariant form over GF"):
+            unipotent_matrix(part, q, kind)
+        # quadratic forms, symmetric at p = 2, are still searched for
+        with pytest.raises(AssertionError):
+            unipotent_matrix((2, 1, 1), 2, "symmetric")
+
     @pytest.mark.parametrize(
         "q,entries,form,kind,message",
         [
@@ -772,6 +810,62 @@ class TestSchreierSims:
         assert finfield._perm_group_order(perms) == 1
         assert finfield._generates(perms, 1)
         assert not finfield._generates(perms, 2)
+
+
+class TestByteTables:
+    """PG = G/Z as permutations of at most 256 projective points, each the
+    bytes of its images."""
+
+    def test_one_representation(self):
+        F = finfield._field(3)
+        assert all(
+            type(finfield._projective_perm(F, g.entries)) is bytes
+            for g in standard_generators("Sp", 4, 3)
+        )
+        data = finfield._group_data("SL", 3, 3, 10**6)
+        assert all(type(a) is bytes and len(a) == 13 for a in data.pg_elements)
+        assert all(type(a) is bytes for a in data.gen_perms)
+        for name in ("_commute", "_perm_mul", "_perm_inv"):
+            assert not hasattr(finfield, name), name
+
+    def test_more_than_256_points_refused_before_any_permutation(self, monkeypatch):
+        def perm(*args):
+            raise AssertionError("permutation built")
+
+        monkeypatch.setattr(finfield, "_projective_perm", perm)
+        with pytest.raises(GroupTooLarge, match="258 points"):
+            finfield._group_data("SL", 2, 257, 10**9)
+
+    def test_no_group_within_the_default_cap_has_more_than_256_points(self):
+        # every SL_n(q) and Sp_n(q) whose G/Z has order at most 10^6, from
+        # the order formulas; orders grow with n and q, so each sweep stops
+        # at its first order over the cap
+        prime_powers = [q for q in range(2, 300) if sum(is_prime(p) for p in range(2, q + 1) if q % p == 0) == 1]
+        widest = {}
+        for family, dims in (("SL", range(2, 20)), ("Sp", range(4, 20, 2))):
+            for n in dims:
+                for q in prime_powers:
+                    if projective_order(family, n, q) > 10**6:
+                        break
+                    widest[family, n, q] = (q**n - 1) // (q - 1)
+                if q == 2:
+                    break
+        assert max(widest.values()) == widest["SL", 2, 125] == 126
+        assert ("SL", 2, 127) not in widest and ("Sp", 4, 4) in widest
+
+    def test_benchmark_answers_pinned(self):
+        # the exact (2, 3) probabilities and Monte Carlo draws of the
+        # benchmark's finite-field jobs, and the sorted orders of PG that
+        # the draws index, computed when permutations were tuples
+        groups = [("SL", 2, q) for q in (4, 5, 7, 8, 9, 11, 13)] + [("SL", 3, 3), ("Sp", 4, 2)]
+        got = [finfield.exact_generation_probability(g, 2, 3) for g in groups]
+        want = [Fraction(*f) for f in ((2, 5), (2, 5), (2, 7), (6, 7), (0, 1), (12, 55), (48, 91), (24, 91), (0, 1))]
+        assert got == want
+        assert finfield.estimate_generation_probability(("SL", 2, 7), 2, 3, trials=600, seed=1) == (170, 600)
+        assert finfield.estimate_generation_probability(("SL", 2, 9), 2, 3, trials=60, seed=1) == (0, 60)
+        groups = [("SL", 2, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)] + [("SL", 3, 3), ("Sp", 4, 2)]
+        orders = [[(tuple(a), k) for a, k in finfield._group_data(*g, 10**6).pg_orders] for g in groups]
+        assert (sum(map(len, orders)), _digest(orders)) == (9247, "8087e30340d5d5e6")
 
 
 class TestProjectiveDraws:
