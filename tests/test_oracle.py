@@ -1,7 +1,10 @@
 """Unit tests for the emptiness decision engine."""
 
+import dataclasses
 import hashlib
 import itertools
+import pickle
+import random
 
 import pytest
 
@@ -11,6 +14,7 @@ from topogen.errors import (
     MissingSpin8Profile,
     OutsideCatalog,
     SchemaError,
+    TopogenError,
     UnsupportedGroup,
 )
 from topogen.closure import in_closure
@@ -418,3 +422,85 @@ class TestRuleChainSweep:
                 assert r >= lower, (g, c)
                 assert not decide(g, [c] * r).empty, (g, c)
                 assert r == 2 or decide(g, [c] * (r - 1)).empty, (g, c)
+
+
+# ---------------------------------------------------------------------------
+# answers pinned across the per-descriptor profiles decide keeps
+# ---------------------------------------------------------------------------
+
+
+def _query_groups():
+    """The groups of the ``symbolic-queries`` benchmark workload."""
+    out = []
+    for p in (0, 2, 3, 5):
+        out += [GroupSpec("SL", n, p) for n in range(2, 7)]
+        out += [GroupSpec("Sp", n, p) for n in (4, 6, 8, 10, 12)]
+        out += [GroupSpec("SO", n, p) for n in (5, 6, 7, 9, 10, 11, 12) if not (n % 2 and p == 2)]
+        out.append(GroupSpec("Spin8", 8, p))
+    return out
+
+
+def _answer(fn, *args):
+    """fn(*args), or the name of the topogen error it raises."""
+    try:
+        return fn(*args)
+    except TopogenError as exc:
+        return type(exc).__name__
+
+
+def _digest(answers) -> tuple:
+    return len(answers), hashlib.sha256(repr(answers).encode()).hexdigest()[:16]
+
+
+class TestProfilesPinned:
+    """decide and min_generators answer the same whether a descriptor's
+    profiles are computed afresh or read from what an earlier call kept on
+    it: every digest is taken twice in one process, on the same shared
+    descriptors."""
+
+    def _decide_answers(self):
+        answers = []
+        groups = _query_groups()
+        for g in groups:
+            shapes = enumerate_class_shapes(g)
+            answers += [_answer(decide, g, [a, b]) for a, b in itertools.product(shapes, repeat=2)]
+        rng = random.Random(19)
+        for _ in range(500):
+            g = rng.choice(groups)
+            shapes = enumerate_class_shapes(g)
+            answers.append(_answer(decide, g, [rng.choice(shapes) for _ in range(rng.randint(3, 6))]))
+        return answers
+
+    def test_decide(self):
+        # sha256 of the repr of the verdicts, witnesses included, or of the
+        # name of the error raised, of every ordered pair of shapes of every
+        # group and of 500 seeded tuples with r = 3..6, as decide gave them
+        # when it recomputed every profile on every call; first 16 hex digits
+        want = (46088, "0b6b1e891dfcb5f2")
+        assert _digest(self._decide_answers()) == want
+        assert _digest(self._decide_answers()) == want
+
+    def test_min_generators(self):
+        # the same for min_generators on every shape of every group
+        want = (1376, "e4a333ea663aa7e7")
+        for _ in range(2):
+            answers = [
+                _answer(min_generators, g, c) for g in _query_groups() for c in enumerate_class_shapes(g)
+            ]
+            assert _digest(answers) == want
+
+
+class TestDescriptorUnchangedByDecide:
+    def test_equality_hash_repr_replace_pickle(self):
+        for g in (GroupSpec("SL", 4, 0), GroupSpec("SO", 6, 2), GroupSpec("Spin8", 8, 3)):
+            shapes = enumerate_class_shapes(g)
+            before = [(c, hash(c), repr(c), dataclasses.replace(c), pickle.dumps(c)) for c in shapes]
+            for a, b in itertools.product(shapes, repeat=2):
+                _answer(decide, g, [a, b])
+            for c in shapes:
+                _answer(min_generators, g, c)
+            after = [(c, hash(c), repr(c), dataclasses.replace(c), pickle.dumps(c)) for c in shapes]
+            assert after == before
+            for c, (_, _, _, _, state) in zip(shapes, before):
+                assert pickle.loads(state) == c
+                assert dataclasses.asdict(c) == dataclasses.asdict(pickle.loads(state))
