@@ -28,6 +28,10 @@ FAMILIES = ("SL", "Sp", "SO", "Spin8")
 
 UNIPOTENT_CHAR_0 = "unipotent-char-0"
 
+# Most Jordan blocks of a partition built from counts (the multiplicities of
+# a decoration, a block count) rather than listed part by part.
+MAX_BLOCKS = 2**16
+
 # Relation tags attachable to an eigenvalue label.
 REL_SQUARE_MINUS_ONE = "square_is_minus_one"
 
@@ -176,6 +180,11 @@ class ClassDescriptor:
         default=None, init=False, compare=False, repr=False
     )
 
+    def __getstate__(self):
+        # the profiles the oracle keeps on a validated descriptor (attributes
+        # named with a leading underscore) are not part of its state
+        return {k: v for k, v in self.__dict__.items() if k[0] != "_"}
+
 
 def _norm_labelled(items, what: str) -> tuple:
     """Normalize [(label, mult)] (also plain multiplicities -> auto labels)."""
@@ -279,6 +288,9 @@ def unipotent(
         partition = [_whole(a, "a partition part") for a in partition]
     parts: tuple[int, ...]
     if dec is not None:
+        blocks = sum(mult if kind == "V" else 2 * mult for kind, _, mult in dec)
+        if blocks > MAX_BLOCKS:
+            raise BoundExceeded(f"a decoration of more than {MAX_BLOCKS} Jordan blocks is refused")
         derived = []
         for kind, size, mult in dec:
             if kind == "V":

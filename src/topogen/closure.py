@@ -12,8 +12,8 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .algebra_core import ClassDescriptor, GroupSpec, _unpaired_parts, unipotent, validate_class
-from .errors import MixedKinds, NoSuchClass, NotApplicable, SizeMismatch
+from .algebra_core import MAX_BLOCKS, ClassDescriptor, GroupSpec, _unpaired_parts, unipotent, validate_class
+from .errors import BoundExceeded, MixedKinds, NoSuchClass, NotApplicable, SizeMismatch
 
 
 def dominates(pi1: Iterable[int], pi2: Iterable[int]) -> bool:
@@ -142,6 +142,8 @@ def smallest_class_with_blocks(group: GroupSpec, m: int) -> ClassDescriptor:
     n = target.n
     if not 1 <= m < n:
         raise NoSuchClass(f"no noncentral class with {m} blocks in dimension {n}")
+    if m > MAX_BLOCKS:
+        raise BoundExceeded(f"classes of more than {MAX_BLOCKS} Jordan blocks are not built")
     if target.family == "SL" or target.p != 2:
         if target.is_orthogonal and (n - m) % 2:
             raise NoSuchClass("block count must match n mod 2 for SO")

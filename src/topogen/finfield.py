@@ -32,11 +32,11 @@ import random
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import gcd, inf, prod
+from math import gcd, inf, isqrt, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .algebra_core import ClassDescriptor, GroupSpec, _unpaired_parts, is_prime
+from .algebra_core import ClassDescriptor, GroupSpec, _unpaired_parts
 from .errors import (
     EnumerationTooLarge,
     GroupTooLarge,
@@ -58,18 +58,22 @@ from .errors import (
 MAX_DIM = 4096
 
 
+# Largest field order accepted: a Field lists its q elements when built.
+MAX_FIELD_ORDER = 2**16
+
+
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise SchemaError(f"{q} is not a prime power")
-            return p, k
-    raise SchemaError(f"{q} is not a prime power")
+    """(p, k) with q = p^k; p is the least divisor of q above 1."""
+    if q < 2:
+        raise SchemaError(f"{q} is not a prime power")
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    k, m = 0, q
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise SchemaError(f"{q} is not a prime power")
+    return p, k
 
 
 def _find_irreducible(p: int, k: int) -> tuple:
@@ -133,6 +137,8 @@ class Field:
     docstring); zero is 0 and one is 1 in every field."""
 
     def __init__(self, q: int):
+        if q > MAX_FIELD_ORDER:
+            raise SchemaError(f"fields of order above {MAX_FIELD_ORDER} are refused, got {q}")
         self.q = q
         self.p, self.k = _factor_prime_power(q)
         self.modulus = _find_irreducible(self.p, self.k)
@@ -740,11 +746,18 @@ _NO_FORM = "no nondegenerate invariant form over GF(q)"
 
 def unipotent_matrix(partition: Sequence[int], q: int, form_kind: str) -> GFMatrix:
     """Block-diagonal unipotent matrix with an invariant nondegenerate form,
-    without going through a group descriptor. The parity rule of Sp, or of
-    SO at odd p, where it is exact, refuses a partition without a search."""
+    without going through a group descriptor. A parity rule refuses a
+    partition without a search where it is necessary: Sp's for symplectic
+    forms, SO's for symmetric ones at odd p, and Sp's for quadratic ones
+    (symmetric at p = 2) in even dimension."""
     F = _field(q)
-    # the family whose parity rule holds for the form; SL has none
-    family = {"symplectic": "Sp", "symmetric": "SO" if F.p != 2 else "SL"}.get(form_kind, "SL")
+    # the family whose parity rule holds for the form; SL has none. At p = 2
+    # and even n the polarization of a nondegenerate quadratic form is a
+    # nondegenerate alternating form; at odd n it has a radical line, and
+    # the search decides
+    family = {"symplectic": "Sp", "symmetric": "SO"}.get(form_kind, "SL")
+    if form_kind == "symmetric" and F.p == 2:
+        family = "SL" if sum(partition) % 2 else "Sp"
     if _unpaired_parts(family, tuple(partition)):
         raise Uninstantiable(_NO_FORM)
     blocks = [_jordan_block(F, a, F.one) for a in sorted(partition, reverse=True)]

@@ -11,7 +11,6 @@ from typing import Optional
 from .algebra_core import (
     ClassDescriptor,
     GroupSpec,
-    conjugate_partition,
     dim_and_rank,
 )
 from .errors import NotApplicable, UnsupportedChar2Class
@@ -29,21 +28,24 @@ class ClassDim:
     dim_centralizer: int
 
 
-def eigen_profile(group: GroupSpec, cls: ClassDescriptor) -> EigenProfile:
+def _natural_profile(cls: ClassDescriptor) -> tuple:
+    """(d, e, quadratic) on the natural module: the largest eigenspace, the
+    1-eigenspace, and whether the minimal polynomial has degree 2."""
     if cls.kind == "unipotent":
-        blocks = len(cls.unip.partition)
-        return EigenProfile(d=blocks, e=blocks)
-    pat = cls.eigen
-    d = max(pat.mults())
-    return EigenProfile(d=d, e=pat.mult_one)
+        parts = cls.unip.partition
+        return len(parts), len(parts), max(parts) == 2
+    mults = cls.eigen.mults()
+    return max(mults), cls.eigen.mult_one, len(mults) == 2
+
+
+def eigen_profile(group: GroupSpec, cls: ClassDescriptor) -> EigenProfile:
+    d, e, _ = _natural_profile(cls)
+    return EigenProfile(d=d, e=e)
 
 
 def is_quadratic(cls: ClassDescriptor) -> bool:
     """Minimal polynomial on the natural module has degree 2."""
-    if cls.kind == "unipotent":
-        parts = cls.unip.partition
-        return max(parts) == 2
-    return len(cls.eigen.mults()) == 2
+    return _natural_profile(cls)[2]
 
 
 def _semisimple_centralizer_dim(family: str, a: int, b: int, pair_mults=(), free_mults=()) -> int:
@@ -59,8 +61,9 @@ def _semisimple_centralizer_dim(family: str, a: int, b: int, pair_mults=(), free
 
 
 def _unipotent_centralizer_dim_odd(fam: str, partition: tuple) -> int:
-    lam = conjugate_partition(partition)
-    sq = sum(c * c for c in lam)
+    # the sum of the squared parts of the conjugate partition, from the
+    # parts a_1 >= a_2 >= ...: sum (2i - 1) a_i, without listing it
+    sq = sum((2 * i + 1) * a for i, a in enumerate(sorted(partition, reverse=True)))
     odd = sum(1 for a in partition if a % 2)
     if fam == "Sp":
         return (sq + odd) // 2

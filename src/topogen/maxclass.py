@@ -25,8 +25,13 @@ from .algebra_core import (
     validate_class,
 )
 from .closure import _near_equal_partition
-from .errors import Infeasible, NotApplicable, SchemaError, UnsupportedCase
+from .errors import BoundExceeded, Infeasible, NotApplicable, SchemaError, UnsupportedCase
 from .invariants import _semisimple_centralizer_dim, class_dim
+
+
+# Most eigenvalue labels a class max_class builds may carry: one per slot
+# and Frobenius orbit member, at most r - 1 and at most n of them.
+MAX_LABELS = 4096
 
 
 @dataclass(frozen=True)
@@ -145,22 +150,33 @@ def _semisimple_max(group: GroupSpec, ctx: QContext):
         raise Infeasible(f"no order-{r} torus element with i = {i}")
     dim_g = dim_and_rank(group)[0]
 
-    def cands():
+    def cent(s):
         # s blocks of dimension weight leave a 1-eigenspace of dimension
         # e = n - weight * s, of the parity Sp and SO need (weight is even
         # for inverse pairs); they are spread near equally over the slots
-        # (at most s of them are used, so large r costs nothing), and no
-        # eigenvalue fills V: with i = 1 there are r - 1 >= 2 slots, else
-        # weight >= 2
-        for s in range(1, n // weight + 1):
-            e = n - weight * s
-            mults = _near_equal_partition(s, min(s, slots))
-            each = [a for a in mults for _ in range(labels_per_slot)]
-            if pairing == "pairs":
-                cent = _semisimple_centralizer_dim(fam, e, 0, pair_mults=each)
-            else:
-                cent = _semisimple_centralizer_dim(fam, e, 0, free_mults=each)
-            yield mults, dim_g - cent
+        # (at most s of them are used, so large r costs nothing), and each
+        # slot's multiplicity a adds labels_per_slot * a^2; no eigenvalue
+        # fills V: with i = 1 there are r - 1 >= 2 slots, else weight >= 2
+        a, extra = divmod(s, min(s, slots))
+        squares = min(s, slots) * a * a + extra * (2 * a + 1)
+        return _semisimple_centralizer_dim(fam, n - weight * s, 0) + labels_per_slot * squares
+
+    # cent is strictly convex in s: the 1-eigenspace term is a convex
+    # quadratic in s, and the near-equal sum of squares grows by
+    # 2 * (s // slots) + 1 from s to s + 1. Its least value is at the least s
+    # where it stops falling, and at s + 1 too when that ties.
+    top = n // weight
+    lo, hi = 1, top
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cent(mid + 1) >= cent(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    best = [s for s in (lo, lo + 1) if s <= top and cent(s) == cent(lo)]
+    if best and min(best[-1], slots) * labels_per_slot > MAX_LABELS:
+        raise BoundExceeded(f"the maximal class would carry more than {MAX_LABELS} eigenvalue labels")
+    cands = [(_near_equal_partition(s, min(s, slots)), dim_g - cent(s)) for s in best]
 
     def build(mults):
         labels = []
@@ -173,7 +189,7 @@ def _semisimple_max(group: GroupSpec, ctx: QContext):
             return validate_class(group, semisimple(ones=e, pairs=labels, **kwargs))
         return validate_class(group, semisimple(free=labels, ones=e, **kwargs))
 
-    return _best(cands(), build)
+    return _best(cands, build)
 
 
 def max_class(group: GroupSpec, ctx: QContext) -> tuple[ClassDescriptor, int]:

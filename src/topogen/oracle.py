@@ -30,10 +30,9 @@ from .errors import (
 )
 from .invariants import (
     EigenProfile,
+    _natural_profile,
     _wedge2_blocks,
     class_dim,
-    eigen_profile,
-    is_quadratic,
 )
 
 
@@ -50,6 +49,19 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # pattern matching helpers
 # ---------------------------------------------------------------------------
+
+
+def _once(cls: ClassDescriptor, name: str, fn):
+    """fn(cls), computed on the first call for the validated descriptor
+    ``cls`` and kept on it as attribute ``name``. A descriptor is one class
+    of one class group (its ``validated_for``), so the value never goes
+    stale; the attribute is not a field, so equality, hash, repr, replace()
+    and pickling do not see it. Nothing is kept when fn raises."""
+    value = cls.__dict__.get(name)
+    if value is None:
+        value = fn(cls)
+        object.__setattr__(cls, name, value)
+    return value
 
 
 def _ss_sig(cls: ClassDescriptor) -> Optional[tuple]:
@@ -74,14 +86,19 @@ def _is_ss(cls: ClassDescriptor, a: int, b: int, pair_mults=(), twist=True) -> b
     return twist and sig == (b, a, want)
 
 
-def _is_unip(cls: ClassDescriptor, partition, a_type_if_char2=False) -> bool:
-    if cls.kind != "unipotent":
-        return False
-    if cls.unip.partition != tuple(sorted(partition, reverse=True)):
+def _is_unip(cls: ClassDescriptor, runs, a_type_if_char2=False) -> bool:
+    """Match a unipotent class by its partition as ``runs``, (part, count)
+    pairs with the parts decreasing: ((3, 2), (2, m - 3)) is 3^2 2^(m-3).
+    Nothing of size n is built, however large n is."""
+    if cls.kind != "unipotent" or _once(cls, "_runs", _runs) != runs:
         return False
     if a_type_if_char2 and cls.unip.decoration is not None:
         return cls.unip.as_type == "a"
     return True
+
+
+def _runs(cls: ClassDescriptor) -> tuple:
+    return tuple(sorted(Counter(cls.unip.partition).items(), reverse=True))
 
 
 def _count(classes, pred) -> int:
@@ -246,19 +263,19 @@ def _so_even_case(group, classes) -> Optional[str]:
     if m % 2:  # m >= 5 odd
         x1_opts = [
             lambda c: _is_ss(c, 2, 0, (m - 1,)),
-            lambda c: p != 2 and _is_unip(c, (3, 3) + (2,) * (m - 3)),
+            lambda c: p != 2 and _is_unip(c, ((3, 2), (2, m - 3))),
             ss_x1,
         ]
-        x2 = lambda c: _is_unip(c, (2,) * (m - 1) + (1, 1), a_type_if_char2=True) or ss_x2(c)
+        x2 = lambda c: _is_unip(c, ((2, m - 1), (1, 2)), a_type_if_char2=True) or ss_x2(c)
         case = "so2nodd"
     else:  # m >= 6 even
         x1_opts = [
             lambda c: _is_ss(c, 2, 0, (m - 1,)),
-            lambda c: p != 2 and _is_unip(c, (3, 3) + (2,) * (m - 4) + (1, 1)),
-            lambda c: p != 2 and _is_unip(c, (3,) + (2,) * (m - 2) + (1,)),
+            lambda c: p != 2 and _is_unip(c, ((3, 2), (2, m - 4), (1, 2))),
+            lambda c: p != 2 and _is_unip(c, ((3, 1), (2, m - 2), (1, 1))),
             ss_x1,
         ]
-        x2 = lambda c: _is_unip(c, (2,) * m, a_type_if_char2=True) or ss_x2(c)
+        x2 = lambda c: _is_unip(c, ((2, m),), a_type_if_char2=True) or ss_x2(c)
         case = "so2neven"
     for a, b in (classes, classes[::-1]):
         if x2(b) and any(opt(a) for opt in x1_opts):
@@ -270,11 +287,11 @@ def _so_odd_case(group, classes) -> Optional[str]:
     n = group.n
     m = n // 2
     r = len(classes)
-    if r == 3 and m == 2 and all(_is_unip(c, (2, 2, 1)) for c in classes):
+    if r == 3 and m == 2 and all(_is_unip(c, ((2, 2), (1, 1))) for c in classes):
         return "oddorth-i"
     if r == 2 and m % 2 == 0:
         for a, b in (classes, classes[::-1]):
-            if _is_unip(a, (2,) * m + (1,)) and _is_ss(b, 1, 0, (m,), twist=False):
+            if _is_unip(a, ((2, m), (1, 1))) and _is_ss(b, 1, 0, (m,), twist=False):
                 return "oddorth-ii"
     return None
 
@@ -286,19 +303,18 @@ def _sp_odd_case(group, classes) -> Optional[str]:
     if n == 4:
         if r == 2:
             for a, b in (classes, classes[::-1]):
-                if minus(a, 2) and eigen_profile(group, b).d >= 2:
+                if minus(a, 2) and _natural(b)[0] >= 2:
                     return "sp4odd-ii"
         if r == 3 and _count(classes, lambda c: minus(c, 2)) >= 2:
             rest = [c for c in classes if not minus(c, 2)]
-            others_quadratic = all(is_quadratic(c) for c in rest)
-            if others_quadratic:
+            if all(_natural(c)[2] for c in rest):
                 return "sp4odd-iii"
         if r == 4 and all(minus(c, 2) for c in classes):
             return "sp4odd-iv"
     elif n == 6:
         if r == 2:
             for a, b in (classes, classes[::-1]):
-                if minus(a, 2) and (_is_unip(b, (3, 3)) or _is_ss(b, 2, 0, (2,))):
+                if minus(a, 2) and (_is_unip(b, ((3, 2),)) or _is_ss(b, 2, 0, (2,))):
                     return "sp6odd-ii"
         if r == 3 and all(minus(c, 2) for c in classes):
             return "sp6odd-iii"
@@ -308,7 +324,7 @@ def _sp_odd_case(group, classes) -> Optional[str]:
                 if minus(a, 4) and (
                     _is_ss(b, 4, 0, (2,))
                     or _is_ss(b, 4, 0, (1, 1))
-                    or _is_unip(b, (3, 3, 1, 1))
+                    or _is_unip(b, ((3, 2), (1, 2)))
                 ):
                     return "spodd-ii"
         if r == 3:
@@ -323,10 +339,10 @@ def _sp_even_case(group, classes) -> Optional[str]:
     if group.n != 4:
         return None
     r = len(classes)
-    a2 = lambda c: _is_unip(c, (2, 2)) and c.unip.as_type == "a"
+    a2 = lambda c: _is_unip(c, ((2, 2),)) and c.unip.as_type == "a"
     if r == 3 and _count(classes, a2) >= 2:
         rest = [c for c in classes if not a2(c)]
-        if all(is_quadratic(c) for c in rest):
+        if all(_natural(c)[2] for c in rest):
             return "sp4even-ii"
     if r == 4 and all(a2(c) for c in classes):
         return "sp4even-iii"
@@ -374,22 +390,42 @@ _TABLE_ROW = {
 # ---------------------------------------------------------------------------
 
 
+def _so6_natural(cls: ClassDescriptor) -> tuple:
+    """(d, e, quadratic) of an SL4 class on the exterior square, the natural
+    module of SO6; the quadratic flag depends on p, which the descriptor's
+    stamp fixes."""
+    profile, quadratic = _so6_image(cls, cls.validated_for.p)
+    return profile.d, profile.e, quadratic
+
+
+def _spin8(cls: ClassDescriptor) -> tuple:
+    try:
+        return spin8_profile(cls)
+    except OutsideCatalog as exc:
+        raise MissingSpin8Profile(str(exc)) from exc
+
+
+def _natural(cls: ClassDescriptor) -> tuple:
+    """(d, e, quadratic) on the natural module of the class group."""
+    return _once(cls, "_natural", _natural_profile)
+
+
 def _module_profiles(group, classes, spin8_profiles=None) -> tuple:
     """(d, e, modules, bounded, quadratic): per class, the largest
     eigenspace and the 1-eigenspace on the natural module; the other
     modules the rules read, {name: {"dim", "d", "sum_d"}}; (case_id, dim,
-    d) for each module the dimension rule reads, in order; and, lazily,
-    per class whether its minimal polynomial on the natural module has
-    degree 2. SO6's natural module is V, the exterior square of the SL4
-    module W its classes are given on. Spin8's is triality module 1; its d
-    and those of modules 3 and 4 come from ``spin8_profiles``, one
-    (d1, d3, d4) per class, or ``spin8_profile``."""
+    d) for each module the dimension rule reads, in order; and per class
+    whether its minimal polynomial on the natural module has degree 2.
+    SO6's natural module is V, the exterior square of the SL4 module W its
+    classes are given on. Spin8's is triality module 1; its d and those of
+    modules 3 and 4 come from ``spin8_profiles``, one (d1, d3, d4) per
+    class, or ``spin8_profile``.
+
+    Each validated class computes its profiles once, on first use, and
+    keeps them (``_once``); profiles the caller passes are not kept."""
     if group.family == "Spin8":
         if spin8_profiles is None:
-            try:
-                spin8_profiles = [spin8_profile(c) for c in classes]
-            except OutsideCatalog as exc:
-                raise MissingSpin8Profile(str(exc)) from exc
+            spin8_profiles = [_once(c, "_spin8", _spin8) for c in classes]
         elif len(spin8_profiles) != len(classes):
             raise SchemaError("need one profile triple per class")
         ds = [t[0] for t in spin8_profiles]
@@ -399,19 +435,17 @@ def _module_profiles(group, classes, spin8_profiles=None) -> tuple:
             d = [t[j] for t in spin8_profiles]
             modules[name] = {"dim": 8, "d": d, "sum_d": sum(d)}
             bounded.append((name, 8, d))
-        es = [eigen_profile(group, c).e for c in classes]
-        return ds, es, modules, bounded, map(is_quadratic, classes)
+        profiles = [_natural(c) for c in classes]
+        return ds, [t[1] for t in profiles], modules, bounded, [t[2] for t in profiles]
+    profiles = [_natural(c) for c in classes]
     if group.family == "SO" and group.n == 6:
-        w = group.class_group()
-        d = [eigen_profile(w, c).d for c in classes]
+        d = [t[0] for t in profiles]
         modules = {"W": {"dim": 4, "d": d, "sum_d": sum(d)}}
-        profiles, quadratic = zip(*(_so6_image(c, group.p) for c in classes))
+        profiles = [_once(c, "_so6", _so6_natural) for c in classes]
     else:
         modules = {}
-        profiles = [eigen_profile(group, c) for c in classes]
-        quadratic = map(is_quadratic, classes)
-    ds = [pr.d for pr in profiles]
-    return ds, [pr.e for pr in profiles], modules, ((None, group.n, ds),), quadratic
+    ds = [t[0] for t in profiles]
+    return ds, [t[1] for t in profiles], modules, ((None, group.n, ds),), [t[2] for t in profiles]
 
 
 def decide(

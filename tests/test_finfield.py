@@ -79,6 +79,32 @@ class TestField:
         with pytest.raises(SchemaError):
             Field(6)
 
+    def test_prime_power_factoring(self):
+        # trial division up to sqrt(q), against the definition
+        def by_definition(q):
+            return next(
+                ((p, k) for p in range(2, q + 1) if is_prime(p) for k in range(1, q.bit_length()) if p**k == q),
+                None,
+            )
+
+        for q in range(-2, 1100):
+            want = by_definition(q) if q > 1 else None
+            if want is None:
+                with pytest.raises(SchemaError):
+                    finfield._factor_prime_power(q)
+            else:
+                assert finfield._factor_prime_power(q) == want, q
+
+    @pytest.mark.parametrize("q", [finfield.MAX_FIELD_ORDER + 1, 1000003, 10**9 + 7, 2**61 - 1])
+    def test_order_cap(self, q):
+        # refused before the order is factored or the elements are listed
+        with pytest.raises(SchemaError, match="refused"):
+            finfield._field(q)
+
+    def test_largest_field(self):
+        F = Field(finfield.MAX_FIELD_ORDER)
+        assert (F.p, F.k, len(F.elements())) == (2, 16, 2**16)
+
     def test_oversized_matrix_rejected(self, monkeypatch):
         # MAX_DIM bounds the digits of sums of products; past it they carry
         monkeypatch.setattr(finfield, "MAX_DIM", 2)
@@ -507,6 +533,7 @@ class TestPinnedConstructions:
             ((1,), 2, "symplectic"),
             ((2, 1, 1), 5, "symmetric"),
             ((3, 2), 7, "symmetric"),
+            ((3, 1, 1, 1), 4, "symmetric"),
         ],
     )
     def test_parity_refusals_skip_the_form_search(self, monkeypatch, part, q, kind):
@@ -516,9 +543,12 @@ class TestPinnedConstructions:
         monkeypatch.setattr(finfield, "invariant_form_matrix", search)
         with pytest.raises(Uninstantiable, match="no nondegenerate invariant form over GF"):
             unipotent_matrix(part, q, kind)
-        # quadratic forms, symmetric at p = 2, are still searched for
+        # quadratic forms, symmetric at p = 2, are still searched for where
+        # the Sp rule allows the partition, and at odd n
         with pytest.raises(AssertionError):
             unipotent_matrix((2, 1, 1), 2, "symmetric")
+        with pytest.raises(AssertionError):
+            unipotent_matrix((3, 2), 2, "symmetric")
 
     @pytest.mark.parametrize(
         "q,entries,form,kind,message",

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from topogen.algebra_core import GroupSpec, semisimple, validate_class
-from topogen.errors import Infeasible, NotApplicable, SchemaError, TopogenError
+from topogen.errors import BoundExceeded, Infeasible, NotApplicable, SchemaError, TopogenError
 from topogen.invariants import class_dim
-from topogen.maxclass import QContext, exchange_gain, max_class, rs_limit
+from topogen.maxclass import MAX_LABELS, QContext, exchange_gain, max_class, rs_limit
 
 
 class TestQContext:
@@ -287,6 +287,26 @@ class TestSemisimpleSweep:
             small, dim = max_class(g, QContext(r=11))
             cls, big_dim = max_class(g, QContext(r=r))
             assert big_dim == dim and cls.eigen.mult_one == small.eigen.mult_one
+
+
+    def test_huge_n(self):
+        # the best number of blocks is found by bisection, not by a scan over
+        # every s up to n / weight
+        n = 10**30
+        cls, dim = max_class(GroupSpec("SL", n, 0), QContext(r=3))
+        third = n // 3
+        assert cls.eigen.mult_one == third and sorted(m for _, m in cls.eigen.free) == [third, third + 1]
+        assert dim == n * n - 2 * third**2 - (third + 1) ** 2
+
+    def test_label_cap(self):
+        # every one of the r - 1 eigenvalues of order r is used once n is
+        # large enough; past MAX_LABELS labels the class is refused
+        g = GroupSpec("Sp", 2 * MAX_LABELS + 4, 0)
+        with pytest.raises(BoundExceeded):
+            max_class(g, QContext(r=1000003))
+        # 8191 is prime: (8191 - 1) / 2 pairs of eigenvalues, just below the cap
+        cls, _ = max_class(g, QContext(r=8191))
+        assert len(cls.eigen.pairs) == 4095 < MAX_LABELS
 
 
 class TestRsLimit:

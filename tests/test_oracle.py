@@ -504,3 +504,34 @@ class TestDescriptorUnchangedByDecide:
             for c, (_, _, _, _, state) in zip(shapes, before):
                 assert pickle.loads(state) == c
                 assert dataclasses.asdict(c) == dataclasses.asdict(pickle.loads(state))
+
+    def test_raw_descriptor_is_left_alone(self):
+        g = GroupSpec("Sp", 4, 3)
+        raw = semisimple(ones=2, minus_ones=2, order=2)
+        state = dict(raw.__dict__)
+        decide(g, [raw, raw])
+        min_generators(g, raw)
+        assert raw.__dict__ == state
+
+    def test_kept_profiles_follow_the_group(self):
+        # a class validated at one p is validated afresh at another, so
+        # the profiles kept on it, which may depend on p, stay with that p
+        raw = semisimple(ones=2, pairs=[("a", 1)])
+        at3 = validate_class(GroupSpec("SO", 6, 3), raw)
+        decide(GroupSpec("SO", 6, 3), [at3, at3])
+        for p in (0, 2, 5):
+            g = GroupSpec("SO", 6, p)
+            assert decide(g, [at3, at3]) == decide(g, [raw, raw])
+
+    def test_spin8_profiles_passed_in_are_not_kept(self):
+        g = GroupSpec("Spin8", 8, 0)
+        shapes = enumerate_class_shapes(g)
+        known = next(c for c in shapes if _natural_d(g, c) is not None)
+        unknown = next(c for c in shapes if _natural_d(g, c) is None)
+        fresh = decide(g, [known, known])
+        decide(g, [known, known], spin8_profiles=[(1, 1, 1), (1, 1, 1)])
+        decide(g, [unknown, known], spin8_profiles=[(1, 1, 1), (1, 1, 1)])
+        assert decide(g, [known, known]) == fresh
+        for _ in range(2):
+            with pytest.raises(MissingSpin8Profile):
+                decide(g, [unknown, known])
