@@ -181,9 +181,23 @@ class ClassDescriptor:
     )
 
     def __getstate__(self):
-        # the profiles the oracle keeps on a validated descriptor (attributes
-        # named with a leading underscore) are not part of its state
+        # the values _once keeps on a validated descriptor (attributes named
+        # with a leading underscore) are not part of its state
         return {k: v for k, v in self.__dict__.items() if k[0] != "_"}
+
+
+def _once(cls: ClassDescriptor, name: str, fn):
+    """fn(cls), computed on the first call for the validated descriptor
+    ``cls`` and kept on it as attribute ``name``, which starts with an
+    underscore. A descriptor is one class of one class group (its
+    ``validated_for``), so the value never goes stale; the attribute is not
+    a field, so equality, hash, repr, replace() and pickling do not see it.
+    Nothing is kept when fn raises."""
+    value = cls.__dict__.get(name)
+    if value is None:
+        value = fn(cls)
+        object.__setattr__(cls, name, value)
+    return value
 
 
 def _norm_labelled(items, what: str) -> tuple:

@@ -18,6 +18,7 @@ from .algebra_core import (
     REL_SQUARE_MINUS_ONE,
     ClassDescriptor,
     GroupSpec,
+    _once,
     check_class_size,
     dim_and_rank,
     validate_class,
@@ -51,19 +52,6 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _once(cls: ClassDescriptor, name: str, fn):
-    """fn(cls), computed on the first call for the validated descriptor
-    ``cls`` and kept on it as attribute ``name``. A descriptor is one class
-    of one class group (its ``validated_for``), so the value never goes
-    stale; the attribute is not a field, so equality, hash, repr, replace()
-    and pickling do not see it. Nothing is kept when fn raises."""
-    value = cls.__dict__.get(name)
-    if value is None:
-        value = fn(cls)
-        object.__setattr__(cls, name, value)
-    return value
-
-
 def _ss_sig(cls: ClassDescriptor) -> Optional[tuple]:
     if cls.kind != "semisimple" or cls.eigen.free:
         return None
@@ -89,16 +77,16 @@ def _is_ss(cls: ClassDescriptor, a: int, b: int, pair_mults=(), twist=True) -> b
 def _is_unip(cls: ClassDescriptor, runs, a_type_if_char2=False) -> bool:
     """Match a unipotent class by its partition as ``runs``, (part, count)
     pairs with the parts decreasing: ((3, 2), (2, m - 3)) is 3^2 2^(m-3).
-    Nothing of size n is built, however large n is."""
-    if cls.kind != "unipotent" or _once(cls, "_runs", _runs) != runs:
+    The partition is built only when its length is the class's, so a huge
+    n costs nothing."""
+    if cls.kind != "unipotent":
+        return False
+    parts = cls.unip.partition
+    if len(parts) != sum(c for _, c in runs) or parts != tuple(a for a, c in runs for _ in range(c)):
         return False
     if a_type_if_char2 and cls.unip.decoration is not None:
         return cls.unip.as_type == "a"
     return True
-
-
-def _runs(cls: ClassDescriptor) -> tuple:
-    return tuple(sorted(Counter(cls.unip.partition).items(), reverse=True))
 
 
 def _count(classes, pred) -> int:
