@@ -5,7 +5,8 @@ The field size q enters only through the multiplicative-order parameter i
 closed form: once the 1-eigenspace dimension is fixed, the centralizer
 dimension grows with the sum of the squared multiplicities, whose total is
 fixed, so the near-equal split is the one candidate (exchange_gain is the
-one-step form of this argument). Unipotent classes (r = p) and Sp/SO/Spin8
+one-step form of this argument), and the best 1-eigenspace dimension is
+found by bisection. Unipotent classes (r = p) and Sp/SO/Spin8
 involutions are ranked over the class shape table.
 """
 
