@@ -535,3 +535,43 @@ class TestDescriptorUnchangedByDecide:
         for _ in range(2):
             with pytest.raises(MissingSpin8Profile):
                 decide(g, [unknown, known])
+
+
+class TestTuplesPinned:
+    def test_decide_on_every_multiset_of_three_and_four(self):
+        # sha256 of the repr of the verdicts, witnesses included, or of the
+        # name of the error raised, of every multiset of three and of four
+        # shapes per group, as decide gave them when each family case had
+        # its own matcher; first 16 hex digits. 47 of the 91348 fire a
+        # family case, all of them table rows.
+        want = {
+            ("Sp", 4, 0): (450, "486dc23eba07c7d9"),
+            ("Sp", 4, 2): (182, "08127a2b89dfd351"),
+            ("Sp", 4, 3): (294, "5a6a0b81ccf2532a"),
+            ("Sp", 4, 5): (450, "486dc23eba07c7d9"),
+            ("Sp", 6, 0): (4692, "c84a81e62c8317ad"),
+            ("Sp", 6, 2): (935, "825d7bd7077eb53d"),
+            ("Sp", 6, 3): (2275, "c6ef4f681846e91f"),
+            ("Sp", 6, 5): (3740, "cc2786ade67acea8"),
+            ("Sp", 8, 0): (35525, "327ea6835283a748"),
+            ("Sp", 8, 2): (5814, "06719e8f650bb94c"),
+            ("Sp", 8, 3): (12397, "11664d38d53e4a02"),
+            ("Sp", 8, 5): (23400, "5273c2507781989b"),
+            ("SO", 5, 0): (450, "2aee0b2d84d76204"),
+            ("SO", 5, 3): (294, "f4f22ddc06fdacaf"),
+            ("SO", 5, 5): (450, "2aee0b2d84d76204"),
+        }
+        got = {}
+        family_rows = 0
+        for family, n, p in want:
+            g = GroupSpec(family, n, p)
+            shapes = enumerate_class_shapes(g)
+            answers = [
+                _answer(decide, g, tup)
+                for r in (3, 4)
+                for tup in itertools.combinations_with_replacement(shapes, r)
+            ]
+            family_rows += sum(a.reason in ("TableRow", "FamilyTheoremCase") for a in answers)
+            got[family, n, p] = _digest(answers)
+        assert got == want
+        assert family_rows == 47
