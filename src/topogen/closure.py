@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .algebra_core import MAX_BLOCKS, ClassDescriptor, GroupSpec, _unpaired_parts, unipotent, validate_class
-from .errors import BoundExceeded, MixedKinds, NoSuchClass, NotApplicable, SizeMismatch
+from .errors import BoundExceeded, EnumerationTooLarge, MixedKinds, NoSuchClass, NotApplicable, SizeMismatch
 
 
 def dominates(pi1: Iterable[int], pi2: Iterable[int]) -> bool:
@@ -86,31 +86,49 @@ def _char2_successors(group: GroupSpec, state: tuple) -> Iterator[tuple]:
             cand = (tuple(sorted(rest, reverse=True)), new_w)
             if _state_valid(group, *cand):
                 yield cand
-    # rule: dominance among the W summands, V summands carried along
-    total = sum(ws)
-    for pi in _partitions(total):
-        if pi != ws and dominates(ws, pi):
-            cand = (vs, pi)
-            if _state_valid(group, *cand):
-                yield cand
+    # rule: dominance among the W summands, V summands carried along, one
+    # box at a time: a box of a row of size a moves to a row of size
+    # b <= a - 2 (a phantom W(0) is allowed). Repeated, these moves reach
+    # every partition the W part dominates (Brylawski, 1973). The V
+    # summands, and so the validity of the state, stay as they are
+    if not _state_valid(group, vs, ws):
+        return
+    for a in set(ws):
+        for b in set(ws) | {0}:
+            if a - b >= 2:
+                rest = list(ws)
+                rest.remove(a)
+                if b:
+                    rest.remove(b)
+                yield vs, tuple(sorted([x for x in rest + [a - 1, b + 1] if x], reverse=True))
+
+
+def _bfs(start, moves) -> Iterator:
+    """Everything reachable from ``start`` by repeated ``moves`` (a map from
+    an element to its neighbours), each once, breadth first, ``start``
+    first; lazy, so a search for one goal stops where it finds it."""
+    seen = {start}
+    queue = [start]
+    yield start
+    for a in queue:
+        for b in moves(a):
+            if b not in seen:
+                seen.add(b)
+                queue.append(b)
+                yield b
+
+
+# the most states the characteristic-2 rules may visit from one class
+MAX_CLOSURE_STATES = 2 * 10**4
 
 
 def _reachable(target: GroupSpec, start: tuple) -> Iterator[tuple]:
-    """Every state the characteristic-2 rules reach from ``start``, each
-    once, breadth first, ``start`` included; lazy, so a search for one goal
-    stops where it finds it."""
-    seen = {start}
-    frontier = [start]
-    yield start
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for cand in _char2_successors(target, state):
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-                    yield cand
-        frontier = nxt
+    """``_bfs`` over the characteristic-2 rules from ``start``. Raises
+    EnumerationTooLarge past MAX_CLOSURE_STATES states."""
+    for k, state in enumerate(_bfs(start, lambda s: _char2_successors(target, s))):
+        if k == MAX_CLOSURE_STATES:
+            raise EnumerationTooLarge(f"the closure order visits more than {MAX_CLOSURE_STATES} states")
+        yield state
 
 
 def _by_dominance(target: GroupSpec) -> bool:

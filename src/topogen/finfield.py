@@ -37,6 +37,7 @@ from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .algebra_core import ClassDescriptor, GroupSpec, _unpaired_parts
+from .closure import _bfs
 from .errors import (
     EnumerationTooLarge,
     GroupTooLarge,
@@ -233,13 +234,21 @@ class Field:
         return k
 
     def element_of_order(self, r: int):
-        """Some multiplicative element of exact order r, or None."""
+        """The first element of multiplicative order r in ``elements()``,
+        which lists them in increasing order, or None when r does not divide
+        q - 1. The elements of order r are the powers h^k, k prime to r, of
+        any one of them h; h = a^((q-1)/r) is one for a fraction phi(r)/r of
+        the a, and listing its powers takes at most r products."""
         if r < 1 or (self.q - 1) % r != 0:
             return None
-        for a in self.elements():
-            if a != self.zero and self.element_order(a) == r:
-                return a
-        return None
+        for a in self._elements[1:]:
+            h = self.pow(a, (self.q - 1) // r)
+            powers = [h]
+            while powers[-1] != self.one:
+                powers.append(self.mul(powers[-1], h))
+            if len(powers) == r:
+                return min(x for k, x in enumerate(powers, 1) if gcd(k, r) == 1)
+        raise AssertionError("the multiplicative group of GF(q) is cyclic")
 
 
 @lru_cache(maxsize=64)
@@ -565,9 +574,7 @@ def _block_diag(F: Field, blocks):
     return tuple(tuple(row) for row in out)
 
 
-def invariant_form_matrix(
-    entries, q: int, kind: str, seed: int = 0
-) -> Optional[tuple]:
+def invariant_form_matrix(entries, q: int, kind: str) -> Optional[tuple]:
     """A nondegenerate form of the given kind preserved by the matrix, or
     None when no such form exists.
 
@@ -645,7 +652,7 @@ def invariant_form_matrix(
         X = unflatten(v)
         if good(X):
             return X
-    rng = random.Random(seed + 0xC0FFEE)
+    rng = random.Random(0xC0FFEE)
     elems = F.elements()
     columns = _transpose(basis)
     for _ in range(2000):
@@ -656,43 +663,39 @@ def invariant_form_matrix(
     return None
 
 
-def _assign_labels(F: Field, pat, label_assignment) -> dict:
-    label_assignment = dict(label_assignment or {})
+def _assign_labels(F: Field, pat) -> dict:
     assigned: dict = {}
     used = {F.one, F.neg(F.one)}
     labels = [lab for lab, _ in pat.pairs] + [lab for lab, _ in pat.free]
     for lab in labels:
-        if lab in label_assignment:
-            val = F.coerce(label_assignment[lab])
+        rel = pat.relation_of(lab)
+        if rel == "square_is_minus_one":
+            val = F.element_of_order(4)
+            if val is None:
+                raise Uninstantiable("no fourth root of unity in GF(q)")
+        elif rel and rel.startswith("order:"):
+            k = int(rel.split(":", 1)[1])
+            val = F.element_of_order(k)
+            if val is None:
+                raise Uninstantiable(f"no element of order {k} in GF(q)")
+            # avoid collisions between labels of the same order
+            x = val
+            while x in used or F.inv(x) in used:
+                x = F.mul(x, val)
+                if x == val:
+                    raise Uninstantiable("not enough roots of unity in GF(q)")
+            val = x
         else:
-            rel = pat.relation_of(lab)
-            if rel == "square_is_minus_one":
-                val = F.element_of_order(4)
-                if val is None:
-                    raise Uninstantiable("no fourth root of unity in GF(q)")
-            elif rel and rel.startswith("order:"):
-                k = int(rel.split(":", 1)[1])
-                val = F.element_of_order(k)
-                if val is None:
-                    raise Uninstantiable(f"no element of order {k} in GF(q)")
-                # avoid collisions between labels of the same order
-                x = val
-                while x in used or F.inv(x) in used:
-                    x = F.mul(x, val)
-                    if x == val:
-                        raise Uninstantiable("not enough roots of unity in GF(q)")
-                val = x
-            else:
-                val = next(
-                    (
-                        a
-                        for a in F.elements()
-                        if a not in (F.zero,) and a not in used and F.inv(a) not in used
-                    ),
-                    None,
-                )
-                if val is None:
-                    raise Uninstantiable("field too small for distinct eigenvalues")
+            val = next(
+                (
+                    a
+                    for a in F.elements()
+                    if a not in (F.zero,) and a not in used and F.inv(a) not in used
+                ),
+                None,
+            )
+            if val is None:
+                raise Uninstantiable("field too small for distinct eigenvalues")
         assigned[lab] = val
         used.add(val)
         used.add(F.inv(val))
@@ -702,12 +705,7 @@ def _assign_labels(F: Field, pat, label_assignment) -> dict:
 _FORM_KIND = {"Sp": "symplectic", "SO": "symmetric", "Spin8": "symmetric", "SL": None}
 
 
-def matrix_from_class(
-    group: GroupSpec,
-    cls: ClassDescriptor,
-    q: int,
-    label_assignment: Optional[dict] = None,
-) -> GFMatrix:
+def matrix_from_class(group: GroupSpec, cls: ClassDescriptor, q: int) -> GFMatrix:
     """An explicit matrix with the class's Jordan/eigenvalue data preserving
     a standard-type invariant form found by exact linear solving."""
     from .algebra_core import validate_class
@@ -727,7 +725,7 @@ def matrix_from_class(
         if cls.kind != "semisimple":
             raise SchemaError("unknown class kind")
         pat = cls.eigen
-        values = _assign_labels(F, pat, label_assignment)
+        values = _assign_labels(F, pat)
         diag = [F.one] * pat.mult_one + [F.neg(F.one)] * pat.mult_minus_one
         for lab, mult in pat.pairs:
             diag.extend([values[lab]] * mult)
@@ -886,19 +884,6 @@ def standard_generators(family: str, n: int, q: int) -> list[GFMatrix]:
     raise UnsupportedGroup("standard generators implemented for SL and Sp")
 
 
-def _bfs(start, moves) -> set:
-    """Everything reachable from ``start`` by repeated ``moves`` (a map from
-    an element to its neighbours), searched breadth first."""
-    seen = {start}
-    queue = [start]
-    for a in queue:
-        for b in moves(a):
-            if b not in seen:
-                seen.add(b)
-                queue.append(b)
-    return seen
-
-
 def _closure_order(F: Field, gen_entries, cap: int) -> int:
     """The order of the group the invertible matrices generate, or cap + 1
     when it exceeds cap, by ``_schreier_sims`` on their action on column
@@ -954,7 +939,7 @@ def _table(a: bytes) -> bytes:
 def _closure_set(perms) -> set:
     """The group the permutations generate, listed breadth first."""
     tables = [_table(g) for g in perms]
-    return _bfs(_BYTES[: len(perms[0])], lambda a: map(a.translate, tables))
+    return set(_bfs(_BYTES[: len(perms[0])], lambda a: map(a.translate, tables)))
 
 
 def _conjugate(a: bytes, g: bytes, g_table: bytes) -> bytes:
@@ -1167,7 +1152,7 @@ def exact_generation_probability(
     classes = []
     while remaining:
         rep = min(remaining)
-        orbit = _bfs(rep, lambda a: [_conjugate(a, *g) for g in gen_pairs])
+        orbit = set(_bfs(rep, lambda a: [_conjugate(a, *g) for g in gen_pairs]))
         classes.append((rep, len(orbit)))
         remaining -= orbit
     hit_pairs = 0

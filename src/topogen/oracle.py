@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from itertools import groupby
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .algebra_core import (
     REL_SQUARE_MINUS_ONE,
@@ -59,38 +60,8 @@ def _ss_sig(cls: ClassDescriptor) -> Optional[tuple]:
     return (
         pat.mult_one,
         pat.mult_minus_one,
-        tuple(sorted((m for _, m in pat.pairs), reverse=True)),
+        tuple(sorted([m for _, m in pat.pairs], reverse=True)),
     )
-
-
-def _is_ss(cls: ClassDescriptor, a: int, b: int, pair_mults=(), twist=True) -> bool:
-    """Match a semisimple pattern, optionally up to the central -1 twist."""
-    sig = _ss_sig(cls)
-    if sig is None:
-        return False
-    want = tuple(sorted(pair_mults, reverse=True))
-    if sig == (a, b, want):
-        return True
-    return twist and sig == (b, a, want)
-
-
-def _is_unip(cls: ClassDescriptor, runs, a_type_if_char2=False) -> bool:
-    """Match a unipotent class by its partition as ``runs``, (part, count)
-    pairs with the parts decreasing: ((3, 2), (2, m - 3)) is 3^2 2^(m-3).
-    The partition is built only when its length is the class's, so a huge
-    n costs nothing."""
-    if cls.kind != "unipotent":
-        return False
-    parts = cls.unip.partition
-    if len(parts) != sum(c for _, c in runs) or parts != tuple(a for a, c in runs for _ in range(c)):
-        return False
-    if a_type_if_char2 and cls.unip.decoration is not None:
-        return cls.unip.as_type == "a"
-    return True
-
-
-def _count(classes, pred) -> int:
-    return sum(1 for c in classes if pred(c))
 
 
 # ---------------------------------------------------------------------------
@@ -225,152 +196,127 @@ def spin8_profile(cls: ClassDescriptor) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# family-specific emptiness cases (the first three rules already checked)
+# family rows (the first three rules already checked)
 # ---------------------------------------------------------------------------
 
 
-def _sl_case(group, classes) -> Optional[str]:
-    if group.n == 2:
-        if len(classes) == 2 and all(c.order == 2 for c in classes):
-            return "sl2"
-    return None
+def _row_key(cls: ClassDescriptor) -> tuple:
+    """What the family rows read of a class: ``_ss_sig`` of a semisimple
+    class; of a unipotent one, its partition as (part, count) runs with the
+    parts decreasing, and its a/b/c type at p = 2 ("none" elsewhere); ()
+    for a class with unpaired eigenvalues. Linear in the number of parts."""
+    if cls.kind == "unipotent":
+        unip = cls.unip
+        runs = tuple((a, len(list(same))) for a, same in groupby(unip.partition))
+        return runs, unip.as_type if unip.decoration is not None else "none"
+    return _ss_sig(cls) or ()
 
 
-def _so_even_case(group, classes) -> Optional[str]:
-    n = group.n
-    m = n // 2
-    p = group.p
-    if len(classes) != 2 or m < 5:
-        return None
-    # the semisimple options x1 = (lambda I_{m-1}, lambda^-1 I_{m-1}, mu, mu^-1)
-    # and x2 = (lambda I_m, lambda^-1 I_m) complete the product: every pair
-    # they add is below the adjoint-module bound (scott_lower_bound), which
-    # is proved in good characteristic only, so at p = 2 they stay open
-    ss_x1 = lambda c: p != 2 and _is_ss(c, 0, 0, (m - 1, 1))
-    ss_x2 = lambda c: p != 2 and _is_ss(c, 0, 0, (m,))
-    if m % 2:  # m >= 5 odd
-        x1_opts = [
-            lambda c: _is_ss(c, 2, 0, (m - 1,)),
-            lambda c: p != 2 and _is_unip(c, ((3, 2), (2, m - 3))),
-            ss_x1,
-        ]
-        x2 = lambda c: _is_unip(c, ((2, m - 1), (1, 2)), a_type_if_char2=True) or ss_x2(c)
-        case = "so2nodd"
-    else:  # m >= 6 even
-        x1_opts = [
-            lambda c: _is_ss(c, 2, 0, (m - 1,)),
-            lambda c: p != 2 and _is_unip(c, ((3, 2), (2, m - 4), (1, 2))),
-            lambda c: p != 2 and _is_unip(c, ((3, 1), (2, m - 2), (1, 1))),
-            ss_x1,
-        ]
-        x2 = lambda c: _is_unip(c, ((2, m),), a_type_if_char2=True) or ss_x2(c)
-        case = "so2neven"
-    for a, b in (classes, classes[::-1]):
-        if x2(b) and any(opt(a) for opt in x1_opts):
-            return case
-    return None
+def _ss(a: int, b: int, *pairs: int) -> tuple:
+    """The row keys of the semisimple class (I_a, -I_b, one inverse pair of
+    eigenvalues per multiplicity in ``pairs``, decreasing) and of its twist
+    by the central -1, (I_b, -I_a, ...)."""
+    return (a, b, pairs), (b, a, pairs)
 
 
-def _so_odd_case(group, classes) -> Optional[str]:
-    n = group.n
-    m = n // 2
-    r = len(classes)
-    if r == 3 and m == 2 and all(_is_unip(c, ((2, 2), (1, 1))) for c in classes):
-        return "oddorth-i"
-    if r == 2 and m % 2 == 0:
-        for a, b in (classes, classes[::-1]):
-            if _is_unip(a, ((2, m), (1, 1))) and _is_ss(b, 1, 0, (m,), twist=False):
-                return "oddorth-ii"
-    return None
+def _u(*runs: tuple, as_type: str = "none") -> tuple:
+    """The row key of the unipotent class whose partition is ``runs``, (part,
+    count) pairs with the parts decreasing: ((3, 2), (2, 1)) is 3^2 2. At
+    p = 2 it is the class of type ``as_type``."""
+    return ((runs, as_type),)
 
 
-def _sp_odd_case(group, classes) -> Optional[str]:
-    n = group.n
-    r = len(classes)
-    minus = lambda c, ell: _is_ss(c, n - ell, ell, ())  # (-I_ell, I_{n-ell})
-    if n == 4:
-        if r == 2:
-            for a, b in (classes, classes[::-1]):
-                if minus(a, 2) and _natural(b)[0] >= 2:
-                    return "sp4odd-ii"
-        if r == 3 and _count(classes, lambda c: minus(c, 2)) >= 2:
-            rest = [c for c in classes if not minus(c, 2)]
-            if all(_natural(c)[2] for c in rest):
-                return "sp4odd-iii"
-        if r == 4 and all(minus(c, 2) for c in classes):
-            return "sp4odd-iv"
-    elif n == 6:
-        if r == 2:
-            for a, b in (classes, classes[::-1]):
-                if minus(a, 2) and (_is_unip(b, ((3, 2),)) or _is_ss(b, 2, 0, (2,))):
-                    return "sp6odd-ii"
-        if r == 3 and all(minus(c, 2) for c in classes):
-            return "sp6odd-iii"
-    elif n == 8:
-        if r == 2:
-            for a, b in (classes, classes[::-1]):
-                if minus(a, 4) and (
-                    _is_ss(b, 4, 0, (2,))
-                    or _is_ss(b, 4, 0, (1, 1))
-                    or _is_unip(b, ((3, 2), (1, 2)))
-                ):
-                    return "spodd-ii"
-        if r == 3:
-            if _count(classes, lambda c: minus(c, 2)) == 2 and _count(
-                classes, lambda c: minus(c, 4)
-            ) == 1:
-                return "spodd-iii"
-    return None
+def _one_of(keys):
+    """Slot: a class whose row key is among keys(m)."""
+    return lambda c, key, m: key in keys(m)
 
 
-def _sp_even_case(group, classes) -> Optional[str]:
-    if group.n != 4:
-        return None
-    r = len(classes)
-    a2 = lambda c: _is_unip(c, ((2, 2),)) and c.unip.as_type == "a"
-    if r == 3 and _count(classes, a2) >= 2:
-        rest = [c for c in classes if not a2(c)]
-        if all(_natural(c)[2] for c in rest):
-            return "sp4even-ii"
-    if r == 4 and all(a2(c) for c in classes):
-        return "sp4even-iii"
-    return None
+class _Row(NamedTuple):
+    """A family case of the paper. It applies to the groups of ``family``
+    that ``groups(n, p)`` accepts, and fires when some ordering of the r =
+    len(slots) classes satisfies the slots one by one, each a predicate
+    slot(cls, row key of cls, m) with m = n // 2. ``table_row`` names the
+    published table row of the case, if any, with {n} for n."""
+
+    family: str
+    groups: Callable[[int, int], bool]
+    slots: tuple
+    case: str
+    table_row: Optional[str]
 
 
-def _family_case(group, classes, modules) -> Optional[str]:
-    fam = group.family
-    if fam == "SL":
-        return _sl_case(group, classes)
-    if fam == "SO":
-        if group.n == 6:
-            # the dimension bound on the SL4 module W
-            w = modules["W"]
-            return "so6" if w["sum_d"] > w["dim"] * (len(classes) - 1) else None
-        if group.n % 2 == 0:
-            return _so_even_case(group, classes)
-        return _so_odd_case(group, classes)
-    if fam == "Sp":
-        if group.p == 2:
-            return _sp_even_case(group, classes)
-        return _sp_odd_case(group, classes)
-    return None
+_ORDER_2 = lambda c, key, m: c.order == 2
+_QUADRATIC = lambda c, key, m: _natural(c)[2]
+_NOT_REGULAR = lambda c, key, m: _natural(c)[0] >= 2
+# (-I_2, I_{2m-2}) and (-I_4, I_{2m-4}) in Sp_2m, up to the central -1; the
+# a-type involution of Sp4 at p = 2
+_M2 = _one_of(lambda m: _ss(2 * m - 2, 2))
+_M4 = _one_of(lambda m: _ss(2 * m - 4, 4))
+_A2 = _one_of(lambda m: _u((2, 2), as_type="a"))
+# the partners of (-I_2, I_4) in Sp6 and of (-I_4, I_4) in Sp8
+_SP6_X2 = _one_of(lambda m: _u((3, 2)) + _ss(2, 0, 2))
+_SP8_X2 = _one_of(lambda m: _ss(4, 0, 2) + _ss(4, 0, 1, 1) + _u((3, 2), (1, 2)))
+# x1 and x2 of the r = 2 rows of D_m = SO_2m, m >= 5, for m odd and m even.
+# The semisimple options x1 = (lambda I_{m-1}, lambda^-1 I_{m-1}, mu, mu^-1)
+# and x2 = (lambda I_m, lambda^-1 I_m) complete the product: every pair they
+# add is below the adjoint-module bound (scott_lower_bound), which is proved
+# in good characteristic only, so at p = 2 they stay open, and so do the
+# unipotent options of x1; there x2 is the a-type involution
+_D_X1_P2 = _one_of(lambda m: _ss(2, 0, m - 1))
+_D_X1_ODD = _one_of(lambda m: _ss(2, 0, m - 1) + _u((3, 2), (2, m - 3)) + _ss(0, 0, m - 1, 1))
+_D_X1_EVEN = _one_of(
+    lambda m: _ss(2, 0, m - 1) + _u((3, 2), (2, m - 4), (1, 2)) + _u((3, 1), (2, m - 2), (1, 1))
+    + _ss(0, 0, m - 1, 1)
+)
+_D_X2_ODD = _one_of(lambda m: _u((2, m - 1), (1, 2)) + _ss(0, 0, m))
+_D_X2_EVEN = _one_of(lambda m: _u((2, m)) + _ss(0, 0, m))
+_D_X2_ODD_P2 = _one_of(lambda m: _u((2, m - 1), (1, 2), as_type="a"))
+_D_X2_EVEN_P2 = _one_of(lambda m: _u((2, m), as_type="a"))
+# the classes of the r = 3 row of SO5, and x1 and x2 of the r = 2 row of
+# B_m = SO_2m+1, m even; x2 = (I_1, lambda I_m, lambda^-1 I_m) is not matched
+# up to the central -1
+_SO5_X = _one_of(lambda m: _u((2, 2), (1, 1)))
+_B_X1 = _one_of(lambda m: _u((2, m), (1, 1)))
+_B_X2 = _one_of(lambda m: ((1, 0, (m,)),))
+
+# the family rows, in the order they are tried
+_ROWS = (
+    _Row("SL", lambda n, p: n == 2, (_ORDER_2, _ORDER_2), "sl2", None),
+    # x2 first: it matches fewer classes, so most pairs fail at one slot
+    _Row("SO", lambda n, p: n % 4 == 2 and n >= 10 and p != 2, (_D_X2_ODD, _D_X1_ODD), "so2nodd", "SO{n}-r2"),
+    _Row("SO", lambda n, p: n % 4 == 2 and n >= 10 and p == 2, (_D_X2_ODD_P2, _D_X1_P2), "so2nodd", "SO{n}-r2"),
+    _Row("SO", lambda n, p: n % 4 == 0 and n >= 12 and p != 2, (_D_X2_EVEN, _D_X1_EVEN), "so2neven", "SO{n}-r2"),
+    _Row("SO", lambda n, p: n % 4 == 0 and n >= 12 and p == 2, (_D_X2_EVEN_P2, _D_X1_P2), "so2neven", "SO{n}-r2"),
+    _Row("SO", lambda n, p: n == 5, (_SO5_X,) * 3, "oddorth-i", "SO5-r3"),
+    _Row("SO", lambda n, p: n % 4 == 1, (_B_X1, _B_X2), "oddorth-ii", "SO{n}-r2"),
+    _Row("Sp", lambda n, p: n == 4 and p != 2, (_M2, _NOT_REGULAR), "sp4odd-ii", "Sp4-r2"),
+    # at least two (-I_2, I_2) and the rest quadratic, as slots: a
+    # (-I_2, I_2) is quadratic itself; the same for a2 at p = 2 below
+    _Row("Sp", lambda n, p: n == 4 and p != 2, (_M2, _M2, _QUADRATIC), "sp4odd-iii", "Sp4-r3"),
+    _Row("Sp", lambda n, p: n == 4 and p != 2, (_M2,) * 4, "sp4odd-iv", "Sp4-r4"),
+    _Row("Sp", lambda n, p: n == 6 and p != 2, (_M2, _SP6_X2), "sp6odd-ii", None),
+    _Row("Sp", lambda n, p: n == 6 and p != 2, (_M2,) * 3, "sp6odd-iii", "Sp6-r3"),
+    _Row("Sp", lambda n, p: n == 8 and p != 2, (_M4, _SP8_X2), "spodd-ii", None),
+    _Row("Sp", lambda n, p: n == 8 and p != 2, (_M2, _M2, _M4), "spodd-iii", "Sp8-r3"),
+    _Row("Sp", lambda n, p: n == 4 and p == 2, (_A2, _A2, _QUADRATIC), "sp4even-ii", "Sp4-r3"),
+    _Row("Sp", lambda n, p: n == 4 and p == 2, (_A2,) * 4, "sp4even-iii", "Sp4-r4"),
+)
+# the rows of each family and r, in table order
+_ROWS_OF: dict = {}
+for _row in _ROWS:
+    _ROWS_OF.setdefault((_row.family, len(_row.slots)), []).append(_row)
 
 
-# family case -> identifier of the matching published table row; the cases
-# sl2, sp6odd-ii and spodd-ii have none
-_TABLE_ROW = {
-    "so2nodd": "SO{n}-r2",
-    "so2neven": "SO{n}-r2",
-    "oddorth-ii": "SO{n}-r2",
-    "oddorth-i": "SO5-r3",
-    "sp4odd-ii": "Sp4-r2",
-    "sp4odd-iii": "Sp4-r3",
-    "sp4even-ii": "Sp4-r3",
-    "sp4odd-iv": "Sp4-r4",
-    "sp4even-iii": "Sp4-r4",
-    "sp6odd-iii": "Sp6-r3",
-    "spodd-iii": "Sp8-r3",
-}
+def _fires(slots: tuple, classes: list, m: int) -> bool:
+    """Whether some ordering of the classes satisfies the slots one by one.
+    Each class computes its row key once and keeps it (``_once``)."""
+    if not slots:
+        return True
+    first, rest = slots[0], slots[1:]
+    for i, c in enumerate(classes):
+        if first(c, _once(c, "_row_key", _row_key), m) and _fires(rest, classes[:i] + classes[i + 1 :], m):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +409,17 @@ def decide(
     if n >= 3 and r == 2 and all(quadratic):
         case = _QUADRATIC_CASE.get((group.family, n))
         return Verdict(True, "QuadraticPair", case, witnesses)
-    case = _family_case(group, classes, modules)
-    if case in _TABLE_ROW:
-        row = _TABLE_ROW[case].format(n=n)
-        return Verdict(True, "TableRow", case_id=row, witnesses=witnesses)
-    if case is not None:
-        return Verdict(True, "FamilyTheoremCase", case_id=case, witnesses=witnesses)
+    if group.family == "SO" and n == 6:
+        # the dimension bound on the SL4 module W; SO6 has no family rows
+        w = modules["W"]
+        if w["sum_d"] > w["dim"] * (r - 1):
+            return Verdict(True, "FamilyTheoremCase", "so6", witnesses)
+        return Verdict(False, "Generic", witnesses=witnesses)
+    for row in _ROWS_OF.get((group.family, r), ()):
+        if row.groups(n, group.p) and _fires(row.slots, classes, n // 2):
+            if row.table_row is None:
+                return Verdict(True, "FamilyTheoremCase", row.case, witnesses)
+            return Verdict(True, "TableRow", row.table_row.format(n=n), witnesses)
     return Verdict(False, "Generic", witnesses=witnesses)
 
 

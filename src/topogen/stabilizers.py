@@ -96,10 +96,7 @@ def _unipotent_shapes(target: GroupSpec) -> list[ClassDescriptor]:
                     dec.append({"W": 2, "mult": (s - v) // 2})
                 if n - 2 * s:
                     dec.append({"W": 1, "mult": (n - 2 * s) // 2})
-                try:
-                    out.append(validate_class(target, unipotent(decoration=dec, order=2)))
-                except UnsupportedCase:
-                    continue
+                out.append(validate_class(target, unipotent(decoration=dec, order=2)))
         return out
     cap = p if p else None
     for pi in enumerate_unipotent_partitions(target, max_part=cap):
@@ -127,10 +124,7 @@ def _semisimple_shapes(target: GroupSpec) -> list[ClassDescriptor]:
             a = n - b
             if target.is_orthogonal and target.n % 2 == 1 and b % 2:
                 continue
-            try:
-                out.append(validate_class(target, semisimple(ones=a, minus_ones=b, order=2)))
-            except UnsupportedCase:
-                continue
+            out.append(validate_class(target, semisimple(ones=a, minus_ones=b, order=2)))
         if n % 2 == 0 and (fam == "Sp" or target.is_orthogonal):
             # (lam I_{n/2}, lam^{-1} I_{n/2}) with lam^2 = -1: order 2 mod center
             out.append(
@@ -148,10 +142,7 @@ def _semisimple_shapes(target: GroupSpec) -> list[ClassDescriptor]:
         a = n - 2 * pair_total
         for mults in _partitions(pair_total):
             pairs = [(f"l{i + 1}", m) for i, m in enumerate(mults)]
-            try:
-                out.append(validate_class(target, semisimple(ones=a, pairs=pairs)))
-            except UnsupportedCase:
-                continue
+            out.append(validate_class(target, semisimple(ones=a, pairs=pairs)))
     return out
 
 
@@ -163,14 +154,7 @@ def _shape_table(target: GroupSpec) -> tuple[ClassDescriptor, ...]:
     a typical caller cycles through (c_value over a sweep of groups), so
     the table does not thrash.
     """
-    seen = set()
-    unique = []
-    for c in _unipotent_shapes(target) + _semisimple_shapes(target):
-        key = repr(c)
-        if key not in seen:
-            seen.add(key)
-            unique.append(c)
-    return tuple(unique)
+    return tuple(_unipotent_shapes(target) + _semisimple_shapes(target))
 
 
 def _bounded_class_group(group: GroupSpec, bound: int) -> GroupSpec:

@@ -5,6 +5,7 @@ and check that every such name still resolves in the library."""
 import ast
 import importlib
 import pkgutil
+import types
 from pathlib import Path
 
 import pytest
@@ -114,3 +115,17 @@ def test_traced_layers_and_finfield_sublayers_resolve(layers):
         assert _resolves((layer,)), layer
     missing = [name for name in _literal("FINFIELD_SUBLAYER") if not _resolves(("finfield", name))]
     assert missing == []
+
+
+def test_counted_private_kernels_resolve(layers):
+    """The tracer also wraps the private kernels in ``COUNTED_PRIVATE`` by
+    name, to count their work: each must be a function defined in its own
+    layer module, not a name imported there."""
+    counted = _literal("COUNTED_PRIVATE")
+    assert counted
+    for layer, names in counted.items():
+        module = importlib.import_module(f"topogen.{layer}")
+        for name in names:
+            fn = vars(module).get(name)
+            assert isinstance(fn, types.FunctionType), (layer, name)
+            assert fn.__module__ == module.__name__, (layer, name)

@@ -339,6 +339,19 @@ class TestHandleMalformedDocuments:
         assert handle("decide", doc)[0] == 2
 
 
+class TestVerifySuites:
+    @pytest.mark.parametrize(
+        "suite,want",
+        [
+            # PSp4(3) is not (2, 3)- or (3, 3)-generated
+            ("psp4", {"passed": True, "projective_order": 25920, "p23": "0", "p33": "0"}),
+            ("so9-count", {"passed": True, "counts": {2: 39, 3: 1201}}),
+        ],
+    )
+    def test_suite(self, suite, want):
+        assert handle("verify", {"suite": suite}) == (0, {"schema": "topogen/1", "suite": suite, **want})
+
+
 class TestEigenvalueLabels:
     @pytest.mark.parametrize("label", [None, True, [1], {"a": 1}, 3, 1.5])
     @pytest.mark.parametrize("field", ["pairs", "free"])

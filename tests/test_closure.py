@@ -16,7 +16,9 @@ from topogen.closure import (
     smallest_class_with_blocks,
     splits_in_G,
 )
-from topogen.errors import NoSuchClass, NotApplicable, SizeMismatch
+from topogen import closure
+from topogen.cli import handle
+from topogen.errors import EnumerationTooLarge, NoSuchClass, NotApplicable, SizeMismatch
 from topogen.stabilizers import enumerate_class_shapes
 
 from test_oracle import _sweep_groups
@@ -127,6 +129,25 @@ def _admissible(family, partition):
     return all(c % 2 == 0 for a, c in counts.items() if a % 2 == parity)
 
 
+class TestChar2SearchCap:
+    def test_capped_search_refuses(self, monkeypatch):
+        # the search visits 1380 states, under the cap
+        g = GroupSpec("Sp", 48, 2)
+        upper = unipotent(decoration=[{"W": 12, "mult": 2}])
+        lower = unipotent(decoration=[{"V": 2, "mult": 2}, {"W": 1, "mult": 22}])
+        assert not in_closure(g, upper, lower)
+        monkeypatch.setattr(closure, "MAX_CLOSURE_STATES", 1000)
+        with pytest.raises(EnumerationTooLarge):
+            in_closure(g, upper, lower)
+        doc = {
+            "group": {"family": "Sp", "n": 48, "p": 2},
+            "upper": {"kind": "unipotent", "decoration": [{"W": 12, "mult": 2}]},
+            "lower": {"kind": "unipotent", "decoration": [{"V": 2, "mult": 2}, {"W": 1, "mult": 22}]},
+        }
+        code, out = handle("closure", doc)
+        assert code == 3 and "1000 states" in out
+
+
 class TestSplits:
     def test_semisimple_without_fixed_vectors_splits(self):
         g = GroupSpec("SO", 10, 3)
@@ -136,6 +157,22 @@ class TestSplits:
         assert splits_in_G(g, c)
         c2 = validate_class(g, semisimple(ones=2, pairs=[4], order=None))
         assert not splits_in_G(g, c2)
+
+    def test_unipotent_odd_p_splits_when_every_part_is_even(self):
+        g = GroupSpec("SO", 12, 3)
+        assert splits_in_G(g, validate_class(g, unipotent(partition=(2,) * 6)))
+        assert splits_in_G(g, validate_class(g, unipotent(partition=(4, 4, 2, 2))))
+        assert not splits_in_G(g, validate_class(g, unipotent(partition=(3, 3, 2, 2, 1, 1))))
+        assert not splits_in_G(g, validate_class(g, unipotent(partition=(2, 2, 2, 2, 1, 1, 1, 1))))
+
+    def test_unipotent_p2_splits_when_every_summand_is_an_even_w(self):
+        g = GroupSpec("SO", 12, 2)
+        assert splits_in_G(g, validate_class(g, unipotent(decoration=[{"W": 2, "mult": 3}])))
+        for dec in (
+            [{"W": 2, "mult": 2}, {"W": 1, "mult": 2}],
+            [{"V": 2, "mult": 2}, {"W": 2, "mult": 2}],
+        ):
+            assert not splits_in_G(g, validate_class(g, unipotent(decoration=dec))), dec
 
     def test_not_applicable_for_sp(self):
         g = GroupSpec("Sp", 4, 0)
