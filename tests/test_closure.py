@@ -1,7 +1,10 @@
 """Unit tests for the degeneration (closure) order on unipotent classes."""
 
 import hashlib
+import json
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +21,7 @@ from topogen.closure import (
 )
 from topogen import closure
 from topogen.cli import handle
-from topogen.errors import EnumerationTooLarge, NoSuchClass, NotApplicable, SizeMismatch
+from topogen.errors import EnumerationTooLarge, NoSuchClass, NotApplicable, SizeMismatch, TopogenError
 from topogen.stabilizers import enumerate_class_shapes
 
 from test_oracle import _sweep_groups
@@ -76,6 +79,77 @@ class TestInClosureChar2:
         a2 = validate_class(g, unipotent(decoration=[{"W": 2, "mult": 1}], order=2))
         assert in_closure(g, c2, a2)
         assert not in_closure(g, a2, c2)
+
+
+def _decorations(rest, size):
+    """V/W decorations of total dimension ``rest`` with summand sizes at
+    most ``size``, larger sizes first: V(m) for even m, at most twice, and
+    W(m) any number of times."""
+    if rest == 0:
+        yield ()
+        return
+    if size == 0:
+        return
+    for v in (0, 1, 2) if size % 2 == 0 else (0,):
+        for w in range((rest - v * size) // (2 * size) + 1):
+            head = (("V", size, v),) * (v > 0) + (("W", size, w),) * (w > 0)
+            for tail in _decorations(rest - (v + 2 * w) * size, size - 1):
+                yield head + tail
+
+
+def _decorated_classes(group):
+    """Every decorated unipotent class that ``validate_class`` accepts in an
+    Sp, SO or Spin8 group at p = 2, in the order of ``_decorations``."""
+    out = []
+    for dec in _decorations(group.n, group.n):
+        try:
+            out.append(validate_class(group, unipotent(decoration=dec)))
+        except TopogenError:
+            continue
+    return out
+
+
+def _dec_name(cls):
+    return "|".join(f"{k}{s}x{m}" for k, s, m in cls.unip.decoration)
+
+
+def _from_name(group, name):
+    dec = [(k, int(s), int(m)) for k, s, m in re.findall(r"([VW])(\d+)x(\d+)", name)]
+    return validate_class(group, unipotent(decoration=dec))
+
+
+def _group_from_name(name):
+    family, n = re.fullmatch(r"(Sp|SO|Spin8)(\d*)", name).groups()
+    return GroupSpec(family, int(n or 8), 2)
+
+
+# containments at p = 2 pinned from the rewriting search that decided the
+# order before the closed form: every one among all decorated classes of
+# Sp4-14, SO10-14 and Spin8 ("tables": the classes in _decorated_classes
+# order, and for each the indices of the others in its closure), and the
+# 816 found among 3000 pairs drawn with random.Random(2024), a group of
+# Sp4-22, SO10-22 or Spin8 and then two of its classes ("pairs")
+CHAR2_PINS = json.loads((Path(__file__).parent / "char2_containments.json").read_text())
+
+
+class TestChar2Pinned:
+    @pytest.mark.parametrize("name", sorted(CHAR2_PINS["tables"]))
+    def test_table_containments_hold(self, name):
+        g = _group_from_name(name)
+        table = CHAR2_PINS["tables"][name]
+        classes = _decorated_classes(g)
+        assert [_dec_name(c) for c in classes] == table["classes"]
+        for upper, below in zip(classes, table["below"]):
+            for j in below:
+                assert in_closure(g, upper, classes[j]), (name, _dec_name(upper), table["classes"][j])
+
+    def test_seeded_pair_containments_hold(self):
+        pairs = CHAR2_PINS["pairs"]
+        assert sum(map(len, pairs.values())) == 816
+        for name, found in pairs.items():
+            g = _group_from_name(name)
+            for upper, lower in found:
+                assert in_closure(g, _from_name(g, upper), _from_name(g, lower)), (name, upper, lower)
 
 
 class TestSmallestClass:
