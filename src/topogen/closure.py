@@ -1,9 +1,16 @@
 """Degeneration (closure) order on unipotent classes.
 
-Odd characteristic: dominance order restricted to admissible partitions.
-Characteristic 2: an explicit rewriting engine over V/W decompositions,
-sound but possibly incomplete (documented); dominance is used among the
-W-summands, two local rules trade V-summands.
+SL, and Sp, SO and Spin8 in odd characteristic: dominance of partitions.
+Sp, SO and Spin8 in characteristic 2: Hesselink's order on indexed
+partitions (Hesselink, *Nilpotency in classical groups over a field of
+characteristic 2*, Math. Z. 166, 1979; Spaltenstein, *Classes unipotentes
+et sous-groupes de Borel*, LNM 946, 1982), read off the V/W decoration.
+The parts lambda_1 >= lambda_2 >= ... are the Jordan block sizes (W(m)
+gives m twice, V(2k) gives 2k once), and the index is chi(m) = m/2 if V(m)
+is a summand and m // 2 + 1 otherwise, with chi(0) = 0 for the padding
+parts. With P_i the sum of the first i parts, a class lies in the closure
+of another iff for every i both P_i and P_i - chi(lambda_i) are at most
+those of the other. Either test is one pass over the parts.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .algebra_core import MAX_BLOCKS, ClassDescriptor, GroupSpec, _unpaired_parts, unipotent, validate_class
-from .errors import BoundExceeded, EnumerationTooLarge, MixedKinds, NoSuchClass, NotApplicable, SizeMismatch
+from .errors import BoundExceeded, MixedKinds, NoSuchClass, NotApplicable, SizeMismatch
 
 
 def dominates(pi1: Iterable[int], pi2: Iterable[int]) -> bool:
@@ -40,114 +47,38 @@ def _partitions(n: int, cap: int | None = None) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-def _dec_state(cls: ClassDescriptor) -> tuple:
-    """(sorted V sizes, sorted W sizes) with multiplicity."""
-    vs: list[int] = []
-    ws: list[int] = []
-    for kind, size, mult in cls.unip.decoration:
-        (vs if kind == "V" else ws).extend([size] * mult)
-    return tuple(sorted(vs, reverse=True)), tuple(sorted(ws, reverse=True))
+def _index_sums(cls: ClassDescriptor) -> list[tuple[int, int]]:
+    """(P_i, P_i - chi(lambda_i)) over the Jordan block sizes lambda_1 >=
+    lambda_2 >= ... of a decorated class, P_i the sum of the first i; the
+    index chi(m) is m/2 if V(m) is a summand and m // 2 + 1 otherwise."""
+    vs = {size for kind, size, _ in cls.unip.decoration if kind == "V"}
+    out = []
+    total = 0
+    for m in cls.unip.partition:
+        total += m
+        out.append((total, total - (m // 2 if m in vs else m // 2 + 1)))
+    return out
 
 
-def _state_valid(group: GroupSpec, vs: tuple, ws: tuple) -> bool:
-    if any(c > 2 for c in Counter(vs).values()):
-        return False
-    if group.is_orthogonal and len(vs) % 2:
-        return False
-    return True
-
-
-def _char2_successors(group: GroupSpec, state: tuple) -> Iterator[tuple]:
-    vs, ws = state
-    vlist = list(vs)
-    # rule: a pair of V summands (a phantom V(0) is allowed as the second)
-    # shifts weight (V(2m1), V(2m2)) -> (V(2m1-2), V(2m2+2)) for m1 > m2
-    choices = set()
-    for i in range(len(vlist)):
-        for j in range(len(vlist)):
-            if i != j and vlist[i] > vlist[j]:
-                choices.add((vlist[i], vlist[j]))
-        if vlist[i] > 2:
-            choices.add((vlist[i], 0))
-    for big, small in choices:
-        rest = list(vlist)
-        rest.remove(big)
-        if small:
-            rest.remove(small)
-        new = [x for x in rest + [big - 2, small + 2] if x > 0]
-        cand = (tuple(sorted(new, reverse=True)), ws)
-        if _state_valid(group, *cand):
-            yield cand
-    # rule: V(2m1) + V(2m2) -> W(m1 + m2)
-    for i in range(len(vlist)):
-        for j in range(i + 1, len(vlist)):
-            rest = [x for k, x in enumerate(vlist) if k not in (i, j)]
-            new_w = tuple(sorted(list(ws) + [(vlist[i] + vlist[j]) // 2], reverse=True))
-            cand = (tuple(sorted(rest, reverse=True)), new_w)
-            if _state_valid(group, *cand):
-                yield cand
-    # rule: dominance among the W summands, V summands carried along, one
-    # box at a time: a box of a row of size a moves to a row of size
-    # b <= a - 2 (a phantom W(0) is allowed). Repeated, these moves reach
-    # every partition the W part dominates (Brylawski, 1973). The V
-    # summands, and so the validity of the state, stay as they are
-    if not _state_valid(group, vs, ws):
-        return
-    for a in set(ws):
-        for b in set(ws) | {0}:
-            if a - b >= 2:
-                rest = list(ws)
-                rest.remove(a)
-                if b:
-                    rest.remove(b)
-                yield vs, tuple(sorted([x for x in rest + [a - 1, b + 1] if x], reverse=True))
-
-
-def _bfs(start, moves) -> Iterator:
-    """Everything reachable from ``start`` by repeated ``moves`` (a map from
-    an element to its neighbours), each once, breadth first, ``start``
-    first; lazy, so a search for one goal stops where it finds it."""
-    seen = {start}
-    queue = [start]
-    yield start
-    for a in queue:
-        for b in moves(a):
-            if b not in seen:
-                seen.add(b)
-                queue.append(b)
-                yield b
-
-
-# the most states the characteristic-2 rules may visit from one class
-MAX_CLOSURE_STATES = 2 * 10**4
-
-
-def _reachable(target: GroupSpec, start: tuple) -> Iterator[tuple]:
-    """``_bfs`` over the characteristic-2 rules from ``start``. Raises
-    EnumerationTooLarge past MAX_CLOSURE_STATES states."""
-    for k, state in enumerate(_bfs(start, lambda s: _char2_successors(target, s))):
-        if k == MAX_CLOSURE_STATES:
-            raise EnumerationTooLarge(f"the closure order visits more than {MAX_CLOSURE_STATES} states")
-        yield state
-
-
-def _by_dominance(target: GroupSpec) -> bool:
-    """Whether the closure order of target is dominance of partitions
-    (otherwise it is reachability under the characteristic-2 rules)."""
-    return target.p != 2 or target.family == "SL"
+def _contains(target: GroupSpec, upper: ClassDescriptor, lower: ClassDescriptor) -> bool:
+    """Whether lower lies in the closure of upper in the class group target:
+    dominance of partitions, or at p = 2 in Sp, SO and Spin8 dominance of
+    both partial sums of the indexed partitions."""
+    if target.p != 2 or target.family == "SL":
+        return dominates(upper.unip.partition, lower.unip.partition)
+    a = _index_sums(upper)
+    b = _index_sums(lower)
+    if a[-1][0] != b[-1][0]:
+        raise SizeMismatch("classes live in different dimensions")
+    # past its last part a class has P_i = P_i - chi(0) = the dimension, so
+    # upper needs no more parts than lower, and lower's extra parts pass
+    return len(a) <= len(b) and all(pb <= pa and qb <= qa for (pa, qa), (pb, qb) in zip(a, b))
 
 
 def in_closure(group: GroupSpec, upper: ClassDescriptor, lower: ClassDescriptor) -> bool:
     if upper.kind != "unipotent" or lower.kind != "unipotent":
         raise MixedKinds("closure order is defined on unipotent classes")
-    target = group.class_group()
-    if _by_dominance(target):
-        return dominates(upper.unip.partition, lower.unip.partition)
-    start = _dec_state(upper)
-    goal = _dec_state(lower)
-    if sum(start[0]) + 2 * sum(start[1]) != sum(goal[0]) + 2 * sum(goal[1]):
-        raise SizeMismatch("classes live in different dimensions")
-    return goal in _reachable(target, start)
+    return _contains(group.class_group(), upper, lower)
 
 
 def _near_equal_partition(n: int, m: int) -> tuple:
@@ -220,18 +151,10 @@ def _poset_dot(target: GroupSpec) -> str:
         return ",".join(map(str, c.unip.partition))
 
     # below[i]: indices of the shapes other than shape i in its closure
-    if _by_dominance(target):
-        parts = [c.unip.partition for c in shapes]
-        below = [
-            {j for j, b in enumerate(parts) if j != i and dominates(a, b)}
-            for i, a in enumerate(parts)
-        ]
-    else:
-        states = [_dec_state(c) for c in shapes]
-        below = []
-        for i, a in enumerate(states):
-            reach = set(_reachable(target, a))
-            below.append({j for j, b in enumerate(states) if j != i and b in reach})
+    below = [
+        {j for j, b in enumerate(shapes) if j != i and _contains(target, a, b)}
+        for i, a in enumerate(shapes)
+    ]
     lines = ["digraph closure {"]
     for c in shapes:
         lines.append(f'  "{name(c)}";')

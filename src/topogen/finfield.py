@@ -37,7 +37,6 @@ from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .algebra_core import ClassDescriptor, GroupSpec, _unpaired_parts
-from .closure import _bfs
 from .errors import (
     EnumerationTooLarge,
     GroupTooLarge,
@@ -936,10 +935,23 @@ def _table(a: bytes) -> bytes:
     return a + _BYTES[len(a) :]
 
 
+def _bfs(start, moves) -> set:
+    """Everything reachable from ``start`` by repeated ``moves`` (a map from
+    an element to its neighbours), found breadth first."""
+    seen = {start}
+    queue = [start]
+    for a in queue:
+        for b in moves(a):
+            if b not in seen:
+                seen.add(b)
+                queue.append(b)
+    return seen
+
+
 def _closure_set(perms) -> set:
     """The group the permutations generate, listed breadth first."""
     tables = [_table(g) for g in perms]
-    return set(_bfs(_BYTES[: len(perms[0])], lambda a: map(a.translate, tables)))
+    return _bfs(_BYTES[: len(perms[0])], lambda a: map(a.translate, tables))
 
 
 def _conjugate(a: bytes, g: bytes, g_table: bytes) -> bytes:
@@ -1152,7 +1164,7 @@ def exact_generation_probability(
     classes = []
     while remaining:
         rep = min(remaining)
-        orbit = set(_bfs(rep, lambda a: [_conjugate(a, *g) for g in gen_pairs]))
+        orbit = _bfs(rep, lambda a: [_conjugate(a, *g) for g in gen_pairs])
         classes.append((rep, len(orbit)))
         remaining -= orbit
     hit_pairs = 0

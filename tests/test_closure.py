@@ -19,9 +19,8 @@ from topogen.closure import (
     smallest_class_with_blocks,
     splits_in_G,
 )
-from topogen import closure
 from topogen.cli import handle
-from topogen.errors import EnumerationTooLarge, NoSuchClass, NotApplicable, SizeMismatch, TopogenError
+from topogen.errors import NoSuchClass, NotApplicable, SizeMismatch, TopogenError
 from topogen.stabilizers import enumerate_class_shapes
 
 from test_oracle import _sweep_groups
@@ -79,6 +78,46 @@ class TestInClosureChar2:
         a2 = validate_class(g, unipotent(decoration=[{"W": 2, "mult": 1}], order=2))
         assert in_closure(g, c2, a2)
         assert not in_closure(g, a2, c2)
+
+    def test_c2_above_transvection(self):
+        # x_t = 1 + B(., u)u + t B(., w)w with B(u, w) = 0 is in c2 for t != 0
+        # and a transvection, in b1, at t = 0
+        g = GroupSpec("Sp", 4, 2)
+        c2 = validate_class(g, unipotent(decoration=[{"V": 2, "mult": 2}], order=2))
+        b1 = validate_class(g, unipotent(decoration=[{"V": 2, "mult": 1}, {"W": 1, "mult": 1}], order=2))
+        assert in_closure(g, c2, b1)
+        assert not in_closure(g, b1, c2)
+
+    @pytest.mark.parametrize(
+        "group",
+        [GroupSpec("Sp", n, 2) for n in range(4, 13, 2)]
+        + [GroupSpec("SO", n, 2) for n in (10, 12)]
+        + [GroupSpec("Spin8", 8, 2)],
+        ids=str,
+    )
+    def test_involution_order(self, group):
+        # x = 1 + N with l = rank N lies in the closure of y = 1 + M with
+        # m = rank M iff l <= m, and y is not a-type or x is: rank is lower
+        # semicontinuous and "B(v, Nv) = 0 for all v" is a closed condition,
+        # and curves like the one above, adding one vector at a time, give
+        # the rest
+        shapes = enumerate_class_shapes(group, constraints={"kind": "unipotent"})
+        for upper in shapes:
+            for lower in shapes:
+                m, l = upper.unip.partition.count(2), lower.unip.partition.count(2)
+                want = l <= m and (upper.unip.as_type != "a" or lower.unip.as_type == "a")
+                assert in_closure(group, upper, lower) == want, (upper.unip.decoration, lower.unip.decoration)
+
+    @pytest.mark.parametrize("n", range(4, 13, 2))
+    def test_antisymmetric_and_within_dominance(self, n):
+        g = GroupSpec("Sp", n, 2)
+        classes = _decorated_classes(g)
+        for upper in classes:
+            for lower in classes:
+                if upper is lower or not in_closure(g, upper, lower):
+                    continue
+                assert dominates(upper.unip.partition, lower.unip.partition), (_dec_name(upper), _dec_name(lower))
+                assert not in_closure(g, lower, upper), (_dec_name(upper), _dec_name(lower))
 
 
 def _decorations(rest, size):
@@ -159,6 +198,24 @@ class TestSmallestClass:
         assert c.unip.partition == (2, 2, 2, 2)
         assert c.unip.as_type == "a"
 
+    @pytest.mark.parametrize(
+        "group",
+        [GroupSpec("Sp", n, 2) for n in range(4, 17, 2)]
+        + [GroupSpec("SO", n, 2) for n in range(10, 17, 2)]
+        + [GroupSpec("Spin8", 8, 2)],
+        ids=str,
+    )
+    def test_char2_even_block_count_is_the_unique_minimum(self, group):
+        classes = _decorated_classes(group)
+        for m in range(2, group.n, 2):
+            smallest = smallest_class_with_blocks(group, m)
+            with_m = [c for c in classes if len(c.unip.partition) == m]
+            assert smallest.unip.decoration in [c.unip.decoration for c in with_m]
+            for other in with_m:
+                assert in_closure(group, other, smallest), (m, _dec_name(other))
+                if other.unip.decoration != smallest.unip.decoration:
+                    assert not in_closure(group, smallest, other), (m, _dec_name(other))
+
     def test_char2_odd_block_count_impossible_in_so(self):
         g = GroupSpec("SO", 10, 2)
         with pytest.raises(NoSuchClass):
@@ -203,23 +260,31 @@ def _admissible(family, partition):
     return all(c % 2 == 0 for a, c in counts.items() if a % 2 == parity)
 
 
-class TestChar2SearchCap:
-    def test_capped_search_refuses(self, monkeypatch):
-        # the search visits 1380 states, under the cap
+class TestChar2LargeGroups:
+    # W(12)^2 over V(2)^2 + W(1)^22, the c2 involution class of Sp48. By
+    # Hesselink's theorem (Math. Z. 166, 1979; Spaltenstein, LNM 946, 1982)
+    # it lies in the closure: P_i is 12, 24, 24, ... against 2, 4, 5, ...,
+    # and P_i - chi(lambda_i) is 5, 17, 24, ... against 1, 3, 4, ... The
+    # rewriting search this order replaced answered False: it had no move
+    # from W summands to V summands
+    def test_sp48_w12_pair(self):
         g = GroupSpec("Sp", 48, 2)
         upper = unipotent(decoration=[{"W": 12, "mult": 2}])
         lower = unipotent(decoration=[{"V": 2, "mult": 2}, {"W": 1, "mult": 22}])
-        assert not in_closure(g, upper, lower)
-        monkeypatch.setattr(closure, "MAX_CLOSURE_STATES", 1000)
-        with pytest.raises(EnumerationTooLarge):
-            in_closure(g, upper, lower)
+        assert in_closure(g, upper, lower)
+        assert not in_closure(g, lower, upper)
+
+    @pytest.mark.parametrize("n", [48, 100])
+    def test_documents_answer(self, n):
+        w = n // 4
         doc = {
-            "group": {"family": "Sp", "n": 48, "p": 2},
-            "upper": {"kind": "unipotent", "decoration": [{"W": 12, "mult": 2}]},
-            "lower": {"kind": "unipotent", "decoration": [{"V": 2, "mult": 2}, {"W": 1, "mult": 22}]},
+            "group": {"family": "Sp", "n": n, "p": 2},
+            "upper": {"kind": "unipotent", "decoration": [{"W": w, "mult": 2}]},
+            "lower": {"kind": "unipotent", "decoration": [{"V": 2, "mult": 2}, {"W": 1, "mult": n // 2 - 2}]},
         }
-        code, out = handle("closure", doc)
-        assert code == 3 and "1000 states" in out
+        assert handle("closure", doc) == (0, {"schema": "topogen/1", "in_closure": True})
+        doc["upper"], doc["lower"] = doc["lower"], doc["upper"]
+        assert handle("closure", doc) == (0, {"schema": "topogen/1", "in_closure": False})
 
 
 class TestSplits:
@@ -322,10 +387,12 @@ class TestPosetAgainstTripleLoop:
     def test_dot_unchanged(self):
         # sha256 of the DOT texts of _poset_groups at each p, joined by blank
         # lines, as closure_poset_dot drew them when it enumerated the
-        # shapes afresh on every call; first 16 hex digits
+        # shapes afresh on every call; first 16 hex digits. At p = 2 the Sp
+        # posets are those of the involution order (test_involution_order),
+        # with the chain c_l > b_(l-1) > c_(l-1)
         digests = {
             0: "2be0f9496ff466dd",
-            2: "ad8737f2c449a82e",
+            2: "36d34233c5d6cc6a",
             3: "690a9a0b26859221",
             5: "14146af29f77e35c",
         }
