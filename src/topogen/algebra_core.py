@@ -8,7 +8,6 @@ form-module decomposition. No field elements appear at this layer.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import index
@@ -134,12 +133,12 @@ class EigenPattern:
     variant: str = "unspecified"  # plus | minus | unspecified (SO even)
 
     def total(self) -> int:
-        return (
-            self.mult_one
-            + self.mult_minus_one
-            + 2 * sum(m for _, m in self.pairs)
-            + sum(m for _, m in self.free)
-        )
+        total = self.mult_one + self.mult_minus_one
+        for _, m in self.pairs:
+            total += 2 * m
+        for _, m in self.free:
+            total += m
+        return total
 
     def mults(self) -> list[int]:
         """Multiplicities of all distinct eigenvalues."""
@@ -210,15 +209,30 @@ def _norm_labelled(items, what: str) -> tuple:
         if isinstance(item, (tuple, list)):
             if len(item) != 2:
                 raise SchemaError(f"a labelled {what} must be a (label, multiplicity) pair, not {item!r}")
-            lab, m = item
+            lab, m = str(item[0]), item[1]
         else:
             auto += 1
             lab, m = f"l{auto}", item
-        m = _whole(m, f"a {what} multiplicity")
+        if type(m) is not int:
+            m = _whole(m, f"a {what} multiplicity")
         if m < 1:
             raise SchemaError(f"{what} multiplicity must be a positive integer")
-        merged[str(lab)] = merged.get(str(lab), 0) + m
+        merged[lab] = merged.get(lab, 0) + m
+    if len(merged) < 2:
+        return tuple(merged.items())
     return tuple(sorted(merged.items(), key=lambda t: (-t[1], t[0])))
+
+
+def _normal_pattern(ones: int, minus_ones: int, pairs, free, relations, variant) -> EigenPattern:
+    """The pattern of a semisimple class with integer ``ones`` and
+    ``minus_ones``: relations (a mapping or (label, tag) pairs) sorted, and
+    pairs and free eigenvalues normalised by ``_norm_labelled``."""
+    if relations:
+        if isinstance(relations, Mapping):
+            relations = relations.items()
+        relations = tuple(sorted((str(lab), tag) for lab, tag in relations))
+    pairs, free = _norm_labelled(pairs, "pair"), _norm_labelled(free, "free eigenvalue")
+    return EigenPattern(ones, minus_ones, pairs, free, relations or (), variant)
 
 
 def semisimple(
@@ -231,18 +245,8 @@ def semisimple(
     variant: str = "unspecified",
 ) -> ClassDescriptor:
     ones, minus_ones = _whole(ones, "ones"), _whole(minus_ones, "minus_ones")
-    if isinstance(relations, Mapping):
-        relations = relations.items()
-    rels = tuple(sorted((str(lab), tag) for lab, tag in relations)) if relations else ()
-    pat = EigenPattern(
-        mult_one=ones,
-        mult_minus_one=minus_ones,
-        pairs=_norm_labelled(pairs, "pair"),
-        free=_norm_labelled(free, "free eigenvalue"),
-        relations=rels,
-        variant=variant,
-    )
-    return ClassDescriptor(kind="semisimple", order=order, eigen=pat)
+    pat = _normal_pattern(ones, minus_ones, pairs, free, relations, variant)
+    return ClassDescriptor("semisimple", order, pat)
 
 
 def _whole(x, what: str) -> int:
@@ -269,13 +273,10 @@ def _norm_decoration(decoration) -> Optional[tuple]:
     merged: dict[tuple, int] = {}
     for item in decoration:
         if isinstance(item, Mapping):
-            mult = item.get("mult", 1)
-            if "V" in item:
-                kind, size = "V", item["V"]
-            elif "W" in item:
-                kind, size = "W", item["W"]
-            else:
+            kind = "V" if "V" in item else "W" if "W" in item else None
+            if kind is None:
                 raise SchemaError(f"bad decoration record {item!r}")
+            size, mult = item[kind], item.get("mult", 1)
         elif isinstance(item, (tuple, list)) and len(item) == 3:
             kind, size, mult = item
         else:
@@ -287,9 +288,33 @@ def _norm_decoration(decoration) -> Optional[tuple]:
         if kind == "V" and size % 2:
             raise SchemaError("V summands have even dimension")
         merged[(kind, size)] = merged.get((kind, size), 0) + mult
-    return tuple(
-        (k, s, m) for (k, s), m in sorted(merged.items(), key=lambda t: (t[0][0], -t[0][1]))
-    )
+    return tuple((k, s, m) for (k, s), m in sorted(merged.items(), key=lambda t: (t[0][0], -t[0][1])))
+
+
+def _normal_unipotent(partition: Optional[Iterable], decoration) -> UnipotentData:
+    """The Jordan data of a partition and a decoration (mappings or triples):
+    the parts sorted down, derived from the decoration if any, its type."""
+    dec = _norm_decoration(decoration)
+    if partition is not None:
+        partition = [a if type(a) is int else _whole(a, "a partition part") for a in partition]
+    if dec is not None:
+        if sum(mult if kind == "V" else 2 * mult for kind, _, mult in dec) > MAX_BLOCKS:
+            raise BoundExceeded(f"a decoration of more than {MAX_BLOCKS} Jordan blocks is refused")
+        parts = [size for kind, size, mult in dec for _ in range(mult if kind == "V" else 2 * mult)]
+        parts = tuple(sorted(parts, reverse=True))
+        if partition is not None and tuple(sorted(partition, reverse=True)) != parts:
+            raise DimensionMismatch("partition inconsistent with decoration")
+        # the a/b/c type of an involution: "none" for other classes and for
+        # more than two V(2) summands, which validation refuses
+        v2 = sum(mult for kind, size, mult in dec if kind == "V" and size == 2)
+        as_type = "none" if not parts or parts[0] > 2 else {0: "a", 1: "b", 2: "c"}.get(v2, "none")
+        return UnipotentData(parts, dec, as_type)
+    if partition is None:
+        raise SchemaError("unipotent class needs a partition or a decoration")
+    parts = tuple(sorted(partition, reverse=True))
+    if parts and parts[-1] < 1:
+        raise SchemaError("partition parts must be positive")
+    return UnipotentData(parts, None, "none")
 
 
 def unipotent(
@@ -297,60 +322,16 @@ def unipotent(
     order: Union[int, str, None] = None,
     decoration=None,
 ) -> ClassDescriptor:
-    dec = _norm_decoration(decoration)
-    if partition is not None:
-        partition = [_whole(a, "a partition part") for a in partition]
-    parts: tuple[int, ...]
-    if dec is not None:
-        blocks = sum(mult if kind == "V" else 2 * mult for kind, _, mult in dec)
-        if blocks > MAX_BLOCKS:
-            raise BoundExceeded(f"a decoration of more than {MAX_BLOCKS} Jordan blocks is refused")
-        derived = []
-        for kind, size, mult in dec:
-            if kind == "V":
-                derived.extend([size] * mult)
-            else:
-                derived.extend([size] * (2 * mult))
-        parts = tuple(sorted(derived, reverse=True))
-        if partition is not None and tuple(sorted(partition, reverse=True)) != parts:
-            raise DimensionMismatch("partition inconsistent with decoration")
-    elif partition is not None:
-        parts = tuple(sorted(partition, reverse=True))
-        if any(a < 1 for a in parts):
-            raise SchemaError("partition parts must be positive")
-    else:
-        raise SchemaError("unipotent class needs a partition or a decoration")
-    as_type = "none" if dec is None else _derive_as_type(dec, parts)
-    return ClassDescriptor(
-        kind="unipotent",
-        order=order,
-        unip=UnipotentData(partition=parts, decoration=dec, as_type=as_type),
-    )
+    return ClassDescriptor("unipotent", order, unip=_normal_unipotent(partition, decoration))
 
 
-def _derive_as_type(dec: tuple, partition: tuple) -> str:
-    """The a/b/c type of an involution; "none" for other classes and for
-    more than two V(2) summands, which validation rejects."""
-    if not partition or max(partition) > 2:
-        return "none"
-    v2 = sum(mult for kind, size, mult in dec if kind == "V" and size == 2)
-    return {0: "a", 1: "b", 2: "c"}.get(v2, "none")
-
-
-def _validate_semisimple(group: GroupSpec, cls: ClassDescriptor) -> EigenPattern:
-    """The pattern of ``cls``, checked against ``group``, relations sorted."""
-    pat = cls.eigen
-    n = group.n
-    if pat.mult_one < 0 or pat.mult_minus_one < 0:
-        raise SchemaError("negative multiplicity")
-    if pat.total() != n:
-        raise DimensionMismatch(f"eigenvalue multiplicities sum to {pat.total()}, expected {n}")
-    if group.p == 2 and pat.mult_minus_one:
-        raise ParityViolation("no -1 eigenvalue in characteristic 2")
-    labels = [lab for lab, _ in pat.pairs] + [lab for lab, _ in pat.free]
-    if len(set(labels)) != len(labels):
+def _check_pattern(pat: EigenPattern) -> None:
+    """The rules of a pattern that hold in every group: labels pairwise
+    distinct, relations on its labels with known tags, a known variant."""
+    known = dict(pat.pairs)
+    known.update(pat.free)
+    if len(known) != len(pat.pairs) + len(pat.free):
         raise SchemaError("labels must be pairwise distinct")
-    known = set(labels)
     for lab, tag in pat.relations:
         if lab not in known:
             raise SchemaError(f"relation on unknown label {lab!r}")
@@ -359,23 +340,34 @@ def _validate_semisimple(group: GroupSpec, cls: ClassDescriptor) -> EigenPattern
             raise SchemaError(f"unknown relation tag {tag!r}")
         if order_tag and int(tag[6:]) == 0:
             raise SchemaError(f"relation tag {tag!r}: an order is at least 1")
+    if pat.variant not in ("plus", "minus", "unspecified"):
+        raise SchemaError(f"variant must be plus, minus or unspecified, not {pat.variant!r}")
+
+
+def _check_semisimple(group: GroupSpec, r, pat: EigenPattern) -> EigenPattern:
+    """The pattern of a class of order ``r``, checked against ``group``,
+    relations sorted."""
+    n = group.n
+    a, b = pat.mult_one, pat.mult_minus_one
+    if a < 0 or b < 0:
+        raise SchemaError("negative multiplicity")
+    if pat.total() != n:
+        raise DimensionMismatch(f"eigenvalue multiplicities sum to {pat.total()}, expected {n}")
+    if group.p == 2 and b:
+        raise ParityViolation("no -1 eigenvalue in characteristic 2")
+    _check_pattern(pat)
     if group.family in ("Sp", "SO", "Spin8"):
         if pat.free:
             raise ParityViolation("eigenvalues must come in inverse pairs for Sp/SO")
-        a, b = pat.mult_one, pat.mult_minus_one
         if group.family == "Sp" or n % 2 == 0:
             if a % 2 or b % 2:
                 raise ParityViolation("+-1 eigenspaces must be even-dimensional")
-        else:
-            if a % 2 == 0 or b % 2:
-                raise ParityViolation(
-                    "odd orthogonal: 1-eigenspace odd, -1-eigenspace even"
-                )
+        elif a % 2 == 0 or b % 2:
+            raise ParityViolation("odd orthogonal: 1-eigenspace odd, -1-eigenspace even")
     # central iff a single eigenvalue carries everything
-    if pat.mult_one == n or pat.mult_minus_one == n or any(m == n for _, m in pat.free):
+    if a == n or b == n or pat.free and any(m == n for _, m in pat.free):
         raise CentralClass("scalar eigenvalue pattern")
     # light order compatibility checks
-    r = cls.order
     if r is not None:
         if not isinstance(r, int) or not is_prime(r):
             raise OrderViolation(f"semisimple order must be a prime, got {r!r}")
@@ -387,21 +379,25 @@ def _validate_semisimple(group: GroupSpec, cls: ClassDescriptor) -> EigenPattern
                     raise OrderViolation("square_is_minus_one is vacuous at p = 2")
                 if r != 2:
                     raise OrderViolation("square_is_minus_one forces order 2 mod center")
-            else:
-                k = int(tag.split(":", 1)[1])
-                if k < 3:
-                    raise OrderViolation("label order tag must be >= 3 (labels are != +-1)")
-                if k not in (r, 2 * r):
-                    raise OrderViolation(
-                        f"label order {k} incompatible with class order {r} mod center"
-                    )
+            elif (k := int(tag[6:])) < 3:
+                raise OrderViolation("label order tag must be >= 3 (labels are != +-1)")
+            elif k not in (r, 2 * r):
+                raise OrderViolation(f"label order {k} incompatible with class order {r} mod center")
     if not pat.relations:
         return pat
-    # semisimple() sorts already; only a hand-built pattern is rebuilt
+    # a pattern built by hand may list its relations out of order
     rels = tuple(sorted((lab, tag) for lab, tag in pat.relations))
     if rels == pat.relations:
         return pat
-    return EigenPattern(pat.mult_one, pat.mult_minus_one, pat.pairs, pat.free, rels, pat.variant)
+    return EigenPattern(a, b, pat.pairs, pat.free, rels, pat.variant)
+
+
+def _part_counts(partition: Iterable[int]) -> dict[int, int]:
+    """{part: multiplicity}, the parts in the order they first occur."""
+    counts: dict[int, int] = {}
+    for a in partition:
+        counts[a] = counts.get(a, 0) + 1
+    return counts
 
 
 def _unpaired_parts(family: str, partition: tuple) -> list:
@@ -411,7 +407,7 @@ def _unpaired_parts(family: str, partition: tuple) -> list:
     if family == "SL":
         return []
     parity = 1 if family == "Sp" else 0
-    return [a for a, c in Counter(partition).items() if a % 2 == parity and c % 2]
+    return [a for a, c in _part_counts(partition).items() if a % 2 == parity and c % 2]
 
 
 def _check_admissible_partition(group: GroupSpec, partition: tuple) -> None:
@@ -421,52 +417,64 @@ def _check_admissible_partition(group: GroupSpec, partition: tuple) -> None:
         raise ParityViolation(f"even parts {bad} need even multiplicity in SO")
 
 
-def _validate_unipotent(group: GroupSpec, cls: ClassDescriptor) -> Union[int, str, None]:
-    """The order of ``cls``, checked against ``group`` and derived if absent."""
-    data = cls.unip
-    n = group.n
-    if sum(data.partition) != n:
-        raise DimensionMismatch(f"partition sums to {sum(data.partition)}, expected {n}")
-    if all(a == 1 for a in data.partition):
+def _check_unipotent(group: GroupSpec, order, data: UnipotentData) -> Union[int, str, None]:
+    """The order of a class with Jordan data ``data``, checked against
+    ``group`` and derived if absent."""
+    partition, dec, p = data.partition, data.decoration, group.p
+    if sum(partition) != group.n:
+        raise DimensionMismatch(f"partition sums to {sum(partition)}, expected {group.n}")
+    if partition.count(1) == len(partition):
         raise CentralClass("trivial partition")
-    order = cls.order
-    if group.p == 0:
-        if data.decoration is not None:
+    if p == 0:
+        if dec is not None:
             raise ParityViolation("decorations only exist in characteristic 2")
         if order is None:
             order = UNIPOTENT_CHAR_0
         elif order != UNIPOTENT_CHAR_0:
             raise OrderViolation("characteristic-0 unipotent classes use the symbolic order")
-        _check_admissible_partition(group, data.partition)
-    elif group.p == 2 and group.family in ("Sp", "SO", "Spin8"):
-        if data.decoration is None:
+        _check_admissible_partition(group, partition)
+        return order
+    forms = p == 2 and group.family in ("Sp", "SO", "Spin8")
+    if forms:
+        if dec is None:
             raise ParityViolation("characteristic-2 Sp/SO classes need a V/W decoration")
-        for kind, size, mult in data.decoration:
-            if kind == "V" and mult > 2:
-                raise ParityViolation("V summands have multiplicity at most 2")
-        if group.is_orthogonal:
-            v_total = sum(m for k, _, m in data.decoration if k == "V")
-            if v_total % 2:
-                raise ParityViolation("SO needs an even number of V summands")
-        if order is None and max(data.partition) <= 2:
-            order = 2
-        if order is not None:
-            if order != group.p:
-                raise OrderViolation("unipotent classes have order p")
-            if max(data.partition) > 2:
-                raise OrderViolation("parts exceed p = 2 for an order-2 class")
+        if any(kind == "V" and mult > 2 for kind, _, mult in dec):
+            raise ParityViolation("V summands have multiplicity at most 2")
+        if group.is_orthogonal and sum(m for k, _, m in dec if k == "V") % 2:
+            raise ParityViolation("SO needs an even number of V summands")
     else:
-        if data.decoration is not None:
+        if dec is not None:
             raise ParityViolation("decorations only apply to Sp/SO in characteristic 2")
-        _check_admissible_partition(group, data.partition)
-        if order is None and max(data.partition) <= group.p:
-            order = group.p
-        if order is not None:
-            if order != group.p:
-                raise OrderViolation("unipotent classes have order p")
-            if max(data.partition) > group.p:
-                raise OrderViolation(f"parts exceed p = {group.p} for a prime-order class")
+        _check_admissible_partition(group, partition)
+    top = max(partition)
+    if order is None and top <= p:
+        order = p
+    if order is not None:
+        if order != p:
+            raise OrderViolation("unipotent classes have order p")
+        if top > p:
+            what = "an order-2" if forms else "a prime-order"
+            raise OrderViolation(f"parts exceed p = {p} for {what} class")
     return order
+
+
+def _checked_class(group: GroupSpec, kind, order, eigen, unip) -> ClassDescriptor:
+    """The class with these fields checked against ``group``: one descriptor
+    stamped with ``group.class_group()``. Raises on failure."""
+    target = group.class_group()
+    if kind == "semisimple":
+        if eigen is None:
+            raise SchemaError("semisimple descriptor without a pattern")
+        eigen = _check_semisimple(target, order, eigen)
+    elif kind == "unipotent":
+        if unip is None:
+            raise SchemaError("unipotent descriptor without a partition")
+        order = _check_unipotent(target, order, unip)
+    else:
+        raise SchemaError(f"unknown class kind {kind!r}")
+    out = ClassDescriptor(kind, order, eigen, unip)
+    object.__setattr__(out, "validated_for", target)
+    return out
 
 
 def validate_class(group: GroupSpec, raw: ClassDescriptor) -> ClassDescriptor:
@@ -475,35 +483,26 @@ def validate_class(group: GroupSpec, raw: ClassDescriptor) -> ClassDescriptor:
     The result is stamped with ``group.class_group()``; a descriptor that
     carries that stamp already is returned as it is.
     """
-    target = group.class_group()
     stamp = raw.validated_for
-    if stamp is target or stamp == target:
+    if stamp is not None and (stamp is group.class_group() or stamp == group.class_group()):
         return raw
-    kind, order, eigen = raw.kind, raw.order, raw.eigen
-    if kind == "semisimple":
-        if eigen is None:
-            raise SchemaError("semisimple descriptor without a pattern")
-        eigen = _validate_semisimple(target, raw)
-    elif kind == "unipotent":
-        if raw.unip is None:
-            raise SchemaError("unipotent descriptor without a partition")
-        order = _validate_unipotent(target, raw)
-    else:
-        raise SchemaError(f"unknown class kind {kind!r}")
-    # a fresh descriptor, never the caller's raw; frozen parts are shared
-    out = ClassDescriptor(kind, order, eigen, raw.unip)
-    object.__setattr__(out, "validated_for", target)
-    return out
+    return _checked_class(group, raw.kind, raw.order, raw.eigen, raw.unip)
 
 
-def check_class_size(group: GroupSpec, classes: Iterable[ClassDescriptor]) -> None:
-    """Raise SchemaError unless every class lives in the natural dimension of
-    ``group.class_group()``; dimension formulas on unvalidated classes need it."""
+def check_unvalidated(group: GroupSpec, classes: Iterable[ClassDescriptor]) -> None:
+    """Raise SchemaError unless every class lives in the natural dimension
+    of ``group.class_group()`` and keeps the rules that hold in every group
+    (an integer order or none, and ``_check_pattern``, for a semisimple
+    class): what dimension formulas need of classes not validated."""
     target = group.class_group()
     for c in classes:
         total = sum(c.unip.partition) if c.kind == "unipotent" else c.eigen.total()
         if total != target.n:
             raise SchemaError(f"class lives in dimension {total}, expected {target.n}")
+        if c.kind == "semisimple" and c.validated_for is None:
+            if c.order is not None and type(c.order) is not int:
+                raise SchemaError(f"semisimple order must be an integer, not {c.order!r}")
+            _check_pattern(c.eigen)
 
 
 _DIM_RANK = {

@@ -17,10 +17,10 @@ import sys
 from .algebra_core import (
     ClassDescriptor,
     GroupSpec,
-    check_class_size,
-    semisimple,
-    unipotent,
-    validate_class,
+    _checked_class,
+    _normal_pattern,
+    _normal_unipotent,
+    check_unvalidated,
 )
 from .closure import closure_poset_dot, in_closure, smallest_class_with_blocks
 from .errors import InvalidInput, SchemaError, UnsupportedCase
@@ -44,7 +44,16 @@ def parse_group(doc: dict) -> GroupSpec:
         raise SchemaError(f"bad group document: {exc}") from exc
 
 
-def parse_class(doc: dict) -> ClassDescriptor:
+def parse_class(doc: dict, group: GroupSpec | None = None) -> ClassDescriptor:
+    """The class of a class document; with ``group``, checked against it and
+    stamped as by ``validate_class``, in one pass that builds one descriptor."""
+    fields = _class_fields(doc)
+    return ClassDescriptor(*fields) if group is None else _checked_class(group, *fields)
+
+
+def _class_fields(doc: dict) -> tuple:
+    """(kind, order, eigen, unip) of a class document: JSON types checked,
+    the pattern or Jordan data normalised, nothing checked against a group."""
     try:
         kind = doc["kind"]
         # an order is an integer, or the symbolic order of a unipotent class
@@ -52,20 +61,14 @@ def parse_class(doc: dict) -> ClassDescriptor:
         if order is not None and not isinstance(order, str):
             _int(order)
         if kind == "semisimple":
-            return semisimple(
-                order=order,
-                ones=_int(doc.get("ones", 0)),
-                minus_ones=_int(doc.get("minus_ones", 0)),
-                pairs=[_labelled(x) for x in doc.get("pairs", [])],
-                free=[_labelled(x) for x in doc.get("free", [])],
-                relations=doc.get("relations"),
-                variant=doc.get("variant", "unspecified"),
-            )
+            ones, minus_ones = _int(doc.get("ones", 0)), _int(doc.get("minus_ones", 0))
+            pairs = [_labelled(x) for x in doc.get("pairs", [])]
+            free = [_labelled(x) for x in doc.get("free", [])]
+            relations, variant = doc.get("relations"), doc.get("variant", "unspecified")
+            return kind, order, _normal_pattern(ones, minus_ones, pairs, free, relations, variant), None
         if kind == "unipotent":
-            # unipotent() itself refuses parts, sizes and mults that are not integers
-            return unipotent(
-                partition=doc.get("partition"), order=order, decoration=doc.get("decoration")
-            )
+            # _normal_unipotent itself refuses parts, sizes and mults that are not integers
+            return kind, order, None, _normal_unipotent(doc.get("partition"), doc.get("decoration"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad class document: {exc}") from exc
     raise SchemaError(f"unknown class kind {kind!r}")
@@ -171,8 +174,11 @@ def _profiles(value) -> list:
 def _decide(doc: dict) -> dict:
     """Decide emptiness for a tuple of classes."""
     group = _read(doc, "group", parse_group)
-    classes = _read(doc, "classes", lambda v: [parse_class(c) for c in v], default=[])
+    fields = _read(doc, "classes", lambda v: [_class_fields(c) for c in v], default=[])
     profiles = _read(doc, "spin8_profiles", _profiles, default=None)
+    # every class is read before any is checked against the group, so a
+    # malformed class is reported before a class that breaks a group rule
+    classes = [_checked_class(group, *f) for f in fields]
     verdict = decide(group, classes, spin8_profiles=profiles)
     out = {"empty": verdict.empty, "reason": verdict.reason}
     if verdict.reason == "TableRow":
@@ -189,7 +195,7 @@ def _classdim(doc: dict) -> dict:
     # dimension formulas are evaluated without family admissibility
     # validation, so auxiliary Jordan data can be queried too
     cls = _read(doc, "class", parse_class)
-    check_class_size(group, [cls])
+    check_unvalidated(group, [cls])
     res = class_dim(group, cls)
     return {
         "dim_class": res.dim_class,
@@ -202,8 +208,8 @@ def _closure(doc: dict) -> dict | str:
     """Closure-order queries: containment, smallest class, DOT poset."""
     group = _read(doc, "group", parse_group)
     if "upper" in doc and "lower" in doc:
-        upper = validate_class(group, _read(doc, "upper", parse_class))
-        lower = validate_class(group, _read(doc, "lower", parse_class))
+        upper = _read(doc, "upper", lambda c: parse_class(c, group))
+        lower = _read(doc, "lower", lambda c: parse_class(c, group))
         return {"in_closure": in_closure(group, upper, lower)}
     if "blocks" in doc:
         blocks = _read(doc, "blocks")

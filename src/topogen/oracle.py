@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .algebra_core import (
@@ -20,7 +19,8 @@ from .algebra_core import (
     ClassDescriptor,
     GroupSpec,
     _once,
-    check_class_size,
+    _part_counts,
+    check_unvalidated,
     dim_and_rank,
     validate_class,
 )
@@ -207,7 +207,7 @@ def _row_key(cls: ClassDescriptor) -> tuple:
     for a class with unpaired eigenvalues. Linear in the number of parts."""
     if cls.kind == "unipotent":
         unip = cls.unip
-        runs = tuple((a, len(list(same))) for a, same in groupby(unip.partition))
+        runs = tuple(_part_counts(unip.partition).items())
         return runs, unip.as_type if unip.decoration is not None else "none"
     return _ss_sig(cls) or ()
 
@@ -431,7 +431,7 @@ def decide(
 def scott_lower_bound(group: GroupSpec, classes: Sequence[ClassDescriptor]):
     # dimension-formula evaluation only: no family admissibility validation,
     # so the bound can also be evaluated on companion/auxiliary Jordan data
-    check_class_size(group, classes)
+    check_unvalidated(group, classes)
     if group.family != "SL" and group.p == 2:
         raise BadCharacteristic(
             "adjoint-module bound implemented for good characteristic only"

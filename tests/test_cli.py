@@ -6,12 +6,17 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 import pytest
 
-from topogen.cli import handle, main
+from topogen.algebra_core import validate_class
+from topogen.cli import class_to_doc, handle, main, parse_class
+from topogen.stabilizers import enumerate_class_shapes
+
+from test_oracle import _sweep_groups
 
 
 class Result(NamedTuple):
@@ -337,6 +342,69 @@ class TestHandleMalformedDocuments:
     @pytest.mark.parametrize("doc", ["not json", "[1, 2]", [1, 2]])
     def test_not_a_json_object(self, doc):
         assert handle("decide", doc)[0] == 2
+
+
+SO10 = {"family": "SO", "n": 10, "p": 0}
+SL4 = {"family": "SL", "n": 4, "p": 0}
+SO10_INVOLUTION = {"kind": "semisimple", "order": 2, "ones": 6, "minus_ones": 4}
+SL4_CLASS = {"kind": "semisimple", "ones": 2, "pairs": [["a", 1]]}
+
+
+class TestRulesOfEveryGroup:
+    """The rules of a class that hold in every group apply to every command,
+    classdim included, which skips only the group admissibility checks."""
+
+    @pytest.mark.parametrize("variant", [5, ["x"], "foo", None, "Plus"])
+    @pytest.mark.parametrize("command", ["classdim", "decide"])
+    def test_unknown_variant_exit_2(self, command, variant):
+        cls = {**SO10_INVOLUTION, "variant": variant}
+        doc = {"group": SO10, "class": cls} if command == "classdim" else {"group": SO10, "classes": [cls] * 2}
+        code, out = handle(command, doc)
+        assert (code, out) == (2, f"invalid input: variant must be plus, minus or unspecified, not {variant!r}")
+
+    @pytest.mark.parametrize("variant", ["plus", "minus", "unspecified"])
+    def test_known_variant_is_echoed(self, variant):
+        code, out = handle("classdim", {"group": SO10, "class": {**SO10_INVOLUTION, "variant": variant}})
+        assert code == 0, out
+        assert out["class"].get("variant", "unspecified") == variant
+
+    @pytest.mark.parametrize(
+        "group,cls,message",
+        [
+            (SL4, {**SL4_CLASS, "relations": {"a": "bogus"}}, "unknown relation tag 'bogus'"),
+            (SL4, {**SL4_CLASS, "relations": {"a": "order:0"}}, "relation tag 'order:0': an order is at least 1"),
+            (SO10, {**SO10_INVOLUTION, "relations": {"zz": "order:3"}}, "relation on unknown label 'zz'"),
+            (SL4, {**SL4_CLASS, "order": "3"}, "semisimple order must be an integer, not '3'"),
+            (SL4, {"kind": "semisimple", "pairs": [["a", 1]], "free": [["a", 1], ["b", 1]]},
+             "labels must be pairwise distinct"),
+            (SL4, {"kind": "semisimple", "pairs": [1], "free": [1, 1]}, "labels must be pairwise distinct"),
+        ],
+    )
+    def test_classdim_exit_2(self, group, cls, message):
+        assert handle("classdim", {"group": group, "class": cls}) == (2, f"invalid input: {message}")
+
+    def test_classdim_still_skips_group_admissibility(self):
+        # an auxiliary pattern: odd -1-eigenspace in SO10, order 4, not prime
+        cls = {"kind": "semisimple", "order": 4, "ones": 7, "minus_ones": 3}
+        code, out = handle("classdim", {"group": SO10, "class": cls})
+        assert code == 0, out
+        assert out["class"] == {"kind": "semisimple", **cls}
+
+
+class TestOnePassRoundTrip:
+    @pytest.mark.parametrize("group", _sweep_groups((0, 2, 3, 5)), ids=repr)
+    def test_every_shape(self, group):
+        """A shape's document, read against its group in one pass, is the
+        class validate_class makes of the shape, with the same stamp; and
+        classdim echoes the document it was sent."""
+        group_doc = {"family": group.family, "n": group.n, "p": group.p}
+        for shape in enumerate_class_shapes(group):
+            doc = class_to_doc(shape)
+            got, want = parse_class(doc, group), validate_class(group, replace(shape))
+            assert (got, repr(got)) == (want, repr(want)), doc
+            assert got.validated_for == want.validated_for == group.class_group()
+            code, out = handle("classdim", {"group": group_doc, "class": doc})
+            assert (code, out["class"]) == (0, doc)
 
 
 class TestVerifySuites:
