@@ -20,6 +20,7 @@ from .errors import (
     OrderViolation,
     ParityViolation,
     SchemaError,
+    UnsupportedChar2Class,
     UnsupportedGroup,
 )
 
@@ -325,6 +326,17 @@ def unipotent(
     return ClassDescriptor("unipotent", order, unip=_normal_unipotent(partition, decoration))
 
 
+def _index(unip: UnipotentData) -> list:
+    """Hesselink's index of a decorated class in characteristic 2
+    (Hesselink, Math. Z. 166, 1979), one value per part m of
+    ``unip.partition``, in its order: chi(m) = m/2 if V(m) is a summand and
+    m // 2 + 1 otherwise."""
+    if unip.decoration is None:
+        raise UnsupportedChar2Class("characteristic-2 Sp/SO classes need a V/W decoration")
+    vs = {size for kind, size, _ in unip.decoration if kind == "V"}
+    return [m // 2 if m in vs else m // 2 + 1 for m in unip.partition]
+
+
 def _check_pattern(pat: EigenPattern) -> None:
     """The rules of a pattern that hold in every group: labels pairwise
     distinct, relations on its labels with known tags, a known variant."""
@@ -492,17 +504,25 @@ def validate_class(group: GroupSpec, raw: ClassDescriptor) -> ClassDescriptor:
 def check_unvalidated(group: GroupSpec, classes: Iterable[ClassDescriptor]) -> None:
     """Raise SchemaError unless every class lives in the natural dimension
     of ``group.class_group()`` and keeps the rules that hold in every group
-    (an integer order or none, and ``_check_pattern``, for a semisimple
-    class): what dimension formulas need of classes not validated."""
+    (an integer order or none, no negative multiplicity and
+    ``_check_pattern`` for a semisimple class; an integer order, none or
+    ``UNIPOTENT_CHAR_0`` for a unipotent one): what dimension formulas
+    need of classes not validated."""
     target = group.class_group()
     for c in classes:
         total = sum(c.unip.partition) if c.kind == "unipotent" else c.eigen.total()
         if total != target.n:
             raise SchemaError(f"class lives in dimension {total}, expected {target.n}")
-        if c.kind == "semisimple" and c.validated_for is None:
+        if c.validated_for is not None:
+            continue
+        if c.kind == "semisimple":
             if c.order is not None and type(c.order) is not int:
                 raise SchemaError(f"semisimple order must be an integer, not {c.order!r}")
+            if c.eigen.mult_one < 0 or c.eigen.mult_minus_one < 0:
+                raise SchemaError("negative multiplicity")
             _check_pattern(c.eigen)
+        elif not (c.order is None or type(c.order) is int or c.order == UNIPOTENT_CHAR_0):
+            raise SchemaError(f"unipotent order must be an integer or {UNIPOTENT_CHAR_0!r}, not {c.order!r}")
 
 
 _DIM_RANK = {

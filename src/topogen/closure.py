@@ -7,32 +7,45 @@ characteristic 2*, Math. Z. 166, 1979; Spaltenstein, *Classes unipotentes
 et sous-groupes de Borel*, LNM 946, 1982), read off the V/W decoration.
 The parts lambda_1 >= lambda_2 >= ... are the Jordan block sizes (W(m)
 gives m twice, V(2k) gives 2k once), and the index is chi(m) = m/2 if V(m)
-is a summand and m // 2 + 1 otherwise, with chi(0) = 0 for the padding
-parts. With P_i the sum of the first i parts, a class lies in the closure
-of another iff for every i both P_i and P_i - chi(lambda_i) are at most
-those of the other. Either test is one pass over the parts.
+is a summand and m // 2 + 1 otherwise (``algebra_core._index``), with
+chi(0) = 0 for the padding parts. With P_i the sum of the first i parts, a
+class lies in the closure of another iff for every i both P_i and
+P_i - chi(lambda_i) are at most those of the other. With chi = 0 that is
+dominance, so both orders are one comparison, one pass over the parts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Iterator
 
-from .algebra_core import MAX_BLOCKS, ClassDescriptor, GroupSpec, _unpaired_parts, unipotent, validate_class
+from .algebra_core import MAX_BLOCKS, ClassDescriptor, GroupSpec, _index, _unpaired_parts, unipotent, validate_class
 from .errors import BoundExceeded, MixedKinds, NoSuchClass, NotApplicable, SizeMismatch
 
 
+# chi = 0 for every part: zip draws from it, and it never runs out
+_NO_INDEX = repeat(0)
+
+
 def dominates(pi1: Iterable[int], pi2: Iterable[int]) -> bool:
-    a = sorted(pi1, reverse=True)
-    b = sorted(pi2, reverse=True)
+    return _dominates(sorted(pi1, reverse=True), sorted(pi2, reverse=True), _NO_INDEX, _NO_INDEX)
+
+
+def _dominates(a, b, chi_a, chi_b) -> bool:
+    """Whether P_i and P_i - chi_b[i] of the parts b are at most P_i and
+    P_i - chi_a[i] of the parts a for every i, P_i the sum of the first i
+    parts: dominance with chi = 0, Hesselink's order with his index."""
     if sum(a) != sum(b):
         raise SizeMismatch("partitions of different sizes")
+    # past its last part a class has P_i = P_i - chi(0) = the dimension, so
+    # b's extra parts pass, and a's extra parts fail at b's last
     sa = sb = 0
-    for i in range(max(len(a), len(b))):
-        sa += a[i] if i < len(a) else 0
-        sb += b[i] if i < len(b) else 0
-        if sa < sb:
+    for x, y, cx, cy in zip(a, b, chi_a, chi_b):
+        sa += x
+        sb += y
+        if sb > sa or sb - cy > sa - cx:
             return False
     return True
 
@@ -47,32 +60,14 @@ def _partitions(n: int, cap: int | None = None) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-def _index_sums(cls: ClassDescriptor) -> list[tuple[int, int]]:
-    """(P_i, P_i - chi(lambda_i)) over the Jordan block sizes lambda_1 >=
-    lambda_2 >= ... of a decorated class, P_i the sum of the first i; the
-    index chi(m) is m/2 if V(m) is a summand and m // 2 + 1 otherwise."""
-    vs = {size for kind, size, _ in cls.unip.decoration if kind == "V"}
-    out = []
-    total = 0
-    for m in cls.unip.partition:
-        total += m
-        out.append((total, total - (m // 2 if m in vs else m // 2 + 1)))
-    return out
-
-
 def _contains(target: GroupSpec, upper: ClassDescriptor, lower: ClassDescriptor) -> bool:
     """Whether lower lies in the closure of upper in the class group target:
-    dominance of partitions, or at p = 2 in Sp, SO and Spin8 dominance of
-    both partial sums of the indexed partitions."""
-    if target.p != 2 or target.family == "SL":
-        return dominates(upper.unip.partition, lower.unip.partition)
-    a = _index_sums(upper)
-    b = _index_sums(lower)
-    if a[-1][0] != b[-1][0]:
-        raise SizeMismatch("classes live in different dimensions")
-    # past its last part a class has P_i = P_i - chi(0) = the dimension, so
-    # upper needs no more parts than lower, and lower's extra parts pass
-    return len(a) <= len(b) and all(pb <= pa and qb <= qa for (pa, qa), (pb, qb) in zip(a, b))
+    ``_dominates`` with Hesselink's index (``_index``) at p = 2 in Sp, SO
+    and Spin8, and with chi = 0 elsewhere."""
+    a, b = upper.unip, lower.unip
+    if target.p == 2 and target.family != "SL":
+        return _dominates(a.partition, b.partition, _index(a), _index(b))
+    return dominates(a.partition, b.partition)
 
 
 def in_closure(group: GroupSpec, upper: ClassDescriptor, lower: ClassDescriptor) -> bool:

@@ -677,12 +677,15 @@ def _assign_labels(F: Field, pat) -> dict:
             val = F.element_of_order(k)
             if val is None:
                 raise Uninstantiable(f"no element of order {k} in GF(q)")
-            # avoid collisions between labels of the same order
+            # avoid collisions between labels of the same order: the
+            # elements of order k are the powers val^j with gcd(j, k) = 1
             x = val
-            while x in used or F.inv(x) in used:
+            for j in range(1, k + 1):
+                if gcd(j, k) == 1 and x not in used and F.inv(x) not in used:
+                    break
                 x = F.mul(x, val)
-                if x == val:
-                    raise Uninstantiable("not enough roots of unity in GF(q)")
+            else:
+                raise Uninstantiable("not enough roots of unity in GF(q)")
             val = x
         else:
             val = next(
@@ -841,12 +844,12 @@ def projective_order(family: str, n: int, q: int) -> int:
 
 def standard_generators(family: str, n: int, q: int) -> list[GFMatrix]:
     F = _field(q)
+    adders = [F.one]
+    if F.k > 1:
+        # 1 and a field generator: the ring they generate is the whole field
+        adders.append(F.coerce(tuple([0, 1] + [0] * (F.k - 2))))
     if family == "SL":
         gens = []
-        adders = [F.one]
-        if F.k > 1:
-            # a field generator makes the additive span the whole field
-            adders.append(F.coerce(tuple([0, 1] + [0] * (F.k - 2))))
         for i in range(n - 1):
             for (a, b) in ((i, i + 1), (i + 1, i)):
                 for val in adders:
@@ -855,7 +858,8 @@ def standard_generators(family: str, n: int, q: int) -> list[GFMatrix]:
                     gens.append(GFMatrix(q, ent))
         return gens
     if family == "Sp":
-        # symplectic transvections x -> x + B(x, v) v over 0/1 vectors v
+        # symplectic transvections x -> x + c B(x, v) v over 0/1 vectors v,
+        # c in adders
         J = [[F.zero] * n for _ in range(n)]
         m = n // 2
         for i in range(m):
@@ -869,16 +873,10 @@ def standard_generators(family: str, n: int, q: int) -> list[GFMatrix]:
             if sum(1 for x in v if x != F.zero) > 2:
                 continue
             w = _mat_vec(F, Jt, v)
-            ent = [
-                [
-                    F.add(
-                        F.one if i == j else F.zero, F.mul(v[i], w[j])
-                    )
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            gens.append(GFMatrix(q, ent, form=J, form_kind="symplectic"))
+            for c in adders:
+                cv = [F.mul(c, x) for x in v]
+                ent = [[F.add(F.one if i == j else F.zero, F.mul(cv[i], w[j])) for j in range(n)] for i in range(n)]
+                gens.append(GFMatrix(q, ent, form=J, form_kind="symplectic"))
         return gens
     raise UnsupportedGroup("standard generators implemented for SL and Sp")
 
@@ -1100,6 +1098,8 @@ def _group_data(family: str, n: int, q: int, cap: int) -> _GroupData:
         if order > pg_order:
             gen_perms.append(perm)
             pg_order = order
+    if pg_order != (want := projective_order(family, n, q)):
+        raise AssertionError(f"the generators give G/Z of order {pg_order}, not {want}")
     if pg_order > cap:
         raise GroupTooLarge(f"G/Z has order {pg_order}, over the cap {cap}")
     elements = _closure_set(gen_perms)

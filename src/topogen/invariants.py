@@ -11,6 +11,8 @@ from typing import Optional
 from .algebra_core import (
     ClassDescriptor,
     GroupSpec,
+    UnipotentData,
+    _index,
     dim_and_rank,
 )
 from .errors import NotApplicable, UnsupportedChar2Class
@@ -60,40 +62,27 @@ def _semisimple_centralizer_dim(family: str, a: int, b: int, pair_mults=(), free
     return a * a + b * b + 2 * pair_sq + sum(m * m for m in free_mults) - 1
 
 
-def _unipotent_centralizer_dim_odd(fam: str, partition: tuple) -> int:
-    # the sum of the squared parts of the conjugate partition, from the
-    # parts a_1 >= a_2 >= ...: sum (2i - 1) a_i, without listing it
-    sq = sum((2 * i + 1) * a for i, a in enumerate(sorted(partition, reverse=True)))
-    odd = sum(1 for a in partition if a % 2)
-    if fam == "Sp":
-        return (sq + odd) // 2
-    if fam in ("SO", "Spin8"):
-        return (sq - odd) // 2
-    return sq - 1
+def _pair_mins(partition) -> int:
+    """The sum over pairs i < j of min(lambda_i, lambda_j): with the parts
+    sorted down, sum (i - 1) lambda_i, as lambda_i is the smaller part of
+    its pair with each of the i - 1 parts before it."""
+    return sum(i * a for i, a in enumerate(sorted(partition, reverse=True)))
 
 
-def _unipotent_centralizer_dim_char2(group: GroupSpec, cls: ClassDescriptor) -> int:
-    """Calibrated rule set for decorated involutions.
-
-    For Jordan type (2^s, 1^(n-2s)) in Sp_n: the odd-characteristic formula,
-    plus s exactly when the decoration is a-type. For SO_n (a/c types only):
-    the Sp_n value minus the number of Jordan blocks.
-    """
-    data = cls.unip
-    partition = data.partition
-    if max(partition) > 2 or data.decoration is None:
-        raise UnsupportedChar2Class(
-            "characteristic-2 dimensions implemented for decorated involutions only"
-        )
-    fam = group.family
-    base = _unipotent_centralizer_dim_odd("Sp", partition)
-    if data.as_type == "a":
-        base += sum(1 for a in partition if a == 2)
-    if fam == "Sp":
-        return base
-    if fam in ("SO", "Spin8"):
-        return base - len(partition)
-    raise UnsupportedChar2Class("no decorated classes in SL")
+def _unipotent_centralizer_dim(group: GroupSpec, unip: UnipotentData) -> int:
+    """sum (i - 1) lambda_i over the parts lambda_1 >= lambda_2 >= ..., plus
+    one term per part: at odd p ceil(lambda/2) in Sp and floor(lambda/2) in
+    SO and Spin8; at p = 2 Hesselink's index chi(lambda) (``_index``) in Sp
+    and chi(lambda) - 1 in SO and Spin8. SL: sum (2i - 1) lambda_i - 1."""
+    parts = unip.partition
+    below = _pair_mins(parts)
+    if group.family == "SL":
+        return 2 * below + sum(parts) - 1
+    if group.p == 2:
+        return below + sum(_index(unip)) - (len(parts) if group.is_orthogonal else 0)
+    if group.family == "Sp":
+        return below + sum((a + 1) // 2 for a in parts)
+    return below + sum(a // 2 for a in parts)
 
 
 def class_dim(group: GroupSpec, cls: ClassDescriptor) -> ClassDim:
@@ -108,10 +97,8 @@ def class_dim(group: GroupSpec, cls: ClassDescriptor) -> ClassDim:
             [m for _, m in pat.pairs],
             [m for _, m in pat.free],
         )
-    elif target.p == 2 and target.family in ("Sp", "SO", "Spin8"):
-        cent = _unipotent_centralizer_dim_char2(target, cls)
     else:
-        cent = _unipotent_centralizer_dim_odd(target.family, cls.unip.partition)
+        cent = _unipotent_centralizer_dim(target, cls.unip)
     return ClassDim(dim_class=dim_g - cent, dim_centralizer=cent)
 
 
@@ -130,22 +117,13 @@ def induced_block_count(kind: str, a: int, b: Optional[int] = None, p: int = 0) 
 
 
 def _wedge2_blocks(partition: tuple) -> int:
-    parts = list(partition)
-    total = sum(a // 2 for a in parts)
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            total += min(parts[i], parts[j])
-    return total
+    return sum(a // 2 for a in partition) + _pair_mins(partition)
 
 
 def sym2_fixed_dim(partition, p: int = 0) -> int:
     """Fixed-space dimension (= block count) of a unipotent g on S^2(W)."""
     parts = list(partition)
-    total = sum(induced_block_count("sym2", a, p=p) for a in parts)
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            total += min(parts[i], parts[j])
-    return total
+    return sum(induced_block_count("sym2", a, p=p) for a in parts) + _pair_mins(parts)
 
 
 def wedge2_fixed_dim(n: int, cls: ClassDescriptor) -> tuple[Optional[int], int]:

@@ -26,7 +26,7 @@ from .algebra_core import (
     validate_class,
 )
 from .closure import _near_equal_partition
-from .errors import BoundExceeded, Infeasible, NotApplicable, SchemaError, UnsupportedCase
+from .errors import BoundExceeded, Infeasible, NotApplicable, SchemaError
 from .invariants import _semisimple_centralizer_dim, class_dim
 
 
@@ -77,15 +77,11 @@ def _unipotent_max(group: GroupSpec, p_order: int):
     from .stabilizers import enumerate_class_shapes
 
     shapes = enumerate_class_shapes(group, constraints={"kind": "unipotent"})
-    cands = []
-    for cls in shapes:
-        if cls.unip.decoration is None and max(cls.unip.partition) > p_order:
-            continue
-        try:
-            cands.append((cls, class_dim(group, cls).dim_class))
-        except UnsupportedCase:
-            continue
-    return _argmax(cands)
+    return _argmax(
+        (cls, class_dim(group, cls).dim_class)
+        for cls in shapes
+        if cls.unip.decoration is not None or max(cls.unip.partition) <= p_order
+    )
 
 
 def _best(cands, build):

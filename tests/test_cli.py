@@ -378,10 +378,19 @@ class TestRulesOfEveryGroup:
             (SL4, {"kind": "semisimple", "pairs": [["a", 1]], "free": [["a", 1], ["b", 1]]},
              "labels must be pairwise distinct"),
             (SL4, {"kind": "semisimple", "pairs": [1], "free": [1, 1]}, "labels must be pairwise distinct"),
+            (SL4, {"kind": "semisimple", "ones": -1, "free": [1, 1, 1, 2]}, "negative multiplicity"),
+            (SL4, {"kind": "unipotent", "partition": [2, 2], "order": "foo"},
+             "unipotent order must be an integer or 'unipotent-char-0', not 'foo'"),
         ],
     )
     def test_classdim_exit_2(self, group, cls, message):
         assert handle("classdim", {"group": group, "class": cls}) == (2, f"invalid input: {message}")
+
+    @pytest.mark.parametrize("order", [None, "unipotent-char-0", 2, 3])
+    def test_classdim_unipotent_order_integer_or_symbolic(self, order):
+        cls = {"kind": "unipotent", "partition": [2, 2], "order": order}
+        code, out = handle("classdim", {"group": SL4, "class": cls})
+        assert (code, out["dim_class"], out["class"]["order"]) == (0, 8, order)
 
     def test_classdim_still_skips_group_admissibility(self):
         # an auxiliary pattern: odd -1-eigenspace in SO10, order 4, not prime

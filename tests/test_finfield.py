@@ -293,6 +293,29 @@ class TestMatrixFromClass:
         m = matrix_from_class(g, c, 11)
         assert m.form_kind == "symplectic"
 
+    def test_composite_order_tags_get_elements_of_that_order(self):
+        # the second label of order 10 over GF(11) is a power of the first
+        # that keeps order 10 (7 or 8 for the first label 2), not 2^2 = 4,
+        # of order 5
+        g = GroupSpec("Sp", 4, 0)
+        c = validate_class(
+            g, semisimple(pairs=[("a", 1), ("b", 1)], relations={"a": "order:10", "b": "order:10"}, order=5)
+        )
+        F = finfield._field(11)
+        eigenvalues = jordan_type(matrix_from_class(g, c, 11))
+        assert len(eigenvalues) == 4
+        assert all(F.element_order(a) == 10 for a in eigenvalues)
+
+    def test_too_few_elements_of_a_composite_order(self):
+        # GF(7) has one inverse pair of elements of order 6 (3 and 5), and
+        # 3^2 = 2 has order 3
+        g = GroupSpec("Sp", 4, 0)
+        c = validate_class(
+            g, semisimple(pairs=[("a", 1), ("b", 1)], relations={"a": "order:6", "b": "order:6"}, order=3)
+        )
+        with pytest.raises(Uninstantiable, match="not enough roots of unity"):
+            matrix_from_class(g, c, 7)
+
     def test_order_zero_label_rejected(self):
         g = GroupSpec("Sp", 4, 0)
         c = semisimple(pairs=[("a", 2)], relations={"a": "order:0"})
@@ -643,6 +666,16 @@ class TestGroupClosure:
         order = len(_closure(finfield._field(q), [g.entries for g in gens], 10**6))
         assert order == group_order(family, n, q)
         _check_closure_caps(gens, order)
+
+    @pytest.mark.parametrize("q", [4, 9])
+    def test_sp_over_extension_fields(self, q):
+        # transvections over 0/1 vectors alone generate Sp4(p) only
+        assert group_closure(standard_generators("Sp", 4, q), cap=10**10) == (group_order("Sp", 4, q), False)
+
+    def test_sp4_4_group_data_over_the_cap(self):
+        # PSp4(4) = Sp4(4), of order 979200, not PSp4(2) of order 720
+        with pytest.raises(GroupTooLarge, match="979200"):
+            finfield._group_data("Sp", 4, 4, 10**5)
 
     def test_proper_subgroup_against_bfs(self):
         # the upper triangular matrices of SL2(7): order 7 * 6
