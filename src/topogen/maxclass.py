@@ -1,13 +1,14 @@
 """Maximal-dimension prime-order classes over finite fields.
 
 The field size q enters only through the multiplicative-order parameter i
-(the least i with r | q^i - 1). For semisimple classes the optimum is in
-closed form: once the 1-eigenspace dimension is fixed, the centralizer
-dimension grows with the sum of the squared multiplicities, whose total is
-fixed, so the near-equal split is the one candidate (exchange_gain is the
-one-step form of this argument), and the best 1-eigenspace dimension is
-found by bisection. Unipotent classes (r = p) and Sp/SO/Spin8
-involutions are ranked over the class shape table.
+(the least i with r | q^i - 1). Every optimum is in closed form, so no
+class list is ranked. Semisimple: once the 1-eigenspace dimension is fixed,
+the centralizer dimension grows with the sum of the squared multiplicities,
+whose total is fixed, so the near-equal split is the one candidate
+(exchange_gain is the one-step form of this argument), and the best
+1-eigenspace dimension is found by bisection. Unipotent (r = p): the top of
+the closure order among the classes of order p (Collingwood-McGovern 1993,
+Lemma 6.3.3, away from p = 2).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra_core import (
+    MAX_BLOCKS,
     ClassDescriptor,
     GroupSpec,
     _set_whole,
@@ -63,71 +65,67 @@ def exchange_gain(i: int, e: int, a1: int) -> Fraction:
     return Fraction(i * (2 * (e - a1) - i), 2)
 
 
-def _argmax(candidates):
-    best = None
-    for cls, dim in candidates:
-        if best is None or dim > best[1] or (dim == best[1] and repr(cls) < repr(best[0])):
-            best = (cls, dim)
-    if best is None:
-        raise Infeasible("no class of the requested order exists")
-    return best
-
-
-def _unipotent_max(group: GroupSpec, p_order: int):
-    from .stabilizers import enumerate_class_shapes
-
-    shapes = enumerate_class_shapes(group, constraints={"kind": "unipotent"})
-    return _argmax(
-        (cls, class_dim(group, cls).dim_class)
-        for cls in shapes
-        if cls.unip.decoration is not None or max(cls.unip.partition) <= p_order
-    )
-
-
 def _best(cands, build):
-    """_argmax over build(key) for the (key, dim) candidates of greatest
-    dimension; the others are never built or validated."""
+    """(build(key), dim) for the key of least repr among the (key, dim)
+    candidates of greatest dimension; the others are never built or
+    validated. Infeasible when there are none."""
     top, keys = None, []
     for key, dim in cands:
         if top is None or dim > top:
             top, keys = dim, [key]
         elif dim == top:
             keys.append(key)
-    return _argmax((build(key), top) for key in keys)
+    if not keys:
+        raise Infeasible("no class of the requested order exists")
+    return min(map(build, keys), key=repr), top
+
+
+def _unipotent_max(group: GroupSpec):
+    # class dimension rises strictly along the closure order
+    n, p, fam = group.n, group.p, group.family
+    if p == 2 and fam != "SL":
+        # V(2)^v + W(2)^((s - v)/2) + W(1)^((n - 2s)/2) with s blocks of size
+        # 2 in all: b_m (m odd) or c_m (m even) in Sp_2m, c_s in SO and Spin8
+        m = n // 2
+        s = m if fam == "Sp" else 2 * (m // 2)
+        v = 1 if s % 2 else 2
+        dec = [("V", 2, v), ("W", 2, (s - v) // 2), ("W", 1, (n - 2 * s) // 2)]
+        raw = unipotent(decoration=[d for d in dec if d[2]], order=2)
+    else:
+        # the largest admissible partition with parts at most p: (p^k, rest),
+        # with the parts that break the family's parity rule mended
+        k, rest = divmod(n, p)
+        tail = (rest,)
+        if fam == "Sp" and k % 2:
+            k, tail = k - 1, (p - 1, rest + 1)
+        elif group.is_orthogonal and rest and rest % 2 == 0:
+            tail = (rest - 1, 1)
+        tail = tuple(a for a in tail if a)
+        if k + len(tail) > MAX_BLOCKS:
+            raise BoundExceeded(f"classes of more than {MAX_BLOCKS} Jordan blocks are not built")
+        raw = unipotent(partition=(p,) * k + tail, order=p)
+    cls = validate_class(group, raw)
+    return cls, class_dim(group, cls).dim_class
 
 
 def _involution_max(group: GroupSpec):
-    if group.family == "SL":
-        n = group.n
-        dim_g = dim_and_rank(group)[0]
-        # key b: (1^(n-b), (-1)^b), whose centralizer (n-b)^2 + b^2 - 1 is
-        # least at the even b nearest n/2; key 0: (lam, lam^-1) with
-        # lam^2 = -1, each n/2 times
-        evens = {2 * (n // 4), 2 * -(-n // 4)}
-        cands = [(b, dim_g - _semisimple_centralizer_dim("SL", n - b, b)) for b in evens if 2 <= b < n]
-        if n % 2 == 0:
-            cands.append((0, dim_g - _semisimple_centralizer_dim("SL", 0, 0, pair_mults=(n // 2,))))
+    n, fam = group.n, group.family
+    dim_g = dim_and_rank(group)[0]
+    # key b: (1^(n-b), (-1)^b), whose centralizer is least at the even b
+    # nearest n/2, so n - b has the parity Sp and SO need; key 0:
+    # (lam, lam^-1) with lam^2 = -1, each n/2 times
+    evens = {2 * (n // 4), 2 * -(-n // 4)}
+    cands = [(b, dim_g - _semisimple_centralizer_dim(fam, n - b, b)) for b in evens if 2 <= b < n]
+    if n % 2 == 0:
+        cands.append((0, dim_g - _semisimple_centralizer_dim(fam, 0, 0, pair_mults=(n // 2,))))
 
-        def build(b):
-            if b:
-                return validate_class(group, semisimple(ones=n - b, minus_ones=b, order=2))
-            return validate_class(
-                group,
-                semisimple(
-                    pairs=[("l1", n // 2)],
-                    relations={"l1": "square_is_minus_one"},
-                    order=2,
-                ),
-            )
+    def build(b):
+        if b:
+            return validate_class(group, semisimple(ones=n - b, minus_ones=b, order=2))
+        lam = semisimple(pairs=[("l1", n // 2)], relations={"l1": "square_is_minus_one"}, order=2)
+        return validate_class(group, lam)
 
-        return _best(cands, build)
-    from .stabilizers import enumerate_class_shapes
-
-    shapes = enumerate_class_shapes(
-        group, constraints={"kind": "semisimple", "order": 2}
-    )
-    shapes = [c for c in shapes if c.order == 2]
-    return _argmax((c, class_dim(group, c).dim_class) for c in shapes)
+    return _best(cands, build)
 
 
 def _semisimple_max(group: GroupSpec, ctx: QContext):
@@ -136,13 +134,10 @@ def _semisimple_max(group: GroupSpec, ctx: QContext):
     fam = group.family
     if fam == "SL":
         slots, weight, labels_per_slot = ctx.t, i, i
-        pairing = "free"
     elif i % 2 == 0:
         slots, weight, labels_per_slot = ctx.t, i, i // 2
-        pairing = "pairs"
     else:
         slots, weight, labels_per_slot = ctx.t // 2, 2 * i, i
-        pairing = "pairs"
     if slots == 0:
         raise Infeasible(f"no order-{r} torus element with i = {i}")
     dim_g = dim_and_rank(group)[0]
@@ -176,15 +171,11 @@ def _semisimple_max(group: GroupSpec, ctx: QContext):
     cands = [(_near_equal_partition(s, min(s, slots)), dim_g - cent(s)) for s in best]
 
     def build(mults):
-        labels = []
-        for j, a in enumerate(mults):
-            for k in range(labels_per_slot):
-                labels.append((f"l{j + 1}_{k + 1}", a))
-        e = n - weight * sum(mults)
-        kwargs = {"relations": {lab: f"order:{r}" for lab, _ in labels}, "order": r}
-        if pairing == "pairs":
-            return validate_class(group, semisimple(ones=e, pairs=labels, **kwargs))
-        return validate_class(group, semisimple(free=labels, ones=e, **kwargs))
+        labels = [(f"l{j + 1}_{k + 1}", a) for j, a in enumerate(mults) for k in range(labels_per_slot)]
+        relations = {lab: f"order:{r}" for lab, _ in labels}
+        eigen = {"free" if fam == "SL" else "pairs": labels}
+        raw = semisimple(order=r, ones=n - weight * sum(mults), relations=relations, **eigen)
+        return validate_class(group, raw)
 
     return _best(cands, build)
 
@@ -196,7 +187,9 @@ def max_class(group: GroupSpec, ctx: QContext) -> tuple[ClassDescriptor, int]:
     if ctx.is_p:
         if target.p == 0:
             raise SchemaError("r = p needs positive characteristic")
-        return _unipotent_max(target, target.p)
+        if ctx.r != target.p:
+            raise SchemaError(f"is_p needs r = p = {target.p}, got r = {ctx.r}")
+        return _unipotent_max(target)
     if ctx.r == target.p:
         raise SchemaError("set is_p when r equals the characteristic")
     if ctx.r == 2:

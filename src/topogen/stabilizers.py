@@ -20,7 +20,7 @@ from .algebra_core import (
     validate_class,
 )
 from .closure import _partitions, enumerate_unipotent_partitions
-from .errors import BoundExceeded, UnsupportedCase, UnsupportedGroup
+from .errors import BoundExceeded, SchemaError, UnsupportedCase, UnsupportedGroup
 
 # Exceptional-type thresholds are pure data lookups keyed by type name.
 _EXCEPTIONAL = {
@@ -69,6 +69,8 @@ def generically_free(
     group: Union[GroupSpec, str], dimV: int, dimVG: int
 ) -> bool:
     """True iff dim V - dim V^G strictly exceeds d(G)."""
+    if dimV < 0 or dimVG < 0:
+        raise SchemaError(f"dimensions must be nonnegative, got dimV = {dimV}, dimVG = {dimVG}")
     if dimVG > dimV:
         raise UnsupportedGroup("fixed space cannot exceed the module")
     return Fraction(dimV - dimVG) > d_value(group)

@@ -316,6 +316,42 @@ class TestMatrixFromClass:
         with pytest.raises(Uninstantiable, match="not enough roots of unity"):
             matrix_from_class(g, c, 7)
 
+    def test_sl_free_eigenvalues_have_determinant_one(self):
+        g = GroupSpec("SL", 3, 0)
+        m = matrix_from_class(g, semisimple(ones=1, free=[("a", 1), ("b", 1)]), 7)
+        assert jordan_type(m) == {1: (1,), 2: (1,), 4: (1,)}
+        # (a, a, a^-2) with a = 2 would repeat a
+        with pytest.raises(Uninstantiable):
+            matrix_from_class(g, semisimple(free=[2, 1]), 7)
+        # the last label keeps its order tag: 4 * 10 = 1 over GF(13), both of order 6
+        c = semisimple(free=[("a", 1), ("b", 1)], relations={"a": "order:6", "b": "order:6"}, order=3)
+        F = finfield._field(13)
+        eigenvalues = jordan_type(matrix_from_class(GroupSpec("SL", 2, 0), c, 13))
+        assert sorted(eigenvalues) == [4, 10] and all(F.element_order(a) == 6 for a in eigenvalues)
+
+    @pytest.mark.parametrize("q", [7, 11, 13])
+    def test_sl_shapes_lie_in_sl(self, q):
+        # every semisimple shape of SL2-5 is refused or instantiated with
+        # determinant 1 and the multiplicities of its pattern
+        F = finfield._field(q)
+        built = 0
+        for n in range(2, 6):
+            g = GroupSpec("SL", n, 0)
+            for cls in enumerate_class_shapes(g, {"kind": "semisimple"}):
+                try:
+                    m = matrix_from_class(g, cls, q)
+                except Uninstantiable:
+                    continue
+                jt = jordan_type(m)
+                det = F.one
+                for lam, blocks in jt.items():
+                    det = F.mul(det, F.pow(lam, sum(blocks)))
+                assert det == F.one, (n, cls)
+                assert all(set(blocks) == {1} for blocks in jt.values())
+                assert sorted(sum(blocks) for blocks in jt.values()) == sorted(cls.eigen.mults())
+                built += 1
+        assert built
+
     def test_order_zero_label_rejected(self):
         g = GroupSpec("Sp", 4, 0)
         c = semisimple(pairs=[("a", 2)], relations={"a": "order:0"})

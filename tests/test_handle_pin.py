@@ -53,10 +53,19 @@ class TestHandlePinned:
         # in every group: a semisimple class with "order": "Sp", exit 0 with
         # the order echoed before, is refused with exit 2; and one more when
         # a unipotent order had to be an integer or "unipotent-char-0": a
-        # decorated class with "order": "Spin8", exit 0 before, exits 2
+        # decorated class with "order": "Spin8", exit 0 before, exits 2.
+        # Four more changed when max_class took closed forms and is_p came to
+        # need r = p, and genfree began to refuse negative dimensions:
+        # - maxclass, Sp with n = 10^6, is_p at p = 3: exit 3 "shape
+        #   enumeration bounded at n = 12" became the MAX_BLOCKS refusal;
+        # - maxclass, Sp6 at p = 2 with r = 3 and is_p: exit 0 with the
+        #   class V(2) + W(2) became exit 2;
+        # - genfree, E8 with dimV = 1000 and dimVG = -1: exit 0 became exit 2;
+        # - genfree, E8 with dimV = -1 and dimVG = 0: exit 3 "fixed space
+        #   cannot exceed the module" became exit 2
         assert _digest(_documents()) == (
             1999,
-            "0ee94abe6b7ecf28b0e53e87dbca808a4c986eb8c7d5a8fb37f800345627950b",
+            "4de5b2079be65a8a07f34b38eb03c44b4520c1df40d75165e75a533d405d428c",
         )
 
     def test_shape_documents(self):

@@ -2,14 +2,16 @@
 
 import hashlib
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
-from topogen.algebra_core import GroupSpec, semisimple, validate_class
+from topogen.algebra_core import MAX_BLOCKS, GroupSpec, semisimple, validate_class
 from topogen.errors import BoundExceeded, Infeasible, NotApplicable, SchemaError, TopogenError
 from topogen.invariants import class_dim
 from topogen.maxclass import MAX_LABELS, QContext, exchange_gain, max_class, rs_limit
+from topogen.stabilizers import _shape_table
 
 
 class TestQContext:
@@ -70,6 +72,28 @@ class TestUnipotentMax:
     def test_r_equal_p_needs_flag(self):
         with pytest.raises(SchemaError):
             max_class(GroupSpec("Sp", 4, 3), QContext(r=3))
+
+    @pytest.mark.parametrize("r", [2, 7])
+    def test_flag_needs_r_equal_p(self, r):
+        with pytest.raises(SchemaError, match="is_p needs r = p"):
+            max_class(GroupSpec("Sp", 4, 3), QContext(r=r, is_p=True))
+
+    def test_past_n_12(self):
+        # Sp14 at p = 3 pairs lam with lam^-1 = -lam, 7 times each
+        cls, dim = max_class(GroupSpec("Sp", 14, 3), QContext(r=2))
+        assert dim == 105 - 49 and cls.eigen.pairs == (("l1", 7),)
+        # SO14 at p = 2: c_6 = V(2)^2 + W(2)^2 + W(1)
+        cls, dim = max_class(GroupSpec("SO", 14, 2), QContext(r=2, is_p=True))
+        assert cls.unip.decoration == (("V", 2, 2), ("W", 2, 2), ("W", 1, 1))
+        assert dim == 48
+
+    def test_block_cap(self):
+        # (3^333333, 1) has more than MAX_BLOCKS blocks; it is refused before
+        # the partition is built
+        start = time.perf_counter()
+        with pytest.raises(BoundExceeded, match=str(MAX_BLOCKS)):
+            max_class(GroupSpec("SL", 10**6, 3), QContext(r=3, is_p=True))
+        assert time.perf_counter() - start < 1
 
 
 class TestSemisimpleMax:
@@ -190,6 +214,47 @@ class TestReferenceSearch:
             cls, dim = max_class(group, QContext(r=2))
             want = _argmax_by_dim(classes, group)
             assert (repr(cls), dim) == (repr(want[0]), want[1]), n
+
+
+def _shape_table_max(group, ctx):
+    """(class, dim) of greatest class dimension, ties going to the least
+    repr, among the shapes of order r in the class shape table, with no
+    bound on n: the unipotent shapes for r = p, the involutions otherwise."""
+    target = group.class_group()
+    if ctx.is_p:
+        shapes = [c for c in _shape_table(target) if c.kind == "unipotent"]
+    else:
+        shapes = [c for c in _shape_table(target) if c.kind == "semisimple" and c.order == 2]
+    return _argmax_by_dim(shapes, target)
+
+
+class TestShapeTableReference:
+    """max_class in closed form against a ranking of the class shape table,
+    past the n <= 12 bound of enumerate_class_shapes. The table lists no
+    SL involution; test_sl_involutions ranks those."""
+
+    GROUPS = (
+        [("SL", n) for n in range(2, 29)]
+        + [("Sp", n) for n in range(4, 29, 2)]
+        + [("SO", n) for n in range(5, 29) if n != 8]
+        + [("Spin8", 8)]
+    )
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 5, 7, 11])
+    def test_agrees(self, p):
+        checked = 0
+        for family, n in self.GROUPS:
+            if family == "SO" and n % 2 and p == 2:
+                continue
+            group = GroupSpec(family, n, p)
+            for ctx in ([QContext(r=p, is_p=True)] if p else []) + ([QContext(r=2)] if p != 2 else []):
+                if group.class_group().family == "SL" and not ctx.is_p:
+                    continue
+                want = _shape_table_max(group, ctx)
+                cls, dim = max_class(group, ctx)
+                assert (repr(cls), dim) == (repr(want[0]), want[1]), (group, ctx)
+                checked += 1
+        assert checked
 
 
 class TestPinnedAnswers:
