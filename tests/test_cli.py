@@ -291,9 +291,6 @@ class TestHandleMalformedDocuments:
             ("maxclass", {"group": SP8, "r": "x"}),
             ("maxclass", {"group": SP8, "r": 5, "i": "x"}),
             ("maxclass", {"group": {"family": "Sp", "n": 4, "p": 3}, "r": 3, "is_p": "no"}),
-            # is_p names the characteristic's unipotent classes, so r must be p
-            ("maxclass", {"group": {"family": "Sp", "n": 4, "p": 3}, "r": 7, "is_p": True}),
-            ("maxclass", {"group": {"family": "Sp", "n": 4, "p": 3}, "r": 2, "is_p": True}),
             ("rslimit", {"n": 4, "p": 7, "r": 2, "s": 3}),
             ("rslimit", {**RS, "family": 5}),
             ("rslimit", {**RS, "n": "x"}),
@@ -311,9 +308,6 @@ class TestHandleMalformedDocuments:
             ("maxclass", {"group": SP8, "r": 5, "i": 4.0}),
             ("maxclass", {"group": SP8, "r": 5, "i": True}),
             ("genfree", {"exceptional": "E8", "dimV": 721.0, "dimVG": 0}),
-            # a dimension is never negative
-            ("genfree", {"group": {"family": "Sp", "n": 4, "p": 3}, "dimV": -5, "dimVG": -10}),
-            ("genfree", {"exceptional": "E8", "dimV": 721, "dimVG": -1}),
             ("decide", {"group": {**SP8, "n": 8.0}, "classes": [INVOLUTION] * 3}),
             ("decide", {"group": {**SP8, "p": 3.0}, "classes": [INVOLUTION] * 3}),
             ("decide", {"group": SP8, "classes": [{**INVOLUTION, "ones": 6.0}] * 3}),
@@ -338,6 +332,12 @@ class TestHandleMalformedDocuments:
                     "classes": [{"kind": "semisimple", "ones": 2, "pairs": [["a", 1]], "relations": [["a", "order:0"]]}] * 2,
                 },
             ),
+            # is_p names the characteristic's unipotent classes, so r must be p
+            ("maxclass", {"group": {"family": "Sp", "n": 4, "p": 3}, "r": 7, "is_p": True}),
+            ("maxclass", {"group": {"family": "Sp", "n": 4, "p": 3}, "r": 2, "is_p": True}),
+            # a dimension is never negative
+            ("genfree", {"group": {"family": "Sp", "n": 4, "p": 3}, "dimV": -5, "dimVG": -10}),
+            ("genfree", {"exceptional": "E8", "dimV": 721, "dimVG": -1}),
         ],
     )
     def test_exit_2(self, command, doc):
