@@ -664,47 +664,43 @@ def invariant_form_matrix(entries, q: int, kind: str) -> Optional[tuple]:
 
 def _assign_labels(F: Field, pat) -> dict:
     """A value in GF(q) for every label of ``pat``, of the order its tag asks
-    for and distinct from +-1 and from the other labels and their inverses.
-    The last free label (SL) takes the value that makes the eigenvalues
-    multiply to 1; it need only differ from the other eigenvalues."""
+    for and distinct from 0, +-1 and every eigenvalue before it. A pair
+    label's inverse is an eigenvalue too, so it is new as well. The last
+    free label (SL) takes the value that makes the eigenvalues multiply to 1."""
     assigned: dict = {}
-    used = {F.one, F.neg(F.one)}
-    for lab, _ in pat.pairs + pat.free[:-1]:
-        k = _tag_order(pat.relation_of(lab))
-        if k is None:
-            val = next((a for a in F.elements() if a and a not in used and F.inv(a) not in used), None)
-            if val is None:
-                raise Uninstantiable("field too small for distinct eigenvalues")
-        else:
+    used = {F.zero, F.one, F.neg(F.one)}
+    pairs = {lab for lab, _ in pat.pairs}
+
+    def candidates(lab):
+        rel = pat.relation_of(lab)
+        values = F.elements()
+        if rel:
+            k = 4 if rel == "square_is_minus_one" else int(rel.split(":", 1)[1])
             h = F.element_of_order(k)
             if h is None:
                 raise Uninstantiable(f"no element of order {k} in GF(q)")
             # the elements of order k are the powers h^j with gcd(j, k) = 1
-            powers = (F.pow(h, j) for j in range(1, k + 1) if gcd(j, k) == 1)
-            val = next((x for x in powers if x not in used and F.inv(x) not in used), None)
-            if val is None:
-                raise Uninstantiable("not enough roots of unity in GF(q)")
+            values = (F.pow(h, j) for j in range(1, k + 1) if gcd(j, k) == 1)
+        return (a for a in values if a not in used and (lab not in pairs or F.inv(a) not in used))
+
+    for lab, _ in pat.pairs + pat.free[:-1]:
+        val = next(candidates(lab), None)
+        if val is None:
+            raise Uninstantiable("not enough roots of unity in GF(q) for distinct eigenvalues")
         assigned[lab] = val
-        used.update((val, F.inv(val)))
+        used.add(val)
+        if lab in pairs:
+            used.add(F.inv(val))
     if pat.free:
         lab, mult = pat.free[-1]
-        k = _tag_order(pat.relation_of(lab))
         det = F.pow(F.neg(F.one), pat.mult_minus_one)
         for other, m in pat.free[:-1]:
             det = F.mul(det, F.pow(assigned[other], m))
-        taken = {F.one, F.neg(F.one), *assigned.values()}
-        fits = (a for a in F.elements() if a and a not in taken and F.mul(det, F.pow(a, mult)) == F.one)
-        assigned[lab] = next((a for a in fits if k in (None, F.element_order(a))), None)
+        fits = (a for a in candidates(lab) if F.mul(det, F.pow(a, mult)) == F.one)
+        assigned[lab] = next(fits, None)
         if assigned[lab] is None:
             raise Uninstantiable("no eigenvalue in GF(q) completes a determinant of 1")
     return assigned
-
-
-def _tag_order(rel) -> Optional[int]:
-    """The multiplicative order a label's relation tag asks for, if any."""
-    if rel == "square_is_minus_one":
-        return 4
-    return int(rel[6:]) if rel else None
 
 
 _FORM_KIND = {"Sp": "symplectic", "SO": "symmetric", "Spin8": "symmetric", "SL": None}

@@ -171,7 +171,10 @@ def _semisimple_max(group: GroupSpec, ctx: QContext):
     cands = [(_near_equal_partition(s, min(s, slots)), dim_g - cent(s)) for s in best]
 
     def build(mults):
-        labels = [(f"l{j + 1}_{k + 1}", a) for j, a in enumerate(mults) for k in range(labels_per_slot)]
+        labels = []
+        for j, a in enumerate(mults):
+            for k in range(labels_per_slot):
+                labels.append((f"l{j + 1}_{k + 1}", a))
         relations = {lab: f"order:{r}" for lab, _ in labels}
         eigen = {"free" if fam == "SL" else "pairs": labels}
         raw = semisimple(order=r, ones=n - weight * sum(mults), relations=relations, **eigen)

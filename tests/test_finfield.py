@@ -328,6 +328,14 @@ class TestMatrixFromClass:
         F = finfield._field(13)
         eigenvalues = jordan_type(matrix_from_class(GroupSpec("SL", 2, 0), c, 13))
         assert sorted(eigenvalues) == [4, 10] and all(F.element_order(a) == 6 for a in eigenvalues)
+        # a pair's inverse is an eigenvalue too: over GF(7), a = 2 and b = 3
+        # leave c = 3^-2 = 4 = a^-1, which would merge two eigenspaces
+        g = GroupSpec("SL", 5, 0)
+        c = semisimple(pairs=[("a", 1)], free=[("b", 2), ("c", 1)])
+        with pytest.raises(Uninstantiable):
+            matrix_from_class(g, c, 7)
+        # over GF(11): a = 2, a^-1 = 6, b = 3 and c = 3^-2 = 5
+        assert jordan_type(matrix_from_class(g, c, 11)) == {2: (1,), 6: (1,), 3: (1, 1), 5: (1,)}
 
     @pytest.mark.parametrize("q", [7, 11, 13])
     def test_sl_shapes_lie_in_sl(self, q):
