@@ -5,7 +5,10 @@ decide, classdim, closure, genfree, maxclass, rslimit, verify.
 Exit codes: 0 computed result (including Empty verdicts), 1 failed verify
 suite, 2 invalid input (and usage errors), 3 well-formed but unsupported
 case. ``handle`` is the in-process entry point; ``main`` is a thin argparse
-shell on it, with its parser built once at import.
+shell on it, with its parser built once at import. A command's arguments go
+straight to the command's own parser, and the output is the text of
+``json.dumps(out, indent=2, default=str)``, written without json's
+pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -388,6 +391,40 @@ def handle(command: str, doc: dict | str) -> tuple[int, dict | str]:
 # ---------------------------------------------------------------------------
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_other = json.JSONEncoder(default=str).encode
+
+
+def _key(k) -> str:
+    """A dict key as json writes it. A non-string key (``verify so9-count``
+    counts by q) is written as json writes it in ``{k: 0}``."""
+    return _encode_str(k) if type(k) is str else _encode_other({k: 0})[1:-4]
+
+
+def _to_json(x, depth: int = 0) -> str:
+    """``json.dumps(x, indent=2, default=str)``. With an indent json encodes
+    in Python; this joins the indented lines itself and leaves strings and
+    other leaves to json's C encoder."""
+    t = type(x)
+    if t is str:
+        return _encode_str(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is bool:
+        return "true" if x else "false"
+    if x is None:
+        return "null"
+    if not isinstance(x, (dict, list, tuple)) or not x:
+        return _encode_other(x)
+    depth += 1
+    inner = "\n" + "  " * depth
+    if isinstance(x, dict):
+        items = [_key(k) + ": " + _to_json(v, depth) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + inner[:-2] + "}"
+    items = [_to_json(v, depth) for v in x]
+    return "[" + inner + ("," + inner).join(items) + inner[:-2] + "]"
+
+
 class _Shell:
     """The ``topogen`` command line on ``handle``, with its parser built once.
 
@@ -400,9 +437,9 @@ class _Shell:
             description="Exact decision toolkit for topological generation of simple "
             "classical groups by prime-order conjugacy classes.",
         )
-        commands = self.parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+        self.commands = self.parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
         for name, command in COMMANDS.items():
-            sub = commands.add_parser(
+            sub = self.commands.add_parser(
                 name, help=command.__doc__, description=command.__doc__, allow_abbrev=False
             )
             if name == "verify":
@@ -422,7 +459,13 @@ class _Shell:
         nothing: they keep the call form
         ``main.main(args=[...], prog_name="topogen", standalone_mode=False)``
         working."""
-        ns = self.parser.parse_args(args)
+        args = sys.argv[1:] if args is None else args
+        if args and args[0] in self.commands.choices:
+            # the command's own parser, without the top-level parse around it
+            ns = argparse.Namespace(command=args[0])
+            ns = self.commands.choices[args[0]].parse_args(args[1:], ns)
+        else:
+            ns = self.parser.parse_args(args)
         try:
             if ns.command == "verify":
                 doc = {"suite": ns.suite}
@@ -436,7 +479,7 @@ class _Shell:
         else:
             code, out = handle(ns.command, doc)
         if isinstance(out, dict) and ns.format == "json":
-            out = json.dumps(out, indent=2, default=str)
+            out = _to_json(out)
         elif isinstance(out, dict):
             out = "\n".join(f"{key}: {value}" for key, value in out.items())
         print(out, file=sys.stderr if code > 1 else sys.stdout)

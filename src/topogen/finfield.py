@@ -733,6 +733,14 @@ def matrix_from_class(group: GroupSpec, cls: ClassDescriptor, q: int) -> GFMatri
             diag.extend([F.inv(values[lab])] * mult)
         for lab, mult in pat.free:
             diag.extend([values[lab]] * mult)
+        if target.family == "SL" and not pat.free and pat.mult_minus_one % 2:
+            # determinant -1: a scalar c with c^n = -1 moves the matrix into
+            # SL without changing its class modulo the centre (c = -1 for odd n)
+            minus = F.neg(F.one)
+            c = next((s for s in (minus, *F.elements()) if F.pow(s, n) == minus), None)
+            if c is None:
+                raise Uninstantiable("no scalar in GF(q) moves the class into SL")
+            diag = [F.mul(c, a) for a in diag]
         g = tuple(
             tuple(diag[i] if i == j else F.zero for j in range(n)) for i in range(n)
         )

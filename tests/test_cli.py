@@ -1,21 +1,25 @@
 """End-to-end tests of the command-line interface."""
 
 import io
+import itertools
 import json
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 import pytest
 
 from topogen.algebra_core import validate_class
-from topogen.cli import class_to_doc, handle, main, parse_class
+from topogen.cli import COMMANDS, _to_json, class_to_doc, handle, main, parse_class
 from topogen.stabilizers import enumerate_class_shapes
 
+from test_cli_fuzz import _documents
+from test_handle_pin import _shape_documents
 from test_oracle import _sweep_groups
 
 
@@ -527,8 +531,13 @@ class TestShell:
             ["verify", "bogus"],
             [],
             ["rslimit", "--form", "text"],
+            ["decide", "extra"],
+            ["--", "rslimit"],
         ],
-        ids=["unknown-command", "format-xml", "verify-bogus", "no-command", "abbreviated-option"],
+        ids=[
+            "unknown-command", "format-xml", "verify-bogus", "no-command", "abbreviated-option",
+            "extra-argument", "double-dash",
+        ],
     )
     def test_usage_error_exit_2(self, args):
         result = run(args, RS)
@@ -537,6 +546,14 @@ class TestShell:
         assert result.stderr.startswith("usage: topogen")
         assert result.output == result.stderr
         assert "Traceback" not in result.output
+
+    def test_extra_argument_is_reported_by_the_command(self):
+        # a command's arguments go straight to its own parser, which names it
+        result = run(["decide", "extra"], RS)
+        assert result.exit_code == 2
+        usage, error = result.stderr.splitlines()
+        assert usage.startswith("usage: topogen decide ")
+        assert error == "topogen decide: error: unrecognized arguments: extra"
 
     @pytest.mark.parametrize("args", [["--help"], ["decide", "--help"], ["verify", "--help"]])
     def test_help_exit_0(self, args):
@@ -576,3 +593,82 @@ class TestShell:
             [sys.executable, "-c", check], capture_output=True, text=True, env=env, timeout=60
         )
         assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
+# one document per command, each answered with exit 0
+ONE_PER_COMMAND = [
+    (["decide"], {"group": SP8, "classes": [INVOLUTION, INVOLUTION, PARTITION]}),
+    (["classdim"], {"group": SP8, "class": {"kind": "semisimple", "pairs": [["l1", 2]], "ones": 4}}),
+    (["closure"], {"group": {"family": "Sp", "n": 6, "p": 3}, "blocks": 3}),
+    (["genfree"], {"exceptional": "E8", "dimV": 721, "dimVG": 0}),
+    (["maxclass"], {"group": SP8, "r": 3, "is_p": True}),
+    (["rslimit"], RS),
+    # the one output with keys that are not strings: its counts by q
+    (["verify", "so9-count"], None),
+]
+
+
+class TestDirectDispatch:
+    def test_every_command_is_covered(self):
+        assert sorted(args[0] for args, _ in ONE_PER_COMMAND) == sorted(COMMANDS)
+
+    @pytest.mark.parametrize("args,payload", ONE_PER_COMMAND, ids=[a[0] for a, _ in ONE_PER_COMMAND])
+    def test_command_runs_without_the_top_level_parser(self, monkeypatch, args, payload):
+        def refuse(*_):
+            raise AssertionError("a command went through the top-level parser")
+
+        monkeypatch.setattr(main.parser, "parse_args", refuse)
+        result = run(args, payload)
+        doc = {"suite": args[1]} if args[0] == "verify" else payload
+        code, out = handle(args[0], doc)
+        assert (result.exit_code, code) == (0, 0), result.output
+        assert result.output == json.dumps(out, indent=2, default=str) + "\n"
+
+
+class TestJsonWriter:
+    def test_outputs_of_the_pinned_corpora(self):
+        # every output document of the two corpora of test_handle_pin
+        docs = itertools.chain(_documents(), _shape_documents())
+        outputs = [out for cmd, doc in docs for _, out in [handle(cmd, doc)] if isinstance(out, dict)]
+        assert len(outputs) > 4000
+        for out in outputs:
+            assert _to_json(out) == json.dumps(out, indent=2, default=str)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            (),
+            {"a": {}, "b": [], "c": [[], {}, ()], "d": [[[]]]},
+            (1, (2, 3), [()]),
+            "caf\u00e9 \u2028 \U0001d54a",
+            "\x00\x1f\t\n\"\\/",
+            {"\u00e9\n": "\x7f"},
+            Fraction(-3, 4),
+            {"limit": Fraction(1, 2), "more": [Fraction(0)]},
+            True,
+            False,
+            None,
+            [True, False, None, 0, -1],
+            2**200,
+            -(10**100),
+            1.5,
+            {1: "one", 2.5: [], True: None, None: {}, False: 0},
+            {"counts": {2: 39, 3: 1201}},
+        ],
+        ids=[
+            "empty-dict", "empty-list", "empty-tuple", "nested-empties", "tuples",
+            "non-ascii", "control", "escaped-key", "fraction", "fractions-inside",
+            "true", "false", "none", "constants", "large-int", "large-negative-int",
+            "float", "non-string-keys", "int-keys",
+        ],
+    )
+    def test_same_text_as_json(self, value):
+        assert _to_json(value) == json.dumps(value, indent=2, default=str)
+
+    def test_unencodable_key_is_refused(self):
+        with pytest.raises(TypeError):
+            json.dumps({(1, 2): 0}, indent=2, default=str)
+        with pytest.raises(TypeError):
+            _to_json({(1, 2): 0})

@@ -336,6 +336,12 @@ class TestMatrixFromClass:
             matrix_from_class(g, c, 7)
         # over GF(11): a = 2, a^-1 = 6, b = 3 and c = 3^-2 = 5
         assert jordan_type(matrix_from_class(g, c, 11)) == {2: (1,), 6: (1,), 3: (1, 1), 5: (1,)}
+        # no free label and determinant -1: diag(1, 1, -1) is scaled by -1
+        c = semisimple(ones=2, minus_ones=1, order=2)
+        assert jordan_type(matrix_from_class(GroupSpec("SL", 3, 0), c, 7)) == {6: (1, 1), 1: (1,)}
+        # diag(1, -1) would need a scalar c with c^2 = -1, and GF(7) has none
+        with pytest.raises(Uninstantiable):
+            matrix_from_class(GroupSpec("SL", 2, 0), semisimple(ones=1, minus_ones=1, order=2), 7)
 
     @pytest.mark.parametrize("q", [7, 11, 13])
     def test_sl_shapes_lie_in_sl(self, q):
