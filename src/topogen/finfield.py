@@ -12,11 +12,11 @@ projective space at 256 points, more than any G/Z of order <= 10^6 acts on.
 
 All elimination is one sparse kernel, ``_echelon``: rows as dicts column ->
 element in, the reduced row echelon form out as {pivot column: row}, which
-is canonical. Rank, nullspace and inverse read that form. The n^2-unknown
-systems of centralisers and invariant forms are built as sparse rows; Jordan
-types take the rank of (g - lam)^k from the echelon rows of (g - lam)^(k-1)
-times g - lam; invariant subspaces are kept as their echelon forms, which
-are also their keys.
+is canonical. Rank, nullspace and inverse read that form. Invariant forms
+and SL centralisers are n^2-unknown sparse systems; Sp and SO centralisers
+are fixed spaces of g on S^2 V or the exterior square; Jordan types take the
+rank of (g - lam)^k from the echelon rows of (g - lam)^(k-1) times g - lam;
+invariant subspaces are kept as their echelon forms, also their keys.
 
 Every element of GF(p^k) is one Python int, the packed coefficient vector
 sum c_i * B^i of its representative polynomial over GF(p), with B a power
@@ -513,6 +513,28 @@ def fixed_space_dim(m: GFMatrix) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _square_images(F: Field, g, wedge: bool, lam=0) -> list:
+    """The columns of g - lam on S^2 V, or on the exterior square when
+    ``wedge``: the images of the basis e_i e_j, i <= j (e_i ^ e_j, i < j), in
+    lexicographic order, as dicts position -> nonzero coefficient, read off
+    g's nonzero entries. The term g_ki g_lj e_k e_l of g(e_i) g(e_j) lands on
+    e_k e_l = e_l e_k, or on e_k ^ e_l = -(e_l ^ e_k)."""
+    red, P, n = F.red, F._p_digits, len(g)
+    basis = [(k, l) for k in range(n) for l in range(k + wedge, n)]
+    pos = {b: t for t, (k, l) in enumerate(basis) for b in ((k, l), (l, k))}
+    # column i as (k, g_ki, +-g_ki), the sign of g_ki g_lj on e_l e_k or e_l ^ e_k, l < k
+    cols = [[(k, x, red[P - x] if wedge else x) for k, x in enumerate(col) if x] for col in zip(*g)]
+    images = []
+    for t, (i, j) in enumerate(basis):
+        acc = {t: P - lam} if lam else {}
+        for k, x, sx in cols[i]:
+            for l, y, _ in cols[j]:
+                if (c := pos.get((k, l))) is not None:
+                    acc[c] = acc.get(c, 0) + (x if k <= l else sx) * y
+        images.append({c: x for c, s in acc.items() if (x := red[s])})
+    return images
+
+
 def induced_matrix(m: GFMatrix, functor: str) -> GFMatrix:
     """The action of m on V (x) V ("tensor" or "tensor_square"), on the
     exterior square ("wedge2", basis e_i ^ e_j, i < j) or on the symmetric
@@ -521,20 +543,8 @@ def induced_matrix(m: GFMatrix, functor: str) -> GFMatrix:
         return kron(m, m)
     if functor not in ("wedge2", "sym2"):
         raise NotApplicable(f"unknown functor {functor!r}")
-    F, g, n = m.field, m.entries, m.n
-    red = F.red
-    combine = F.sub if functor == "wedge2" else F.add
-    basis = [(i, j) for i in range(n) for j in range(i + (functor == "wedge2"), n)]
-    ent = [
-        [
-            red[g[k][i] * g[k][j]]
-            if k == l
-            else combine(red[g[k][i] * g[l][j]], red[g[l][i] * g[k][j]])
-            for i, j in basis
-        ]
-        for k, l in basis
-    ]
-    return GFMatrix(m.q, ent)
+    cols = _square_images(m.field, m.entries, functor == "wedge2")
+    return GFMatrix(m.q, zip(*[[col.get(r, 0) for r in range(len(cols))] for col in cols]))
 
 
 def kron(m1: GFMatrix, m2: GFMatrix) -> GFMatrix:
@@ -789,30 +799,25 @@ def _with_form(q: int, g, kind: str) -> GFMatrix:
 
 
 def centralizer_lie_dim(group: GroupSpec, m: GFMatrix) -> int:
-    """Dimension of {X : Xg = gX} intersected with the Lie algebra
-    (X^T J + J X = 0 for Sp/SO with form J; trace 0 for SL)."""
+    """Dimension of the centraliser of g = m in the Lie algebra: {X : Xg = gX,
+    trace X = 0} for SL, {X : Xg = gX, X^T J + J X = 0} for Sp, SO and Spin8,
+    J the nondegenerate polarization of m's form. X -> JX maps the latter onto
+    the g-invariant symmetric (Sp) or skew (SO) bilinear forms, the duals of
+    S^2 V and, at odd p, of the exterior square: it is n' - rank(M - I), M the
+    matrix of g on that square and n' its dimension. At p = 2 skew is symmetric:
+    for Sp and SO alike it counts g-invariant symmetric bilinear forms (for SO
+    not Lie(O(Q)) = {X : B(Xv, v) = 0 for all v})."""
     target = group.class_group()
     F = m.field
-    n = m.n
-    g = m.entries
-    red, P = F.red, F._p_digits
-    # unknowns: X_{ij}, numbered i * n + j; rows are sparse, unknown -> coefficient
-    rows = []
-    if target.family == "SL":
-        rows.append({i * n + i: F.one for i in range(n)})
-    else:
+    if target.family != "SL":
         if m.form is None:
             raise SchemaError("Sp/SO centralizer needs a form-tagged matrix")
-        J = _polarization(F, m.form, m.form_kind)
-        J_rows = [{j: x for j, x in enumerate(row) if x} for row in J]
-        J_cols = [{i: x for i, x in enumerate(col) if x} for col in zip(*J)]
-        # (X^T J + J X)_{kl} = sum_i X_{ik} J_{il} + sum_j J_{kj} X_{jl}
-        for k in range(n):
-            for l in range(n):
-                coeffs = {i * n + k: x for i, x in J_cols[l].items()}
-                for j, x in J_rows[k].items():
-                    coeffs[j * n + l] = coeffs.get(j * n + l, 0) + x
-                rows.append({v: x for v, c in coeffs.items() if (x := red[c])})
+        images = _square_images(F, m.entries, target.family != "Sp" and F.p != 2, F.one)
+        return len(images) - _rank(F, images)
+    n, g = m.n, m.entries
+    red, P = F.red, F._p_digits
+    # unknowns: X_{ij}, numbered i * n + j; rows are sparse, unknown -> coefficient
+    rows = [{i * n + i: F.one for i in range(n)}]
     g_rows = [{i: x for i, x in enumerate(row) if x} for row in g]
     g_cols = [{j: x for j, x in enumerate(col) if x} for col in zip(*g)]
     # (Xg - gX)_{kl} = sum_j X_{kj} g_{jl} - sum_i g_{ki} X_{il}

@@ -433,6 +433,7 @@ class TestVerifySuites:
             # PSp4(3) is not (2, 3)- or (3, 3)-generated
             ("psp4", {"passed": True, "projective_order": 25920, "p23": "0", "p33": "0"}),
             ("so9-count", {"passed": True, "counts": {2: 39, 3: 1201}}),
+            ("centralizers", {"passed": True, "checked": 238}),
         ],
     )
     def test_suite(self, suite, want):

@@ -267,6 +267,32 @@ class TestInducedMatrices:
         t = kron(a, a)
         assert len(jordan_type(t, eigenvalues=[F.one])[F.one]) == 2
 
+    @pytest.mark.parametrize("functor", ["sym2", "wedge2"])
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_entries_are_coefficients_of_the_product(self, q, functor):
+        # entry ((k, l), (i, j)) is the coefficient of e_k e_l, or of
+        # e_k ^ e_l, in g(e_i) g(e_j) = sum_{a,b} g_ai g_bj e_a e_b, expanded
+        # term by term, with e_b ^ e_a = -(e_a ^ e_b)
+        F = finfield._field(q)
+        rng = random.Random(q)
+        elems = F.elements()
+        wedge = functor == "wedge2"
+        for n in (1, 2, 3, 3, 4, 4, 5, 5):
+            g = [[rng.choice(elems) for _ in range(n)] for _ in range(n)]
+            basis = [(i, j) for i in range(n) for j in range(i + wedge, n)]
+            want = []
+            for k, l in basis:
+                row = []
+                for i, j in basis:
+                    c = F.zero
+                    for a, b in product(range(n), repeat=2):
+                        if (min(a, b), max(a, b)) == (k, l):
+                            term = F.mul(g[a][i], g[b][j])
+                            c = F.sub(c, term) if wedge and a > b else F.add(c, term)
+                    row.append(c)
+                want.append(tuple(row))
+            assert induced_matrix(GFMatrix(q, g), functor).entries == tuple(want), (n, g)
+
 
 class TestMatrixFromClass:
     def test_unipotent_symplectic(self):
@@ -448,7 +474,73 @@ class TestMatrixFromClass:
             matrix_from_class(g, c, 5)
 
 
+def _centralizer_by_n2_system(group, m) -> int:
+    """The Lie centraliser as the n^2-unknown system that centralizer_lie_dim
+    solved before it read fixed spaces on S^2 V and the exterior square:
+    Xg = gX, with X^T J + J X = 0 (J the polarization of m's form) for Sp
+    and SO, trace X = 0 for SL."""
+    F, n, g = m.field, m.n, m.entries
+    red, P = F.red, F._p_digits
+    rows = []
+    if group.class_group().family == "SL":
+        rows.append({i * n + i: F.one for i in range(n)})
+    else:
+        J = finfield._polarization(F, m.form, m.form_kind)
+        J_rows = [{j: x for j, x in enumerate(row) if x} for row in J]
+        J_cols = [{i: x for i, x in enumerate(col) if x} for col in zip(*J)]
+        # (X^T J + J X)_{kl} = sum_i X_{ik} J_{il} + sum_j J_{kj} X_{jl}
+        for k in range(n):
+            for l in range(n):
+                coeffs = {i * n + k: x for i, x in J_cols[l].items()}
+                for j, x in J_rows[k].items():
+                    coeffs[j * n + l] = coeffs.get(j * n + l, 0) + x
+                rows.append({v: x for v, c in coeffs.items() if (x := red[c])})
+    g_rows = [{i: x for i, x in enumerate(row) if x} for row in g]
+    g_cols = [{j: x for j, x in enumerate(col) if x} for col in zip(*g)]
+    # (Xg - gX)_{kl} = sum_j X_{kj} g_{jl} - sum_i g_{ki} X_{il}
+    for k in range(n):
+        for l in range(n):
+            coeffs = {k * n + j: x for j, x in g_cols[l].items()}
+            for i, x in g_rows[k].items():
+                coeffs[i * n + l] = coeffs.get(i * n + l, 0) + P - x
+            rows.append({v: x for v, c in coeffs.items() if (x := red[c])})
+    return n * n - finfield._rank(F, rows)
+
+
+CENTRALIZER_GROUPS = [
+    (family, n, q)
+    for family, n in (
+        ("SL", 3), ("SL", 4), ("Sp", 4), ("Sp", 6), ("Sp", 8), ("SO", 7), ("SO", 9), ("SO", 10), ("Spin8", 8)
+    )
+    for q in (3, 5, 7, 9, 25)
+] + [
+    (family, n, q)
+    for family, n in (("Sp", 4), ("Sp", 6), ("Sp", 8), ("Spin8", 8), ("SO", 10), ("SO", 12))
+    for q in (2, 4, 8)
+]
+
+
 class TestCentralizers:
+    @pytest.mark.parametrize("family,n,q", CENTRALIZER_GROUPS)
+    def test_equals_the_n2_system(self, family, n, q):
+        # every instantiable shape; for Sp, SO and Spin8 also the fixed
+        # space on S^2 V (Sp, or p = 2) or on the exterior square (SO at odd p)
+        F = finfield._field(q)
+        group = GroupSpec(family, n, F.p)
+        functor = "sym2" if family == "Sp" or F.p == 2 else "wedge2"
+        checked = 0
+        for cls in enumerate_class_shapes(group):
+            try:
+                m = matrix_from_class(group, cls, q)
+            except UnsupportedCase:
+                continue
+            got = centralizer_lie_dim(group, m)
+            assert got == _centralizer_by_n2_system(group, m), cls
+            if family != "SL":
+                assert got == fixed_space_dim(induced_matrix(m, functor)), cls
+            checked += 1
+        assert checked
+
     def test_transvection_in_sp4(self):
         g = GroupSpec("Sp", 4, 3)
         c = validate_class(g, unipotent(partition=(2, 1, 1)))
