@@ -12,11 +12,14 @@ projective space at 256 points, more than any G/Z of order <= 10^6 acts on.
 
 All elimination is one sparse kernel, ``_echelon``: rows as dicts column ->
 element in, the reduced row echelon form out as {pivot column: row}, which
-is canonical. Rank, nullspace and inverse read that form. Invariant forms
-and SL centralisers are n^2-unknown sparse systems; Sp and SO centralisers
-are fixed spaces of g on S^2 V or the exterior square; Jordan types take the
-rank of (g - lam)^k from the echelon rows of (g - lam)^(k-1) times g - lam;
-invariant subspaces are kept as their echelon forms, also their keys.
+is canonical. Rank, nullspace and inverse read that form. The invariant
+symmetric and alternating forms are the functionals on S^2 V and the
+exterior square that g fixes, and the invariant quadratic forms the
+polynomials in S^2 V* that x -> gx fixes; Sp and SO centralisers are fixed
+spaces of g on S^2 V or the exterior square; only SL centralisers are
+n^2-unknown sparse systems. Jordan types take the rank of (g - lam)^k from
+the echelon rows of (g - lam)^(k-1) times g - lam; invariant subspaces are
+kept as their echelon forms, also their keys.
 
 Every element of GF(p^k) is one Python int, the packed coefficient vector
 sum c_i * B^i of its representative polynomial over GF(p), with B a power
@@ -587,68 +590,51 @@ def invariant_form_matrix(entries, q: int, kind: str) -> Optional[tuple]:
     """A nondegenerate form of the given kind preserved by the matrix, or
     None when no such form exists.
 
+    The invariant symmetric and alternating forms are the functionals on
+    S^2 V and the exterior square that g fixes: the equations are the
+    columns of g - 1 there. The invariant quadratic forms are the
+    polynomials in S^2 V* that x -> gx fixes: the equations are the rows of
+    S^2(g^T) - 1, on the coefficients of the monomials x_k x_l, k <= l.
     For "quadratic" the returned Gram matrix is upper triangular and its
     polarization has the maximal possible rank (n, or n - 1 when n is odd
     in characteristic 2, in which case the quadratic form must not vanish
     on the radical line).
     """
+    if kind not in ("symplectic", "symmetric", "quadratic"):
+        raise SchemaError(f"unknown form kind {kind!r}")
     F = _field(q)
     g = tuple(tuple(F.coerce(x) for x in row) for row in entries)
     n = len(g)
-    red, minus_one = F.red, F.neg(F.one)
-    g_cols = [{i: x for i, x in enumerate(col) if x} for col in zip(*g)]
-    # unknowns: X_{ij}, i, j in [0, n), numbered i * n + j; each equation
-    # over GF(q) is a sparse row: unknown -> coefficient
-    var = lambda i, j: i * n + j
-    rows = []
-
-    def invariance(*pairs):
-        """The row of the sum over the pairs (a, b) of (g^T X g - X)_{ab},
-        with (g^T X g)_{ab} = sum_{i,j} g_{ia} X_{ij} g_{jb}."""
-        coeffs: dict = {}
-        for a, b in pairs:
-            for i, x in g_cols[a].items():
-                for j, y in g_cols[b].items():
-                    coeffs[var(i, j)] = coeffs.get(var(i, j), 0) + x * y
-            coeffs[var(a, b)] = coeffs.get(var(a, b), 0) + minus_one
-        rows.append({v: x for v, c in coeffs.items() if (x := red[c])})
-
-    if kind in ("symplectic", "symmetric"):
-        for k in range(n):
-            for l in range(n):
-                invariance((k, l))
-    if kind == "symplectic":
-        for i in range(n):
-            rows.append({var(i, i): F.one})
-            for j in range(i + 1, n):
-                rows.append({var(i, j): F.one, var(j, i): F.one})
-    elif kind == "symmetric":
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows.append({var(i, j): F.one, var(j, i): minus_one})
-    elif kind == "quadratic":
-        # Gram matrix upper triangular; bilinear invariance is too strict
-        # for quadratic forms: require g^T X g - X symmetric with zero
-        # diagonal instead of zero.
-        for k in range(n):
-            invariance((k, k))
-            for l in range(k + 1, n):
-                invariance((k, l), (l, k))
-        # lower triangle forced to zero (canonical representative)
-        for i in range(n):
-            for j in range(i):
-                rows.append({var(i, j): F.one})
+    wedge, quadratic = kind == "symplectic", kind == "quadratic"
+    # the basis of _square_images: e_k e_l, k <= l, or e_k ^ e_l, k < l
+    pairs = [(k, l) for k in range(n) for l in range(k + wedge, n)]
+    if quadratic:
+        # the coefficient of x_k x_l is the Gram entry X[k][l]
+        rows = [{} for _ in pairs]
+        for t, col in enumerate(_square_images(F, _transpose(g), False, F.one)):
+            for r, x in col.items():
+                rows[r][t] = x
+        cells = pairs
     else:
-        raise SchemaError(f"unknown form kind {kind!r}")
-    basis = _nullspace(F, rows, n * n)
+        # the value on e_k e_l (e_k ^ e_l) is X[l][k] = X[k][l] (= -X[k][l]),
+        # numbered in the row-major order of X's lower triangle
+        cells = sorted((l, k) for k, l in pairs)
+        at = {(k, l): c for c, (l, k) in enumerate(cells)}
+        rows = [{at[pairs[r]]: x for r, x in col.items()} for col in _square_images(F, g, wedge, F.one)]
+    basis = _nullspace(F, rows, len(pairs))
     if not basis:
         return None
 
     def unflatten(v):
-        return tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n))
+        X = [[F.zero] * n for _ in range(n)]
+        for (i, j), x in zip(cells, v):
+            X[i][j] = x
+            if not quadratic:
+                X[j][i] = F.neg(x) if wedge else x
+        return tuple(map(tuple, X))
 
     def good(X):
-        if kind != "quadratic":
+        if not quadratic:
             return _rank(F, X) == n
         pol = _polarization(F, X, kind)
         want = n if (n % 2 == 0 or F.p != 2) else n - 1
@@ -765,17 +751,20 @@ def unipotent_matrix(partition: Sequence[int], q: int, form_kind: str) -> GFMatr
     """Block-diagonal unipotent matrix with an invariant nondegenerate form,
     without going through a group descriptor. A parity rule refuses a
     partition without a search where it is necessary: Sp's for symplectic
-    forms, SO's for symmetric ones at odd p, and Sp's for quadratic ones
-    (symmetric at p = 2) in even dimension."""
+    forms, SO's for symmetric ones at odd p, and for quadratic ones
+    (symmetric at p = 2) Sp's, with one unpaired part 1 allowed at odd n."""
     F = _field(q)
-    # the family whose parity rule holds for the form; SL has none. At p = 2
-    # and even n the polarization of a nondegenerate quadratic form is a
-    # nondegenerate alternating form; at odd n it has a radical line, and
-    # the search decides
-    family = {"symplectic": "Sp", "symmetric": "SO"}.get(form_kind, "SL")
+    # the family whose parity rule holds for the form; SL has none
+    family, allowed = {"symplectic": "Sp", "symmetric": "SO"}.get(form_kind, "SL"), ([],)
     if form_kind == "symmetric" and F.p == 2:
-        family = "SL" if sum(partition) % 2 else "Sp"
-    if _unpaired_parts(family, tuple(partition)):
+        # the polarization of a nondegenerate quadratic form is a nondegenerate
+        # alternating form on V at even n, and at odd n on V modulo the
+        # radical line, which g fixes: Sp's rule, but for one unpaired part 1
+        # (n has the parity of the number of unpaired odd parts). It refuses
+        # what the search refuses for every partition of n <= 8 over GF(2)
+        # and GF(4)
+        family, allowed = "Sp", ([], [1])
+    if _unpaired_parts(family, tuple(partition)) not in allowed:
         raise Uninstantiable(_NO_FORM)
     blocks = [_jordan_block(F, a, F.one) for a in sorted(partition, reverse=True)]
     return _with_form(q, _block_diag(F, blocks), form_kind)

@@ -121,13 +121,9 @@ def _semisimple_shapes(target: GroupSpec) -> list[ClassDescriptor]:
     # symplectic / orthogonal: eigenvalues come in {1, -1} and inverse pairs
     # involutions (order 2 mod center)
     if p != 2:
-        step = 2
-        for b in range(step, n, step):
-            a = n - b
-            if target.is_orthogonal and target.n % 2 == 1 and b % 2:
-                continue
-            out.append(validate_class(target, semisimple(ones=a, minus_ones=b, order=2)))
-        if n % 2 == 0 and (fam == "Sp" or target.is_orthogonal):
+        for b in range(2, n, 2):
+            out.append(validate_class(target, semisimple(ones=n - b, minus_ones=b, order=2)))
+        if n % 2 == 0:
             # (lam I_{n/2}, lam^{-1} I_{n/2}) with lam^2 = -1: order 2 mod center
             out.append(
                 validate_class(

@@ -11,7 +11,7 @@ from topogen.algebra_core import GroupSpec, semisimple, unipotent, validate_clas
 from topogen.closure import in_closure, smallest_class_with_blocks
 from topogen.invariants import class_dim, sym2_fixed_dim, wedge2_fixed_dim
 from topogen.maxclass import exchange_gain
-from topogen.oracle import so6_transfer
+from topogen.oracle import _so6_image, so6_transfer
 from topogen.stabilizers import enumerate_class_shapes
 from topogen import finfield
 
@@ -164,6 +164,26 @@ class TestSO6Transfer:
         )
         prof = so6_transfer(cls)
         assert prof.d == 3 and prof.e == 0
+
+    @pytest.mark.parametrize(
+        "shape,want",
+        [
+            # (1, 1, -1, -1): products 1 (x2) and -1 (x4)
+            (semisimple(ones=2, minus_ones=2, order=2), (4, 2, True)),
+            # (a, a, a^-1, a^-1), a of order 4: a^2 = a^-2 (x2) and 1 (x4)
+            (semisimple(pairs=[("a", 2)], relations={"a": "order:4"}, order=2), (4, 4, True)),
+        ],
+    )
+    def test_against_the_exterior_square_matrix(self, shape, want):
+        # (d, e, quadratic) of the symbolic products against the Jordan type
+        # of a matrix of the class on the exterior square over GF(5)
+        cls = validate_class(GroupSpec("SL", 4, 0), shape)
+        prof, quadratic = _so6_image(cls, 0)
+        assert (prof.d, prof.e, quadratic) == want
+        assert so6_transfer(cls) == prof
+        m = finfield.matrix_from_class(GroupSpec("SL", 4, 5), shape, 5)
+        jt = finfield.jordan_type(finfield.induced_matrix(m, "wedge2"))
+        assert (max(map(len, jt.values())), len(jt.get(1, ())), sum(max(p) for p in jt.values()) == 2) == want
 
 
 class TestWedge2:

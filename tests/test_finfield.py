@@ -5,7 +5,7 @@ import random
 import types
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import chain, product
 from math import gcd
 
 import pytest
@@ -507,6 +507,117 @@ def _centralizer_by_n2_system(group, m) -> int:
     return n * n - finfield._rank(F, rows)
 
 
+def _forms_by_n2_system(entries, q, kind, tries=2000):
+    """invariant_form_matrix as the n^2-unknown system it solved before it
+    read its equations off S^2 V and the exterior square: g^T X g = X with
+    symmetry or alternation rows, or for "quadratic" g^T X g - X alternating
+    with the lower triangle of X zero; then the same basis loop and seeded
+    random fallback, of ``tries`` draws."""
+    F = finfield._field(q)
+    g = tuple(tuple(F.coerce(x) for x in row) for row in entries)
+    n = len(g)
+    red, minus_one = F.red, F.neg(F.one)
+    g_cols = [{i: x for i, x in enumerate(col) if x} for col in zip(*g)]
+    rows = []
+
+    def invariance(*pairs):
+        # the sum over the pairs (a, b) of (g^T X g - X)_{ab}, X_{ij} numbered i * n + j
+        coeffs = {}
+        for a, b in pairs:
+            for i, x in g_cols[a].items():
+                for j, y in g_cols[b].items():
+                    coeffs[i * n + j] = coeffs.get(i * n + j, 0) + x * y
+            coeffs[a * n + b] = coeffs.get(a * n + b, 0) + minus_one
+        rows.append({v: x for v, c in coeffs.items() if (x := red[c])})
+
+    if kind == "quadratic":
+        for k in range(n):
+            invariance((k, k))
+            for l in range(k + 1, n):
+                invariance((k, l), (l, k))
+            rows.extend({k * n + j: F.one} for j in range(k))
+    else:
+        for k in range(n):
+            for l in range(n):
+                invariance((k, l))
+        for i in range(n):
+            if kind == "symplectic":
+                rows.append({i * n + i: F.one})
+            for j in range(i + 1, n):
+                rows.append({i * n + j: F.one, j * n + i: F.one if kind == "symplectic" else minus_one})
+    basis = finfield._nullspace(F, rows, n * n)
+    if not basis:
+        return None
+
+    def good(X):
+        if kind != "quadratic":
+            return finfield._rank(F, X) == n
+        pol = finfield._polarization(F, X, kind)
+        want = n if (n % 2 == 0 or F.p != 2) else n - 1
+        if finfield._rank(F, pol) < want:
+            return False
+        return want == n or not any(
+            finfield._is_singular_vector(F, X, v) for v in finfield._nullspace(F, pol, n)
+        )
+
+    rng = random.Random(0xC0FFEE)
+    elems, columns = F.elements(), finfield._transpose(basis)
+    draws = (
+        finfield._mat_vec(F, columns, [elems[rng.randrange(len(elems))] for _ in basis])
+        for _ in range(tries)
+    )
+    for v in chain(basis, draws):
+        X = tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n))
+        if good(X):
+            return X
+    return None
+
+
+def _form_search_cases():
+    """(entries, q) over seven fields, four matrices for each n <= 6: a
+    seeded random one, a block-Jordan one with seeded eigenvalues, and two
+    unipotent block-Jordan ones conjugated by seeded invertible matrices."""
+    rng = random.Random(1)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        F = finfield._field(q)
+        elems = F.elements()
+        units = [a for a in elems if a]
+
+        def block_jordan(eigen):
+            part = rng.choice(list(_partitions(n)))
+            return finfield._block_diag(F, [finfield._jordan_block(F, a, eigen()) for a in part])
+
+        for n in range(1, 7):
+            yield tuple(tuple(rng.choice(elems) for _ in range(n)) for _ in range(n)), q
+            yield block_jordan(lambda: rng.choice(units)), q
+            for _ in range(2):
+                g = block_jordan(lambda: F.one)
+                while finfield._rank(F, A := _random_matrix(F, rng, n, n, n)) < n:
+                    pass
+                yield finfield._mat_mul(F, finfield._mat_inv(F, A), finfield._mat_mul(F, g, A)), q
+
+
+class TestInvariantForms:
+    def test_equals_the_n2_system(self):
+        # the form the n^2-unknown system finds, or None, for every kind;
+        # the cases whose basis holds no nondegenerate form run 2000 seeded
+        # draws on both sides, so a seeded sample of 30 of them is compared
+        in_basis, fallback = 0, []
+        for g, q in _form_search_cases():
+            for kind in ("symplectic", "symmetric", "quadratic"):
+                if (want := _forms_by_n2_system(g, q, kind, tries=0)) is None:
+                    fallback.append((g, q, kind))
+                    continue
+                assert finfield.invariant_form_matrix(g, q, kind) == want, (g, q, kind)
+                in_basis += 1
+        drawn = 0
+        for g, q, kind in random.Random(2).sample(fallback, 30):
+            want = _forms_by_n2_system(g, q, kind)
+            assert finfield.invariant_form_matrix(g, q, kind) == want, (g, q, kind)
+            drawn += want is not None
+        assert (in_basis, len(fallback), drawn) == (140, 364, 3)
+
+
 CENTRALIZER_GROUPS = [
     (family, n, q)
     for family, n in (
@@ -704,6 +815,8 @@ class TestPinnedConstructions:
             ((2, 1, 1), 5, "symmetric"),
             ((3, 2), 7, "symmetric"),
             ((3, 1, 1, 1), 4, "symmetric"),
+            ((3, 2), 2, "symmetric"),
+            ((3, 2, 2), 4, "symmetric"),
         ],
     )
     def test_parity_refusals_skip_the_form_search(self, monkeypatch, part, q, kind):
@@ -714,11 +827,11 @@ class TestPinnedConstructions:
         with pytest.raises(Uninstantiable, match="no nondegenerate invariant form over GF"):
             unipotent_matrix(part, q, kind)
         # quadratic forms, symmetric at p = 2, are still searched for where
-        # the Sp rule allows the partition, and at odd n
+        # the Sp rule allows the partition, at odd n with one unpaired part 1
         with pytest.raises(AssertionError):
             unipotent_matrix((2, 1, 1), 2, "symmetric")
         with pytest.raises(AssertionError):
-            unipotent_matrix((3, 2), 2, "symmetric")
+            unipotent_matrix((2, 2, 1), 2, "symmetric")
 
     @pytest.mark.parametrize(
         "q,entries,form,kind,message",
