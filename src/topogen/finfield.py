@@ -15,11 +15,13 @@ element in, the reduced row echelon form out as {pivot column: row}, which
 is canonical. Rank, nullspace and inverse read that form. The invariant
 symmetric and alternating forms are the functionals on S^2 V and the
 exterior square that g fixes, and the invariant quadratic forms the
-polynomials in S^2 V* that x -> gx fixes; Sp and SO centralisers are fixed
-spaces of g on S^2 V or the exterior square; only SL centralisers are
-n^2-unknown sparse systems. Jordan types take the rank of (g - lam)^k from
-the echelon rows of (g - lam)^(k-1) times g - lam; invariant subspaces are
-kept as their echelon forms, also their keys.
+polynomials in S^2 V* that x -> gx fixes; only unipotent class matrices
+search for one, since a diagonal semisimple one carries the standard form
+``_standard_form``, the form of the Sp generators too. Every Lie
+centraliser is a fixed space: of g on S^2 V or the exterior square (Sp,
+SO), or of X -> g X g^-1 (SL). Jordan types take the rank of (g - lam)^k
+from the echelon rows of (g - lam)^(k-1) times g - lam; invariant subspaces
+are kept as their echelon forms, also their keys.
 
 Every element of GF(p^k) is one Python int, the packed coefficient vector
 sum c_i * B^i of its representative polynomial over GF(p), with B a power
@@ -34,7 +36,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
+from itertools import count, product
 from math import gcd, inf, isqrt, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -658,105 +660,132 @@ def invariant_form_matrix(entries, q: int, kind: str) -> Optional[tuple]:
     return None
 
 
+# Most candidate values ``_assign_labels`` tries before it refuses a class
+_MAX_LABEL_TRIES = 10_000
+
+
 def _assign_labels(F: Field, pat) -> dict:
     """A value in GF(q) for every label of ``pat``, of the order its tag asks
-    for and distinct from 0, +-1 and every eigenvalue before it. A pair
-    label's inverse is an eigenvalue too, so it is new as well. The last
-    free label (SL) takes the value that makes the eigenvalues multiply to 1."""
-    assigned: dict = {}
-    used = {F.zero, F.one, F.neg(F.one)}
+    for and distinct from 0, +-1 and every other eigenvalue, a pair label's
+    inverse included; the last free label (SL) makes the eigenvalues
+    multiply to 1. A depth-first search tries each label's candidates in
+    their order and backs up when a later label has none left, so it finds
+    the greedy choice whenever that exists. Uninstantiable when there is no
+    assignment, or after ``_MAX_LABEL_TRIES`` values."""
+    labels = pat.pairs + pat.free
     pairs = {lab for lab, _ in pat.pairs}
+    tries = count(1)
 
     def candidates(lab):
         rel = pat.relation_of(lab)
-        values = F.elements()
-        if rel:
-            k = 4 if rel == "square_is_minus_one" else int(rel.split(":", 1)[1])
-            h = F.element_of_order(k)
-            if h is None:
-                raise Uninstantiable(f"no element of order {k} in GF(q)")
-            # the elements of order k are the powers h^j with gcd(j, k) = 1
-            values = (F.pow(h, j) for j in range(1, k + 1) if gcd(j, k) == 1)
-        return (a for a in values if a not in used and (lab not in pairs or F.inv(a) not in used))
+        if not rel:
+            return F.elements()
+        k = 4 if rel == "square_is_minus_one" else int(rel.split(":", 1)[1])
+        h = F.element_of_order(k)
+        if h is None:
+            raise Uninstantiable(f"no element of order {k} in GF(q)")
+        # the elements of order k are the powers h^j with gcd(j, k) = 1
+        return [F.pow(h, j) for j in range(1, k + 1) if gcd(j, k) == 1]
 
-    for lab, _ in pat.pairs + pat.free[:-1]:
-        val = next(candidates(lab), None)
-        if val is None:
-            raise Uninstantiable("not enough roots of unity in GF(q) for distinct eigenvalues")
-        assigned[lab] = val
-        used.add(val)
-        if lab in pairs:
-            used.add(F.inv(val))
-    if pat.free:
-        lab, mult = pat.free[-1]
-        det = F.pow(F.neg(F.one), pat.mult_minus_one)
-        for other, m in pat.free[:-1]:
-            det = F.mul(det, F.pow(assigned[other], m))
-        fits = (a for a in candidates(lab) if F.mul(det, F.pow(a, mult)) == F.one)
-        assigned[lab] = next(fits, None)
-        if assigned[lab] is None:
-            raise Uninstantiable("no eigenvalue in GF(q) completes a determinant of 1")
+    values = [candidates(lab) for lab, _ in labels]
+
+    def extend(i: int, det, used: set) -> Optional[dict]:
+        """Labels i, i + 1, ... avoiding ``used``, det the product so far; None if none fit."""
+        if i == len(labels):
+            return {}
+        lab, mult = labels[i]
+        for a in values[i]:
+            if a in used or lab in pairs and F.inv(a) in used:
+                continue
+            d = det if lab in pairs else F.mul(det, F.pow(a, mult))
+            if pat.free and i == len(labels) - 1 and d != F.one:
+                continue
+            if next(tries) > _MAX_LABEL_TRIES:
+                raise Uninstantiable(f"no distinct eigenvalues found in {_MAX_LABEL_TRIES} tries")
+            if (rest := extend(i + 1, d, used | {a, F.inv(a) if lab in pairs else a})) is not None:
+                return {lab: a, **rest}
+        return None
+
+    minus = F.neg(F.one)
+    if (assigned := extend(0, F.pow(minus, pat.mult_minus_one), {F.zero, F.one, minus})) is None:
+        det = " of determinant 1" if pat.free else ""
+        raise Uninstantiable(f"not enough roots of unity in GF(q) for distinct eigenvalues{det}")
     return assigned
+
+
+def _standard_form(F: Field, n: int, kind: str) -> tuple:
+    """The form of the kind on the basis e_1..e_m, f_1..f_m (m = n // 2) and
+    z at odd n: B(e_i, f_i) = 1, B(f_i, e_i) = -1 ("symplectic") or 1
+    ("symmetric"), B(z, z) = 1; for "quadratic" the upper-triangular Gram
+    matrix of sum x_i y_i (+ z^2). Every diag(A, A^-1, +-1) preserves it
+    (Taylor, *The Geometry of the Classical Groups*, 1992)."""
+    m = n // 2
+    back = {"symplectic": F.neg(F.one), "symmetric": F.one, "quadratic": F.zero}[kind]
+    X = [[F.zero] * n for _ in range(n)]
+    for i in range(m):
+        X[i][m + i], X[m + i][i] = F.one, back
+    if n % 2:
+        X[-1][-1] = F.one
+    return tuple(map(tuple, X))
 
 
 _FORM_KIND = {"Sp": "symplectic", "SO": "symmetric", "Spin8": "symmetric", "SL": None}
 
 
 def matrix_from_class(group: GroupSpec, cls: ClassDescriptor, q: int) -> GFMatrix:
-    """An explicit matrix with the class's Jordan/eigenvalue data preserving
-    a standard-type invariant form found by exact linear solving."""
+    """A matrix of the class over GF(q), tagged with an invariant form for
+    Sp, SO and Spin8: ``unipotent_matrix`` of a unipotent class's partition;
+    for a semisimple class diag(A, A^-1, +-1, free labels), A holding half of
+    the 1s and of the -1s and each pair label, and ``_standard_form``."""
     from .algebra_core import validate_class
 
     target = group.class_group()
     cls = validate_class(group, cls)
     F = _field(q)
     n = target.n
+    kind = _FORM_KIND[target.family]
     if cls.kind == "unipotent":
         if F.p != (target.p or F.p):
             raise Uninstantiable("unipotent classes need q of the same characteristic")
         if target.p == 0 and any(a > F.p for a in cls.unip.partition):
             raise Uninstantiable("Jordan blocks larger than p have composite order")
-        blocks = [_jordan_block(F, a, F.one) for a in cls.unip.partition]
-        g = _block_diag(F, blocks)
-    else:
-        if cls.kind != "semisimple":
-            raise SchemaError("unknown class kind")
-        pat = cls.eigen
-        values = _assign_labels(F, pat)
-        diag = [F.one] * pat.mult_one + [F.neg(F.one)] * pat.mult_minus_one
-        for lab, mult in pat.pairs:
-            diag.extend([values[lab]] * mult)
-            diag.extend([F.inv(values[lab])] * mult)
-        for lab, mult in pat.free:
-            diag.extend([values[lab]] * mult)
-        if target.family == "SL" and not pat.free and pat.mult_minus_one % 2:
-            # determinant -1: a scalar c with c^n = -1 moves the matrix into
-            # SL without changing its class modulo the centre (c = -1 for odd n)
-            minus = F.neg(F.one)
-            c = next((s for s in (minus, *F.elements()) if F.pow(s, n) == minus), None)
-            if c is None:
-                raise Uninstantiable("no scalar in GF(q) moves the class into SL")
-            diag = [F.mul(c, a) for a in diag]
-        g = tuple(
-            tuple(diag[i] if i == j else F.zero for j in range(n)) for i in range(n)
-        )
-    kind = _FORM_KIND[target.family]
-    return GFMatrix(q, g) if kind is None else _with_form(q, g, kind)
+        return unipotent_matrix(cls.unip.partition, q, kind)
+    pat = cls.eigen
+    values = _assign_labels(F, pat)
+    a, b, minus = pat.mult_one, pat.mult_minus_one, F.neg(F.one)
+    half = [F.one] * (a // 2) + [minus] * (b // 2) + [values[lab] for lab, m in pat.pairs for _ in range(m)]
+    diag = half + [F.inv(x) for x in half] + [F.one] * (a % 2) + [minus] * (b % 2)
+    diag += [values[lab] for lab, m in pat.free for _ in range(m)]
+    if target.family == "SL" and not pat.free and b % 2:
+        # determinant -1: a scalar c with c^n = -1 moves the matrix into
+        # SL without changing its class modulo the centre (c = -1 for odd n)
+        c = next((s for s in (minus, *F.elements()) if F.pow(s, n) == minus), None)
+        if c is None:
+            raise Uninstantiable("no scalar in GF(q) moves the class into SL")
+        diag = [F.mul(c, x) for x in diag]
+    g = tuple(tuple(diag[i] if i == j else F.zero for j in range(n)) for i in range(n))
+    if kind is None:
+        return GFMatrix(q, g)
+    kind = "quadratic" if kind == "symmetric" and F.p == 2 else kind
+    return GFMatrix(q, g, form=_standard_form(F, n, kind), form_kind=kind)
 
 
-_NO_FORM = "no nondegenerate invariant form over GF(q)"
-
-
-def unipotent_matrix(partition: Sequence[int], q: int, form_kind: str) -> GFMatrix:
-    """Block-diagonal unipotent matrix with an invariant nondegenerate form,
-    without going through a group descriptor. A parity rule refuses a
-    partition without a search where it is necessary: Sp's for symplectic
-    forms, SO's for symmetric ones at odd p, and for quadratic ones
-    (symmetric at p = 2) Sp's, with one unpaired part 1 allowed at odd n."""
+def unipotent_matrix(partition: Sequence[int], q: int, form_kind: Optional[str]) -> GFMatrix:
+    """Block-diagonal unipotent matrix, its Jordan blocks in decreasing
+    size, with an invariant nondegenerate form of the kind (quadratic for
+    "symmetric" at p = 2, none for None) found by ``invariant_form_matrix``.
+    A parity rule refuses a partition without a search where it is
+    necessary: Sp's for symplectic forms, SO's for symmetric and quadratic
+    ones at odd p, and Sp's with one unpaired part 1 allowed for quadratic
+    ones at p = 2."""
     F = _field(q)
-    # the family whose parity rule holds for the form; SL has none
-    family, allowed = {"symplectic": "Sp", "symmetric": "SO"}.get(form_kind, "SL"), ([],)
-    if form_kind == "symmetric" and F.p == 2:
+    g = _block_diag(F, [_jordan_block(F, a, F.one) for a in sorted(partition, reverse=True)])
+    if form_kind is None:
+        return GFMatrix(q, g)
+    kind = "quadratic" if form_kind == "symmetric" and F.p == 2 else form_kind
+    # the family whose parity rule holds for the form; the search refuses unknown kinds
+    family, allowed = {"symplectic": "Sp", "symmetric": "SO", "quadratic": "SO"}.get(kind, "SL"), ([],)
+    if kind == "quadratic" and F.p == 2:
         # the polarization of a nondegenerate quadratic form is a nondegenerate
         # alternating form on V at even n, and at odd n on V modulo the
         # radical line, which g fixes: Sp's rule, but for one unpaired part 1
@@ -764,21 +793,9 @@ def unipotent_matrix(partition: Sequence[int], q: int, form_kind: str) -> GFMatr
         # what the search refuses for every partition of n <= 8 over GF(2)
         # and GF(4)
         family, allowed = "Sp", ([], [1])
-    if _unpaired_parts(family, tuple(partition)) not in allowed:
-        raise Uninstantiable(_NO_FORM)
-    blocks = [_jordan_block(F, a, F.one) for a in sorted(partition, reverse=True)]
-    return _with_form(q, _block_diag(F, blocks), form_kind)
-
-
-def _with_form(q: int, g, kind: str) -> GFMatrix:
-    """The matrix g tagged with a nondegenerate invariant form of the kind,
-    a quadratic one for "symmetric" at p = 2; Uninstantiable when g
-    preserves none."""
-    if kind == "symmetric" and _field(q).p == 2:
-        kind = "quadratic"
-    form = invariant_form_matrix(g, q, kind)
-    if form is None:
-        raise Uninstantiable(_NO_FORM)
+    ruled_out = _unpaired_parts(family, tuple(partition)) not in allowed
+    if ruled_out or (form := invariant_form_matrix(g, q, kind)) is None:
+        raise Uninstantiable("no nondegenerate invariant form over GF(q)")
     return GFMatrix(q, g, form=form, form_kind=kind)
 
 
@@ -803,19 +820,11 @@ def centralizer_lie_dim(group: GroupSpec, m: GFMatrix) -> int:
             raise SchemaError("Sp/SO centralizer needs a form-tagged matrix")
         images = _square_images(F, m.entries, target.family != "Sp" and F.p != 2, F.one)
         return len(images) - _rank(F, images)
-    n, g = m.n, m.entries
-    red, P = F.red, F._p_digits
-    # unknowns: X_{ij}, numbered i * n + j; rows are sparse, unknown -> coefficient
-    rows = [{i * n + i: F.one for i in range(n)}]
-    g_rows = [{i: x for i, x in enumerate(row) if x} for row in g]
-    g_cols = [{j: x for j, x in enumerate(col) if x} for col in zip(*g)]
-    # (Xg - gX)_{kl} = sum_j X_{kj} g_{jl} - sum_i g_{ki} X_{il}
-    for k in range(n):
-        for l in range(n):
-            coeffs = {k * n + j: x for j, x in g_cols[l].items()}
-            for i, x in g_rows[k].items():
-                coeffs[i * n + l] = coeffs.get(i * n + l, 0) + P - x
-            rows.append({v: x for v, c in coeffs.items() if (x := red[c])})
+    # {X : Xg = gX} is the fixed space of X -> g X g^-1, the matrix g (x) g^-T
+    # on X's entries, numbered k * n + l; trace X = 0 is one more row
+    n = m.n
+    conj = kron(m, GFMatrix(m.q, _transpose(_mat_inv(F, m.entries))))
+    rows = [*_shift(F, conj.entries, F.one), {i * n + i: F.one for i in range(n)}]
     return n * n - _rank(F, rows)
 
 
@@ -861,12 +870,7 @@ def standard_generators(family: str, n: int, q: int) -> list[GFMatrix]:
     if family == "Sp":
         # symplectic transvections x -> x + c B(x, v) v over 0/1 vectors v,
         # c in adders
-        J = [[F.zero] * n for _ in range(n)]
-        m = n // 2
-        for i in range(m):
-            J[i][m + i] = F.one
-            J[m + i][i] = F.neg(F.one)
-        J = tuple(tuple(row) for row in J)
+        J = _standard_form(F, n, "symplectic")
         Jt = _transpose(J)
         gens = []
         for mask in range(1, 2**n):

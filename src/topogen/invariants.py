@@ -13,6 +13,7 @@ from .algebra_core import (
     GroupSpec,
     UnipotentData,
     _index,
+    _part_counts,
     dim_and_rank,
 )
 from .errors import NotApplicable, UnsupportedChar2Class
@@ -140,11 +141,8 @@ def wedge2_fixed_dim(n: int, cls: ClassDescriptor) -> tuple[Optional[int], int]:
     else:
         pat = cls.eigen
         d = max(pat.mults())
-        exact = (
-            pat.mult_one * (pat.mult_one - 1) // 2
-            + pat.mult_minus_one * (pat.mult_minus_one - 1) // 2
-            + sum(m * m for _, m in pat.pairs)
-        )
+        # the fixed space on the exterior square, so(V), is the SO centraliser
+        exact = _semisimple_centralizer_dim("SO", pat.mult_one, pat.mult_minus_one, [m for _, m in pat.pairs])
         tighten = pat.mult_one > 0 and pat.mult_minus_one > 0
     upper = d * (n // 2)
     if tighten:
@@ -198,14 +196,12 @@ def grassmannian_fixed_dim(
         # fixed-point dimension equals the S^2 fixed space of the half
         # partition.
         if group.family == "Sp" and 2 * k == group.n:
-            from collections import Counter
-
-            counts = Counter(cls.unip.partition)
+            counts = _part_counts(cls.unip.partition)
             if all(c % 2 == 0 for c in counts.values()):
                 half = []
                 for a, c in counts.items():
                     half.extend([a] * (c // 2))
-                return sym2_fixed_dim(tuple(sorted(half, reverse=True)), group.p)
+                return sym2_fixed_dim(half, group.p)
     else:
         key = _ss_key(cls)
     return _GRASS_CATALOG.get((group.family, group.n, k, key))

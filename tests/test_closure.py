@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from topogen.algebra_core import GroupSpec, unipotent, validate_class
+from topogen.algebra_core import GroupSpec, semisimple, unipotent, validate_class
 from topogen.closure import (
     _partitions,
     _poset_dot,
@@ -20,7 +20,7 @@ from topogen.closure import (
     splits_in_G,
 )
 from topogen.cli import handle
-from topogen.errors import NoSuchClass, NotApplicable, SizeMismatch, TopogenError
+from topogen.errors import MixedKinds, NoSuchClass, NotApplicable, SizeMismatch, TopogenError
 from topogen.stabilizers import enumerate_class_shapes
 
 from test_oracle import _sweep_groups
@@ -56,6 +56,15 @@ class TestInClosureOddChar:
         g = GroupSpec("SL", 5, 0)
         c = validate_class(g, unipotent(partition=(3, 2)))
         assert in_closure(g, c, c)
+
+
+def test_closure_order_is_on_unipotent_classes():
+    g = GroupSpec("SL", 3, 0)
+    u = validate_class(g, unipotent(partition=(2, 1)))
+    s = validate_class(g, semisimple(ones=2, minus_ones=1, order=2))
+    for upper, lower in ((u, s), (s, u), (s, s)):
+        with pytest.raises(MixedKinds, match="closure order is defined on unipotent classes"):
+            in_closure(g, upper, lower)
 
 
 class TestInClosureChar2:
@@ -226,6 +235,12 @@ class TestSmallestClass:
         g = GroupSpec("SO", 7, 3)
         with pytest.raises(NoSuchClass):
             smallest_class_with_blocks(g, 2)
+
+    @pytest.mark.parametrize("m", [0, 5, 6])
+    def test_block_count_out_of_range(self, m):
+        # 1 <= m < n: n blocks are the identity, and no class has 0 or more
+        with pytest.raises(NoSuchClass, match=f"no noncentral class with {m} blocks in dimension 5"):
+            smallest_class_with_blocks(GroupSpec("SL", 5, 0), m)
 
 
     @pytest.mark.parametrize("p", [0, 3, 5])

@@ -9,6 +9,7 @@ import pytest
 
 from topogen.algebra_core import GroupSpec, semisimple, unipotent, validate_class
 from topogen.closure import in_closure, smallest_class_with_blocks
+from topogen.errors import SchemaError
 from topogen.invariants import class_dim, sym2_fixed_dim, wedge2_fixed_dim
 from topogen.maxclass import exchange_gain
 from topogen.oracle import _so6_image, so6_transfer
@@ -164,6 +165,17 @@ class TestSO6Transfer:
         )
         prof = so6_transfer(cls)
         assert prof.d == 3 and prof.e == 0
+
+    @pytest.mark.parametrize(
+        "group,shape",
+        [
+            (GroupSpec("SL", 3, 0), semisimple(ones=2, minus_ones=1, order=2)),
+            (GroupSpec("SL", 5, 3), unipotent(partition=(2, 2, 1), order=3)),
+        ],
+    )
+    def test_refuses_other_dimensions(self, group, shape):
+        with pytest.raises(SchemaError, match="transfer expects a 4-dimensional class"):
+            so6_transfer(validate_class(group, shape))
 
     @pytest.mark.parametrize(
         "shape,want",

@@ -346,9 +346,9 @@ class TestMatrixFromClass:
         g = GroupSpec("SL", 3, 0)
         m = matrix_from_class(g, semisimple(ones=1, free=[("a", 1), ("b", 1)]), 7)
         assert jordan_type(m) == {1: (1,), 2: (1,), 4: (1,)}
-        # (a, a, a^-2) with a = 2 would repeat a
-        with pytest.raises(Uninstantiable):
-            matrix_from_class(g, semisimple(free=[2, 1]), 7)
+        # (a, a, a^-2) with a = 2 would repeat a; a = 3 gives 3 * 3 * 4 = 1
+        m = matrix_from_class(g, semisimple(free=[2, 1]), 7)
+        assert jordan_type(m) == {3: (1, 1), 4: (1,)}
         # the last label keeps its order tag: 4 * 10 = 1 over GF(13), both of order 6
         c = semisimple(free=[("a", 1), ("b", 1)], relations={"a": "order:6", "b": "order:6"}, order=3)
         F = finfield._field(13)
@@ -438,34 +438,137 @@ class TestMatrixFromClass:
         assert built
 
     def test_models_unchanged(self):
-        # sha256 of the repr of the list of (entries, form, form_kind), or
-        # the name of the UnsupportedCase raised, for every shape of
-        # enumerate_class_shapes; first 16 hex digits, as computed by the
-        # dense Gaussian elimination this layer used before its sparse
-        # echelon kernel. The forms found by the random fallback of
-        # invariant_form_matrix are among them.
+        # for every shape of enumerate_class_shapes, by kind: its
+        # (entries, form, form_kind), or the name of the UnsupportedCase
+        # raised; (count, sha256 of the repr of the list, first 16 hex
+        # digits). The unipotent digests are those of the forms that
+        # invariant_form_matrix found for semisimple and unipotent classes
+        # alike, before semisimple classes carried the standard form; every
+        # semisimple form is the standard one of the group's kind
         digests = {
-            ("Sp", 4, 3): (7, "081996ca4ad57e18"),
-            ("Sp", 4, 5): (8, "d4687958a866d849"),
-            ("Sp", 6, 3): (13, "9982a838f4679ad9"),
-            ("Sp", 6, 5): (15, "f406ef64e8b72a87"),
-            ("SO", 7, 3): (13, "0085e0b8b06669d7"),
-            ("SO", 7, 5): (14, "539f28a092d753dc"),
-            ("Spin8", 8, 3): (20, "935bf2ca66a987d6"),
-            ("Spin8", 8, 5): (23, "31d2fc2a14ef0824"),
+            ("Sp", 4, 3): ((2, "0af9758387ccba87"), (5, "b7aa49c428752711")),
+            ("Sp", 4, 5): ((3, "1eb0b52f019a046d"), (5, "301b88b3e7be3562")),
+            ("Sp", 6, 3): ((4, "7ed0baccd6b14a6b"), (9, "6900db9fed488150")),
+            ("Sp", 6, 5): ((6, "72ab57b3ba774f69"), (9, "9bbde2ff049e0c6b")),
+            ("SO", 7, 3): ((4, "96bb82782f9f7292"), (9, "6a34b877d28d9314")),
+            ("SO", 7, 5): ((5, "1aee3495296ba51c"), (9, "7c7da731be0dd4e4")),
+            ("Spin8", 8, 3): ((5, "c9cd33311d0ed461"), (15, "fca940dd7ced602e")),
+            ("Spin8", 8, 5): ((8, "c3d6c699517b8304"), (15, "1e7795955ca6f4e4")),
         }
         for (family, n, q), digest in digests.items():
             group = GroupSpec(family, n, q)
-            models = []
+            standard = finfield._standard_form(finfield._field(q), n, finfield._FORM_KIND[family])
+            models = {"unipotent": [], "semisimple": []}
             for cls in enumerate_class_shapes(group):
                 try:
                     m = matrix_from_class(group, cls, q)
                 except UnsupportedCase as exc:
-                    models.append(type(exc).__name__)
+                    models[cls.kind].append(type(exc).__name__)
                     continue
-                models.append((m.entries, m.form, m.form_kind))
-            got = (len(models), hashlib.sha256(repr(models).encode()).hexdigest()[:16])
+                if cls.kind == "semisimple":
+                    assert m.form == standard, (family, n, q, cls)
+                models[cls.kind].append((m.entries, m.form, m.form_kind))
+            got = tuple((len(x), _digest(x)) for x in models.values())
             assert got == digest, (family, n, q)
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_semisimple_classes_lie_in_the_generators_group(self, q):
+        # every semisimple model of Sp4 carries the form of the standard
+        # generators, and adding it to them leaves Sp4(q)
+        group = GroupSpec("Sp", 4, q)
+        gens = standard_generators("Sp", 4, q)
+        built = 0
+        for cls in enumerate_class_shapes(group, {"kind": "semisimple"}):
+            try:
+                m = matrix_from_class(group, cls, q)
+            except Uninstantiable:
+                continue
+            assert m.form == gens[0].form, cls
+            assert group_closure(gens + [m], cap=10**10) == (group_order("Sp", 4, q), False), cls
+            built += 1
+        assert built
+
+    def test_semisimple_forms_need_no_search(self, monkeypatch):
+        def search(*args):
+            raise AssertionError("invariant form searched for")
+
+        monkeypatch.setattr(finfield, "invariant_form_matrix", search)
+        groups = [("Sp", 4), ("Sp", 6), ("Sp", 8), ("SO", 7), ("SO", 9), ("SO", 10), ("Spin8", 8)]
+        cases = [(f, n, q) for f, n in groups for q in (3, 5)]
+        cases += [(f, n, q) for f, n in (("SO", 10), ("Spin8", 8)) for q in (2, 4)]
+        for family, n, q in cases:
+            group = GroupSpec(family, n, finfield._field(q).p)
+            built = 0
+            for cls in enumerate_class_shapes(group, {"kind": "semisimple"}):
+                try:
+                    m = matrix_from_class(group, cls, q)
+                except Uninstantiable:
+                    continue
+                assert m.form_kind == ("quadratic" if q % 2 == 0 else finfield._FORM_KIND[family])
+                built += 1
+            # GF(2) has no eigenvalue besides 1
+            assert built or q == 2, (family, n, q)
+
+    def test_one_unipotent_builder(self):
+        # matrix_from_class reads every unipotent model, with its form, off
+        # unipotent_matrix; the builder that tagged a matrix with a form is gone
+        assert not hasattr(finfield, "_with_form")
+        for family, n, q in (("SL", 4, 3), ("Sp", 6, 3), ("SO", 7, 5), ("SO", 10, 2), ("Spin8", 8, 4)):
+            group = GroupSpec(family, n, finfield._field(q).p)
+            for cls in enumerate_class_shapes(group, {"kind": "unipotent"}):
+                try:
+                    m = matrix_from_class(group, cls, q)
+                except Uninstantiable:
+                    m = None
+                try:
+                    want = unipotent_matrix(cls.unip.partition, q, finfield._FORM_KIND[family])
+                except Uninstantiable:
+                    want = None
+                assert (m and (m.entries, m.form, m.form_kind)) == (want and (want.entries, want.form, want.form_kind))
+
+    def test_jordan_blocks_larger_than_p(self):
+        # a class of SL3 in characteristic 0 has no order-p model of a 3-block over GF(2)
+        g = GroupSpec("SL", 3, 0)
+        with pytest.raises(Uninstantiable, match="Jordan blocks larger than p have composite order"):
+            matrix_from_class(g, unipotent(partition=(3,)), 2)
+
+    @pytest.mark.parametrize("q", [7, 11])
+    def test_labels_are_the_first_distinct_assignment(self, q):
+        # the labels of every semisimple shape of SL2-5 are the first
+        # assignment, in the order of the product of the field's elements,
+        # of eigenvalues distinct from each other, from 0 and from +-1, a
+        # pair label's inverse included, with determinant 1 when a label is
+        # free; found here by listing the product. Over GF(11) the greedy
+        # pass refused the regular class of SL3, though 2 * 4 * 7 = 1
+        F = finfield._field(q)
+        minus = F.neg(F.one)
+        for n in range(2, 6):
+            for cls in enumerate_class_shapes(GroupSpec("SL", n, 0), {"kind": "semisimple"}):
+                pat = cls.eigen
+                labels = pat.pairs + pat.free
+                want = None
+                for values in product(F.elements()[1:], repeat=len(labels)):
+                    eigen = [F.one, minus, *values, *map(F.inv, values[: len(pat.pairs)])]
+                    det = F.pow(minus, pat.mult_minus_one)
+                    for a, (_, mult) in list(zip(values, labels))[len(pat.pairs) :]:
+                        det = F.mul(det, F.pow(a, mult))
+                    if len(set(eigen)) == len(eigen) and (det == F.one or not pat.free):
+                        want = {lab: a for (lab, _), a in zip(labels, values)}
+                        break
+                try:
+                    got = finfield._assign_labels(F, pat)
+                except Uninstantiable:
+                    got = None
+                assert got == want, cls
+        m = matrix_from_class(GroupSpec("SL", 3, 0), semisimple(free=[1, 1, 1]), 11)
+        assert jordan_type(m) == {2: (1,), 4: (1,), 7: (1,)}
+
+    def test_label_search_is_capped(self, monkeypatch):
+        # the regular class of SL3 over GF(11) needs a third try: 2 for the
+        # first label, then 3 and 4 for the second
+        monkeypatch.setattr(finfield, "_MAX_LABEL_TRIES", 2)
+        with pytest.raises(Uninstantiable, match="no distinct eigenvalues found in 2 tries"):
+            matrix_from_class(GroupSpec("SL", 3, 0), semisimple(free=[1, 1, 1]), 11)
 
     def test_wrong_characteristic_rejected(self):
         g = GroupSpec("Sp", 4, 3)
@@ -817,6 +920,8 @@ class TestPinnedConstructions:
             ((3, 1, 1, 1), 4, "symmetric"),
             ((3, 2), 2, "symmetric"),
             ((3, 2, 2), 4, "symmetric"),
+            ((3, 2), 2, "quadratic"),
+            ((2, 1), 3, "quadratic"),
         ],
     )
     def test_parity_refusals_skip_the_form_search(self, monkeypatch, part, q, kind):
