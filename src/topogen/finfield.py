@@ -20,8 +20,9 @@ search for one, since a diagonal semisimple one carries the standard form
 ``_standard_form``, the form of the Sp generators too. Every Lie
 centraliser is a fixed space: of g on S^2 V or the exterior square (Sp,
 SO), or of X -> g X g^-1 (SL). Jordan types take the rank of (g - lam)^k
-from the echelon rows of (g - lam)^(k-1) times g - lam; invariant subspaces
-are kept as their echelon forms, also their keys.
+from the echelon rows of (g - lam)^(k-1) times g - lam. Invariant subspaces
+are found by ``_bfs``, the breadth-first search that lists G/Z, each keyed
+by its echelon rows and grown by the lines of ``Field.projective_points``.
 
 Every element of GF(p^k) is one Python int, the packed coefficient vector
 sum c_i * B^i of its representative polynomial over GF(p), with B a power
@@ -868,20 +869,19 @@ def standard_generators(family: str, n: int, q: int) -> list[GFMatrix]:
                     gens.append(GFMatrix(q, ent))
         return gens
     if family == "Sp":
-        # symplectic transvections x -> x + c B(x, v) v over 0/1 vectors v,
-        # c in adders
+        # symplectic transvections x -> x + c B(x, v) v, c in adders, over the
+        # 0/1 vectors v of support {lo, hi}, lo <= hi, in the order of their bit masks
         J = _standard_form(F, n, "symplectic")
         Jt = _transpose(J)
         gens = []
-        for mask in range(1, 2**n):
-            v = tuple(F.one if (mask >> i) & 1 else F.zero for i in range(n))
-            if sum(1 for x in v if x != F.zero) > 2:
-                continue
-            w = _mat_vec(F, Jt, v)
-            for c in adders:
-                cv = [F.mul(c, x) for x in v]
-                ent = [[F.add(F.one if i == j else F.zero, F.mul(cv[i], w[j])) for j in range(n)] for i in range(n)]
-                gens.append(GFMatrix(q, ent, form=J, form_kind="symplectic"))
+        for hi in range(n):
+            for lo in (hi, *range(hi)):
+                v = tuple(F.one if x in (lo, hi) else F.zero for x in range(n))
+                w = _mat_vec(F, Jt, v)
+                for c in adders:
+                    cv = [F.mul(c, x) for x in v]
+                    ent = [[F.add(F.one if i == j else F.zero, F.mul(cv[i], w[j])) for j in range(n)] for i in range(n)]
+                    gens.append(GFMatrix(q, ent, form=J, form_kind="symplectic"))
         return gens
     raise UnsupportedGroup("standard generators implemented for SL and Sp")
 
@@ -1125,7 +1125,7 @@ def _elements_of_orders(groupspec: tuple, r: int, s: int, cap: int) -> tuple:
 
 
 def estimate_generation_probability(
-    groupspec: tuple, r: int, s: int, trials: int, seed: int, cap: int = 10**6
+    groupspec: tuple, r: int, s: int, trials: int, seed: int, cap: int = 10**5
 ):
     """(hits, trials): Monte Carlo estimate of the probability that a random
     (order-r, order-s mod center) pair generates the group modulo its center.
@@ -1150,7 +1150,7 @@ def estimate_generation_probability(
 
 
 def exact_generation_probability(
-    groupspec: tuple, r: int, s: int, cap: int = 10**6
+    groupspec: tuple, r: int, s: int, cap: int = 10**5
 ) -> Fraction:
     """Exact probability over all (order-r, order-s mod center) pairs.
 
@@ -1197,9 +1197,11 @@ def invariant_subspace_count(
 ) -> int:
     """Exact number of m-invariant k-dimensional subspaces of the given type.
 
-    Builds invariant subspaces dimension by dimension through stable flags
-    (valid whenever the characteristic polynomial of m splits over GF(q),
-    which is checked). type "any" counts all invariant subspaces.
+    Finds every invariant subspace of dimension at most k by ``_bfs`` from
+    the zero subspace through stable flags U < U + <v> (exhaustive whenever
+    the characteristic polynomial of m splits over GF(q), which is
+    checked). type "any" counts all invariant subspaces. Raises
+    EnumerationTooLarge when more than ``budget`` nonzero ones exist.
     """
     F = m.field
     n = m.n
@@ -1212,59 +1214,49 @@ def invariant_subspace_count(
     bil = _polarization(F, m.form, m.form_kind) if m.form is not None else None
     # jordan_type raises NonSplit when stable flags would not be exhaustive
     shifts = [_shift(F, m.entries, lam) for lam in jordan_type(m)]
-    elems = F.elements()
     red = F.red
+    grown = count()
 
-    # each subspace U is kept as its reduced echelon form; its rows, as a
-    # set, are the canonical key of U
-    current = {frozenset(): {}}
-    visited = 0
-    for _dim in range(k):
-        nxt = {}
-        for U in current.values():
-            for shift in shifts:
-                # W = {v : (m - lam) v in U}. A vector x is in U when, at
-                # every non-pivot i of U, x_i = sum_c x_c u_c[i] over U's
-                # echelon rows u_c; for x = (m - lam) v that is one linear
-                # condition on v per non-pivot i
-                rows = []
-                for i in range(n):
-                    if i in U:
-                        continue
-                    row = shift[i]
-                    for c, u in U.items():
-                        if i in u:
-                            nf = F.neg(u[i])
-                            row = [red[x + nf * y] for x, y in zip(row, shift[c])]
-                    rows.append(row)
-                if type == "totally_singular":
-                    # and v orthogonal to U: B(u, v) = 0 for U's echelon rows
-                    for u in U.values():
-                        rows.append(
-                            [red[sum(x * bil[i][j] for i, x in u.items())] for j in range(n)]
-                        )
-                W = _echelon(F, _nullspace(F, rows, n), U)
-                # W contains U; W's echelon rows at the pivots U lacks span
-                # a complement of U, and each of its lines gives one U + v
-                ext = [W[c] for c in sorted(W) if c not in U]
-                t = len(ext)
-                ext_cols = _transpose([[e.get(j, F.zero) for j in range(n)] for e in ext])
-                # lines of the extension space: normalized coefficient tuples
-                for lead in range(t):
-                    for tail in product(elems, repeat=t - lead - 1):
-                        coeffs = (F.zero,) * lead + (F.one,) + tail
-                        v = _mat_vec(F, ext_cols, coeffs)
-                        # U is totally singular and v orthogonal to it: Q is Q(v) on v + U
-                        if type == "totally_singular" and not _is_singular_vector(F, m.form, v):
-                            continue
-                        grown = _echelon(F, [v], U)
-                        key = frozenset(frozenset(r.items()) for r in grown.values())
-                        if key not in nxt:
-                            nxt[key] = grown
-                            visited += 1
-                            if visited > budget:
-                                raise EnumerationTooLarge(
-                                    f"more than {budget} invariant subspaces visited"
-                                )
-        current = nxt
-    return len(current)
+    # a subspace U is keyed by its reduced echelon rows, each sorted, so
+    # pivot first; grow yields the keys of the invariant (totally singular) U + <v>
+    def grow(key):
+        if key and next(grown) >= budget:
+            raise EnumerationTooLarge(f"more than {budget} invariant subspaces visited")
+        if len(key) == k:
+            return
+        U = {row[0][0]: dict(row) for row in key}
+        for shift in shifts:
+            # W = {v : (m - lam) v in U}. A vector x is in U when, at
+            # every non-pivot i of U, x_i = sum_c x_c u_c[i] over U's
+            # echelon rows u_c; for x = (m - lam) v that is one linear
+            # condition on v per non-pivot i
+            rows = []
+            for i in range(n):
+                if i in U:
+                    continue
+                row = shift[i]
+                for c, u in U.items():
+                    if i in u:
+                        nf = F.neg(u[i])
+                        row = [red[x + nf * y] for x, y in zip(row, shift[c])]
+                rows.append(row)
+            if type == "totally_singular":
+                # and v orthogonal to U: B(u, v) = 0 for U's echelon rows
+                for u in U.values():
+                    rows.append(
+                        [red[sum(x * bil[i][j] for i, x in u.items())] for j in range(n)]
+                    )
+            W = _echelon(F, _nullspace(F, rows, n), U)
+            # W contains U; W's echelon rows at the pivots U lacks span
+            # a complement of U, and each of its lines gives one U + v
+            ext = [W[c] for c in sorted(W) if c not in U]
+            ext_cols = _transpose([[e.get(j, F.zero) for j in range(n)] for e in ext])
+            for coeffs in F.projective_points(len(ext))[0]:
+                v = _mat_vec(F, ext_cols, coeffs)
+                # U is totally singular and v orthogonal to it: Q is Q(v) on v + U
+                if type == "totally_singular" and not _is_singular_vector(F, m.form, v):
+                    continue
+                form = _echelon(F, [v], U)
+                yield tuple(tuple(sorted(form[c].items())) for c in sorted(form))
+
+    return sum(len(key) == k for key in _bfs((), grow))

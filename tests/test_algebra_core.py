@@ -214,6 +214,17 @@ class TestSemisimpleValidation:
                 ),
             )
 
+    def test_order_relation_refusals(self):
+        with pytest.raises(OrderViolation, match="vacuous at p = 2"):
+            validate_class(
+                GroupSpec("Sp", 4, 2),
+                semisimple(pairs=[("a", 2)], relations={"a": "square_is_minus_one"}, order=3),
+            )
+        with pytest.raises(OrderViolation, match="must be >= 3"):
+            validate_class(
+                GroupSpec("Sp", 4, 0), semisimple(pairs=[("a", 2)], relations={"a": "order:2"}, order=2)
+            )
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(SchemaError):
             validate_class(

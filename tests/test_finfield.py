@@ -14,6 +14,7 @@ from topogen import finfield
 from topogen.algebra_core import GroupSpec, is_prime, semisimple, unipotent, validate_class
 from topogen.closure import _partitions
 from topogen.errors import (
+    EnumerationTooLarge,
     GroupTooLarge,
     NonSplit,
     NotApplicable,
@@ -292,6 +293,14 @@ class TestInducedMatrices:
                     row.append(c)
                 want.append(tuple(row))
             assert induced_matrix(GFMatrix(q, g), functor).entries == tuple(want), (n, g)
+
+    def test_unknown_functor_refused(self):
+        with pytest.raises(NotApplicable, match="unknown functor"):
+            induced_matrix(GFMatrix(3, ((1, 0), (0, 1))), "sym3")
+
+    def test_kron_over_different_fields_refused(self):
+        with pytest.raises(SchemaError, match="same field"):
+            kron(GFMatrix(3, ((1, 0), (0, 1))), GFMatrix(5, ((1, 0), (0, 1))))
 
 
 class TestMatrixFromClass:
@@ -720,6 +729,10 @@ class TestInvariantForms:
             drawn += want is not None
         assert (in_basis, len(fallback), drawn) == (140, 364, 3)
 
+    def test_unknown_kind_refused(self):
+        with pytest.raises(SchemaError, match="unknown form kind"):
+            finfield.invariant_form_matrix(((1, 0), (0, 1)), 3, "hermitian")
+
 
 CENTRALIZER_GROUPS = [
     (family, n, q)
@@ -766,6 +779,11 @@ class TestCentralizers:
         c = validate_class(g, unipotent(partition=(7,), order=7))
         m = matrix_from_class(g, c, 7)
         assert centralizer_lie_dim(g, m) == 3
+
+    def test_sp_matrix_without_a_form_refused(self):
+        m = GFMatrix(3, finfield._identity(finfield._field(3), 4))
+        with pytest.raises(SchemaError, match="form-tagged"):
+            centralizer_lie_dim(GroupSpec("Sp", 4, 3), m)
 
 
 class TestGroupOrders:
@@ -1064,6 +1082,34 @@ class TestGroupClosure:
         with pytest.raises(SchemaError):
             group_closure(standard_generators("SL", 2, 5) + [GFMatrix(5, ((1, 0), (0, 0)))])
 
+    def test_no_generators_give_the_trivial_group(self):
+        assert group_closure([]) == (1, False)
+
+    @pytest.mark.parametrize("n,q", [(n, q) for n in (2, 4, 6, 8, 10) for q in (2, 3, 4, 9) if n < 10 or q <= 4])
+    def test_sp_transvections_in_the_order_of_their_masks(self, n, q):
+        # the transvections of every 0/1 vector v with one or two 1s, in
+        # increasing order of v's bit mask
+        F = finfield._field(q)
+        adders = [F.one] + ([F.coerce(tuple([0, 1] + [0] * (F.k - 2)))] if F.k > 1 else [])
+        J = finfield._standard_form(F, n, "symplectic")
+        want = []
+        for mask in range(1, 2**n):
+            if bin(mask).count("1") > 2:
+                continue
+            v = [F.one if mask >> i & 1 else F.zero for i in range(n)]
+            w = finfield._mat_vec(F, finfield._transpose(J), v)
+            for c in adders:
+                ent = [[F.add(F.one if i == j else F.zero, F.mul(F.mul(c, v[i]), w[j])) for j in range(n)] for i in range(n)]
+                want.append(GFMatrix(q, ent, form=J, form_kind="symplectic"))
+        gens = standard_generators("Sp", n, q)
+        # GFMatrix equality ignores the form
+        assert gens == want
+        assert all(g.form == J and g.form_kind == "symplectic" for g in gens)
+
+    def test_sp_transvections_grow_as_n_squared(self):
+        # one per support {i, j}, i <= j: 24 * 25 / 2
+        assert len(standard_generators("Sp", 24, 2)) == 300
+
 
 def _order_by_own_walk(F, a, scalars):
     """Order of a modulo the scalars from a power walk of a alone."""
@@ -1264,6 +1310,17 @@ class TestByteTables:
         with pytest.raises(GroupTooLarge, match="258 points"):
             finfield._group_data("SL", 2, 257, 10**9)
 
+    def test_default_cap_refused_before_the_group_is_listed(self, monkeypatch):
+        # PSL2(59), of order 102660 on 60 points, is over the default cap 10^5
+        def listing(*args):
+            raise AssertionError("group listed")
+
+        monkeypatch.setattr(finfield, "_closure_set", listing)
+        with pytest.raises(GroupTooLarge, match="102660, over the cap 100000"):
+            finfield.exact_generation_probability(("SL", 2, 59), 2, 3)
+        with pytest.raises(GroupTooLarge, match="102660, over the cap 100000"):
+            finfield.estimate_generation_probability(("SL", 2, 59), 2, 3, trials=1, seed=0)
+
     def test_no_group_within_the_default_cap_has_more_than_256_points(self):
         # every SL_n(q) and Sp_n(q) whose G/Z has order at most 10^6, from
         # the order formulas; orders grow with n and q, so each sweep stops
@@ -1322,6 +1379,28 @@ def test_one_elimination_kernel():
         assert not hasattr(finfield, name), name
 
 
+def test_one_breadth_first_search(monkeypatch):
+    # ``_bfs``: the subspace count, the listing of PG and the conjugacy
+    # classes of the exact probabilities all search through it
+    bfs, calls = finfield._bfs, []
+
+    def counted(start, moves):
+        calls.append(start)
+        return bfs(start, moves)
+
+    monkeypatch.setattr(finfield, "_bfs", counted)
+    F = finfield._field(3)
+    searches = [
+        lambda: invariant_subspace_count(GFMatrix(3, finfield._identity(F, 3)), 1, "any"),
+        lambda: finfield._closure_set([finfield._projective_perm(F, g.entries) for g in standard_generators("SL", 2, 3)]),
+        lambda: finfield.exact_generation_probability(("SL", 2, 4), 2, 3),
+    ]
+    for search in searches:
+        before = len(calls)
+        search()
+        assert len(calls) > before
+
+
 class TestInvariantSubspaceCount:
     def test_identity_line_count(self):
         F = finfield._field(3)
@@ -1337,6 +1416,25 @@ class TestInvariantSubspaceCount:
         m = unipotent_matrix((2, 2, 1), 3, "symmetric")
         count = invariant_subspace_count(m, 1, "totally_singular")
         assert count >= 1
+
+    def test_refusals(self):
+        F = finfield._field(3)
+        m = GFMatrix(3, finfield._identity(F, 3))
+        for k in (-1, 4):
+            with pytest.raises(SchemaError, match="k out of range"):
+                invariant_subspace_count(m, k, "any")
+        with pytest.raises(SchemaError, match="unknown subspace type"):
+            invariant_subspace_count(m, 1, "isotropic")
+        with pytest.raises(SchemaError, match="form-tagged"):
+            invariant_subspace_count(m, 1, "totally_singular")
+
+    def test_budget_bounds_the_nonzero_subspaces(self):
+        # the identity on GF(3)^3 has 13 lines, the only nonzero subspaces
+        # of dimension at most 1
+        m = GFMatrix(3, finfield._identity(finfield._field(3), 3))
+        with pytest.raises(EnumerationTooLarge, match="more than 12 invariant subspaces"):
+            invariant_subspace_count(m, 1, "any", budget=12)
+        assert invariant_subspace_count(m, 1, "any", budget=13) == 13
 
     @pytest.mark.parametrize(
         "q,entries",
