@@ -462,7 +462,7 @@ def _check_unipotent(group: GroupSpec, order, data: UnipotentData) -> Union[int,
     if order is None and top <= p:
         order = p
     if order is not None:
-        if order != p:
+        if not isinstance(order, int) or order != p:
             raise OrderViolation("unipotent classes have order p")
         if top > p:
             what = "an order-2" if forms else "a prime-order"

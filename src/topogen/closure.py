@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Iterator
 
-from .algebra_core import MAX_BLOCKS, ClassDescriptor, GroupSpec, _index, _unpaired_parts, unipotent, validate_class
+from .algebra_core import MAX_BLOCKS, ClassDescriptor, GroupSpec, _index, _unpaired_parts, _whole, unipotent, validate_class
 from .errors import BoundExceeded, MixedKinds, NoSuchClass, NotApplicable, SizeMismatch
 
 
@@ -83,7 +83,7 @@ def _near_equal_partition(n: int, m: int) -> tuple:
 
 def smallest_class_with_blocks(group: GroupSpec, m: int) -> ClassDescriptor:
     target = group.class_group()
-    n = target.n
+    n, m = target.n, _whole(m, "m")
     if not 1 <= m < n:
         raise NoSuchClass(f"no noncentral class with {m} blocks in dimension {n}")
     if m > MAX_BLOCKS:

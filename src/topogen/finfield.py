@@ -3,8 +3,8 @@
 Everything here is independent of the symbolic machinery: explicit matrices,
 exact linear algebra, and exhaustive or Monte Carlo generation tests, which
 compare the order of the generated group (Schreier–Sims on the points of
-projective space) with the group's order. The only group ever listed is
-PG = G/Z, breadth first, as permutations of the points of projective space;
+projective space) with that of PG = G/Z, measured by its own listing: PG is
+the only group ever listed, breadth first, as permutations of those points;
 a group of matrices is measured by Schreier–Sims on vectors, never listed.
 A permutation is the bytes of its images, composed, inverted and conjugated
 by the C-level ``bytes.translate`` and ``bytes.maketrans``; that caps
@@ -42,7 +42,7 @@ from math import gcd, inf, isqrt, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .algebra_core import ClassDescriptor, GroupSpec, _unpaired_parts
+from .algebra_core import ClassDescriptor, GroupSpec, _unpaired_parts, conjugate_partition, validate_class
 from .errors import (
     EnumerationTooLarge,
     GroupTooLarge,
@@ -178,22 +178,14 @@ class Field:
         return list(self._elements)
 
     def projective_points(self, n: int) -> tuple:
-        """(points, index): the points of P^{n-1}(GF(q)), each the vector
-        whose first nonzero coordinate is 1, and a map from every nonzero
-        vector of GF(q)^n to the position of its point. Built once per n."""
+        """The points of P^{n-1}(GF(q)), each the vector whose first nonzero
+        coordinate is 1. Built once per n."""
         if n not in self._points:
-            points = [
+            self._points[n] = tuple(
                 v
                 for v in product(self._elements, repeat=n)
                 if next((x for x in v if x), None) == self.one
-            ]
-            index = {
-                tuple([self.red[c * x] for x in v]): i
-                for i, v in enumerate(points)
-                for c in self._elements
-                if c
-            }
-            self._points[n] = (points, index)
+            )
         return self._points[n]
 
     # -- arithmetic ------------------------------------------------------------
@@ -496,12 +488,8 @@ def jordan_type(m: GFMatrix, eigenvalues=None) -> dict:
         mult = n - ranks[1]
         if mult == 0:
             continue
-        parts = []
-        for s in range(1, len(ranks)):
-            ge_s = ranks[s - 1] - ranks[s]
-            ge_s1 = ranks[s] - ranks[s + 1] if s + 1 < len(ranks) else 0
-            parts.extend([s] * (ge_s - ge_s1))
-        partition = tuple(sorted(parts, reverse=True))
+        # rank N^(s-1) - rank N^s blocks have size at least s
+        partition = conjugate_partition([a - b for a, b in zip(ranks, ranks[1:])])
         result[lam] = partition
         accounted += sum(partition)
     if eigenvalues is None and accounted != n:
@@ -738,8 +726,6 @@ def matrix_from_class(group: GroupSpec, cls: ClassDescriptor, q: int) -> GFMatri
     Sp, SO and Spin8: ``unipotent_matrix`` of a unipotent class's partition;
     for a semisimple class diag(A, A^-1, +-1, free labels), A holding half of
     the 1s and of the -1s and each pair label, and ``_standard_form``."""
-    from .algebra_core import validate_class
-
     target = group.class_group()
     cls = validate_class(group, cls)
     F = _field(q)
@@ -924,9 +910,15 @@ def _projective_perm(F: Field, g) -> bytes:
     """The permutation the matrix g induces on the points of
     P^{n-1}(GF(q)) (``Field.projective_points``), as bytes: point i goes
     to point perm[i]. Its kernel, on invertible matrices, is the scalars."""
-    points, index = F.projective_points(len(g))
+    points = F.projective_points(len(g))
+    index = {v: i for i, v in enumerate(points)}
     red = F.red
-    return bytes([index[tuple([red[sum(map(mul, row, v))] for row in g])] for v in points])
+    perm = []
+    for v in points:
+        w = [red[sum(map(mul, row, v))] for row in g]
+        c = F.inv(next(x for x in w if x))
+        perm.append(index[tuple([red[c * x] for x in w])])
+    return bytes(perm)
 
 
 # the identity on 256 points, the most a permutation of bytes can move
@@ -1028,8 +1020,6 @@ def _perm_group_order(gens) -> int:
     """Order of the group generated by permutations of range(N), N <= 256,
     each the bytes of its images, by ``_schreier_sims`` on their
     translation tables (``_table``), which compose by ``bytes.translate``."""
-    if not gens:
-        return 1
     return _schreier_sims(
         [_table(g) for g in gens],
         _BYTES,
@@ -1076,13 +1066,12 @@ class _GroupData(NamedTuple):
     bytes of one length sort as tuples of ints."""
 
     # permutations the standard generators induce on the points of
-    # P^{n-1}(GF(q)), each kept only if it enlarges the group of those kept
-    # before it (Sp4(3) keeps 5 of its 10), so that listing PG and its
+    # P^{n-1}(GF(q)), each kept only if the listing of those kept before it
+    # lacks it (Sp4(3) keeps 5 of its 10), so that listing PG and its
     # conjugacy classes takes no redundant products
     gen_perms: list
-    # the order of PG, by Schreier–Sims on those points
-    pg_order: int
-    # PG, listed breadth first over products of permutations
+    # PG, listed breadth first over products of permutations; its size is
+    # the order of PG
     pg_elements: set
     # (a, order of a) for every a != 1 of PG, in sorted order
     pg_orders: list
@@ -1090,25 +1079,22 @@ class _GroupData(NamedTuple):
 
 @lru_cache(maxsize=8)
 def _group_data(family: str, n: int, q: int, cap: int) -> _GroupData:
-    """The ``_GroupData`` of the group; raises GroupTooLarge, before PG is
-    listed, when its order exceeds ``cap``, and before any permutation is
-    built when P^{n-1}(GF(q)) has over 256 points (no G/Z of order <= 10^6 does)."""
+    """The ``_GroupData`` of the group; raises GroupTooLarge before any
+    permutation is built when P^{n-1}(GF(q)) has over 256 points (no G/Z of
+    order <= 10^6 does) or when ``projective_order`` exceeds ``cap``."""
     if (points := (q**n - 1) // (q - 1)) > 256:
         raise GroupTooLarge(f"P^{n - 1}(GF({q})) has {points} points, over the cap 256")
+    if (order := projective_order(family, n, q)) > cap:
+        raise GroupTooLarge(f"G/Z has order {order}, over the cap {cap}")
     F = _field(q)
-    gen_perms, pg_order = [], 1
+    gen_perms, elements = [], {_BYTES[:points]}
     for g in standard_generators(family, n, q):
-        perm = _projective_perm(F, g.entries)
-        order = _perm_group_order(gen_perms + [perm])
-        if order > pg_order:
+        if (perm := _projective_perm(F, g.entries)) not in elements:
             gen_perms.append(perm)
-            pg_order = order
-    if pg_order != (want := projective_order(family, n, q)):
-        raise AssertionError(f"the generators give G/Z of order {pg_order}, not {want}")
-    if pg_order > cap:
-        raise GroupTooLarge(f"G/Z has order {pg_order}, over the cap {cap}")
-    elements = _closure_set(gen_perms)
-    return _GroupData(gen_perms, pg_order, elements, _orders_mod_center(elements))
+            elements = _closure_set(gen_perms)
+    if len(elements) != order:
+        raise AssertionError(f"the generators give G/Z of order {len(elements)}, not {order}")
+    return _GroupData(gen_perms, elements, _orders_mod_center(elements))
 
 
 def _elements_of_orders(groupspec: tuple, r: int, s: int, cap: int) -> tuple:
@@ -1144,7 +1130,7 @@ def estimate_generation_probability(
         rng = random.Random(seed * 1000003 + t)
         key = (xr[rng.randrange(len(xr))], xs[rng.randrange(len(xs))])
         if key not in cache:
-            cache[key] = _generates(key, data.pg_order)
+            cache[key] = _generates(key, len(data.pg_elements))
         hits += cache[key]
     return hits, trials
 
@@ -1182,7 +1168,7 @@ def exact_generation_probability(
             y = min(unseen)
             orbit = {_conjugate(y, *g) for g in cent}
             unseen -= orbit
-            if _generates([rep, y], data.pg_order):
+            if _generates([rep, y], len(data.pg_elements)):
                 hit_pairs += class_size * len(orbit)
     return Fraction(hit_pairs, len(xr) * len(xs))
 
@@ -1251,7 +1237,7 @@ def invariant_subspace_count(
             # a complement of U, and each of its lines gives one U + v
             ext = [W[c] for c in sorted(W) if c not in U]
             ext_cols = _transpose([[e.get(j, F.zero) for j in range(n)] for e in ext])
-            for coeffs in F.projective_points(len(ext))[0]:
+            for coeffs in F.projective_points(len(ext)):
                 v = _mat_vec(F, ext_cols, coeffs)
                 # U is totally singular and v orthogonal to it: Q is Q(v) on v + U
                 if type == "totally_singular" and not _is_singular_vector(F, m.form, v):

@@ -21,6 +21,7 @@ from .algebra_core import (
     ClassDescriptor,
     GroupSpec,
     _set_whole,
+    _whole,
     dim_and_rank,
     is_prime,
     semisimple,
@@ -203,6 +204,7 @@ def max_class(group: GroupSpec, ctx: QContext) -> tuple[ClassDescriptor, int]:
 def rs_limit(family: str, n: int, p: int, r: int, s: int) -> Fraction:
     """Limit of the probability that a random (order r, order s) pair
     topologically generates, along the family at fixed (r, s)."""
+    r, s = _whole(r, "r"), _whole(s, "s")
     if not (is_prime(r) and is_prime(s) and s > 2):
         raise NotApplicable("r, s must be prime with s > 2")
     GroupSpec(family, n, p)  # validates the family

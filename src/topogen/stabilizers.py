@@ -15,6 +15,7 @@ from typing import Optional, Union
 from .algebra_core import (
     ClassDescriptor,
     GroupSpec,
+    _whole,
     semisimple,
     unipotent,
     validate_class,
@@ -38,6 +39,8 @@ def _thresholds(group: Union[GroupSpec, str]) -> tuple[Fraction, Fraction]:
         if group in _EXCEPTIONAL:
             return _EXCEPTIONAL[group]
         raise UnsupportedGroup(f"no threshold row for {group!r}")
+    if not isinstance(group, GroupSpec):
+        raise SchemaError(f"a group is a GroupSpec or an exceptional type name, not {group!r}")
     n, p = group.n, group.p
     fam = group.family
     if fam == "SL":
@@ -69,6 +72,7 @@ def generically_free(
     group: Union[GroupSpec, str], dimV: int, dimVG: int
 ) -> bool:
     """True iff dim V - dim V^G strictly exceeds d(G)."""
+    dimV, dimVG = _whole(dimV, "dimV"), _whole(dimVG, "dimVG")
     if dimV < 0 or dimVG < 0:
         raise SchemaError(f"dimensions must be nonnegative, got dimV = {dimV}, dimVG = {dimVG}")
     if dimVG > dimV:

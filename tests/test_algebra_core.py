@@ -276,6 +276,20 @@ class TestUnipotentValidation:
         with pytest.raises(OrderViolation):
             validate_class(GroupSpec("SL", 4, 3), unipotent(partition=(4,), order=3))
 
+    @pytest.mark.parametrize(
+        "group,raw",
+        [
+            (GroupSpec("SL", 3, 2), unipotent(partition=(2, 1), order=2.0)),
+            (GroupSpec("Sp", 4, 2), unipotent(decoration=[{"W": 2}], order=2.0)),
+            (GroupSpec("SL", 3, 3), unipotent(partition=(3,), order=3.0)),
+        ],
+    )
+    def test_order_must_be_an_integer(self, group, raw):
+        # 2.0 == 2, so a comparison with p alone would keep the order 2.0
+        assert validate_class(group, replace(raw, order=group.p)).order == group.p
+        with pytest.raises(OrderViolation, match="unipotent classes have order p"):
+            validate_class(group, raw)
+
     def test_order_autoderived(self):
         c = validate_class(GroupSpec("SL", 4, 3), unipotent(partition=(3, 1)))
         assert c.order == 3

@@ -14,6 +14,7 @@ from typing import NamedTuple, Optional
 
 import pytest
 
+from topogen import finfield
 from topogen.algebra_core import validate_class
 from topogen.cli import COMMANDS, _to_json, class_to_doc, handle, main, parse_class
 from topogen.stabilizers import enumerate_class_shapes
@@ -438,6 +439,14 @@ class TestVerifySuites:
     )
     def test_suite(self, suite, want):
         assert handle("verify", {"suite": suite}) == (0, {"schema": "topogen/1", "suite": suite, **want})
+
+    def test_failing_suite_exits_1(self, monkeypatch):
+        # a wrong centraliser dimension fails the first class checked, in Sp4 over GF(3)
+        monkeypatch.setattr(finfield, "centralizer_lie_dim", lambda group, m: -1)
+        code, out = handle("verify", {"suite": "centralizers"})
+        assert (code, out["passed"], out["at"][:3], out["got"]) == (1, False, ("Sp", 4, 3), -1)
+        result = run(["verify", "centralizers"])
+        assert result.exit_code == 1 and '"passed": false' in result.output
 
 
 class TestEigenvalueLabels:

@@ -20,7 +20,7 @@ from topogen.closure import (
     splits_in_G,
 )
 from topogen.cli import handle
-from topogen.errors import MixedKinds, NoSuchClass, NotApplicable, SizeMismatch, TopogenError
+from topogen.errors import MixedKinds, NoSuchClass, NotApplicable, SchemaError, SizeMismatch, TopogenError
 from topogen.stabilizers import enumerate_class_shapes
 
 from test_oracle import _sweep_groups
@@ -241,6 +241,10 @@ class TestSmallestClass:
         # 1 <= m < n: n blocks are the identity, and no class has 0 or more
         with pytest.raises(NoSuchClass, match=f"no noncentral class with {m} blocks in dimension 5"):
             smallest_class_with_blocks(GroupSpec("SL", 5, 0), m)
+
+    def test_block_count_must_be_an_integer(self):
+        with pytest.raises(SchemaError, match="m must be an integer, not 2.0"):
+            smallest_class_with_blocks(GroupSpec("SL", 5, 0), 2.0)
 
 
     @pytest.mark.parametrize("p", [0, 3, 5])

@@ -39,6 +39,7 @@ from topogen.finfield import (
     standard_generators,
     unipotent_matrix,
 )
+from topogen.invariants import _natural_profile
 from topogen.stabilizers import enumerate_class_shapes
 
 
@@ -116,6 +117,25 @@ class TestField:
         monkeypatch.setattr(finfield, "MAX_DIM", 2)
         with pytest.raises(SchemaError):
             GFMatrix(5, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(SchemaError, match="matrix must be square"):
+            GFMatrix(5, ((1, 0, 0), (0, 1, 0)))
+
+    @pytest.mark.parametrize("x", [(1, 2, 3), "x"])
+    def test_coerce_refusals(self, x):
+        # GF(9) takes two coefficients, each an integer
+        with pytest.raises(SchemaError, match="cannot coerce"):
+            Field(9).coerce(x)
+
+    def test_zero_refusals(self):
+        F = Field(5)
+        with pytest.raises(ZeroDivisionError):
+            F.inv(0)
+        with pytest.raises(ZeroDivisionError):
+            F.pow(0, -1)
+        with pytest.raises(SchemaError, match="zero has no multiplicative order"):
+            F.element_order(0)
 
 
 EXTENSION_FIELDS = [4, 8, 9, 16]
@@ -799,6 +819,12 @@ class TestGroupOrders:
         assert projective_order("SL", 2, 9) == 360
         assert projective_order("Sp", 4, 3) == 25920
 
+    def test_only_sl_and_sp_are_listed(self):
+        with pytest.raises(UnsupportedGroup, match="projective order implemented for SL and Sp"):
+            projective_order("SO", 7, 3)
+        with pytest.raises(UnsupportedGroup, match="standard generators implemented for SL and Sp"):
+            standard_generators("SO", 7, 3)
+
     def test_closure_matches_polynomial(self):
         gens = standard_generators("SL", 2, 5)
         size, truncated = group_closure(gens, cap=10**4)
@@ -1285,6 +1311,10 @@ class TestSchreierSims:
         assert finfield._generates(perms, 1)
         assert not finfield._generates(perms, 2)
 
+    def test_no_permutations_give_order_one(self):
+        # the chain of no generators has no level, and the empty product is 1
+        assert finfield._perm_group_order([]) == 1
+
 
 class TestByteTables:
     """PG = G/Z as permutations of at most 256 projective points, each the
@@ -1399,6 +1429,46 @@ def test_one_breadth_first_search(monkeypatch):
         before = len(calls)
         search()
         assert len(calls) > before
+
+
+def test_pg_is_measured_by_its_own_listing(monkeypatch):
+    # ``_group_data`` reads the order of PG off its listing, with no
+    # Schreier–Sims run and no order field, and the projective points are
+    # one tuple, with no index of the nonzero vectors
+    def refuse(*args, **kwargs):
+        raise AssertionError("Schreier–Sims ran")
+
+    monkeypatch.setattr(finfield, "_schreier_sims", refuse)
+    finfield._group_data.cache_clear()
+    assert len(finfield._group_data("SL", 3, 3, 10**5).pg_elements) == projective_order("SL", 3, 3)
+    assert finfield._GroupData._fields == ("gen_perms", "pg_elements", "pg_orders")
+    points = Field(5).projective_points(7)
+    assert type(points) is tuple and len(points) == (5**7 - 1) // 4 == 19531
+
+
+class TestNaturalProfiles:
+    """(d, e, quadratic) of ``_natural_profile``, which ``decide`` reads,
+    against the Jordan type of a matrix of the class: the largest
+    eigenspace is the most blocks of one eigenvalue, the 1-eigenspace the
+    blocks of 1, and the minimal polynomial has one factor per eigenvalue,
+    of degree its largest block."""
+
+    @pytest.mark.parametrize("q,agree,refused", [(11, 180, 6), (13, 186, 0)])
+    def test_read_off_jordan_types(self, q, agree, refused):
+        groups = [("SL", n) for n in range(2, 7)] + [("Sp", n) for n in (4, 6, 8)] + [("SO", n) for n in (5, 7, 9, 10)]
+        seen = {"agree": 0, "refused": 0}
+        for family, n in groups:
+            group = GroupSpec(family, n, 0)
+            for cls in enumerate_class_shapes(group):
+                try:
+                    jt = jordan_type(matrix_from_class(group, cls, q))
+                except Uninstantiable:
+                    seen["refused"] += 1
+                    continue
+                got = (max(map(len, jt.values())), len(jt.get(1, ())), sum(p[0] for p in jt.values()) == 2)
+                assert got == _natural_profile(cls), (family, n, cls)
+                seen["agree"] += 1
+        assert seen == {"agree": agree, "refused": refused}
 
 
 class TestInvariantSubspaceCount:

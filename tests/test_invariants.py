@@ -250,6 +250,11 @@ class TestFixedSpaces:
         assert exact == 1 + 1 + 3
         assert exact <= upper
 
+    def test_wedge2_of_a_decorated_class_that_is_no_involution(self):
+        # V(4) is a Jordan block of size 4: the class has order 4 at p = 2
+        with pytest.raises(UnsupportedChar2Class, match="need involutions"):
+            wedge2_fixed_dim(4, unipotent(decoration=[{"V": 4}]))
+
 
 class TestGrassmannianCatalog:
     def test_so9_entries(self):

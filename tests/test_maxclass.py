@@ -396,3 +396,9 @@ class TestRsLimit:
     def test_nonprime_rejected(self):
         with pytest.raises(NotApplicable):
             rs_limit("Sp", 8, 0, 4, 3)
+
+    @pytest.mark.parametrize("r,s", [(2.0, 3), (2, 3.0)])
+    def test_orders_must_be_integers(self, r, s):
+        # 2.0 and 3.0 pass the primality test, and the table would answer 1/2
+        with pytest.raises(SchemaError, match="must be an integer"):
+            rs_limit("Sp", 4, 5, r, s)

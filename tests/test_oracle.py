@@ -577,3 +577,23 @@ class TestTuplesPinned:
             got[family, n, p] = _digest(answers)
         assert got == want
         assert family_rows == 47
+
+
+class TestGenericIsMonotone:
+    def test_one_more_class_keeps_a_generic_tuple_generic(self):
+        # adding a class to a tuple that topologically generates leaves one
+        # that still does; the extra class is one decide profiles (Spin8
+        # shapes outside the triality catalogue are not)
+        rng = random.Random(20261020)
+        groups = _query_groups()
+        pools = {g: [c for c in enumerate_class_shapes(g) if _verdict(g, [c, c]) is not None] for g in groups}
+        checked = 0
+        while checked < 3000:
+            g = rng.choice(groups)
+            classes = [rng.choice(pools[g]) for _ in range(rng.randint(2, 5))]
+            if _verdict(g, classes).reason != "Generic":
+                continue
+            extended = classes + [rng.choice(pools[g])]
+            verdict = decide(g, extended)
+            assert (verdict.empty, verdict.reason) == (False, "Generic"), (g, extended)
+            checked += 1

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from topogen.algebra_core import GroupSpec
-from topogen.errors import BoundExceeded, TopogenError, UnsupportedGroup
+from topogen.errors import BoundExceeded, SchemaError, TopogenError, UnsupportedGroup
 import topogen.oracle
 from topogen.stabilizers import (
     _c_value,
@@ -61,6 +61,17 @@ class TestGenericallyFree:
     def test_fixed_space_sanity(self):
         with pytest.raises(UnsupportedGroup):
             generically_free("E8", 10, 11)
+
+    def test_dimensions_must_be_integers(self):
+        g = GroupSpec("SL", 2, 0)
+        with pytest.raises(SchemaError, match="dimV must be an integer, not 30.5"):
+            generically_free(g, 30.5, 0)
+        with pytest.raises(SchemaError, match="dimVG must be an integer"):
+            generically_free(g, 30, 0.0)
+
+    def test_group_must_be_a_group_or_a_type_name(self):
+        with pytest.raises(SchemaError, match="not 5"):
+            generically_free(5, 30, 0)
 
 
 class TestShapeEnumeration:
