@@ -10,19 +10,26 @@ A permutation is the bytes of its images, composed, inverted and conjugated
 by the C-level ``bytes.translate`` and ``bytes.maketrans``; that caps
 projective space at 256 points, more than any G/Z of order <= 10^6 acts on.
 
-All elimination is one sparse kernel, ``_echelon``: rows as dicts column ->
-element in, the reduced row echelon form out as {pivot column: row}, which
-is canonical. Rank, nullspace and inverse read that form. The invariant
-symmetric and alternating forms are the functionals on S^2 V and the
-exterior square that g fixes, and the invariant quadratic forms the
+All elimination is one sparse forward pass, ``_forward``: rows as dicts
+column -> element in, {pivot column: row} out, each row 1 at its pivot and
+0 left of it. Ranks read its pivots alone: the rank of a matrix, of g - 1
+on S^2 V or the exterior square, and every level of a Jordan type, the
+rank of (g - lam)^k from the images under g - lam of the forward rows of
+(g - lam)^(k-1). ``_echelon`` adds one back-substitution,
+``_back_substitute``, for the reduced row echelon form, which is canonical;
+the nullspace, the inverse and the keys of invariant subspaces read it. The
+invariant symmetric and alternating forms are the functionals on S^2 V and
+the exterior square that g fixes, and the invariant quadratic forms the
 polynomials in S^2 V* that x -> gx fixes; only unipotent class matrices
 search for one, since a diagonal semisimple one carries the standard form
 ``_standard_form``, the form of the Sp generators too. Every Lie
-centraliser is a fixed space: of g on S^2 V or the exterior square (Sp,
-SO), or of X -> g X g^-1 (SL). Jordan types take the rank of (g - lam)^k
-from the echelon rows of (g - lam)^(k-1) times g - lam. Invariant subspaces
-are found by ``_bfs``, the breadth-first search that lists G/Z, each keyed
-by its echelon rows and grown by the lines of ``Field.projective_points``.
+centraliser is a kernel: of g - 1 on S^2 V or the exterior square (Sp,
+SO), or of X -> Xg - gX (SL). Invariant subspaces are found by
+``_bfs``, the breadth-first search that lists G/Z, each keyed by its
+echelon rows and grown by the lines of ``Field.projective_points``.
+Schreier–Sims inverts each generator once: every other element is a
+product of known elements and carries their inverses, whose product is
+formed only when the element is kept.
 
 Every element of GF(p^k) is one Python int, the packed coefficient vector
 sum c_i * B^i of its representative polynomial over GF(p), with B a power
@@ -37,7 +44,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import count, product
+from itertools import compress, count, product
 from math import gcd, inf, isqrt, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -279,8 +286,7 @@ class GFMatrix:
         self.n = len(self.entries)
         if any(len(row) != self.n for row in self.entries):
             raise SchemaError("matrix must be square")
-        if self.n > MAX_DIM:
-            raise SchemaError(f"matrix dimension {self.n} exceeds {MAX_DIM}")
+        _check_dim(self.n)
         self.form = (
             tuple(tuple(F.coerce(x) for x in row) for row in form)
             if form is not None
@@ -291,6 +297,13 @@ class GFMatrix:
             raise SchemaError("form matrix given without a form kind")
         if self.form is not None:
             _check_form_preserved(F, self.entries, self.form, form_kind)
+
+    @classmethod
+    def _reduced(cls, q: int, entries: tuple) -> "GFMatrix":
+        """The matrix of a square tuple of tuples of elements of GF(q), taken as it is."""
+        m = cls.__new__(cls)
+        m.q, m.field, m.entries, m.n, m.form, m.form_kind = q, _field(q), entries, len(entries), None, None
+        return m
 
     def __eq__(self, other):
         return isinstance(other, GFMatrix) and (self.q, self.entries) == (
@@ -303,6 +316,11 @@ class GFMatrix:
 
     def __repr__(self):
         return f"GFMatrix(q={self.q}, n={self.n}, form_kind={self.form_kind})"
+
+
+def _check_dim(n: int) -> None:
+    if n > MAX_DIM:
+        raise SchemaError(f"matrix dimension {n} exceeds {MAX_DIM}")
 
 
 def _identity(F: Field, n: int):
@@ -336,67 +354,95 @@ def _shift(F: Field, g, lam):
     return tuple(row[:i] + (F.sub(row[i], lam),) + row[i + 1 :] for i, row in enumerate(g))
 
 
-def _echelon(F: Field, rows, base: Optional[dict] = None) -> dict:
-    """The reduced echelon form of the rows, and of the rows of the form
-    ``base`` when given (it is left as it is): {pivot column: row}, each row
-    a dict column -> nonzero element with 1 at its pivot and 0 at every
-    other pivot column. A row may be such a dict or a dense sequence.
+def _sparse(row) -> dict:
+    """The dense row as a dict column -> nonzero element, picked out at C level."""
+    return dict(zip(compress(count(), row), filter(None, row)))
 
-    Rows are inserted one at a time, in decreasing order of their first
-    nonzero column. A row is reduced by subtracting, for each pivot column
-    where it is nonzero, that multiple of the pivot's row: pivot rows
-    vanish at each other's pivots, so the multiples are the row's own
-    entries and one pass suffices. A nonzero remainder becomes the row of
-    its first column, which is then cleared from the rows of smaller
-    pivots. Each pivot is the first column of a vector of the row space,
-    so the pivots, and with them the rows, are those of the reduced row
-    echelon form whatever the order of insertion; the order only keeps the
-    intermediate forms, and the clearing, small on banded and triangular
-    systems."""
-    red = F.red
-    form = dict(base or {})
-    # rows are zero left of their pivots: a pivot left of all others clears nothing
-    low = min(form, default=inf)
-    pending = [
-        r
-        for row in rows
-        if (r := dict(row) if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x})
-    ]
+
+def _forward(F: Field, rows, form: dict) -> dict:
+    """Forward elimination of the rows into ``form``, {pivot column: row}
+    with each row 1 at its pivot and 0 left of it, which it returns. A row
+    (a dict column -> nonzero element, or a dense sequence) subtracts the
+    pivot row of its first nonzero column while there is one, and what is
+    left, scaled, is the row of a new pivot. Rows go in decreasing order of
+    their first column, so, in an empty form, one whose first column is no
+    pivot is left of every pivot: triangular and banded systems take no
+    subtraction."""
+    red, P = F.red, F._p_digits
+    pending = [r for row in rows if (r := dict(row) if isinstance(row, dict) else _sparse(row))]
     pending.sort(key=min, reverse=True)
     for r in pending:
-        if hits := form.keys() & r.keys():
-            for t, c in enumerate(hits, 1):
-                nf = F.neg(r.pop(c))
-                for j, y in form[c].items():
-                    if j != c:
-                        r[j] = r.get(j, 0) + nf * y
-                if t % (MAX_DIM - 1) == 0:  # sums of more products could carry
-                    r = {j: red[x] for j, x in r.items()}
-            r = {j: x for j, s in r.items() if (x := red[s])}
-            if not r:
+        t = 0
+        while r:
+            c = min(r)
+            if not (x := red[r[c]]):
+                del r[c]
                 continue
-        c = min(r)
-        if r[c] != F.one:
-            inv = F.inv(r[c])
-            r = {j: red[inv * x] for j, x in r.items()}
-        if c > low:
-            for d, e in form.items():
-                if f := e.get(c):
-                    nf = F.neg(f)
-                    e = dict(e)
-                    for j, y in r.items():
-                        if x := red[e.get(j, 0) + nf * y]:
-                            e[j] = x
-                        else:
-                            e.pop(j, None)
-                    form[d] = e
-        low = min(low, c)
+            if (e := form.get(c)) is None:
+                break
+            nx = red[P - x]
+            # e is 1 at c: this leaves x - x at c, deleted below
+            for j, y in e.items():
+                r[j] = r.get(j, 0) + nx * y
+            del r[c]
+            t += 1
+            if t % (MAX_DIM - 1) == 0:  # sums of more products could carry
+                r = {j: red[s] for j, s in r.items()}
+        else:
+            continue
+        if t:  # a row that took no step holds its own entries, nonzero elements
+            r = {j: y for j, s in r.items() if (y := red[s])}
+        if x != F.one:
+            ix = F.inv(x)
+            r = {j: red[ix * y] for j, y in r.items()}
         form[c] = r
     return form
 
 
+def _back_substitute(F: Field, form: dict, new) -> dict:
+    """The reduced echelon form of a forward form (``_forward``), in place,
+    when its rows at pivots outside ``new`` already vanish at each other's
+    pivots. In decreasing order of pivot, a row nonzero at pivots right of
+    its own (only new ones, for an old row) subtracts those multiples of
+    their rows; these are reduced by then, so one pass clears them all."""
+    red, P = F.red, F._p_digits
+    # a row right of every new pivot is zero there, and reduced
+    top = max(new, default=-1)
+    for d in sorted(form, reverse=True):
+        if d > top:
+            continue
+        row = form[d]
+        hits = row.keys() & (form.keys() if d in new else new)
+        hits.discard(d)
+        if not hits:
+            continue
+        # a new row is _forward's own; an old one may be the caller's
+        r = row if d in new else dict(row)
+        for t, c in enumerate(hits, 1):
+            nx = red[P - r[c]]
+            # form[c] is 1 at c: this leaves x - x at c, deleted below
+            for j, y in form[c].items():
+                r[j] = r.get(j, 0) + nx * y
+            del r[c]
+            if t % (MAX_DIM - 1) == 0:  # sums of more products could carry
+                r = {j: red[s] for j, s in r.items()}
+        form[d] = {j: y for j, s in r.items() if (y := red[s])}
+    return form
+
+
+def _echelon(F: Field, rows, base: Optional[dict] = None) -> dict:
+    """The reduced echelon form of the rows, and of the rows of the form
+    ``base`` when given (it is left as it is): {pivot column: row}, each row
+    a dict column -> nonzero element with 1 at its pivot and 0 at every
+    other pivot column. A row may be such a dict or a dense sequence. It is
+    canonical: ``_forward`` into a copy of base, then ``_back_substitute``."""
+    form = _forward(F, rows, dict(base or {}))
+    return _back_substitute(F, form, form.keys() - base.keys() if base else form.keys())
+
+
 def _rank(F: Field, rows) -> int:
-    return len(_echelon(F, rows))
+    """The number of pivots, which the forward pass alone gives."""
+    return len(_forward(F, rows, {}))
 
 
 def _nullspace(F: Field, rows, ncols: int):
@@ -470,8 +516,9 @@ def jordan_type(m: GFMatrix, eigenvalues=None) -> dict:
     scan = F.elements() if eigenvalues is None else [F.coerce(x) for x in eigenvalues]
     red = F.red
     for lam in scan:
-        # rank((m - lam)^k): the row space of N^k is that of N^(k-1) times N
-        N = [{j: x for j, x in enumerate(row) if x} for row in _shift(F, m.entries, lam)]
+        # rank((m - lam)^k): the row space of N^k is that of N^(k-1) times
+        # N, spanned by the images of the forward rows of N^(k-1)
+        N = list(map(_sparse, _shift(F, m.entries, lam)))
 
         def times_n(w):
             acc: dict = {}
@@ -480,10 +527,10 @@ def jordan_type(m: GFMatrix, eigenvalues=None) -> dict:
                     acc[j] = acc.get(j, 0) + x * y
             return {j: x for j, s in acc.items() if (x := red[s])}
 
-        form = _echelon(F, N)
+        form = _forward(F, N, {})
         ranks = [n, len(form)]
         while ranks[-1] != ranks[-2]:
-            form = _echelon(F, map(times_n, form.values()))
+            form = _forward(F, map(times_n, form.values()), {})
             ranks.append(len(form))
         mult = n - ranks[1]
         if mult == 0:
@@ -537,17 +584,21 @@ def induced_matrix(m: GFMatrix, functor: str) -> GFMatrix:
         return kron(m, m)
     if functor not in ("wedge2", "sym2"):
         raise NotApplicable(f"unknown functor {functor!r}")
-    cols = _square_images(m.field, m.entries, functor == "wedge2")
-    return GFMatrix(m.q, zip(*[[col.get(r, 0) for r in range(len(cols))] for col in cols]))
+    wedge = functor == "wedge2"
+    d = m.n * (m.n + 1 - 2 * wedge) // 2
+    _check_dim(d)
+    cols = _square_images(m.field, m.entries, wedge)
+    return GFMatrix._reduced(m.q, tuple(zip(*[[col.get(r, 0) for r in range(d)] for col in cols])))
 
 
 def kron(m1: GFMatrix, m2: GFMatrix) -> GFMatrix:
     """Kronecker (tensor) product of two matrices over the same field."""
     if m1.q != m2.q:
         raise SchemaError("tensor factors must live over the same field")
+    _check_dim(m1.n * m2.n)
     red = m1.field.red
-    ent = [[red[x * y] for x in ra for y in rb] for ra in m1.entries for rb in m2.entries]
-    return GFMatrix(m1.q, ent)
+    ent = tuple(tuple([red[x * y] for x in ra for y in rb]) for ra in m1.entries for rb in m2.entries)
+    return GFMatrix._reduced(m1.q, ent)
 
 
 # ---------------------------------------------------------------------------
@@ -807,11 +858,18 @@ def centralizer_lie_dim(group: GroupSpec, m: GFMatrix) -> int:
             raise SchemaError("Sp/SO centralizer needs a form-tagged matrix")
         images = _square_images(F, m.entries, target.family != "Sp" and F.p != 2, F.one)
         return len(images) - _rank(F, images)
-    # {X : Xg = gX} is the fixed space of X -> g X g^-1, the matrix g (x) g^-T
-    # on X's entries, numbered k * n + l; trace X = 0 is one more row
-    n = m.n
-    conj = kron(m, GFMatrix(m.q, _transpose(_mat_inv(F, m.entries))))
-    rows = [*_shift(F, conj.entries, F.one), {i * n + i: F.one for i in range(n)}]
+    # {X : Xg = gX} is the kernel of X -> Xg - gX, on X's entries numbered
+    # k * n + l: (Xg - gX)_kl = sum_j X_kj g_jl - sum_i g_ki X_il; trace X
+    # = 0 is one more row
+    n, red, P = m.n, F.red, F._p_digits
+    _check_dim(n * n)  # X's n^2 entries are the unknowns
+    g_rows, g_cols = list(map(_sparse, m.entries)), list(map(_sparse, zip(*m.entries)))
+    rows = [{i * n + i: F.one for i in range(n)}]
+    for k, l in product(range(n), repeat=2):
+        acc = {k * n + j: x for j, x in g_cols[l].items()}
+        for i, x in g_rows[k].items():
+            acc[i * n + l] = acc.get(i * n + l, 0) + P - x
+        rows.append({v: y for v, s in acc.items() if (y := red[s])})
     return n * n - _rank(F, rows)
 
 
@@ -965,23 +1023,29 @@ def _schreier_sims(gens, identity, mul, inv, image, moved, cap=inf) -> int:
     Level k of the stabiliser chain has a base point, the generators added
     at that level (they fix the earlier base points) and a transversal:
     for each point of the base point's orbit, an element taking the base
-    point there, with its inverse. Each new generator extends the orbit;
-    each Schreier generator (transversal element times generator, divided
-    by the transversal element of its image) is sifted into the next
-    level and added there when it does not sift to the identity. The
+    point there; both with their inverses. Each new generator extends the
+    orbit; each Schreier generator (transversal element times generator,
+    divided by the transversal element of its image) is sifted into the
+    next level and added there when it does not sift to the identity. The
     order is the product of the orbit lengths. That product never exceeds
     the order while the chain grows, so once it exceeds cap the answer is
-    cap + 1."""
+    cap + 1.
+
+    inv runs once per generator. Every other element is a product of
+    elements whose inverses are known, and carries the factors of its own
+    inverse, which are multiplied only when it is kept (Seress, sec. 4.2)."""
     base: list = []
-    added: list = []
+    added: list = []  # (generator, its inverse) for each level
     transversal: list = []
     order = 1  # the product of the orbit lengths
-    # (k, g, True): add g to level k unless it sifts to the identity;
-    # (k, g, False): g lies in level k's group; extend the orbit by its
-    # image of the base point, or sift its Schreier generator into level k + 1
-    work = [(0, g, True) for g in gens]
+    # (k, g, x, y, True): add g to level k unless it sifts to the identity;
+    # (k, g, x, y, False): g lies in level k's group; extend the orbit by
+    # its image of the base point, or sift its Schreier generator into
+    # level k + 1. g^-1 is x, then y: x alone when y is None, and x, then
+    # the pair y, for a sifted Schreier generator
+    work = [(0, g, inv(g), None, True) for g in gens]
     while work:
-        k, g, new = work.pop()
+        k, g, x, y, new = work.pop()
         if not new:
             point = image(g, base[k])
             level = transversal[k]
@@ -990,10 +1054,10 @@ def _schreier_sims(gens, identity, mul, inv, image, moved, cap=inf) -> int:
                 order = order // len(level) * (len(level) + 1)
                 if order > cap:
                     return cap + 1
-                level[point] = (g, inv(g))
-                work += [(k, mul(g, s), False) for s in added[k]]
+                level[point] = (g, g_inv := mul(x, y))
+                work += [(k, mul(g, s), s_inv, g_inv, False) for s, s_inv in added[k]]
             elif u[0] != g:
-                work.append((k + 1, mul(g, u[1]), True))
+                work.append((k + 1, mul(g, u[1]), u[0], (x, y), True))
             continue
         h = g
         for b, level in zip(base[k:], transversal[k:]):
@@ -1011,8 +1075,8 @@ def _schreier_sims(gens, identity, mul, inv, image, moved, cap=inf) -> int:
                 base.append(point)
                 added.append([])
                 transversal.append({point: (identity, identity)})
-        added[k].append(g)
-        work += [(k, mul(u, g), False) for u, _ in transversal[k].values()]
+        added[k].append((g, g_inv := x if y is None else mul(x, mul(*y))))
+        work += [(k, mul(u, g), g_inv, u_inv, False) for u, u_inv in transversal[k].values()]
     return order
 
 
@@ -1197,7 +1261,8 @@ def invariant_subspace_count(
         raise SchemaError(f"unknown subspace type {type!r}")
     if type == "totally_singular" and m.form is None:
         raise SchemaError("totally singular counting needs a form-tagged matrix")
-    bil = _polarization(F, m.form, m.form_kind) if m.form is not None else None
+    # the columns of the polarization B: B(u, v) = 0 is the row B^T u on v
+    bil_cols = _transpose(_polarization(F, m.form, m.form_kind)) if m.form is not None else None
     # jordan_type raises NonSplit when stable flags would not be exhaustive
     shifts = [_shift(F, m.entries, lam) for lam in jordan_type(m)]
     red = F.red
@@ -1228,21 +1293,20 @@ def invariant_subspace_count(
                 rows.append(row)
             if type == "totally_singular":
                 # and v orthogonal to U: B(u, v) = 0 for U's echelon rows
-                for u in U.values():
-                    rows.append(
-                        [red[sum(x * bil[i][j] for i, x in u.items())] for j in range(n)]
-                    )
-            W = _echelon(F, _nullspace(F, rows, n), U)
-            # W contains U; W's echelon rows at the pivots U lacks span
-            # a complement of U, and each of its lines gives one U + v
-            ext = [W[c] for c in sorted(W) if c not in U]
-            ext_cols = _transpose([[e.get(j, F.zero) for j in range(n)] for e in ext])
-            for coeffs in F.projective_points(len(ext)):
-                v = _mat_vec(F, ext_cols, coeffs)
-                # U is totally singular and v orthogonal to it: Q is Q(v) on v + U
-                if type == "totally_singular" and not _is_singular_vector(F, m.form, v):
+                rows += [_mat_vec(F, bil_cols, [u.get(i, 0) for i in range(n)]) for u in U.values()]
+            # W contains U; the forward rows W adds to U's echelon rows
+            # span a complement of U, and each of its lines gives one U + v
+            W = _forward(F, _nullspace(F, rows, n), dict(U))
+            E = [[row.get(j, 0) for j in range(n)] for c, row in W.items() if c not in U]
+            ext_cols = _transpose(E)
+            if type == "totally_singular":
+                # U is totally singular and v orthogonal to it: Q is Q(v)
+                # on v + U, and Q(coeffs . E) = coeffs^T (E X E^T) coeffs
+                gram = _mat_mul(F, _mat_mul(F, E, m.form), ext_cols)
+            for coeffs in F.projective_points(len(E)):
+                if type == "totally_singular" and not _is_singular_vector(F, gram, coeffs):
                     continue
-                form = _echelon(F, [v], U)
+                form = _echelon(F, [_mat_vec(F, ext_cols, coeffs)], U)
                 yield tuple(tuple(sorted(form[c].items())) for c in sorted(form))
 
     return sum(len(key) == k for key in _bfs((), grow))

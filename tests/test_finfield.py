@@ -1,7 +1,10 @@
 """Unit tests for the finite-field verification layer."""
 
 import hashlib
+import math
+import operator
 import random
+import tracemalloc
 import types
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -11,7 +14,7 @@ from math import gcd
 import pytest
 
 from topogen import finfield
-from topogen.algebra_core import GroupSpec, is_prime, semisimple, unipotent, validate_class
+from topogen.algebra_core import GroupSpec, conjugate_partition, is_prime, semisimple, unipotent, validate_class
 from topogen.closure import _partitions
 from topogen.errors import (
     EnumerationTooLarge,
@@ -1446,6 +1449,46 @@ def test_pg_is_measured_by_its_own_listing(monkeypatch):
     assert type(points) is tuple and len(points) == (5**7 - 1) // 4 == 19531
 
 
+def test_ranks_take_the_forward_pass_alone(monkeypatch):
+    # ``jordan_type``, ``fixed_space_dim`` and ``centralizer_lie_dim`` read
+    # only the pivots of ``_forward``, never the reduced echelon form
+    cases = [(GroupSpec("Sp", 4, 3), unipotent_matrix((2, 2), 3, "symplectic"))]
+    for group in (GroupSpec("Sp", 4, 0), GroupSpec("SO", 7, 0), GroupSpec("SL", 3, 0)):
+        cases += [(group, matrix_from_class(group, cls, 13)) for cls in enumerate_class_shapes(group)]
+    want = [(jordan_type(m), fixed_space_dim(m), centralizer_lie_dim(g, m)) for g, m in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("back-substitution ran")
+
+    monkeypatch.setattr(finfield, "_back_substitute", refuse)
+    assert [(jordan_type(m), fixed_space_dim(m), centralizer_lie_dim(g, m)) for g, m in cases] == want
+    with pytest.raises(AssertionError, match="back-substitution ran"):
+        finfield._nullspace(finfield._field(3), [(1, 1)], 2)
+
+
+def test_schreier_sims_inverts_each_generator_once(monkeypatch):
+    # every other inverse is the product of two known ones
+    schreier_sims, inversions = finfield._schreier_sims, []
+
+    def counted(gens, identity, mul, inv, image, moved, cap=math.inf):
+        def counted_inv(g):
+            inversions.append(g)
+            return inv(g)
+
+        gens = list(gens)
+        order = schreier_sims(gens, identity, mul, counted_inv, image, moved, cap)
+        assert len(inversions) == len(gens) and all(map(operator.eq, inversions, gens))
+        inversions.clear()
+        return order
+
+    monkeypatch.setattr(finfield, "_schreier_sims", counted)
+    for family, n, q in (("SL", 3, 3), ("Sp", 4, 2)):
+        assert group_closure(standard_generators(family, n, q)) == (group_order(family, n, q), False)
+    data, xr, xs = finfield._elements_of_orders(("SL", 2, 7), 2, 3, 10**5)
+    orders = {finfield._perm_group_order([x, y]) for x in xr[:8] for y in xs[:8]}
+    assert projective_order("SL", 2, 7) == 168 in orders
+
+
 class TestNaturalProfiles:
     """(d, e, quadratic) of ``_natural_profile``, which ``decide`` reads,
     against the Jordan type of a matrix of the class: the largest
@@ -1534,3 +1577,179 @@ class TestInvariantSubspaceCount:
                 for v in vectors
                 if v not in S
             }
+
+
+def _gauss_jordan(F, rows, ncols):
+    """The reduced row echelon form of the dense rows, {pivot column: row},
+    by textbook Gauss–Jordan elimination with the field's own arithmetic."""
+    A = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if (p := next((i for i in range(r, len(A)) if A[i][c] != F.zero), None)) is None:
+            continue
+        A[r], A[p] = A[p], A[r]
+        A[r] = [F.mul(F.inv(A[r][c]), x) for x in A[r]]
+        for i, row in enumerate(A):
+            if i != r and row[c] != F.zero:
+                A[i] = [F.sub(x, F.mul(row[c], y)) for x, y in zip(row, A[r])]
+        pivots.append(c)
+    return {c: tuple(A[i]) for i, c in enumerate(pivots)}
+
+
+def _kernel_cases(q):
+    """Seeded random matrices over GF(q), n up to 12, sparse and dense, of
+    low and full rank, with zero and duplicate rows added."""
+    F = finfield._field(q)
+    rng = random.Random(1000 + q)
+    elems = F.elements()
+    for t in range(24):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        density = (0.15, 0.5, 1.0)[t % 3]
+        if t % 2:
+            A = [list(row) for row in _random_matrix(F, rng, nrows, ncols, rng.randint(1, min(nrows, ncols)))]
+        else:
+            A = [[rng.choice(elems) if rng.random() < density else F.zero for _ in range(ncols)] for _ in range(nrows)]
+        if t % 4 == 0:
+            A.insert(rng.randint(0, len(A)), [F.zero] * ncols)
+        if t % 3 == 0:
+            A.insert(rng.randint(0, len(A)), list(rng.choice(A)))
+        yield F, [tuple(row) for row in A], ncols
+
+
+class TestKernelAgainstGaussJordan:
+    """``_echelon`` (with and without ``base``), ``_rank``, ``_nullspace``
+    and ``_mat_inv`` against a dense Gauss–Jordan elimination."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16])
+    def test_echelon_rank_and_nullspace(self, q):
+        for F, A, ncols in _kernel_cases(q):
+            want = _gauss_jordan(F, A, ncols)
+            sparse = [{j: x for j, x in enumerate(row) if x} for row in A]
+            for rows in (A, sparse):
+                form = finfield._echelon(F, rows)
+                assert {c: tuple(row.get(j, F.zero) for j in range(ncols)) for c, row in form.items()} == want, A
+                assert finfield._rank(F, rows) == len(want)
+            null = [
+                tuple(F.one if j == fc else F.neg(want[j][fc]) if j in want else F.zero for j in range(ncols))
+                for fc in range(ncols)
+                if fc not in want
+            ]
+            assert finfield._nullspace(F, A, ncols) == finfield._nullspace(F, sparse, ncols) == null
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16])
+    def test_echelon_onto_a_base(self, q):
+        # the rows of the base count as rows of the system, and the base is left as it is
+        rng = random.Random(q)
+        for F, A, ncols in _kernel_cases(q):
+            cut = rng.randint(0, len(A))
+            base = finfield._echelon(F, A[:cut])
+            kept = {c: dict(row) for c, row in base.items()}
+            form = finfield._echelon(F, A[cut:], base)
+            assert {c: tuple(row.get(j, F.zero) for j in range(ncols)) for c, row in form.items()} == _gauss_jordan(F, A, ncols)
+            assert base == kept
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16])
+    def test_inverse(self, q):
+        F = finfield._field(q)
+        rng = random.Random(2000 + q)
+        elems = F.elements()
+        for n in list(range(1, 13)) * 2:
+            A = tuple(tuple(rng.choice(elems) for _ in range(n)) for _ in range(n))
+            want = _gauss_jordan(F, [row + e for row, e in zip(A, _scalar(F, F.one, n))], 2 * n)
+            if max(want) >= n:
+                with pytest.raises(ZeroDivisionError):
+                    finfield._mat_inv(F, A)
+                continue
+            assert finfield._mat_inv(F, A) == tuple(want[i][n:] for i in range(n))
+
+
+def _jordan_by_echelon_levels(m, eigenvalues=None):
+    """Jordan types by the level loop on reduced echelon forms: the rank of
+    (m - lam)^k from the reduced echelon rows of (m - lam)^(k-1) times
+    m - lam, each level eliminated by ``_echelon``."""
+    F, n = m.field, m.n
+    result = {}
+    for lam in F.elements() if eigenvalues is None else eigenvalues:
+        N = [{j: x for j, x in enumerate(row) if x} for row in finfield._shift(F, m.entries, lam)]
+
+        def times_n(w):
+            acc = {}
+            for i, x in w.items():
+                for j, y in N[i].items():
+                    acc[j] = F.add(acc.get(j, F.zero), F.mul(x, y))
+            return {j: x for j, x in acc.items() if x}
+
+        form = finfield._echelon(F, N)
+        ranks = [n, len(form)]
+        while ranks[-1] != ranks[-2]:
+            form = finfield._echelon(F, map(times_n, form.values()))
+            ranks.append(len(form))
+        if ranks[1] < n:
+            result[lam] = conjugate_partition([a - b for a, b in zip(ranks, ranks[1:])])
+    return result
+
+
+class TestJordanAgainstLevelLoop:
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_blocks_job_matrices(self, q):
+        # J_a (x) J_b, wedge2 J_a and sym2 J_a for a, b in 2..8
+        F = finfield._field(q)
+        blocks = {a: GFMatrix(q, finfield._jordan_block(F, a, F.one)) for a in range(2, 9)}
+        matrices = [induced_matrix(j, f) for j in blocks.values() for f in ("wedge2", "sym2")]
+        matrices += [kron(ja, jb) for ja in blocks.values() for jb in blocks.values()]
+        for m in matrices:
+            assert jordan_type(m, eigenvalues=[F.one]) == _jordan_by_echelon_levels(m, [F.one])
+
+    @pytest.mark.parametrize("q", [11, 13])
+    def test_natural_profile_matrices(self, q):
+        # the matrices of ``TestNaturalProfiles``, with the full eigenvalue scan
+        groups = [("SL", n) for n in range(2, 7)] + [("Sp", n) for n in (4, 6, 8)] + [("SO", n) for n in (5, 7, 9, 10)]
+        seen = 0
+        for family, n in groups:
+            group = GroupSpec(family, n, 0)
+            for cls in enumerate_class_shapes(group):
+                try:
+                    m = matrix_from_class(group, cls, q)
+                except Uninstantiable:
+                    continue
+                assert jordan_type(m) == _jordan_by_echelon_levels(m), (family, n, cls)
+                seen += 1
+        assert seen == {11: 180, 13: 186}[q]
+
+
+class TestKernelOutput:
+    def test_kron_and_induced_matrices_refuse_before_they_build(self):
+        # J_65 (x) J_65, sym2 J_91 and wedge2 J_92 would have dimension
+        # 4225, 4186 and 4186, above MAX_DIM = 4096
+        F = finfield._field(2)
+        j65, j91, j92 = (GFMatrix(2, finfield._jordan_block(F, a, F.one)) for a in (65, 91, 92))
+        builds = [lambda: kron(j65, j65), lambda: induced_matrix(j65, "tensor")]
+        builds += [lambda: induced_matrix(j91, "sym2"), lambda: induced_matrix(j92, "wedge2")]
+        tracemalloc.start()
+        try:
+            for build in builds:
+                with pytest.raises(SchemaError, match=f"matrix dimension 4[0-9]* exceeds {finfield.MAX_DIM}"):
+                    build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize("q", [2, 4, 9])
+    def test_outputs_are_matrices_of_elements(self, q):
+        # built from reduced entries, without a coercion pass, they equal the
+        # matrices of the same entries built through GFMatrix
+        F = finfield._field(q)
+        rng = random.Random(q)
+        a, b = (GFMatrix(q, [[rng.choice(F.elements()) for _ in range(n)] for _ in range(n)]) for n in (3, 4))
+        for m in (kron(a, b), induced_matrix(b, "wedge2"), induced_matrix(b, "sym2"), induced_matrix(a, "tensor")):
+            same = GFMatrix(q, m.entries)
+            assert (m, hash(m), m.n, m.field, m.form, m.form_kind) == (same, hash(same), same.n, same.field, None, None)
+            assert type(m.entries) is tuple and all(type(row) is tuple for row in m.entries)
+
+    def test_sl_centralizer_refuses_above_max_dim(self):
+        # X's 65^2 = 4225 entries are the unknowns of {X : Xg = gX}
+        m = GFMatrix(2, finfield._identity(finfield._field(2), 65))
+        with pytest.raises(SchemaError, match=f"matrix dimension 4225 exceeds {finfield.MAX_DIM}"):
+            centralizer_lie_dim(GroupSpec("SL", 65, 2), m)
