@@ -4,11 +4,16 @@ Everything here is independent of the symbolic machinery: explicit matrices,
 exact linear algebra, and exhaustive or Monte Carlo generation tests, which
 compare the order of the generated group (Schreier–Sims on the points of
 projective space) with that of PG = G/Z, measured by its own listing: PG is
-the only group ever listed, breadth first, as permutations of those points;
-a group of matrices is measured by Schreier–Sims on vectors, never listed.
-A permutation is the bytes of its images, composed, inverted and conjugated
-by the C-level ``bytes.translate`` and ``bytes.maketrans``; that caps
-projective space at 256 points, more than any G/Z of order <= 10^6 acts on.
+the only group ever listed, breadth first, as permutations of those points.
+A group of matrices is never listed: Schreier–Sims measures it on its
+nonzero vectors, as permutations when there are at most 256 of them and as
+matrices otherwise. A permutation is the bytes of its images, composed,
+inverted and conjugated by the C-level ``bytes.translate`` and
+``bytes.maketrans``; that caps projective space at 256 points, more than
+any G/Z of order <= 10^6 acts on. Generation does not change under
+conjugation, so the exact probabilities and Monte Carlo alike test one pair
+per orbit of PG on pairs: a class representative (``_conjugacy_class``)
+and the least element of an orbit of its centraliser (``_centralizer``).
 
 All elimination is one sparse forward pass, ``_forward``: rows as dicts
 column -> element in, {pivot column: row} out, each row 1 at its pivot and
@@ -25,8 +30,9 @@ search for one, since a diagonal semisimple one carries the standard form
 ``_standard_form``, the form of the Sp generators too. Every Lie
 centraliser is a kernel: of g - 1 on S^2 V or the exterior square (Sp,
 SO), or of X -> Xg - gX (SL). Invariant subspaces are found by
-``_bfs``, the breadth-first search that lists G/Z, each keyed by its
-echelon rows and grown by the lines of ``Field.projective_points``.
+``_bfs``, the breadth-first search that also lists G/Z and walks its
+conjugacy classes; each subspace is keyed by its echelon rows and grown
+by the lines of ``Field.projective_points``.
 Schreier–Sims inverts each generator once: every other element is a
 product of known elements and carries their inverses, whose product is
 formed only when the element is kept.
@@ -49,7 +55,7 @@ from math import gcd, inf, isqrt, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .algebra_core import ClassDescriptor, GroupSpec, _unpaired_parts, conjugate_partition, validate_class
+from .algebra_core import ClassDescriptor, GroupSpec, _unpaired_parts, _whole, conjugate_partition, validate_class
 from .errors import (
     EnumerationTooLarge,
     GroupTooLarge,
@@ -934,7 +940,8 @@ def _closure_order(F: Field, gen_entries, cap: int) -> int:
     """The order of the group the invertible matrices generate, or cap + 1
     when it exceeds cap, by ``_schreier_sims`` on their action on column
     vectors, which is faithful. The base points are standard basis
-    vectors, and the group is not listed."""
+    vectors, and the group is not listed. ``group_closure`` takes this
+    route when GF(q)^n has more than 256 nonzero vectors."""
     identity = _identity(F, len(gen_entries[0]))
     return _schreier_sims(
         gen_entries,
@@ -947,20 +954,39 @@ def _closure_order(F: Field, gen_entries, cap: int) -> int:
     )
 
 
+def _at_least(x, what: str, least: int) -> int:
+    """x as an int, if it is an integer (``_whole``) of at least ``least``;
+    SchemaError otherwise."""
+    if (x := _whole(x, what)) < least:
+        raise SchemaError(f"{what} must be at least {least}, not {x}")
+    return x
+
+
 def group_closure(generators: Iterable[GFMatrix], cap: int = 10**6):
     """(size, truncated) of the group the invertible matrices generate:
-    (its order, False), or (cap + 1, True) when the order exceeds cap. The
-    order comes from ``_closure_order``, and the group is not listed.
-    Generators of different q or n, or singular ones, raise SchemaError."""
+    (its order, False), or (cap + 1, True) when the order exceeds cap, a
+    non-negative integer. The group is not listed: its order comes from
+    Schreier–Sims on the action on nonzero column vectors, which is
+    faithful. When GF(q)^n has at most 256 of them, each generator becomes
+    the bytes of its images (``_perm_group_order``); otherwise the
+    matrices themselves act (``_closure_order``). Generators of different
+    q or n, or singular ones, raise SchemaError."""
+    cap = _at_least(cap, "cap", 0)
     gens = list(generators)
     if not gens:
-        return 1, False
+        return 1, cap == 0  # the trivial group, over the cap only when cap is 0
     if len({(g.q, g.n) for g in gens}) > 1:
         raise SchemaError("generators must share the field and the dimension")
     F = gens[0].field
     if any(_rank(F, g.entries) < g.n for g in gens):
         raise SchemaError("generators must be invertible")
-    order = _closure_order(F, [g.entries for g in gens], cap)
+    if F.q ** gens[0].n - 1 <= 256:
+        vectors = list(product(F.elements(), repeat=gens[0].n))[1:]  # the zero vector is first
+        index = {v: i for i, v in enumerate(vectors)}
+        perms = [bytes([index[_mat_vec(F, g.entries, v)] for v in vectors]) for g in gens]
+        order = _perm_group_order(perms, cap)
+    else:
+        order = _closure_order(F, [g.entries for g in gens], cap)
     return (order, False) if order <= cap else (cap + 1, True)
 
 
@@ -1010,6 +1036,34 @@ def _closure_set(perms) -> set:
 def _conjugate(a: bytes, g: bytes, g_table: bytes) -> bytes:
     """g^-1, then a, then g: the permutation taking g[x] to g[a[x]]."""
     return bytes.maketrans(g, a.translate(g_table))[: len(a)]
+
+
+def _conjugacy_class(a: bytes, gens) -> dict:
+    """{b: d} over the conjugacy class of the permutation a in the group the
+    permutations ``gens`` generate, found by ``_bfs``: d is the table
+    (``_table``) of an element conjugating b to a, that is
+    _conjugate(b, d[:len(b)], d) == a."""
+    # each generator with its table and the table of its inverse
+    tables = [(g, t, bytes.maketrans(t, _BYTES)) for g in gens for t in [_table(g)]]
+    to_a = {a: _BYTES}
+
+    def conjugates(b):
+        d = to_a[b]
+        for g, g_table, g_inv in tables:
+            c = _conjugate(b, g, g_table)
+            if c not in to_a:
+                # c conjugated by g^-1 is b, so g^-1, then d, takes c to a
+                to_a[c] = g_inv.translate(d)
+            yield c
+
+    _bfs(a, conjugates)
+    return to_a
+
+
+def _centralizer(a: bytes, elements) -> list:
+    """(g, _table(g)) for every g of ``elements`` that commutes with a."""
+    a_table = _table(a)
+    return [(g, t) for g in elements if g.translate(a_table) == a.translate(t := _table(g))]
 
 
 def _schreier_sims(gens, identity, mul, inv, image, moved, cap=inf) -> int:
@@ -1080,10 +1134,11 @@ def _schreier_sims(gens, identity, mul, inv, image, moved, cap=inf) -> int:
     return order
 
 
-def _perm_group_order(gens) -> int:
+def _perm_group_order(gens, cap=inf) -> int:
     """Order of the group generated by permutations of range(N), N <= 256,
-    each the bytes of its images, by ``_schreier_sims`` on their
-    translation tables (``_table``), which compose by ``bytes.translate``."""
+    each the bytes of its images, or cap + 1 when it exceeds cap, by
+    ``_schreier_sims`` on their translation tables (``_table``), which
+    compose by ``bytes.translate``."""
     return _schreier_sims(
         [_table(g) for g in gens],
         _BYTES,
@@ -1091,6 +1146,7 @@ def _perm_group_order(gens) -> int:
         inv=lambda a: bytes.maketrans(a, _BYTES),
         image=bytes.__getitem__,
         moved=lambda g: None if g == _BYTES else next(x for x, y in enumerate(g) if x != y),
+        cap=cap,
     )
 
 
@@ -1163,9 +1219,17 @@ def _group_data(family: str, n: int, q: int, cap: int) -> _GroupData:
 
 def _elements_of_orders(groupspec: tuple, r: int, s: int, cap: int) -> tuple:
     """(data, xr, xs): the ``_GroupData`` of the group, and its elements of
-    order r and of order s modulo the centre. Raises NotApplicable when
-    either list is empty."""
-    family, n, q = groupspec
+    order r and of order s modulo the centre. Raises SchemaError before any
+    work unless groupspec is (family, n, q) with integers n >= 1 and
+    q >= 2, r and s are integers and cap is a non-negative integer, and
+    before any permutation is built unless q is a prime power (``_field``);
+    raises NotApplicable when either list is empty."""
+    try:
+        family, n, q = groupspec
+    except (TypeError, ValueError):
+        raise SchemaError(f"a group is (family, n, q), not {groupspec!r}") from None
+    n, q, cap = _at_least(n, "n", 1), _at_least(q, "q", 2), _at_least(cap, "cap", 0)
+    r, s = _whole(r, "r"), _whole(s, "s")
     data = _group_data(family, n, q, cap)
     xr = [a for a, k in data.pg_orders if k == r]
     xs = [a for a, k in data.pg_orders if k == s]
@@ -1179,23 +1243,43 @@ def estimate_generation_probability(
 ):
     """(hits, trials): Monte Carlo estimate of the probability that a random
     (order-r, order-s mod center) pair generates the group modulo its center.
-    Deterministic given (seed, trials); per-trial RNG streams.
+    Deterministic given (seed, trials), with one RNG stream per trial;
+    trials is a positive integer and seed an integer.
 
     x and y are drawn from PG = G/Z, as permutations of the points of
     P^{n-1}(GF(q)) (``_GroupData.pg_orders``). Each element of PG is a
     coset of |Z| matrices of one order modulo the centre, so this draw has
-    the distribution of a draw from G. Pairs are memoised, for one call,
-    and ``_generates`` tests whether a pair generates PG. Raises
-    GroupTooLarge when PG has more than ``cap`` elements."""
+    the distribution of a draw from G. Generation does not change under
+    conjugation of the pair, so each drawn pair is conjugated to one pair
+    per orbit of PG on pairs, as in ``exact_generation_probability``: x to
+    the representative of its class, the first of the class drawn, and y
+    along with it, to the least element of its orbit under the centraliser
+    of that representative. Each class and each orbit is walked when a draw
+    first reaches it, and ``_generates`` tests one pair per orbit, once
+    per call. Raises GroupTooLarge when PG has more than ``cap`` elements."""
+    trials, seed = _at_least(trials, "trials", 1), _whole(seed, "seed")
     data, xr, xs = _elements_of_orders(groupspec, r, s, cap)
-    cache: dict = {}
+    order, n = len(data.pg_elements), len(xr[0])
+    to_rep: dict = {}  # x -> (its class representative, a conjugator taking x there, its table)
+    orbits: dict = {}  # representative -> ({y: least of y's orbit}, its centraliser)
+    generates: dict = {}  # (representative, least y) -> whether the pair generates PG
     hits = 0
     for t in range(trials):
         rng = random.Random(seed * 1000003 + t)
-        key = (xr[rng.randrange(len(xr))], xs[rng.randrange(len(xs))])
-        if key not in cache:
-            cache[key] = _generates(key, len(data.pg_elements))
-        hits += cache[key]
+        x, y = xr[rng.randrange(len(xr))], xs[rng.randrange(len(xs))]
+        if x not in to_rep:
+            to_rep.update((b, (x, d[:n], d)) for b, d in _conjugacy_class(x, data.gen_perms).items())
+            orbits[x] = ({}, _centralizer(x, data.pg_elements))
+        rep, d, d_table = to_rep[x]
+        y = _conjugate(y, d, d_table)
+        least, cent = orbits[rep]
+        if y not in least:
+            orbit = {_conjugate(y, *g) for g in cent}
+            least.update(dict.fromkeys(orbit, min(orbit)))
+        key = rep, least[y]
+        if key not in generates:
+            generates[key] = _generates(key, order)
+        hits += generates[key]
     return hits, trials
 
 
@@ -1208,32 +1292,26 @@ def exact_generation_probability(
     P^{n-1}(GF(q)): each element of PG is one scalar coset of G, so the
     pairs of G are those of PG, each |Z|^2 times, and the order of x
     modulo the centre is the order of its permutation. Conjugacy
-    reduction on the first element and centraliser-orbit reduction on the
-    second leave one ``_generates`` call per pair of orbits. Raises
-    GroupTooLarge when PG has more than ``cap`` elements."""
+    reduction on the first element (``_conjugacy_class``) and
+    centraliser-orbit reduction on the second (``_centralizer``) leave one
+    ``_generates`` call per pair of orbits. Raises GroupTooLarge when PG
+    has more than ``cap`` elements."""
     data, xr, xs = _elements_of_orders(groupspec, r, s, cap)
-    gen_pairs = [(g, _table(g)) for g in data.gen_perms]
-
-    # conjugacy classes inside xr
+    order = len(data.pg_elements)
     remaining = set(xr)
-    classes = []
+    hit_pairs = 0
     while remaining:
         rep = min(remaining)
-        orbit = _bfs(rep, lambda a: [_conjugate(a, *g) for g in gen_pairs])
-        classes.append((rep, len(orbit)))
-        remaining -= orbit
-    hit_pairs = 0
-    for rep, class_size in classes:
-        rep_table = _table(rep)
-        cent = [(g, t) for g in data.pg_elements
-                if g.translate(rep_table) == rep.translate(t := _table(g))]
+        conjugates = _conjugacy_class(rep, data.gen_perms).keys()
+        remaining -= conjugates
+        cent = _centralizer(rep, data.pg_elements)
         unseen = set(xs)
         while unseen:
             y = min(unseen)
             orbit = {_conjugate(y, *g) for g in cent}
             unseen -= orbit
-            if _generates([rep, y], len(data.pg_elements)):
-                hit_pairs += class_size * len(orbit)
+            if _generates([rep, y], order):
+                hit_pairs += len(conjugates) * len(orbit)
     return Fraction(hit_pairs, len(xr) * len(xs))
 
 

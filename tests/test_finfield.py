@@ -1056,6 +1056,14 @@ CLOSURE_GROUPS = [("SL", 2, q) for q in (4, 5, 7, 8, 9, 11)] + [
     ("SL", 3, 3),
     ("Sp", 4, 2),
 ]
+# every group of standard generators whose GF(q)^n has at most 256
+# nonzero vectors, the groups ``group_closure`` measures as byte permutations
+BYTE_GROUPS = [("SL", 2, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)] + [
+    ("SL", 3, 2),
+    ("SL", 3, 3),
+    ("Sp", 4, 2),
+    ("Sp", 4, 3),
+]
 
 
 def _check_closure_caps(gens, order):
@@ -1113,6 +1121,8 @@ class TestGroupClosure:
 
     def test_no_generators_give_the_trivial_group(self):
         assert group_closure([]) == (1, False)
+        # order 1 exceeds cap 0
+        assert group_closure([], cap=0) == (1, True)
 
     @pytest.mark.parametrize("n,q", [(n, q) for n in (2, 4, 6, 8, 10) for q in (2, 3, 4, 9) if n < 10 or q <= 4])
     def test_sp_transvections_in_the_order_of_their_masks(self, n, q):
@@ -1138,6 +1148,32 @@ class TestGroupClosure:
     def test_sp_transvections_grow_as_n_squared(self):
         # one per support {i, j}, i <= j: 24 * 25 / 2
         assert len(standard_generators("Sp", 24, 2)) == 300
+
+    @pytest.mark.parametrize("family,n,q", BYTE_GROUPS)
+    def test_byte_route_matches_the_matrix_route(self, family, n, q):
+        # every group of standard generators on at most 256 nonzero
+        # vectors, and seeded subsets of its generators, under caps below,
+        # at and above each order
+        F = finfield._field(q)
+        gens = standard_generators(family, n, q)
+        rng = random.Random(q**n)
+        for subset in [gens] + [rng.sample(gens, k) for k in (1, 2, len(gens) // 2) for _ in range(2)]:
+            order = finfield._closure_order(F, [g.entries for g in subset], 10**7)
+            for cap in (0, 1, order // 2, order - 1, order, 10**6):
+                size = finfield._closure_order(F, [g.entries for g in subset], cap)
+                assert group_closure(subset, cap) == (size, size > cap), (len(subset), cap)
+
+    def test_route_follows_the_vector_count(self, monkeypatch):
+        # SL3(3) has 26 nonzero vectors and multiplies no matrix; SL2(17)
+        # has 288 and builds no byte permutation
+        def refuse(*args, **kwargs):
+            raise AssertionError("wrong route")
+
+        with monkeypatch.context() as m:
+            m.setattr(finfield, "_mat_mul", refuse)
+            assert group_closure(standard_generators("SL", 3, 3)) == (5616, False)
+        monkeypatch.setattr(finfield, "_perm_group_order", refuse)
+        assert group_closure(standard_generators("SL", 2, 17)) == (group_order("SL", 2, 17), False)
 
 
 def _order_by_own_walk(F, a, scalars):
@@ -1219,9 +1255,9 @@ class TestOrdersModCenter:
         assert data.pg_orders == sorted((x, k) for x, (k,) in own.items())
 
 
-def _plain_monte_carlo(q, trials, seed, cap=10**6):
-    """The Monte Carlo estimate with one subgroup search per drawn pair."""
-    data = finfield._group_data("SL", 2, q, cap)
+def _plain_monte_carlo(group, trials, seed, cap=10**6):
+    """The (2, 3) Monte Carlo estimate with one subgroup search per drawn pair."""
+    data = finfield._group_data(*group, cap)
     xr = [a for a, k in data.pg_orders if k == 2]
     xs = [a for a, k in data.pg_orders if k == 3]
     hits = 0
@@ -1229,25 +1265,118 @@ def _plain_monte_carlo(q, trials, seed, cap=10**6):
         rng = random.Random(seed * 1000003 + t)
         x = xr[rng.randrange(len(xr))]
         y = xs[rng.randrange(len(xs))]
-        hits += finfield._generates([x, y], projective_order("SL", 2, q))
+        hits += finfield._generates([x, y], projective_order(*group))
     return hits, trials
 
 
+def _generates_calls(monkeypatch, probability, *args, **kwargs):
+    """The answer of one probability call and its count of ``_generates``
+    calls."""
+    generates, calls = finfield._generates, []
+
+    def counted(perms, order):
+        calls.append(perms)
+        return generates(perms, order)
+
+    with monkeypatch.context() as m:
+        m.setattr(finfield, "_generates", counted)
+        return probability(*args, **kwargs), len(calls)
+
+
 class TestMonteCarlo:
-    @pytest.mark.parametrize("q", [5, 7, 9])
-    def test_reductions_change_no_answer(self, q):
+    @pytest.mark.parametrize(
+        "group",
+        [("SL", 2, q) for q in (5, 7, 9, 13)] + [("SL", 3, 3), ("Sp", 4, 2)],
+        # SL2(5), SL2(7) and SL2(9) keep the ids of the SL2-only test
+        ids=lambda g: str(g[2]) if g[:2] == ("SL", 2) and g[2] < 13 else "-".join(map(str, g)),
+    )
+    def test_reductions_change_no_answer(self, group):
         for seed in (0, 1, 7):
-            got = finfield.estimate_generation_probability(
-                ("SL", 2, q), 2, 3, trials=200, seed=seed
-            )
-            assert got == _plain_monte_carlo(q, 200, seed), (q, seed)
+            got = finfield.estimate_generation_probability(group, 2, 3, trials=200, seed=seed)
+            assert got == _plain_monte_carlo(group, 200, seed), (group, seed)
 
     def test_answers_unchanged_under_small_cap(self):
         # cap = |SL2(5)| admits the group but keeps few subgroups
         got = finfield.estimate_generation_probability(
             ("SL", 2, 5), 2, 3, trials=300, seed=3, cap=120
         )
-        assert got == _plain_monte_carlo(5, 300, 3, cap=120)
+        assert got == _plain_monte_carlo(("SL", 2, 5), 300, 3, cap=120)
+
+    @pytest.mark.parametrize("group", [("SL", 2, 7), ("SL", 3, 3), ("Sp", 4, 2)], ids=lambda g: "-".join(map(str, g)))
+    def test_class_walk_records_conjugators(self, group):
+        # every element of the walked class, with the element that takes it
+        # to the start, against the class listed from all of PG
+        data, xr, _ = finfield._elements_of_orders(group, 2, 3, 10**5)
+        a = xr[0]
+        walk = finfield._conjugacy_class(a, data.gen_perms)
+        assert walk.keys() == {finfield._conjugate(a, g, finfield._table(g)) for g in data.pg_elements}
+        assert all(finfield._conjugate(b, d[: len(b)], d) == a for b, d in walk.items())
+
+    @pytest.mark.parametrize(
+        "group", [("SL", 2, 7), ("SL", 2, 9), ("SL", 2, 13), ("SL", 3, 3), ("Sp", 4, 2)], ids=lambda g: "-".join(map(str, g))
+    )
+    def test_one_generation_test_per_orbit(self, monkeypatch, group):
+        # a drawn pair is tested by its orbit under PG, so Monte Carlo runs
+        # no more generation tests than the exact probability, which runs
+        # one per orbit
+        _, exact_calls = _generates_calls(monkeypatch, finfield.exact_generation_probability, group, 2, 3)
+        (hits, _), calls = _generates_calls(
+            monkeypatch, finfield.estimate_generation_probability, group, 2, 3, trials=600, seed=1
+        )
+        assert calls <= exact_calls
+        if group == ("SL", 2, 7):
+            # PSL2(7): one class of 21 involutions, each centralised by a
+            # dihedral group of order 8 that has 7 orbits on the 56
+            # elements of order 3
+            assert (hits, calls, exact_calls) == (170, 7, 7)
+
+
+class TestArgumentRefusals:
+    """The group entry points refuse malformed arguments with SchemaError
+    before any permutation is built or any generator inspected: trials a
+    positive integer, seed, r and s integers, cap a non-negative integer,
+    (family, n, q) with n >= 1 and q a prime power; never a bool."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work done")
+
+        # an empty cache, so that a refusal after the listing would build permutations
+        finfield._group_data.cache_clear()
+        for name in ("_projective_perm", "_closure_set", "_rank"):
+            monkeypatch.setattr(finfield, name, refuse)
+
+    @pytest.mark.parametrize("trials", [-5, 0, True, 2.5])
+    def test_trials(self, trials):
+        with pytest.raises(SchemaError, match="trials"):
+            finfield.estimate_generation_probability(("SL", 2, 7), 2, 3, trials=trials, seed=1)
+
+    @pytest.mark.parametrize("seed", [1.5, False, "1"])
+    def test_seed(self, seed):
+        with pytest.raises(SchemaError, match="seed"):
+            finfield.estimate_generation_probability(("SL", 2, 7), 2, 3, trials=5, seed=seed)
+
+    @pytest.mark.parametrize("cap", [-1, 10.5, True])
+    def test_closure_cap(self, cap):
+        with pytest.raises(SchemaError, match="cap"):
+            group_closure(standard_generators("SL", 2, 5), cap=cap)
+
+    @pytest.mark.parametrize(
+        "groupspec", [("SL", 2, 1), ("SL", 2, 6), ("SL", 2.0, 7), ("SL", 2, 7.0), ("SL", 0, 7), ("SL", True, 7), ("SL", 2, 7, 1)]
+    )
+    def test_group(self, groupspec):
+        with pytest.raises(SchemaError):
+            finfield.exact_generation_probability(groupspec, 2, 3)
+        with pytest.raises(SchemaError):
+            finfield.estimate_generation_probability(groupspec, 2, 3, trials=5, seed=1)
+
+    @pytest.mark.parametrize("r,s,cap", [(2.0, 3, 10**5), (2, 3.0, 10**5), (True, 3, 10**5), (2, 3, -1), (2, 3, 2.5), (2, 3, True)])
+    def test_orders_and_cap(self, r, s, cap):
+        with pytest.raises(SchemaError):
+            finfield.exact_generation_probability(("SL", 2, 7), r, s, cap=cap)
+        with pytest.raises(SchemaError):
+            finfield.estimate_generation_probability(("SL", 2, 7), r, s, trials=5, seed=1, cap=cap)
 
 
 def _bfs_generates(F, gen_entries, order):
@@ -1414,19 +1543,23 @@ def test_one_elimination_kernel():
 
 def test_one_breadth_first_search(monkeypatch):
     # ``_bfs``: the subspace count, the listing of PG and the conjugacy
-    # classes of the exact probabilities all search through it
+    # classes of the exact probabilities and of Monte Carlo all search
+    # through it
     bfs, calls = finfield._bfs, []
 
     def counted(start, moves):
         calls.append(start)
         return bfs(start, moves)
 
+    # Monte Carlo's class walks, not its listing of PG
+    finfield._group_data("SL", 2, 5, 10**5)
     monkeypatch.setattr(finfield, "_bfs", counted)
     F = finfield._field(3)
     searches = [
         lambda: invariant_subspace_count(GFMatrix(3, finfield._identity(F, 3)), 1, "any"),
         lambda: finfield._closure_set([finfield._projective_perm(F, g.entries) for g in standard_generators("SL", 2, 3)]),
         lambda: finfield.exact_generation_probability(("SL", 2, 4), 2, 3),
+        lambda: finfield.estimate_generation_probability(("SL", 2, 5), 2, 3, trials=5, seed=0),
     ]
     for search in searches:
         before = len(calls)
