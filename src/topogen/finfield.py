@@ -1329,8 +1329,10 @@ def invariant_subspace_count(
     the zero subspace through stable flags U < U + <v> (exhaustive whenever
     the characteristic polynomial of m splits over GF(q), which is
     checked). type "any" counts all invariant subspaces. Raises
-    EnumerationTooLarge when more than ``budget`` nonzero ones exist.
+    EnumerationTooLarge when more than ``budget``, a non-negative integer,
+    nonzero ones exist.
     """
+    k, budget = _whole(k, "k"), _at_least(budget, "budget", 0)
     F = m.field
     n = m.n
     if not 0 <= k <= n:

@@ -1,6 +1,7 @@
 """Numerical class invariants: eigenspace profiles, class dimensions,
-induced Jordan block counts, exterior/symmetric square fixed spaces, and the
-catalog of fixed-point dimensions on isotropic Grassmannians.
+induced Jordan block counts, exterior/symmetric square fixed spaces, and
+fixed-point dimensions on totally singular Grassmannians: by rule for
+semisimple classes, from a catalog for some unipotent ones.
 """
 
 from __future__ import annotations
@@ -10,10 +11,12 @@ from typing import Optional
 
 from .algebra_core import (
     ClassDescriptor,
+    EigenPattern,
     GroupSpec,
     UnipotentData,
     _index,
     _part_counts,
+    _whole,
     dim_and_rank,
 )
 from .errors import NotApplicable, UnsupportedChar2Class
@@ -105,10 +108,11 @@ def class_dim(group: GroupSpec, cls: ClassDescriptor) -> ClassDim:
 
 def induced_block_count(kind: str, a: int, b: Optional[int] = None, p: int = 0) -> int:
     """Jordan block counts of J_a (x) J_b, wedge^2(J_a), S^2(J_a)."""
+    a = _whole(a, "a")
     if kind == "tensor":
         if b is None:
             raise NotApplicable("tensor needs two block sizes")
-        return min(a, b)
+        return min(a, _whole(b, "b"))
     if kind == "wedge2":
         return a // 2
     if kind == "sym2":
@@ -151,57 +155,53 @@ def wedge2_fixed_dim(n: int, cls: ClassDescriptor) -> tuple[Optional[int], int]:
     return exact, upper
 
 
-def _unip_key(cls: ClassDescriptor) -> tuple:
-    return ("u",) + cls.unip.partition
-
-
-def _ss_key(cls: ClassDescriptor) -> tuple:
-    pat = cls.eigen
-    return ("s", pat.mult_one, pat.mult_minus_one, tuple(m for _, m in pat.pairs))
-
-
-# Hard-coded fixed-point dimensions on the k-dimensional totally singular
-# Grassmannian, keyed by (family, n, k, class key).
+# Fixed-point dimensions on the k-dimensional totally singular Grassmannian
+# of the unipotent classes that no rule gives, keyed by (family, n, k, partition)
 _GRASS_CATALOG = {
-    # 9-dimensional orthogonal, 4-dimensional totally singular subspaces
-    ("SO", 9, 4, ("u", 3, 3, 3)): 3,
-    ("SO", 9, 4, ("s", 3, 0, (3,))): 3,
-    ("SO", 9, 4, ("u", 2, 2, 2, 2, 1)): 6,
-    # Sp6, Lagrangian (k = 3)
-    ("Sp", 6, 3, ("s", 4, 2, ())): 4,
-    ("Sp", 6, 3, ("s", 2, 4, ())): 4,
-    ("Sp", 6, 3, ("u", 2, 1, 1, 1, 1)): 3,
-    ("Sp", 6, 3, ("u", 2, 2, 2)): 3,
-    ("Sp", 6, 3, ("u", 2, 2, 1, 1)): 3,
-    ("Sp", 6, 3, ("s", 4, 0, (1,))): 3,
-    ("Sp", 6, 3, ("s", 0, 0, (3,))): 2,
-    ("Sp", 6, 3, ("u", 3, 3)): 2,
-    # Sp8, k = 4
-    ("Sp", 8, 4, ("s", 6, 2, ())): 7,
-    ("Sp", 8, 4, ("s", 2, 6, ())): 7,
-    ("Sp", 8, 4, ("s", 4, 4, ())): 6,
-    ("Sp", 8, 4, ("u", 3, 3, 1, 1)): 4,
-    ("Sp", 8, 4, ("u", 3, 3, 2)): 3,
+    ("SO", 9, 4, (3, 3, 3)): 3,
+    ("SO", 9, 4, (2, 2, 2, 2, 1)): 6,
+    ("Sp", 6, 3, (2, 1, 1, 1, 1)): 3,
+    ("Sp", 6, 3, (2, 2, 2)): 2,
+    ("Sp", 8, 4, (3, 3, 2)): 3,
 }
+
+
+def _piece_dims(family: str, pat: EigenPattern) -> list:
+    """Per eigenspace, the dimension of its fixed totally singular s-spaces,
+    s = 0, 1, ...: of size N, a j-space of the 1- or -1-eigenspace; of
+    multiplicity m, A + B in a pair V_lam + V_lam^-1, A in V_lam of dimension
+    a and B in V_lam^-1 meeting A^perp in dimension s - a."""
+    sign, ends = -1 if family == "Sp" else 1, (pat.mult_one, pat.mult_minus_one)
+    pieces = [[j * (N - j) - j * (j + sign) // 2 for j in range(N // 2 + 1)] for N in ends]
+    for _, m in pat.pairs:
+        pieces.append([max(a * (m - a) + (s - a) * (m - s) for a in range(s + 1)) for s in range(m + 1)])
+    return pieces
 
 
 def grassmannian_fixed_dim(
     group: GroupSpec, cls: ClassDescriptor, k: int, subspace_type: str = "totally_singular"
 ) -> Optional[int]:
-    if subspace_type != "totally_singular":
+    """The dimension of the variety of totally singular k-spaces of the
+    natural module that the class fixes. A semisimple class fixes the sums
+    of one piece per eigenspace (``_piece_dims``): the largest sum over the
+    splits of k (Taylor, *The Geometry of the Classical Groups*, 1992). None
+    for SL and SO6 (SL4 data), another subspace type, a k with no split, and
+    unipotent classes off the Levi rule and ``_GRASS_CATALOG``."""
+    k = _whole(k, "k")
+    if subspace_type != "totally_singular" or group.class_group().family == "SL":
         return None
-    if cls.kind == "unipotent":
-        key = _unip_key(cls)
-        # Levi unipotent elements in Sp on the Lagrangian Grassmannian: the
-        # fixed-point dimension equals the S^2 fixed space of the half
-        # partition.
-        if group.family == "Sp" and 2 * k == group.n:
-            counts = _part_counts(cls.unip.partition)
-            if all(c % 2 == 0 for c in counts.values()):
-                half = []
-                for a, c in counts.items():
-                    half.extend([a] * (c // 2))
-                return sym2_fixed_dim(half, group.p)
-    else:
-        key = _ss_key(cls)
-    return _GRASS_CATALOG.get((group.family, group.n, k, key))
+    if cls.kind == "semisimple":
+        best = [0]  # best[t]: the largest dimension of the pieces so far of total t
+        for dims in _piece_dims(group.family, cls.eigen):
+            best = [
+                max(best[t - s] + d for s, d in enumerate(dims) if 0 <= t - s < len(best))
+                for t in range(min(k + 1, len(best) + len(dims) - 1))
+            ]
+        return best[k] if 0 <= k < len(best) else None
+    counts = _part_counts(cls.unip.partition)
+    # Levi unipotent elements in Sp on the Lagrangian Grassmannian, at p = 2
+    # those with no V summand: the S^2 fixed space of the half partition
+    if group.family == "Sp" and 2 * k == group.n and all(c % 2 == 0 for c in counts.values()):
+        if all(kind == "W" for kind, _, _ in cls.unip.decoration or ()):
+            return sym2_fixed_dim([a for a, c in counts.items() for _ in range(c // 2)], group.p)
+    return _GRASS_CATALOG.get((group.family, group.n, k, cls.unip.partition))

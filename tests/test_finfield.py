@@ -1682,6 +1682,18 @@ class TestInvariantSubspaceCount:
             invariant_subspace_count(m, 1, "any", budget=12)
         assert invariant_subspace_count(m, 1, "any", budget=13) == 13
 
+    @pytest.mark.parametrize("k", [2.0, True])
+    def test_refuses_a_k_that_is_no_integer(self, k):
+        m = GFMatrix(3, finfield._identity(finfield._field(3), 3))
+        with pytest.raises(SchemaError, match="k must be an integer"):
+            invariant_subspace_count(m, k, "any")
+
+    @pytest.mark.parametrize("budget,match", [(-1, "at least 0"), (2.5, "an integer"), (True, "an integer")])
+    def test_refuses_a_budget_that_is_no_count(self, budget, match):
+        m = GFMatrix(3, finfield._identity(finfield._field(3), 3))
+        with pytest.raises(SchemaError, match=f"budget must be {match}"):
+            invariant_subspace_count(m, 1, "any", budget=budget)
+
     @pytest.mark.parametrize(
         "q,entries",
         [

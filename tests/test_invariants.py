@@ -2,9 +2,10 @@
 
 import pytest
 
+from topogen import finfield
 from topogen.algebra_core import GroupSpec, dim_and_rank, semisimple, unipotent, validate_class
 from topogen.closure import enumerate_unipotent_partitions, in_closure
-from topogen.errors import NotApplicable, UnsupportedChar2Class
+from topogen.errors import NotApplicable, SchemaError, UnsupportedChar2Class
 from topogen.invariants import (
     ClassDim,
     class_dim,
@@ -230,6 +231,11 @@ class TestInducedBlockCount:
         with pytest.raises(NotApplicable):
             induced_block_count("cube", 3)
 
+    @pytest.mark.parametrize("kind,a,b", [("tensor", 2.5, 3), ("tensor", 3, 2.5), ("wedge2", True, None)])
+    def test_refuses_a_block_size_that_is_no_integer(self, kind, a, b):
+        with pytest.raises(SchemaError, match="must be an integer"):
+            induced_block_count(kind, a, b)
+
 
 class TestFixedSpaces:
     def test_sym2_fixed_dim_cross_terms(self):
@@ -281,3 +287,144 @@ class TestGrassmannianCatalog:
         g = GroupSpec("SO", 9, 3)
         c = validate_class(g, unipotent(partition=(3, 3, 3)))
         assert grassmannian_fixed_dim(g, c, 4, subspace_type="arbitrary") is None
+
+    def test_refuses_a_k_that_is_no_integer(self):
+        g = GroupSpec("SO", 9, 0)
+        c = validate_class(g, semisimple(ones=3, pairs=[3], order=3))
+        with pytest.raises(SchemaError, match="k must be an integer"):
+            grassmannian_fixed_dim(g, c, 4.0)
+
+
+def _count_and_dim(group, cls, k, q):
+    """(invariant totally singular k-spaces over GF(q), the fixed-point dimension)."""
+    count = finfield.invariant_subspace_count(finfield.matrix_from_class(group, cls, q), k)
+    return count, grassmannian_fixed_dim(group, cls, k)
+
+
+class TestGrassmannianEigenspaceRule:
+    @pytest.mark.parametrize(
+        "family,n,k,pattern,dim",
+        [
+            # SO9 at k = 4, and Sp6 and Sp8 on the Lagrangian Grassmannian
+            ("SO", 9, 4, dict(ones=3, pairs=[3], order=3), 3),
+            ("Sp", 6, 3, dict(ones=4, minus_ones=2, order=2), 4),
+            ("Sp", 6, 3, dict(ones=2, minus_ones=4, order=2), 4),
+            ("Sp", 6, 3, dict(ones=4, pairs=[1], order=3), 3),
+            ("Sp", 6, 3, dict(pairs=[3], order=3), 2),
+            ("Sp", 8, 4, dict(ones=6, minus_ones=2, order=2), 7),
+            ("Sp", 8, 4, dict(ones=2, minus_ones=6, order=2), 7),
+            ("Sp", 8, 4, dict(ones=4, minus_ones=4, order=2), 6),
+            # beyond it: a Lagrangian plane of the 1-eigenspace (3) plus A + B
+            # of dimension 3 in the pair, a = 1 and b = 2 (2)
+            ("Sp", 10, 5, dict(ones=4, pairs=[3], order=3), 5),
+            # a singular plane of the 1-eigenspace (1) plus A + B of
+            # dimension 4 in the pair, a = b = 2 (4)
+            ("SO", 12, 6, dict(ones=4, pairs=[4], order=3), 5),
+        ],
+    )
+    def test_semisimple_values(self, family, n, k, pattern, dim):
+        g = GroupSpec(family, n, 0)
+        assert grassmannian_fixed_dim(g, validate_class(g, semisimple(**pattern)), k) == dim
+
+    @pytest.mark.parametrize(
+        "family,n,k,pattern,counts",
+        [
+            ("Sp", 4, 2, dict(ones=2, minus_ones=2, order=2), {5: 36, 7: 64}),
+            ("Sp", 6, 3, dict(ones=4, minus_ones=2, order=2), {5: 936, 7: 3200}),
+            ("Sp", 6, 3, dict(ones=4, pairs=[1], order=3), {5: 312, 7: 800}),
+            ("Sp", 6, 3, dict(pairs=[3], order=3), {5: 64, 7: 116}),
+            ("SO", 7, 2, dict(ones=3, pairs=[2], order=3), {5: 80, 7: 138}),
+            ("SO", 7, 3, dict(ones=3, pairs=[2], order=3), {5: 48, 7: 80}),
+            # two top components: (q + 1)^2 (q + 3) + 4 (q + 1)^2 points, so
+            # the bracket needs q >= 5
+            ("Spin8", 8, 3, dict(ones=4, pairs=[2], order=3), {5: 432}),
+            ("Spin8", 8, 4, dict(ones=4, pairs=[2], order=3), {5: 96}),
+            # the labels of order 3 need q = 1 mod 3
+            ("SO", 9, 4, dict(ones=3, pairs=[3], order=3), {7: 928}),
+        ],
+    )
+    def test_point_counts_grow_as_q_to_the_dimension(self, family, n, k, pattern, counts):
+        # Lang-Weil: the points over GF(q) of a variety of dimension d grow as q^d
+        g = GroupSpec(family, n, 0)
+        c = validate_class(g, semisimple(**pattern))
+        for q, expected in counts.items():
+            count, d = _count_and_dim(g, c, k, q)
+            assert count == expected
+            assert q**d <= count < q ** (d + 1), (q, count, d)
+
+    def test_none_without_a_natural_form_or_a_split(self):
+        # SL has no form; SO6 classes are SL4 data, not natural-module patterns
+        for family, n in (("SL", 4), ("SO", 6)):
+            g = GroupSpec(family, n, 0)
+            assert grassmannian_fixed_dim(g, validate_class(g, semisimple(ones=2, pairs=[1], order=3)), 2) is None
+        g = GroupSpec("Sp", 6, 0)
+        c = validate_class(g, semisimple(pairs=[3], order=3))
+        assert grassmannian_fixed_dim(g, c, 3, subspace_type="any") is None
+        # k beyond the Witt index has no split
+        assert grassmannian_fixed_dim(g, c, 4) is None
+        g = GroupSpec("SO", 9, 0)
+        assert grassmannian_fixed_dim(g, validate_class(g, semisimple(ones=3, pairs=[3], order=3)), 5) is None
+
+
+class TestGrassmannianCatalogPins:
+    @pytest.mark.parametrize(
+        "family,n,k,partition,counts",
+        [
+            ("SO", 9, 4, (3, 3, 3), {3: 40, 5: 156}),
+            ("Sp", 6, 3, (2, 1, 1, 1, 1), {3: 40, 5: 156}),
+            # q^2 + q + 1: a conic of lines b in V/W isotropic for
+            # B(u, (x - 1) v), W = im(x - 1), plus one affine parameter
+            ("Sp", 6, 3, (2, 2, 2), {3: 13, 5: 31}),
+            ("Sp", 8, 4, (3, 3, 2), {3: 40, 5: 156}),
+            # q = 5 takes about 25 s: pinned at q = 3 only
+            ("SO", 9, 4, (2, 2, 2, 2, 1), {3: 1201}),
+        ],
+    )
+    def test_unipotent_entries_bracket_their_point_counts(self, family, n, k, partition, counts):
+        g = GroupSpec(family, n, 0)
+        c = validate_class(g, unipotent(partition))
+        for q, expected in counts.items():
+            count, d = _count_and_dim(g, c, k, q)
+            assert count == expected
+            assert q**d <= count < q ** (d + 1), (q, count, d)
+
+
+def _sp_unipotent_p2(q, sizes, v2=()):
+    """A unipotent element of Sp over GF(q), q even, on the basis e_1..e_m,
+    f_1..f_m of ``_standard_form``: diag(A, A^-T), A = diag(J_a for a in
+    sizes), a W(a) summand per block; then the transvection f_i -> f_i + e_i
+    for each i in v2 (whose block J_1 in A is then part of a V(2) summand)."""
+    F = finfield._field(q)
+    A = finfield._block_diag(F, [finfield._jordan_block(F, a, F.one) for a in sizes])
+    B = finfield._transpose(finfield._mat_inv(F, A))
+    m = len(A)
+    g = [list(row) + [F.zero] * m for row in A] + [[F.zero] * m + list(row) for row in B]
+    for i in v2:
+        g[i][m + i] = F.one
+    form = finfield._standard_form(F, 2 * m, "symplectic")
+    return finfield.GFMatrix(q, g, form=form, form_kind="symplectic")
+
+
+class TestGrassmannianLeviRuleAtP2:
+    @pytest.mark.parametrize(
+        "decoration,sizes,v2,counts,dim",
+        [
+            # a2: q^2 + q + 1
+            ([("W", 2, 1)], (2,), (), {2: 7, 4: 21}, 2),
+            # c2 and b1 have a V summand and are not Levi: q + 1, dimension 1
+            ([("V", 2, 2)], (1, 1), (0, 1), {2: 3, 4: 5}, None),
+            ([("V", 2, 1), ("W", 1, 1)], (1, 1), (0,), {2: 3, 4: 5}, None),
+            # q^4 + 2q^3 + q^2 + q + 1
+            ([("W", 2, 1), ("W", 1, 1)], (2, 1), (), {4: 405}, 4),
+        ],
+    )
+    def test_lagrangian_counts(self, decoration, sizes, v2, counts, dim):
+        # matrix_from_class reads the partition only, so the matrix is built by hand
+        g = GroupSpec("Sp", 2 * sum(sizes), 2)
+        c = validate_class(g, unipotent(decoration=decoration))
+        assert grassmannian_fixed_dim(g, c, g.n // 2) == dim
+        for q, expected in counts.items():
+            count = finfield.invariant_subspace_count(_sp_unipotent_p2(q, sizes, v2), g.n // 2)
+            assert count == expected
+            if dim is not None:
+                assert q**dim <= count < q ** (dim + 1), (q, count)
