@@ -15,24 +15,29 @@ conjugation, so the exact probabilities and Monte Carlo alike test one pair
 per orbit of PG on pairs: a class representative (``_conjugacy_class``)
 and the least element of an orbit of its centraliser (``_centralizer``).
 
-All elimination is one sparse forward pass, ``_forward``: rows as dicts
-column -> element in, {pivot column: row} out, each row 1 at its pivot and
-0 left of it. Ranks read its pivots alone: the rank of a matrix, of g - 1
-on S^2 V or the exterior square, and every level of a Jordan type, the
-rank of (g - lam)^k from the images under g - lam of the forward rows of
+The kernels read a matrix as its sparse rows, ``GFMatrix.rows``, dicts
+column -> nonzero element; ``kron`` and ``induced_matrix`` build only
+those, and the dense ``entries`` is built on first read for the callers
+that want it: group closures, projective permutations and the form check.
+All elimination is one sparse forward pass, ``_forward``: dict rows in,
+{pivot column: row} out, each row 1 at its pivot and 0 left of it. Ranks
+read its pivots alone: the rank of a matrix, of g - 1 on S^2 V or the
+exterior square, and every level of a Jordan type, the rank of
+(g - lam)^k from the images under g - lam of the forward rows of
 (g - lam)^(k-1). ``_echelon`` adds one back-substitution,
-``_back_substitute``, for the reduced row echelon form, which is canonical;
-the nullspace, the inverse and the keys of invariant subspaces read it. The
-invariant symmetric and alternating forms are the functionals on S^2 V and
-the exterior square that g fixes, and the invariant quadratic forms the
-polynomials in S^2 V* that x -> gx fixes; only unipotent class matrices
-search for one, since a diagonal semisimple one carries the standard form
+``_back_substitute``, for the reduced row echelon form, which is
+canonical; the nullspace and the inverse read it. The invariant symmetric
+and alternating forms are the functionals on S^2 V and the exterior
+square that g fixes, and the invariant quadratic forms the polynomials in
+S^2 V* that x -> gx fixes; only unipotent class matrices search for one,
+since a diagonal semisimple one carries the standard form
 ``_standard_form``, the form of the Sp generators too. Every Lie
 centraliser is a kernel: of g - 1 on S^2 V or the exterior square (Sp,
-SO), or of X -> Xg - gX (SL). Invariant subspaces are found by
-``_bfs``, the breadth-first search that also lists G/Z and walks its
-conjugacy classes; each subspace is keyed by its echelon rows and grown
-by the lines of ``Field.projective_points``.
+SO), or of X -> Xg - gX (SL). Invariant subspaces are found by ``_bfs``,
+the breadth-first search that also lists G/Z and walks its conjugacy
+classes; each subspace is keyed by canonical echelon rows, grown by the
+lines of ``Field.projective_points`` in a complement read off one
+nullspace, and keyed again without another elimination.
 Schreier–Sims inverts each generator once: every other element is a
 product of known elements and carries their inverses, whose product is
 formed only when the element is kept.
@@ -49,7 +54,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import compress, count, product
 from math import gcd, inf, isqrt, prod
 from operator import mul
@@ -194,11 +199,8 @@ class Field:
         """The points of P^{n-1}(GF(q)), each the vector whose first nonzero
         coordinate is 1. Built once per n."""
         if n not in self._points:
-            self._points[n] = tuple(
-                v
-                for v in product(self._elements, repeat=n)
-                if next((x for x in v if x), None) == self.one
-            )
+            vectors = product(self._elements, repeat=n)
+            self._points[n] = tuple(v for v in vectors if next((x for x in v if x), None) == self.one)
         return self._points[n]
 
     # -- arithmetic ------------------------------------------------------------
@@ -276,7 +278,9 @@ class GFMatrix:
 
     form_kind: "symplectic" (skew bilinear), "symmetric" (symmetric bilinear),
     "quadratic" (upper-triangular Gram matrix of a quadratic form; its
-    polarization is the associated bilinear form), or None.
+    polarization is the associated bilinear form), or None. ``rows``, which
+    the elimination kernels read, and the dense ``entries`` are each
+    derived from the other on first read.
     """
 
     def __init__(self, q: int, entries, form=None, form_kind: Optional[str] = None):
@@ -293,11 +297,7 @@ class GFMatrix:
         if any(len(row) != self.n for row in self.entries):
             raise SchemaError("matrix must be square")
         _check_dim(self.n)
-        self.form = (
-            tuple(tuple(F.coerce(x) for x in row) for row in form)
-            if form is not None
-            else None
-        )
+        self.form = None if form is None else tuple(tuple(F.coerce(x) for x in row) for row in form)
         self.form_kind = form_kind
         if self.form is not None and form_kind is None:
             raise SchemaError("form matrix given without a form kind")
@@ -305,17 +305,25 @@ class GFMatrix:
             _check_form_preserved(F, self.entries, self.form, form_kind)
 
     @classmethod
-    def _reduced(cls, q: int, entries: tuple) -> "GFMatrix":
-        """The matrix of a square tuple of tuples of elements of GF(q), taken as it is."""
+    def _reduced(cls, q: int, rows: tuple) -> "GFMatrix":
+        """The matrix of n rows, dicts column < n -> nonzero element of GF(q), taken as they are."""
         m = cls.__new__(cls)
-        m.q, m.field, m.entries, m.n, m.form, m.form_kind = q, _field(q), entries, len(entries), None, None
+        m.q, m.field, m.rows, m.n, m.form, m.form_kind = q, _field(q), rows, len(rows), None, None
         return m
 
+    @cached_property
+    def rows(self) -> tuple:
+        """One dict per row, column -> nonzero element; no kernel changes them."""
+        return tuple(map(_sparse, self.entries))
+
+    @cached_property
+    def entries(self) -> tuple:
+        """The rows as a tuple of n tuples of n elements."""
+        zeros = (0,) * self.n
+        return tuple(tuple(map(row.get, range(self.n), zeros)) for row in self.rows)
+
     def __eq__(self, other):
-        return isinstance(other, GFMatrix) and (self.q, self.entries) == (
-            other.q,
-            other.entries,
-        )
+        return isinstance(other, GFMatrix) and (self.q, self.entries) == (other.q, other.entries)
 
     def __hash__(self):
         return hash((self.q, self.entries))
@@ -330,9 +338,7 @@ def _check_dim(n: int) -> None:
 
 
 def _identity(F: Field, n: int):
-    return tuple(
-        tuple(F.one if i == j else F.zero for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(F.one if i == j else F.zero for j in range(n)) for i in range(n))
 
 
 def _mat_mul(F: Field, A, B):
@@ -346,18 +352,38 @@ def _mat_vec(F: Field, A, v):
     return tuple([red[sum(map(mul, row, v))] for row in A])
 
 
-def _mat_sub(F: Field, A, B):
-    red, P = F.red, F._p_digits
-    return tuple(tuple(red[x + P - y] for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
 def _transpose(A):
     return tuple(zip(*A))
 
 
-def _shift(F: Field, g, lam):
-    """g - lam I."""
-    return tuple(row[:i] + (F.sub(row[i], lam),) + row[i + 1 :] for i, row in enumerate(g))
+def _shift(F: Field, rows, lam) -> list:
+    """The rows of g - lam I, from g's rows, dicts column -> nonzero element."""
+    red, P = F.red, F._p_digits
+    out = list(map(dict, rows))
+    for i, r in enumerate(out):
+        if x := red[r.pop(i, 0) + P - lam]:
+            r[i] = x
+    return out
+
+
+def _columns(rows, n: int) -> list:
+    """The n columns of the matrix with the given dict rows, as dicts row -> element."""
+    cols: list = [{} for _ in range(n)]
+    for k, row in enumerate(rows):
+        for i, x in row.items():
+            cols[i][k] = x
+    return cols
+
+
+def _row_times(F: Field, w: dict, rows) -> dict:
+    """The row vector w, a dict index -> element of at most MAX_DIM entries,
+    times the matrix of the rows, dicts column -> element: the sum of
+    w[i] * rows[i], as a dict column -> nonzero element."""
+    red, acc = F.red, {}
+    for i, x in w.items():
+        for j, y in rows[i].items():
+            acc[j] = acc.get(j, 0) + x * y
+    return {j: y for j, s in acc.items() if (y := red[s])}
 
 
 def _sparse(row) -> dict:
@@ -373,19 +399,22 @@ def _forward(F: Field, rows, form: dict) -> dict:
     left, scaled, is the row of a new pivot. Rows go in decreasing order of
     their first column, so, in an empty form, one whose first column is no
     pivot is left of every pivot: triangular and banded systems take no
-    subtraction."""
+    subtraction. A dict row is copied before its first subtraction and is
+    never changed; one that takes none may be a row of the form."""
     red, P = F.red, F._p_digits
-    pending = [r for row in rows if (r := dict(row) if isinstance(row, dict) else _sparse(row))]
+    pending = [r for row in rows if (r := row if isinstance(row, dict) else _sparse(row))]
     pending.sort(key=min, reverse=True)
     for r in pending:
         t = 0
         while r:
             c = min(r)
             if not (x := red[r[c]]):
-                del r[c]
+                del r[c]  # only after a subtraction: a row holds nonzero elements
                 continue
             if (e := form.get(c)) is None:
                 break
+            if not t:
+                r = dict(r)
             nx = red[P - x]
             # e is 1 at c: this leaves x - x at c, deleted below
             for j, y in e.items():
@@ -420,19 +449,9 @@ def _back_substitute(F: Field, form: dict, new) -> dict:
         row = form[d]
         hits = row.keys() & (form.keys() if d in new else new)
         hits.discard(d)
-        if not hits:
-            continue
-        # a new row is _forward's own; an old one may be the caller's
-        r = row if d in new else dict(row)
-        for t, c in enumerate(hits, 1):
-            nx = red[P - r[c]]
-            # form[c] is 1 at c: this leaves x - x at c, deleted below
-            for j, y in form[c].items():
-                r[j] = r.get(j, 0) + nx * y
-            del r[c]
-            if t % (MAX_DIM - 1) == 0:  # sums of more products could carry
-                r = {j: red[s] for j, s in r.items()}
-        form[d] = {j: y for j, s in r.items() if (y := red[s])}
+        if hits:
+            # form[c] is 1 at c: this leaves x - x at each c
+            form[d] = _row_times(F, {d: 1} | {c: red[P - row[c]] for c in hits}, form)
     return form
 
 
@@ -481,9 +500,7 @@ def _mat_inv(F: Field, A):
 def _polarization(F: Field, form, kind: str):
     n = len(form)
     if kind == "quadratic":
-        return tuple(
-            tuple(F.add(form[i][j], form[j][i]) for j in range(n)) for i in range(n)
-        )
+        return tuple(tuple(F.add(form[i][j], form[j][i]) for j in range(n)) for i in range(n))
     return form
 
 
@@ -494,12 +511,13 @@ def _is_singular_vector(F: Field, form, v) -> bool:
 def _check_form_preserved(F: Field, g, form, kind: str) -> None:
     if kind not in ("symplectic", "symmetric", "quadratic"):
         raise SchemaError(f"unknown form kind {kind!r}")
-    diff = _mat_sub(F, _mat_mul(F, _mat_mul(F, _transpose(g), form), g), form)
+    h = _mat_mul(F, _mat_mul(F, _transpose(g), form), g)
     if kind == "quadratic":
-        # Q(gx) = Q(x) iff g^T F g - F is alternating: zero diagonal and polarization
-        if any(diff[i][i] for i in range(len(diff))) or any(map(any, _polarization(F, diff, kind))):
+        # Q(gx) = Q(x) iff g^T F g - F is alternating: the diagonals and the polarizations agree
+        same_diagonal = all(h[i][i] == form[i][i] for i in range(len(h)))
+        if not same_diagonal or _polarization(F, h, kind) != _polarization(F, form, kind):
             raise SchemaError("matrix does not preserve the quadratic form")
-    elif any(map(any, diff)):
+    elif h != form:
         raise SchemaError("matrix does not preserve the declared form")
 
 
@@ -520,23 +538,14 @@ def jordan_type(m: GFMatrix, eigenvalues=None) -> dict:
     result = {}
     accounted = 0
     scan = F.elements() if eigenvalues is None else [F.coerce(x) for x in eigenvalues]
-    red = F.red
     for lam in scan:
         # rank((m - lam)^k): the row space of N^k is that of N^(k-1) times
         # N, spanned by the images of the forward rows of N^(k-1)
-        N = list(map(_sparse, _shift(F, m.entries, lam)))
-
-        def times_n(w):
-            acc: dict = {}
-            for i, x in w.items():
-                for j, y in N[i].items():
-                    acc[j] = acc.get(j, 0) + x * y
-            return {j: x for j, s in acc.items() if (x := red[s])}
-
+        N = _shift(F, m.rows, lam)
         form = _forward(F, N, {})
         ranks = [n, len(form)]
         while ranks[-1] != ranks[-2]:
-            form = _forward(F, map(times_n, form.values()), {})
+            form = _forward(F, [_row_times(F, w, N) for w in form.values()], {})
             ranks.append(len(form))
         mult = n - ranks[1]
         if mult == 0:
@@ -552,7 +561,7 @@ def jordan_type(m: GFMatrix, eigenvalues=None) -> dict:
 
 def fixed_space_dim(m: GFMatrix) -> int:
     F = m.field
-    return m.n - _rank(F, _shift(F, m.entries, F.one))
+    return m.n - _rank(F, _shift(F, m.rows, F.one))
 
 
 # ---------------------------------------------------------------------------
@@ -560,17 +569,17 @@ def fixed_space_dim(m: GFMatrix) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _square_images(F: Field, g, wedge: bool, lam=0) -> list:
+def _square_images(F: Field, rows, wedge: bool, lam=0) -> list:
     """The columns of g - lam on S^2 V, or on the exterior square when
     ``wedge``: the images of the basis e_i e_j, i <= j (e_i ^ e_j, i < j), in
     lexicographic order, as dicts position -> nonzero coefficient, read off
-    g's nonzero entries. The term g_ki g_lj e_k e_l of g(e_i) g(e_j) lands on
-    e_k e_l = e_l e_k, or on e_k ^ e_l = -(e_l ^ e_k)."""
-    red, P, n = F.red, F._p_digits, len(g)
+    g's rows, dicts column -> nonzero element. The term g_ki g_lj e_k e_l of
+    g(e_i) g(e_j) lands on e_k e_l = e_l e_k, or on e_k ^ e_l = -(e_l ^ e_k)."""
+    red, P, n = F.red, F._p_digits, len(rows)
     basis = [(k, l) for k in range(n) for l in range(k + wedge, n)]
     pos = {b: t for t, (k, l) in enumerate(basis) for b in ((k, l), (l, k))}
     # column i as (k, g_ki, +-g_ki), the sign of g_ki g_lj on e_l e_k or e_l ^ e_k, l < k
-    cols = [[(k, x, red[P - x] if wedge else x) for k, x in enumerate(col) if x] for col in zip(*g)]
+    cols = [[(k, x, red[P - x] if wedge else x) for k, x in col.items()] for col in _columns(rows, n)]
     images = []
     for t, (i, j) in enumerate(basis):
         acc = {t: P - lam} if lam else {}
@@ -593,8 +602,7 @@ def induced_matrix(m: GFMatrix, functor: str) -> GFMatrix:
     wedge = functor == "wedge2"
     d = m.n * (m.n + 1 - 2 * wedge) // 2
     _check_dim(d)
-    cols = _square_images(m.field, m.entries, wedge)
-    return GFMatrix._reduced(m.q, tuple(zip(*[[col.get(r, 0) for r in range(d)] for col in cols])))
+    return GFMatrix._reduced(m.q, tuple(_columns(_square_images(m.field, m.rows, wedge), d)))
 
 
 def kron(m1: GFMatrix, m2: GFMatrix) -> GFMatrix:
@@ -602,9 +610,10 @@ def kron(m1: GFMatrix, m2: GFMatrix) -> GFMatrix:
     if m1.q != m2.q:
         raise SchemaError("tensor factors must live over the same field")
     _check_dim(m1.n * m2.n)
-    red = m1.field.red
-    ent = tuple(tuple([red[x * y] for x in ra for y in rb]) for ra in m1.entries for rb in m2.entries)
-    return GFMatrix._reduced(m1.q, ent)
+    red, n2 = m1.field.red, m2.n
+    # a product of nonzero elements is nonzero
+    rows = [{j * n2 + l: red[x * y] for j, x in ra.items() for l, y in rb.items()} for ra in m1.rows for rb in m2.rows]
+    return GFMatrix._reduced(m1.q, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -613,13 +622,7 @@ def kron(m1: GFMatrix, m2: GFMatrix) -> GFMatrix:
 
 
 def _jordan_block(F: Field, size: int, eigen):
-    return tuple(
-        tuple(
-            eigen if i == j else (F.one if j == i + 1 else F.zero)
-            for j in range(size)
-        )
-        for i in range(size)
-    )
+    return tuple(tuple(eigen if i == j else F.one if j == i + 1 else F.zero for j in range(size)) for i in range(size))
 
 
 def _block_diag(F: Field, blocks):
@@ -651,17 +654,14 @@ def invariant_form_matrix(entries, q: int, kind: str) -> Optional[tuple]:
     if kind not in ("symplectic", "symmetric", "quadratic"):
         raise SchemaError(f"unknown form kind {kind!r}")
     F = _field(q)
-    g = tuple(tuple(F.coerce(x) for x in row) for row in entries)
+    g = [_sparse([F.coerce(x) for x in row]) for row in entries]
     n = len(g)
     wedge, quadratic = kind == "symplectic", kind == "quadratic"
     # the basis of _square_images: e_k e_l, k <= l, or e_k ^ e_l, k < l
     pairs = [(k, l) for k in range(n) for l in range(k + wedge, n)]
     if quadratic:
         # the coefficient of x_k x_l is the Gram entry X[k][l]
-        rows = [{} for _ in pairs]
-        for t, col in enumerate(_square_images(F, _transpose(g), False, F.one)):
-            for r, x in col.items():
-                rows[r][t] = x
+        rows = _columns(_square_images(F, _columns(g, n), False, F.one), len(pairs))
         cells = pairs
     else:
         # the value on e_k e_l (e_k ^ e_l) is X[l][k] = X[k][l] (= -X[k][l]),
@@ -862,14 +862,14 @@ def centralizer_lie_dim(group: GroupSpec, m: GFMatrix) -> int:
     if target.family != "SL":
         if m.form is None:
             raise SchemaError("Sp/SO centralizer needs a form-tagged matrix")
-        images = _square_images(F, m.entries, target.family != "Sp" and F.p != 2, F.one)
+        images = _square_images(F, m.rows, target.family != "Sp" and F.p != 2, F.one)
         return len(images) - _rank(F, images)
     # {X : Xg = gX} is the kernel of X -> Xg - gX, on X's entries numbered
     # k * n + l: (Xg - gX)_kl = sum_j X_kj g_jl - sum_i g_ki X_il; trace X
     # = 0 is one more row
     n, red, P = m.n, F.red, F._p_digits
     _check_dim(n * n)  # X's n^2 entries are the unknowns
-    g_rows, g_cols = list(map(_sparse, m.entries)), list(map(_sparse, zip(*m.entries)))
+    g_rows, g_cols = m.rows, _columns(m.rows, n)
     rows = [{i * n + i: F.one for i in range(n)}]
     for k, l in product(range(n), repeat=2):
         acc = {k * n + j: x for j, x in g_cols[l].items()}
@@ -1320,9 +1320,7 @@ def exact_generation_probability(
 # ---------------------------------------------------------------------------
 
 
-def invariant_subspace_count(
-    m: GFMatrix, k: int, type: str = "totally_singular", budget: int = 2_000_000
-) -> int:
+def invariant_subspace_count(m: GFMatrix, k: int, type: str = "totally_singular", budget: int = 2_000_000) -> int:
     """Exact number of m-invariant k-dimensional subspaces of the given type.
 
     Finds every invariant subspace of dimension at most k by ``_bfs`` from
@@ -1341,52 +1339,54 @@ def invariant_subspace_count(
         raise SchemaError(f"unknown subspace type {type!r}")
     if type == "totally_singular" and m.form is None:
         raise SchemaError("totally singular counting needs a form-tagged matrix")
-    # the columns of the polarization B: B(u, v) = 0 is the row B^T u on v
-    bil_cols = _transpose(_polarization(F, m.form, m.form_kind)) if m.form is not None else None
+    singular, red, P = type == "totally_singular", F.red, F._p_digits
+    if singular:
+        # the rows of the polarization B, on which B(u, v) = 0 is the row
+        # u^T B on v, and of the form X
+        bil, X = (list(map(_sparse, A)) for A in (_polarization(F, m.form, m.form_kind), m.form))
     # jordan_type raises NonSplit when stable flags would not be exhaustive
-    shifts = [_shift(F, m.entries, lam) for lam in jordan_type(m)]
-    red = F.red
+    shifts = [_shift(F, m.rows, lam) for lam in jordan_type(m)]
     grown = count()
 
-    # a subspace U is keyed by its reduced echelon rows, each sorted, so
-    # pivot first; grow yields the keys of the invariant (totally singular) U + <v>
+    # a subspace U is keyed by its echelon rows, each 1 at its pivot, its
+    # last nonzero entry, and 0 at every other pivot; each row is sorted, so
+    # pivot last, and so are the rows. grow yields the keys of the
+    # invariant (totally singular) U + <v>
     def grow(key):
         if key and next(grown) >= budget:
             raise EnumerationTooLarge(f"more than {budget} invariant subspaces visited")
         if len(key) == k:
             return
-        U = {row[0][0]: dict(row) for row in key}
+        U = {row[-1][0]: dict(row) for row in key}
         for shift in shifts:
             # W = {v : (m - lam) v in U}. A vector x is in U when, at
             # every non-pivot i of U, x_i = sum_c x_c u_c[i] over U's
             # echelon rows u_c; for x = (m - lam) v that is one linear
             # condition on v per non-pivot i
-            rows = []
-            for i in range(n):
-                if i in U:
-                    continue
-                row = shift[i]
-                for c, u in U.items():
-                    if i in u:
-                        nf = F.neg(u[i])
-                        row = [red[x + nf * y] for x, y in zip(row, shift[c])]
-                rows.append(row)
-            if type == "totally_singular":
+            rows = [_row_times(F, {i: 1} | {c: red[P - u[i]] for c, u in U.items() if i in u}, shift)
+                    for i in range(n) if i not in U]
+            if singular:
                 # and v orthogonal to U: B(u, v) = 0 for U's echelon rows
-                rows += [_mat_vec(F, bil_cols, [u.get(i, 0) for i in range(n)]) for u in U.values()]
-            # W contains U; the forward rows W adds to U's echelon rows
-            # span a complement of U, and each of its lines gives one U + v
-            W = _forward(F, _nullspace(F, rows, n), dict(U))
-            E = [[row.get(j, 0) for j in range(n)] for c, row in W.items() if c not in U]
-            ext_cols = _transpose(E)
-            if type == "totally_singular":
+                rows += [_row_times(F, u, bil) for u in U.values()]
+            # the nullspace vectors are W's echelon rows in that sense, 1 at
+            # their last nonzero entry, a column that is no pivot of the
+            # conditions, and taken here in decreasing order of it. W
+            # contains U: those at pivots outside U are 0 at U's pivots and
+            # span a complement, and each of its lines gives one U + v
+            E = [w for w in map(_sparse, reversed(_nullspace(F, rows, n))) if max(w) not in U]
+            if singular:
                 # U is totally singular and v orthogonal to it: Q is Q(v)
                 # on v + U, and Q(coeffs . E) = coeffs^T (E X E^T) coeffs
-                gram = _mat_mul(F, _mat_mul(F, E, m.form), ext_cols)
+                EX = [_row_times(F, w, X) for w in E]
+                gram = [[red[sum(a.get(j, 0) * y for j, y in w.items())] for w in E] for a in EX]
             for coeffs in F.projective_points(len(E)):
-                if type == "totally_singular" and not _is_singular_vector(F, gram, coeffs):
+                if singular and not _is_singular_vector(F, gram, coeffs):
                     continue
-                form = _echelon(F, [_mat_vec(F, ext_cols, coeffs)], U)
-                yield tuple(tuple(sorted(form[c].items())) for c in sorted(form))
+                # v is 1 at the pivot p of the first row it takes, its last
+                # nonzero entry: U + <v> is v and U's rows cleared at p
+                v = _row_times(F, {t: c for t, c in enumerate(coeffs) if c}, E)
+                p = max(v)
+                basis = [v] + [_row_times(F, {0: 1, 1: red[P - u[p]]}, (u, v)) if p in u else u for u in U.values()]
+                yield tuple(sorted(tuple(sorted(row.items())) for row in basis))
 
     return sum(len(key) == k for key in _bfs((), grow))

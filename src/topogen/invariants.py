@@ -18,8 +18,9 @@ from .algebra_core import (
     _part_counts,
     _whole,
     dim_and_rank,
+    is_prime,
 )
-from .errors import NotApplicable, UnsupportedChar2Class
+from .errors import NotApplicable, SchemaError, UnsupportedChar2Class
 
 
 @dataclass(frozen=True)
@@ -107,12 +108,19 @@ def class_dim(group: GroupSpec, cls: ClassDescriptor) -> ClassDim:
 
 
 def induced_block_count(kind: str, a: int, b: Optional[int] = None, p: int = 0) -> int:
-    """Jordan block counts of J_a (x) J_b, wedge^2(J_a), S^2(J_a)."""
-    a = _whole(a, "a")
+    """Jordan block counts of J_a (x) J_b, wedge^2(J_a), S^2(J_a) in
+    characteristic p. SchemaError before any work unless the block sizes
+    are integers of at least 1 and p is 0 or a prime."""
+    sizes = [_whole(a, "a")] + ([] if b is None else [_whole(b, "b")])
+    if min(sizes) < 1:
+        raise SchemaError(f"block sizes must be at least 1, not {sizes}")
+    if (p := _whole(p, "p")) and not is_prime(p):
+        raise SchemaError(f"p must be 0 or a prime, not {p}")
+    a = sizes[0]
     if kind == "tensor":
         if b is None:
             raise NotApplicable("tensor needs two block sizes")
-        return min(a, _whole(b, "b"))
+        return min(sizes)
     if kind == "wedge2":
         return a // 2
     if kind == "sym2":

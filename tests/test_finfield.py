@@ -9,6 +9,7 @@ import types
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, product
+from itertools import count as itertools_count
 from math import gcd
 
 import pytest
@@ -1816,7 +1817,7 @@ def _jordan_by_echelon_levels(m, eigenvalues=None):
     F, n = m.field, m.n
     result = {}
     for lam in F.elements() if eigenvalues is None else eigenvalues:
-        N = [{j: x for j, x in enumerate(row) if x} for row in finfield._shift(F, m.entries, lam)]
+        N = [{j: y for j, x in enumerate(row) if (y := F.sub(x, lam) if i == j else x)} for i, row in enumerate(m.entries)]
 
         def times_n(w):
             acc = {}
@@ -1898,3 +1899,236 @@ class TestKernelOutput:
         m = GFMatrix(2, finfield._identity(finfield._field(2), 65))
         with pytest.raises(SchemaError, match=f"matrix dimension 4225 exceeds {finfield.MAX_DIM}"):
             centralizer_lie_dim(GroupSpec("SL", 65, 2), m)
+
+
+def _dense_shift(F, g, lam):
+    """g - lam I on dense rows, the shift before matrices carried sparse rows."""
+    return tuple(row[:i] + (F.sub(row[i], lam),) + row[i + 1 :] for i, row in enumerate(g))
+
+
+def _jordan_type_dense(m, eigenvalues=None):
+    """``jordan_type`` before matrices carried sparse rows: each level's
+    g - lam I built dense from ``entries`` and read back as dict rows."""
+    F, n = m.field, m.n
+    result, accounted, red = {}, 0, F.red
+    scan = F.elements() if eigenvalues is None else [F.coerce(x) for x in eigenvalues]
+    for lam in scan:
+        N = list(map(finfield._sparse, _dense_shift(F, m.entries, lam)))
+
+        def times_n(w):
+            acc = {}
+            for i, x in w.items():
+                for j, y in N[i].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            return {j: x for j, s in acc.items() if (x := red[s])}
+
+        form = finfield._forward(F, N, {})
+        ranks = [n, len(form)]
+        while ranks[-1] != ranks[-2]:
+            form = finfield._forward(F, map(times_n, form.values()), {})
+            ranks.append(len(form))
+        if ranks[1] == n:
+            continue
+        result[lam] = conjugate_partition([a - b for a, b in zip(ranks, ranks[1:])])
+        accounted += sum(result[lam])
+    if eigenvalues is None and accounted != n:
+        raise NonSplit("characteristic polynomial does not split over GF(q)")
+    return result
+
+
+def _subspace_count_dense(m, k, type="totally_singular", budget=2_000_000):
+    """``invariant_subspace_count`` before matrices carried sparse rows:
+    dense conditions on W, a dense complement, and each candidate U + <v>
+    keyed by its reduced echelon form from ``_echelon``."""
+    F, n, red = m.field, m.n, m.field.red
+    bil_cols = finfield._transpose(finfield._polarization(F, m.form, m.form_kind)) if m.form is not None else None
+    shifts = [_dense_shift(F, m.entries, lam) for lam in _jordan_type_dense(m)]
+    grown = itertools_count()
+
+    def grow(key):
+        if key and next(grown) >= budget:
+            raise EnumerationTooLarge(f"more than {budget} invariant subspaces visited")
+        if len(key) == k:
+            return
+        U = {row[0][0]: dict(row) for row in key}
+        for shift in shifts:
+            rows = []
+            for i in range(n):
+                if i in U:
+                    continue
+                row = shift[i]
+                for c, u in U.items():
+                    if i in u:
+                        nf = F.neg(u[i])
+                        row = [red[x + nf * y] for x, y in zip(row, shift[c])]
+                rows.append(row)
+            if type == "totally_singular":
+                rows += [finfield._mat_vec(F, bil_cols, [u.get(i, 0) for i in range(n)]) for u in U.values()]
+            W = finfield._forward(F, finfield._nullspace(F, rows, n), dict(U))
+            E = [[row.get(j, 0) for j in range(n)] for c, row in W.items() if c not in U]
+            ext_cols = finfield._transpose(E)
+            if type == "totally_singular":
+                gram = finfield._mat_mul(F, finfield._mat_mul(F, E, m.form), ext_cols)
+            for coeffs in F.projective_points(len(E)):
+                if type == "totally_singular" and not finfield._is_singular_vector(F, gram, coeffs):
+                    continue
+                form = finfield._echelon(F, [finfield._mat_vec(F, ext_cols, coeffs)], U)
+                yield tuple(tuple(sorted(form[c].items())) for c in sorted(form))
+
+    return sum(len(key) == k for key in finfield._bfs((), grow))
+
+
+def _blocks_job_matrices(q):
+    """The 63 matrices of the benchmark's Jordan block job over GF(q):
+    wedge2 and sym2 of J_a, and J_a (x) J_b, for a, b in 2..8."""
+    F = finfield._field(q)
+    blocks = {a: GFMatrix(q, finfield._jordan_block(F, a, F.one)) for a in range(2, 9)}
+    matrices = [induced_matrix(j, f) for j in blocks.values() for f in ("wedge2", "sym2")]
+    return matrices + [kron(ja, jb) for ja in blocks.values() for jb in blocks.values()]
+
+
+def _unipotent_sweep():
+    """(n, q, partition, kind, k, type, matrix) over the unipotent matrices of
+    every partition of n = 2..6 with a part above 1 (n = 6 only at q <= 3),
+    q in 2..5 and each form kind that has one, every k and type."""
+    for n in range(2, 7):
+        for q in (2, 3, 4, 5)[: 2 if n == 6 else 4]:
+            for part in _partitions(n):
+                if max(part) == 1:
+                    continue
+                for kind in ("symplectic", "symmetric", None):
+                    try:
+                        m = unipotent_matrix(part, q, kind)
+                    except Uninstantiable:
+                        continue
+                    for k in range(n + 1):
+                        for type in ("any", "totally_singular")[: 1 if kind is None else 2]:
+                            yield n, q, part, kind, k, type, m
+
+
+class TestSparseRowsAgainstDenseReferences:
+    """``jordan_type`` and ``invariant_subspace_count`` on sparse rows give
+    the answers of the dense versions they replaced, kept above."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_jordan_on_the_blocks_job_matrices(self, q):
+        for m in _blocks_job_matrices(q):
+            assert jordan_type(m, eigenvalues=[1]) == _jordan_type_dense(m, [1])
+            assert jordan_type(m) == _jordan_type_dense(m)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25])
+    def test_jordan_on_random_conjugates_of_jordan_forms(self, q):
+        F = finfield._field(q)
+        rng = random.Random(3400 + q)
+        elems = F.elements()
+        for _ in range(10):
+            n = rng.randint(1, 8)
+            sizes = []
+            while sum(sizes) < n:
+                sizes.append(rng.randint(1, n - sum(sizes)))
+            J = finfield._block_diag(F, [finfield._jordan_block(F, a, rng.choice(elems)) for a in sizes])
+            while finfield._rank(F, A := [[rng.choice(elems) for _ in range(n)] for _ in range(n)]) < n:
+                pass
+            m = GFMatrix(q, finfield._mat_mul(F, finfield._mat_inv(F, A), finfield._mat_mul(F, J, A)))
+            assert jordan_type(m) == _jordan_type_dense(m)
+            some = rng.sample(elems, rng.randint(1, min(3, q)))
+            assert jordan_type(m, eigenvalues=some) == _jordan_type_dense(m, some)
+            # a random matrix: both answer, or both find no splitting
+            g = GFMatrix(q, [[rng.choice(elems) for _ in range(n)] for _ in range(n)])
+            outcomes = []
+            for jordan in (jordan_type, _jordan_type_dense):
+                try:
+                    outcomes.append(jordan(g))
+                except NonSplit:
+                    outcomes.append(NonSplit)
+            assert outcomes[0] == outcomes[1]
+
+    def test_subspace_counts_on_the_unipotent_sweep(self):
+        # 1190 counts; their digest is the one the dense version gives,
+        # which is compared count by count below n = 6 (n = 6 takes it
+        # about 6 s more)
+        counts = []
+        for n, q, part, kind, k, type, m in _unipotent_sweep():
+            counts.append((n, q, part, kind, k, type, invariant_subspace_count(m, k, type)))
+            if n < 6:
+                assert counts[-1][-1] == _subspace_count_dense(m, k, type), counts[-1]
+        assert len(counts) == 1190
+        assert hashlib.sha256(repr(counts).encode()).hexdigest()[:16] == "c0dea54aa8c80781"
+
+    @pytest.mark.parametrize(
+        "part,q,kind",
+        [((2, 2, 1), 3, "symmetric"), ((2, 2), 3, "symplectic"), ((3, 1), 2, None), ((1, 1, 1), 3, None), ((2, 1, 1), 3, "symplectic")],
+    )
+    def test_raise_or_answer_at_small_budgets(self, part, q, kind):
+        m = unipotent_matrix(part, q, kind)
+        for k in range(m.n + 1):
+            for type in ("any", "totally_singular")[: 1 if kind is None else 2]:
+                for budget in range(0, 41, 2):
+                    outcomes = []
+                    for count_subspaces in (invariant_subspace_count, _subspace_count_dense):
+                        try:
+                            outcomes.append(count_subspaces(m, k, type, budget))
+                        except EnumerationTooLarge:
+                            outcomes.append(EnumerationTooLarge)
+                    assert outcomes[0] == outcomes[1], (k, type, budget)
+
+
+class TestSparseRowsStructure:
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_kron_and_induced_matrices_never_build_entries(self, q):
+        for m in _blocks_job_matrices(q)[::5]:
+            jordan_type(m, eigenvalues=[1])
+            jordan_type(m)
+            fixed_space_dim(m)
+            assert "entries" not in m.__dict__
+        F = finfield._field(q)
+        m = induced_matrix(GFMatrix(q, finfield._jordan_block(F, 3, F.one)), "tensor")
+        fixed_space_dim(m)
+        assert "entries" not in m.__dict__
+        # built on the first read, from the rows
+        assert m.entries == tuple(tuple(row.get(j, 0) for j in range(m.n)) for row in m.rows)
+
+    def test_no_kernel_changes_the_rows(self):
+        matrices = [
+            unipotent_matrix((2, 2, 1), 3, "symmetric"),
+            unipotent_matrix((2, 2), 5, "symplectic"),
+            matrix_from_class(GroupSpec("Sp", 4, 0), validate_class(GroupSpec("Sp", 4, 0), semisimple(ones=2, minus_ones=2)), 5),
+            kron(*(GFMatrix(3, finfield._jordan_block(finfield._field(3), a, 1)) for a in (2, 3))),
+        ]
+        for m in matrices:
+            rows = m.rows
+            before = [dict(row) for row in rows]
+            jordan_type(m)
+            fixed_space_dim(m)
+            centralizer_lie_dim(GroupSpec("SL", m.n, 0), m)
+            if m.form is not None:
+                centralizer_lie_dim(GroupSpec("Sp" if m.form_kind == "symplectic" else "SO", m.n, 0), m)
+                invariant_subspace_count(m, 2)
+            invariant_subspace_count(m, 1, "any")
+            kron(m, m)
+            for functor in ("wedge2", "sym2", "tensor"):
+                induced_matrix(m, functor)
+            assert m.rows is rows and list(rows) == before
+
+    def test_forward_leaves_its_rows_as_they_are(self):
+        F = finfield._field(5)
+        rows = [{0: 1, 2: 3}, {0: 2, 1: 4}, {1: 1}]
+        before = [dict(row) for row in rows]
+        assert len(finfield._forward(F, rows, {})) == 3
+        assert rows == before
+
+    @pytest.mark.parametrize(
+        "part,q,kind,k,type",
+        [((2, 2, 2, 2, 1), 2, "symmetric", 4, "totally_singular"), ((2, 2, 1), 3, None, 2, "any"), ((2, 2), 3, "symplectic", 2, "totally_singular")],
+    )
+    def test_one_elimination_per_node_and_eigenvalue(self, monkeypatch, part, q, kind, k, type):
+        # each subspace of dimension below k is a node; a candidate line
+        # is keyed without an elimination of its own
+        m = unipotent_matrix(part, q, kind)
+        nodes = sum(invariant_subspace_count(m, j, type) for j in range(k))
+        calls = []
+        echelon = finfield._echelon
+        monkeypatch.setattr(finfield, "_echelon", lambda *args: calls.append(1) or echelon(*args))
+        lines = invariant_subspace_count(m, k, type)
+        assert 0 < len(calls) <= nodes * len(jordan_type(m))
+        assert lines > 0

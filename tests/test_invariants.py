@@ -236,6 +236,24 @@ class TestInducedBlockCount:
         with pytest.raises(SchemaError, match="must be an integer"):
             induced_block_count(kind, a, b)
 
+    @pytest.mark.parametrize(
+        "kind,a,b", [("wedge2", -3, None), ("tensor", 0, 5), ("tensor", 5, 0), ("sym2", 0, None), ("cube", 0, None)]
+    )
+    def test_refuses_a_block_size_below_one(self, kind, a, b):
+        # before any work: an unknown functor is not reached
+        with pytest.raises(SchemaError, match="block sizes must be at least 1"):
+            induced_block_count(kind, a, b)
+
+    @pytest.mark.parametrize("p", [1, 4, 9, -2])
+    def test_refuses_a_p_that_is_neither_zero_nor_prime(self, p):
+        with pytest.raises(SchemaError, match=f"p must be 0 or a prime, not {p}"):
+            induced_block_count("sym2", 4, p=p)
+
+    @pytest.mark.parametrize("a,b,p,what", [(4, None, True, "p"), (4, None, False, "p"), (3, True, 0, "b")])
+    def test_refuses_a_bool(self, a, b, p, what):
+        with pytest.raises(SchemaError, match=f"{what} must be an integer"):
+            induced_block_count("tensor" if b is not None else "sym2", a, b, p=p)
+
 
 class TestFixedSpaces:
     def test_sym2_fixed_dim_cross_terms(self):
