@@ -339,7 +339,8 @@ def _index(unip: UnipotentData) -> list:
 
 def _check_pattern(pat: EigenPattern) -> None:
     """The rules of a pattern that hold in every group: labels pairwise
-    distinct, relations on its labels with known tags, a known variant."""
+    distinct, relations on its labels with known tags, at most one per
+    label, a known variant."""
     known = dict(pat.pairs)
     known.update(pat.free)
     if len(known) != len(pat.pairs) + len(pat.free):
@@ -352,6 +353,8 @@ def _check_pattern(pat: EigenPattern) -> None:
             raise SchemaError(f"unknown relation tag {tag!r}")
         if order_tag and int(tag[6:]) == 0:
             raise SchemaError(f"relation tag {tag!r}: an order is at least 1")
+    if len(dict(pat.relations)) != len(pat.relations):
+        raise SchemaError("a label carries at most one relation tag")
     if pat.variant not in ("plus", "minus", "unspecified"):
         raise SchemaError(f"variant must be plus, minus or unspecified, not {pat.variant!r}")
 

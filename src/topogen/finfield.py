@@ -11,9 +11,10 @@ matrices otherwise. A permutation is the bytes of its images, composed,
 inverted and conjugated by the C-level ``bytes.translate`` and
 ``bytes.maketrans``; that caps projective space at 256 points, more than
 any G/Z of order <= 10^6 acts on. Generation does not change under
-conjugation, so the exact probabilities and Monte Carlo alike test one pair
-per orbit of PG on pairs: a class representative (``_conjugacy_class``)
-and the least element of an orbit of its centraliser (``_centralizer``).
+conjugation, so the exact probabilities and Monte Carlo share one pair
+test, ``_pair_orbits``, run once per orbit of PG on pairs: the least
+element of a class (``_conjugacy_class``) with the least element of an
+orbit of its centraliser (``_centralizer``).
 
 The kernels read a matrix as its sparse rows, ``GFMatrix.rows``, dicts
 column -> nonzero element; ``kron`` and ``induced_matrix`` build only
@@ -53,6 +54,7 @@ fields, e.g. a matrix entry is ``red[sum(map(mul, row, col))]``.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import compress, count, product
@@ -569,17 +571,17 @@ def fixed_space_dim(m: GFMatrix) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _square_images(F: Field, rows, wedge: bool, lam=0) -> list:
+def _square_images(F: Field, columns, wedge: bool, lam=0) -> list:
     """The columns of g - lam on S^2 V, or on the exterior square when
     ``wedge``: the images of the basis e_i e_j, i <= j (e_i ^ e_j, i < j), in
     lexicographic order, as dicts position -> nonzero coefficient, read off
-    g's rows, dicts column -> nonzero element. The term g_ki g_lj e_k e_l of
+    g's columns, dicts row -> nonzero element. The term g_ki g_lj e_k e_l of
     g(e_i) g(e_j) lands on e_k e_l = e_l e_k, or on e_k ^ e_l = -(e_l ^ e_k)."""
-    red, P, n = F.red, F._p_digits, len(rows)
+    red, P, n = F.red, F._p_digits, len(columns)
     basis = [(k, l) for k in range(n) for l in range(k + wedge, n)]
     pos = {b: t for t, (k, l) in enumerate(basis) for b in ((k, l), (l, k))}
     # column i as (k, g_ki, +-g_ki), the sign of g_ki g_lj on e_l e_k or e_l ^ e_k, l < k
-    cols = [[(k, x, red[P - x] if wedge else x) for k, x in col.items()] for col in _columns(rows, n)]
+    cols = [[(k, x, red[P - x] if wedge else x) for k, x in col.items()] for col in columns]
     images = []
     for t, (i, j) in enumerate(basis):
         acc = {t: P - lam} if lam else {}
@@ -602,7 +604,7 @@ def induced_matrix(m: GFMatrix, functor: str) -> GFMatrix:
     wedge = functor == "wedge2"
     d = m.n * (m.n + 1 - 2 * wedge) // 2
     _check_dim(d)
-    return GFMatrix._reduced(m.q, tuple(_columns(_square_images(m.field, m.rows, wedge), d)))
+    return GFMatrix._reduced(m.q, tuple(_columns(_square_images(m.field, _columns(m.rows, m.n), wedge), d)))
 
 
 def kron(m1: GFMatrix, m2: GFMatrix) -> GFMatrix:
@@ -660,15 +662,15 @@ def invariant_form_matrix(entries, q: int, kind: str) -> Optional[tuple]:
     # the basis of _square_images: e_k e_l, k <= l, or e_k ^ e_l, k < l
     pairs = [(k, l) for k in range(n) for l in range(k + wedge, n)]
     if quadratic:
-        # the coefficient of x_k x_l is the Gram entry X[k][l]
-        rows = _columns(_square_images(F, _columns(g, n), False, F.one), len(pairs))
+        # the coefficient of x_k x_l is the Gram entry X[k][l]; g^T's columns are g's rows
+        rows = _columns(_square_images(F, g, False, F.one), len(pairs))
         cells = pairs
     else:
         # the value on e_k e_l (e_k ^ e_l) is X[l][k] = X[k][l] (= -X[k][l]),
         # numbered in the row-major order of X's lower triangle
         cells = sorted((l, k) for k, l in pairs)
         at = {(k, l): c for c, (l, k) in enumerate(cells)}
-        rows = [{at[pairs[r]]: x for r, x in col.items()} for col in _square_images(F, g, wedge, F.one)]
+        rows = [{at[pairs[r]]: x for r, x in col.items()} for col in _square_images(F, _columns(g, n), wedge, F.one)]
     basis = _nullspace(F, rows, len(pairs))
     if not basis:
         return None
@@ -862,7 +864,7 @@ def centralizer_lie_dim(group: GroupSpec, m: GFMatrix) -> int:
     if target.family != "SL":
         if m.form is None:
             raise SchemaError("Sp/SO centralizer needs a form-tagged matrix")
-        images = _square_images(F, m.rows, target.family != "Sp" and F.p != 2, F.one)
+        images = _square_images(F, _columns(m.rows, m.n), target.family != "Sp" and F.p != 2, F.one)
         return len(images) - _rank(F, images)
     # {X : Xg = gX} is the kernel of X -> Xg - gX, on X's entries numbered
     # k * n + l: (Xg - gX)_kl = sum_j X_kj g_jl - sum_i g_ki X_il; trace X
@@ -1038,26 +1040,11 @@ def _conjugate(a: bytes, g: bytes, g_table: bytes) -> bytes:
     return bytes.maketrans(g, a.translate(g_table))[: len(a)]
 
 
-def _conjugacy_class(a: bytes, gens) -> dict:
-    """{b: d} over the conjugacy class of the permutation a in the group the
-    permutations ``gens`` generate, found by ``_bfs``: d is the table
-    (``_table``) of an element conjugating b to a, that is
-    _conjugate(b, d[:len(b)], d) == a."""
-    # each generator with its table and the table of its inverse
-    tables = [(g, t, bytes.maketrans(t, _BYTES)) for g in gens for t in [_table(g)]]
-    to_a = {a: _BYTES}
-
-    def conjugates(b):
-        d = to_a[b]
-        for g, g_table, g_inv in tables:
-            c = _conjugate(b, g, g_table)
-            if c not in to_a:
-                # c conjugated by g^-1 is b, so g^-1, then d, takes c to a
-                to_a[c] = g_inv.translate(d)
-            yield c
-
-    _bfs(a, conjugates)
-    return to_a
+def _conjugacy_class(a: bytes, gens) -> set:
+    """The conjugacy class of the permutation a in the group the
+    permutations ``gens`` generate, found by ``_bfs``."""
+    tables = [(g, _table(g)) for g in gens]
+    return _bfs(a, lambda b: (_conjugate(b, g, t) for g, t in tables))
 
 
 def _centralizer(a: bytes, elements) -> list:
@@ -1238,49 +1225,56 @@ def _elements_of_orders(groupspec: tuple, r: int, s: int, cap: int) -> tuple:
     return data, xr, xs
 
 
+def _pair_orbits(data: _GroupData) -> tuple:
+    """(rep, test), the pair test of both generation probabilities.
+    rep(x) is the least element of the conjugacy class of x
+    (``_conjugacy_class``). test(a, y), for a = rep(x), is whether a and y
+    generate PG, by one ``_generates`` per orbit of a's centraliser
+    (``_centralizer``) on y, on a and the orbit's least element: generation
+    does not change under conjugation. A class or an orbit is walked when
+    a call first reaches it."""
+    order = len(data.pg_elements)
+    reps: dict = {}  # x -> the least element of its class
+    answers: dict = {}  # representative a -> ({y: test(a, y)}, a's centraliser)
+
+    def rep(x):
+        if x not in reps:
+            cls = _conjugacy_class(x, data.gen_perms)
+            reps.update(dict.fromkeys(cls, a := min(cls)))
+            answers[a] = ({}, _centralizer(a, data.pg_elements))
+        return reps[x]
+
+    def test(a, y):
+        known, cent = answers[a]
+        if y not in known:
+            orbit = {_conjugate(y, *g) for g in cent}
+            known.update(dict.fromkeys(orbit, _generates((a, min(orbit)), order)))
+        return known[y]
+
+    return rep, test
+
+
 def estimate_generation_probability(
     groupspec: tuple, r: int, s: int, trials: int, seed: int, cap: int = 10**5
 ):
     """(hits, trials): Monte Carlo estimate of the probability that a random
     (order-r, order-s mod center) pair generates the group modulo its center.
-    Deterministic given (seed, trials), with one RNG stream per trial;
-    trials is a positive integer and seed an integer.
+    Deterministic given (seed, trials): one ``random.Random(seed)`` stream
+    per call, and trial t takes its next two draws, x and then y; trials is
+    a positive integer and seed an integer.
 
-    x and y are drawn from PG = G/Z, as permutations of the points of
-    P^{n-1}(GF(q)) (``_GroupData.pg_orders``). Each element of PG is a
-    coset of |Z| matrices of one order modulo the centre, so this draw has
-    the distribution of a draw from G. Generation does not change under
-    conjugation of the pair, so each drawn pair is conjugated to one pair
-    per orbit of PG on pairs, as in ``exact_generation_probability``: x to
-    the representative of its class, the first of the class drawn, and y
-    along with it, to the least element of its orbit under the centraliser
-    of that representative. Each class and each orbit is walked when a draw
-    first reaches it, and ``_generates`` tests one pair per orbit, once
-    per call. Raises GroupTooLarge when PG has more than ``cap`` elements."""
+    x and y are drawn from PG = G/Z (``_GroupData.pg_orders``). Each of its
+    elements is a coset of |Z| matrices of one order modulo the centre, so
+    this draw has the distribution of a draw from G. A trial tests x's
+    class representative with y (``_pair_orbits``): conjugating x there
+    takes a uniform y to a uniform element of the same order, so a hit is
+    as likely as for (x, y). Raises GroupTooLarge when PG has more than
+    ``cap`` elements."""
     trials, seed = _at_least(trials, "trials", 1), _whole(seed, "seed")
     data, xr, xs = _elements_of_orders(groupspec, r, s, cap)
-    order, n = len(data.pg_elements), len(xr[0])
-    to_rep: dict = {}  # x -> (its class representative, a conjugator taking x there, its table)
-    orbits: dict = {}  # representative -> ({y: least of y's orbit}, its centraliser)
-    generates: dict = {}  # (representative, least y) -> whether the pair generates PG
-    hits = 0
-    for t in range(trials):
-        rng = random.Random(seed * 1000003 + t)
-        x, y = xr[rng.randrange(len(xr))], xs[rng.randrange(len(xs))]
-        if x not in to_rep:
-            to_rep.update((b, (x, d[:n], d)) for b, d in _conjugacy_class(x, data.gen_perms).items())
-            orbits[x] = ({}, _centralizer(x, data.pg_elements))
-        rep, d, d_table = to_rep[x]
-        y = _conjugate(y, d, d_table)
-        least, cent = orbits[rep]
-        if y not in least:
-            orbit = {_conjugate(y, *g) for g in cent}
-            least.update(dict.fromkeys(orbit, min(orbit)))
-        key = rep, least[y]
-        if key not in generates:
-            generates[key] = _generates(key, order)
-        hits += generates[key]
-    return hits, trials
+    rep, test = _pair_orbits(data)
+    rng = random.Random(seed)
+    return sum(test(rep(rng.choice(xr)), rng.choice(xs)) for _ in range(trials)), trials
 
 
 def exact_generation_probability(
@@ -1291,28 +1285,15 @@ def exact_generation_probability(
     It is computed in PG = G/Z, listed as permutations of the points of
     P^{n-1}(GF(q)): each element of PG is one scalar coset of G, so the
     pairs of G are those of PG, each |Z|^2 times, and the order of x
-    modulo the centre is the order of its permutation. Conjugacy
-    reduction on the first element (``_conjugacy_class``) and
-    centraliser-orbit reduction on the second (``_centralizer``) leave one
-    ``_generates`` call per pair of orbits. Raises GroupTooLarge when PG
-    has more than ``cap`` elements."""
+    modulo the centre is the order of its permutation. Each class
+    representative a counts its hits over every y (``_pair_orbits``), times
+    the size of its class. Raises GroupTooLarge when PG has more than
+    ``cap`` elements."""
     data, xr, xs = _elements_of_orders(groupspec, r, s, cap)
-    order = len(data.pg_elements)
-    remaining = set(xr)
-    hit_pairs = 0
-    while remaining:
-        rep = min(remaining)
-        conjugates = _conjugacy_class(rep, data.gen_perms).keys()
-        remaining -= conjugates
-        cent = _centralizer(rep, data.pg_elements)
-        unseen = set(xs)
-        while unseen:
-            y = min(unseen)
-            orbit = {_conjugate(y, *g) for g in cent}
-            unseen -= orbit
-            if _generates([rep, y], order):
-                hit_pairs += len(conjugates) * len(orbit)
-    return Fraction(hit_pairs, len(xr) * len(xs))
+    rep, test = _pair_orbits(data)
+    sizes = Counter(map(rep, xr))
+    hits = sum(size * sum(test(a, y) for y in xs) for a, size in sizes.items())
+    return Fraction(hits, len(xr) * len(xs))
 
 
 # ---------------------------------------------------------------------------

@@ -137,8 +137,7 @@ def _so6_image(sl4_class: ClassDescriptor, p: int) -> tuple[EigenProfile, bool]:
 def _so6_products(pat) -> Counter:
     """Multiset of pairwise eigenvalue products (symbols with multiplicity)."""
     syms = _symbols(pat)
-    # the first tag of a label wins, as in EigenPattern.relation_of
-    relations = dict(reversed(pat.relations))
+    relations = dict(pat.relations)
     products: Counter = Counter()
     for i, (s1, m1) in enumerate(syms):
         products[_mul_symbols(relations, s1, s1)] += m1 * (m1 - 1) // 2
@@ -362,6 +361,12 @@ def _module_profiles(group, classes, spin8_profiles=None) -> tuple:
             spin8_profiles = [_once(c, "_spin8", _spin8) for c in classes]
         elif len(spin8_profiles) != len(classes):
             raise SchemaError("need one profile triple per class")
+        # a noncentral element acts non-scalarly on each 8-dimensional module
+        elif not all(
+            isinstance(t, (list, tuple)) and len(t) == 3 and all(type(d) is int and 1 <= d <= 7 for d in t)
+            for t in spin8_profiles
+        ):
+            raise SchemaError("a Spin8 profile is three integers (not bools) from 1 to 7")
         ds = [t[0] for t in spin8_profiles]
         bounded = [("module-1", 8, ds)]
         modules = {}

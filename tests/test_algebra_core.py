@@ -10,6 +10,7 @@ from topogen.algebra_core import (
     EigenPattern,
     GroupSpec,
     UnipotentData,
+    check_unvalidated,
     conjugate_partition,
     dim_and_rank,
     is_prime,
@@ -230,6 +231,17 @@ class TestSemisimpleValidation:
             validate_class(
                 GroupSpec("SL", 4, 0), semisimple(pairs=[("a", 1)], free=[("a", 2)])
             )
+
+    def test_two_relation_tags_on_one_label_rejected(self):
+        # the first tag used to win silently; both entry points of
+        # _check_pattern now refuse the pattern
+        g = GroupSpec("Sp", 4, 0)
+        cls = semisimple(pairs=[("a", 2)], relations=[("a", "order:3"), ("a", "order:6")], order=3)
+        with pytest.raises(SchemaError, match="at most one relation tag"):
+            validate_class(g, cls)
+        with pytest.raises(SchemaError, match="at most one relation tag"):
+            check_unvalidated(g, [cls])
+        check_unvalidated(g, [semisimple(pairs=[("a", 2)], relations=[("a", "order:3")], order=3)])
 
 
 class TestUnipotentValidation:

@@ -266,6 +266,9 @@ class TestHandleMalformedDocuments:
                 "decide",
                 {"group": SPIN8, "classes": [SPIN8_CLASS] * 2, "spin8_profiles": [[1, 2, "x"]] * 2},
             ),
+            ("decide", {"group": SPIN8, "classes": [SPIN8_CLASS] * 2, "spin8_profiles": [[100, -4, 0]] * 2}),
+            ("decide", {"group": SPIN8, "classes": [SPIN8_CLASS] * 2, "spin8_profiles": [[0, 0, 0]] * 2}),
+            ("decide", {"group": SPIN8, "classes": [SPIN8_CLASS] * 2, "spin8_profiles": [[4, 4, 4], [4, 8, 4]]}),
             (
                 "decide",
                 {

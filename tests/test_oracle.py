@@ -194,6 +194,18 @@ class TestSpin8:
         v = decide(g, [c, c, c], spin8_profiles=[(2, 2, 2)] * 3)
         assert not v.empty
 
+    @pytest.mark.parametrize(
+        "profile", [(100, -4, 0), (0, 0, 0), (8, 4, 4), (4, 4, 4.0), (True, 4, 4), (4, 4), (4, 4, 4, 4), 4]
+    )
+    def test_profiles_out_of_range_refused(self, profile):
+        # a noncentral element acts non-scalarly on each 8-dimensional
+        # module, so each entry is an int from 1 to 7
+        g = GroupSpec("Spin8", 8, 0)
+        c = semisimple(ones=2, pairs=[2, 1])
+        with pytest.raises(SchemaError, match="from 1 to 7"):
+            decide(g, [c, c], spin8_profiles=[(4, 4, 4), profile])
+        decide(g, [c, c], spin8_profiles=[[1, 7, 4], (4, 4, 4)])
+
     def test_first_module_obstruction(self):
         g = GroupSpec("Spin8", 8, 3)
         c = unipotent(partition=(3, 1, 1, 1, 1, 1))
