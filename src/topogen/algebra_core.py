@@ -82,9 +82,10 @@ class GroupSpec:
     p: int
 
     def __post_init__(self):
+        _check_family(self.family)
+        _set_whole(self, "n", "p")
         if self.family not in FAMILIES:
             raise UnsupportedGroup(f"unknown family {self.family!r}")
-        _set_whole(self, "n", "p")
         if self.p != 0 and not is_prime(self.p):
             raise SchemaError(f"characteristic must be 0 or prime, got {self.p}")
         if self.n < 1:
@@ -201,37 +202,37 @@ def _once(cls: ClassDescriptor, name: str, fn):
 
 
 def _norm_labelled(items, what: str) -> tuple:
-    """Normalize [(label, mult)] (also plain multiplicities -> auto labels)."""
-    if not items:
-        return ()
+    """Normalize [(string label, mult)] (also plain multiplicities -> auto labels)."""
     merged: dict[str, int] = {}
     auto = 0
-    for item in items:
+    for item in _iterable(items, f"{what}s"):
         if isinstance(item, (tuple, list)):
-            if len(item) != 2:
-                raise SchemaError(f"a labelled {what} must be a (label, multiplicity) pair, not {item!r}")
-            lab, m = str(item[0]), item[1]
+            if len(item) != 2 or not isinstance(item[0], str):
+                raise SchemaError(f"a labelled {what} must be a (string label, multiplicity) pair, not {item!r}")
+            lab, m = item
         else:
             auto += 1
             lab, m = f"l{auto}", item
-        if type(m) is not int:
-            m = _whole(m, f"a {what} multiplicity")
-        if m < 1:
-            raise SchemaError(f"{what} multiplicity must be a positive integer")
+        if type(m) is not int or m < 1:
+            m = _at_least(m, f"a {what} multiplicity", 1)
         merged[lab] = merged.get(lab, 0) + m
     if len(merged) < 2:
         return tuple(merged.items())
     return tuple(sorted(merged.items(), key=lambda t: (-t[1], t[0])))
 
 
-def _normal_pattern(ones: int, minus_ones: int, pairs, free, relations, variant) -> EigenPattern:
-    """The pattern of a semisimple class with integer ``ones`` and
-    ``minus_ones``: relations (a mapping or (label, tag) pairs) sorted, and
-    pairs and free eigenvalues normalised by ``_norm_labelled``."""
+def _normal_pattern(ones, minus_ones, pairs, free, relations, variant) -> EigenPattern:
+    """The pattern of a semisimple class: ``ones`` and ``minus_ones``
+    integers, relations (a mapping or (label, tag) pairs) sorted, and pairs
+    and free eigenvalues normalised by ``_norm_labelled``."""
+    ones, minus_ones = _whole(ones, "ones"), _whole(minus_ones, "minus_ones")
     if relations:
         if isinstance(relations, Mapping):
             relations = relations.items()
-        relations = tuple(sorted((str(lab), tag) for lab, tag in relations))
+        try:
+            relations = tuple(sorted((str(lab), tag) for lab, tag in relations))
+        except (TypeError, ValueError):
+            raise SchemaError(f"relations must be a mapping or (label, tag) pairs, not {relations!r}") from None
     pairs, free = _norm_labelled(pairs, "pair"), _norm_labelled(free, "free eigenvalue")
     return EigenPattern(ones, minus_ones, pairs, free, relations or (), variant)
 
@@ -245,7 +246,6 @@ def semisimple(
     relations: Union[Mapping[str, str], Iterable, None] = None,
     variant: str = "unspecified",
 ) -> ClassDescriptor:
-    ones, minus_ones = _whole(ones, "ones"), _whole(minus_ones, "minus_ones")
     pat = _normal_pattern(ones, minus_ones, pairs, free, relations, variant)
     return ClassDescriptor("semisimple", order, pat)
 
@@ -261,6 +261,28 @@ def _whole(x, what: str) -> int:
     raise SchemaError(f"{what} must be an integer, not {x!r}")
 
 
+def _at_least(x, what: str, least: int) -> int:
+    """x as an int, if it is an integer (``_whole``) of at least ``least``;
+    SchemaError otherwise."""
+    if (x := _whole(x, what)) < least:
+        raise SchemaError(f"{what} must be at least {least}, not {x}")
+    return x
+
+
+def _check_family(x) -> None:
+    """SchemaError unless ``x``, a family name, is a string."""
+    if not isinstance(x, str):
+        raise SchemaError(f"family must be a string, not {x!r}")
+
+
+def _iterable(x, what: str):
+    """An iterator over ``x``; SchemaError if ``x`` is not iterable."""
+    try:
+        return iter(x)
+    except TypeError:
+        raise SchemaError(f"{what} must be a list, not {x!r}") from None
+
+
 def _set_whole(obj, *names: str) -> None:
     """Check that the named fields of the frozen ``obj`` are integers
     (SchemaError otherwise) and store them as plain ints."""
@@ -272,19 +294,19 @@ def _norm_decoration(decoration) -> Optional[tuple]:
     if decoration is None:
         return None
     merged: dict[tuple, int] = {}
-    for item in decoration:
+    for item in _iterable(decoration, "decoration"):
         if isinstance(item, Mapping):
-            kind = "V" if "V" in item else "W" if "W" in item else None
-            if kind is None:
+            # a record names exactly one of V and W
+            if ("V" in item) == ("W" in item):
                 raise SchemaError(f"bad decoration record {item!r}")
+            kind = "V" if "V" in item else "W"
             size, mult = item[kind], item.get("mult", 1)
         elif isinstance(item, (tuple, list)) and len(item) == 3:
             kind, size, mult = item
         else:
             raise SchemaError(f"a decoration item must be a mapping or a triple, not {item!r}")
-        size = _whole(size, "a decoration size")
-        mult = _whole(mult, "a decoration multiplicity")
-        if kind not in ("V", "W") or size < 1 or mult < 1:
+        size, mult = _at_least(size, "a decoration size", 1), _at_least(mult, "a decoration multiplicity", 1)
+        if kind not in ("V", "W"):
             raise SchemaError(f"bad decoration record {item!r}")
         if kind == "V" and size % 2:
             raise SchemaError("V summands have even dimension")
@@ -297,7 +319,8 @@ def _normal_unipotent(partition: Optional[Iterable], decoration) -> UnipotentDat
     the parts sorted down, derived from the decoration if any, its type."""
     dec = _norm_decoration(decoration)
     if partition is not None:
-        partition = [a if type(a) is int else _whole(a, "a partition part") for a in partition]
+        partition = [a if type(a) is int and a > 0 else _at_least(a, "a partition part", 1)
+                     for a in _iterable(partition, "partition")]
     if dec is not None:
         if sum(mult if kind == "V" else 2 * mult for kind, _, mult in dec) > MAX_BLOCKS:
             raise BoundExceeded(f"a decoration of more than {MAX_BLOCKS} Jordan blocks is refused")
@@ -312,10 +335,7 @@ def _normal_unipotent(partition: Optional[Iterable], decoration) -> UnipotentDat
         return UnipotentData(parts, dec, as_type)
     if partition is None:
         raise SchemaError("unipotent class needs a partition or a decoration")
-    parts = tuple(sorted(partition, reverse=True))
-    if parts and parts[-1] < 1:
-        raise SchemaError("partition parts must be positive")
-    return UnipotentData(parts, None, "none")
+    return UnipotentData(tuple(sorted(partition, reverse=True)), None, "none")
 
 
 def unipotent(

@@ -5,10 +5,12 @@ decide, classdim, closure, genfree, maxclass, rslimit, verify.
 Exit codes: 0 computed result (including Empty verdicts), 1 failed verify
 suite, 2 invalid input (and usage errors), 3 well-formed but unsupported
 case. ``handle`` is the in-process entry point; ``main`` is a thin argparse
-shell on it, with its parser built once at import. A command's arguments go
-straight to the command's own parser, and the output is the text of
-``json.dumps(out, indent=2, default=str)``, written without json's
-pure-Python indenting encoder.
+shell on it, with its parser built once at import. Values go to the
+library as read: its constructors and entry points are the one check of
+each field, so "n must be an integer, not 'Sp'" reads the same here as in
+Python. A command's arguments go straight to the command's own parser,
+and the output is the text of ``json.dumps(out, indent=2, default=str)``,
+written without json's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .algebra_core import (
     ClassDescriptor,
     GroupSpec,
     _checked_class,
+    _iterable,
     _normal_pattern,
     _normal_unipotent,
     check_unvalidated,
@@ -40,58 +43,29 @@ SCHEMA = "topogen/1"
 # ---------------------------------------------------------------------------
 
 
-def parse_group(doc: dict) -> GroupSpec:
-    try:
-        return GroupSpec(_typed(str)(doc["family"]), _int(doc["n"]), _int(doc.get("p", 0)))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"bad group document: {exc}") from exc
+def parse_group(doc) -> GroupSpec:
+    """The group of a group document; ``GroupSpec`` checks its fields."""
+    doc = _object(doc, "a group document")
+    return GroupSpec(_read(doc, "family"), _read(doc, "n"), _read(doc, "p", 0))
 
 
-def parse_class(doc: dict, group: GroupSpec | None = None) -> ClassDescriptor:
-    """The class of a class document; with ``group``, checked against it and
-    stamped as by ``validate_class``, in one pass that builds one descriptor."""
-    fields = _class_fields(doc)
+def parse_class(doc, group: GroupSpec | None = None) -> ClassDescriptor:
+    """The class of a class document, its fields checked and normalised by
+    the library; with ``group``, checked against it and stamped as by
+    ``validate_class``, in one pass that builds one descriptor."""
+    doc = _object(doc, "a class document")
+    kind, order = _read(doc, "kind"), doc.get("order")
+    if kind == "semisimple":
+        pattern = _normal_pattern(
+            doc.get("ones", 0), doc.get("minus_ones", 0), doc.get("pairs", ()), doc.get("free", ()),
+            doc.get("relations"), doc.get("variant", "unspecified"),
+        )
+        fields = kind, order, pattern, None
+    elif kind == "unipotent":
+        fields = kind, order, None, _normal_unipotent(doc.get("partition"), doc.get("decoration"))
+    else:
+        raise SchemaError(f"unknown class kind {kind!r}")
     return ClassDescriptor(*fields) if group is None else _checked_class(group, *fields)
-
-
-def _class_fields(doc: dict) -> tuple:
-    """(kind, order, eigen, unip) of a class document: JSON types checked,
-    the pattern or Jordan data normalised, nothing checked against a group."""
-    try:
-        kind = doc["kind"]
-        # an order is an integer, or the symbolic order of a unipotent class
-        order = doc.get("order")
-        if order is not None and not isinstance(order, str):
-            _int(order)
-        if kind == "semisimple":
-            ones, minus_ones = _int(doc.get("ones", 0)), _int(doc.get("minus_ones", 0))
-            pairs = [_labelled(x) for x in doc.get("pairs", [])]
-            free = [_labelled(x) for x in doc.get("free", [])]
-            relations, variant = doc.get("relations"), doc.get("variant", "unspecified")
-            return kind, order, _normal_pattern(ones, minus_ones, pairs, free, relations, variant), None
-        if kind == "unipotent":
-            # _normal_unipotent itself refuses parts, sizes and mults that are not integers
-            return kind, order, None, _normal_unipotent(doc.get("partition"), doc.get("decoration"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"bad class document: {exc}") from exc
-    raise SchemaError(f"unknown class kind {kind!r}")
-
-
-def _int(value) -> int:
-    """``value`` if it is a JSON integer: an int and not a bool."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _labelled(x):
-    """A multiplicity, or a [label, multiplicity] pair with a string label."""
-    if isinstance(x, list):
-        label, mult = x
-        if type(label) is not str:
-            raise TypeError(f"an eigenvalue label is a string, got {label!r}")
-        return label, _int(mult)
-    return _int(x)
 
 
 def class_to_doc(cls: ClassDescriptor) -> dict:
@@ -127,17 +101,27 @@ def class_to_doc(cls: ClassDescriptor) -> dict:
 _REQUIRED = object()
 
 
-def _read(doc: dict, key: str, convert=_int, default=_REQUIRED):
-    """``convert(doc[key])``, or ``default`` when the key is absent; a
-    missing required key or a value ``convert`` rejects is a SchemaError."""
-    if key not in doc:
-        if default is _REQUIRED:
-            raise SchemaError(f"missing {key!r}")
-        return default
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"bad {key!r}: {exc}") from exc
+def _read(doc: dict, key: str, default=_REQUIRED):
+    """``doc[key]`` as it is, or ``default`` when the key is absent; a
+    missing required key is a SchemaError. The library checks the value."""
+    if key in doc:
+        return doc[key]
+    if default is _REQUIRED:
+        raise SchemaError(f"missing {key!r}")
+    return default
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what} must be a JSON object")
+    return value
+
+
+def _lookup(table: dict, name, what: str):
+    """``table[name]`` for a string ``name`` in it; SchemaError otherwise."""
+    if isinstance(name, str) and name in table:
+        return table[name]
+    raise SchemaError(f"unknown {what} {name!r}")
 
 
 def _document(doc) -> dict:
@@ -148,40 +132,22 @@ def _document(doc) -> dict:
         except (json.JSONDecodeError, RecursionError) as exc:
             # RecursionError: nested deeper than the decoder can follow
             raise SchemaError(f"input is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("input document must be a JSON object")
-    if _read(doc, "schema", str, default=SCHEMA) != SCHEMA:
+    doc = _object(doc, "input document")
+    if doc.get("schema", SCHEMA) != SCHEMA:
         raise SchemaError(f"unsupported schema {doc['schema']!r}")
     return doc
 
 
-def _typed(kind):
-    """Converter passing values of type ``kind`` through unchanged."""
-
-    def convert(value):
-        if not isinstance(value, kind):
-            raise TypeError(f"expected {kind.__name__}, got {value!r}")
-        return value
-
-    return convert
-
-
-def _profiles(value) -> list:
-    """Spin8 profiles: one list of three integers per class."""
-    for t in value:
-        if not isinstance(t, list) or len(t) != 3 or any(type(d) is not int for d in t):
-            raise ValueError("each Spin8 profile must be a list of three integers")
-    return [tuple(t) for t in value]
-
-
 def _decide(doc: dict) -> dict:
     """Decide emptiness for a tuple of classes."""
-    group = _read(doc, "group", parse_group)
-    fields = _read(doc, "classes", lambda v: [_class_fields(c) for c in v], default=[])
-    profiles = _read(doc, "spin8_profiles", _profiles, default=None)
-    # every class is read before any is checked against the group, so a
+    group = parse_group(_read(doc, "group"))
+    # every class is read before decide checks any against the group, so a
     # malformed class is reported before a class that breaks a group rule
-    classes = [_checked_class(group, *f) for f in fields]
+    classes = [parse_class(c) for c in _iterable(_read(doc, "classes", []), "classes")]
+    profiles = _read(doc, "spin8_profiles", None)
+    if profiles is None and "spin8_profiles" in doc:
+        # decide reads None as "no profiles passed"; null is no list of profiles
+        raise SchemaError("spin8_profiles must be a list, not null")
     verdict = decide(group, classes, spin8_profiles=profiles)
     out = {"empty": verdict.empty, "reason": verdict.reason}
     if verdict.reason == "TableRow":
@@ -194,10 +160,10 @@ def _decide(doc: dict) -> dict:
 
 def _classdim(doc: dict) -> dict:
     """Class and centralizer dimensions of a single class."""
-    group = _read(doc, "group", parse_group)
+    group = parse_group(_read(doc, "group"))
     # dimension formulas are evaluated without family admissibility
     # validation, so auxiliary Jordan data can be queried too
-    cls = _read(doc, "class", parse_class)
+    cls = parse_class(_read(doc, "class"))
     check_unvalidated(group, [cls])
     res = class_dim(group, cls)
     return {
@@ -209,51 +175,41 @@ def _classdim(doc: dict) -> dict:
 
 def _closure(doc: dict) -> dict | str:
     """Closure-order queries: containment, smallest class, DOT poset."""
-    group = _read(doc, "group", parse_group)
+    group = parse_group(_read(doc, "group"))
     if "upper" in doc and "lower" in doc:
-        upper = _read(doc, "upper", lambda c: parse_class(c, group))
-        lower = _read(doc, "lower", lambda c: parse_class(c, group))
+        upper, lower = parse_class(doc["upper"], group), parse_class(doc["lower"], group)
         return {"in_closure": in_closure(group, upper, lower)}
     if "blocks" in doc:
-        blocks = _read(doc, "blocks")
-        if blocks < 1:
+        blocks = doc["blocks"]
+        # the library answers NoSuchClass for m = 0; a query for it is malformed
+        if type(blocks) is int and blocks < 1:
             raise SchemaError(f"'blocks' must be at least 1, got {blocks}")
-        cls = smallest_class_with_blocks(group, blocks)
-        return {"class": class_to_doc(cls)}
-    if _read(doc, "dot", _typed(bool), default=False):
+        return {"class": class_to_doc(smallest_class_with_blocks(group, blocks))}
+    if _read(doc, "dot", False) is True:
         return closure_poset_dot(group)
     raise SchemaError("closure needs 'upper'/'lower', 'blocks', or 'dot'")
 
 
 def _genfree(doc: dict) -> dict:
     """Generically-free threshold test."""
-    group = _read(doc, "exceptional", _typed(str), default=None)
-    group = group or _read(doc, "group", parse_group)
+    # an empty exceptional type name falls back to 'group'
+    name = _read(doc, "exceptional", "")
+    group = parse_group(_read(doc, "group")) if name == "" else name
     result = generically_free(group, _read(doc, "dimV"), _read(doc, "dimVG"))
     return {"generically_free": result, "d": str(d_value(group))}
 
 
 def _maxclass(doc: dict) -> dict:
     """Maximal-dimension class of prime order r in context (r, i)."""
-    group = _read(doc, "group", parse_group)
-    ctx = QContext(
-        r=_read(doc, "r"),
-        i=_read(doc, "i", default=1),
-        is_p=_read(doc, "is_p", _typed(bool), default=False),
-    )
+    group = parse_group(_read(doc, "group"))
+    ctx = QContext(r=_read(doc, "r"), i=_read(doc, "i", 1), is_p=_read(doc, "is_p", False))
     cls, dim = max_class(group, ctx)
     return {"dim": dim, "class": class_to_doc(cls)}
 
 
 def _rslimit(doc: dict) -> dict:
     """Limit of the (r, s) random generation probability."""
-    limit = rs_limit(
-        _read(doc, "family", _typed(str)),
-        _read(doc, "n"),
-        _read(doc, "p", default=0),
-        _read(doc, "r"),
-        _read(doc, "s"),
-    )
+    limit = rs_limit(_read(doc, "family"), _read(doc, "n"), _read(doc, "p", 0), _read(doc, "r"), _read(doc, "s"))
     return {"limit": str(limit)}
 
 
@@ -354,10 +310,8 @@ SUITES = {
 
 def _verify(doc: dict) -> dict:
     """Run a named finite-field cross-check suite."""
-    suite = _read(doc, "suite", _typed(str))
-    if suite not in SUITES:
-        raise SchemaError(f"unknown suite {suite!r}")
-    return {"suite": suite, **SUITES[suite]()}
+    suite = _read(doc, "suite")
+    return {"suite": suite, **_lookup(SUITES, suite, "suite")()}
 
 
 COMMANDS = {
@@ -376,7 +330,7 @@ def handle(command: str, doc: dict | str) -> tuple[int, dict | str]:
     return ``(exit_code, out)``: the output document, the DOT text of
     ``closure`` with ``dot``, or for exit codes 2 and 3 the error message."""
     try:
-        out = COMMANDS[command](_document(doc))
+        out = _lookup(COMMANDS, command, "command")(_document(doc))
     except InvalidInput as exc:
         return 2, f"invalid input: {exc}"
     except UnsupportedCase as exc:

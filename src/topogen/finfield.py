@@ -58,11 +58,12 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import compress, count, product
-from math import gcd, inf, isqrt, prod
+from math import gcd, inf, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .algebra_core import ClassDescriptor, GroupSpec, _unpaired_parts, _whole, conjugate_partition, validate_class
+from .algebra_core import ClassDescriptor, GroupSpec, _at_least, _iterable, _unpaired_parts, _whole
+from .algebra_core import conjugate_partition, is_prime, validate_class
 from .errors import (
     EnumerationTooLarge,
     GroupTooLarge,
@@ -89,17 +90,24 @@ MAX_FIELD_ORDER = 2**16
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    """(p, k) with q = p^k; p is the least divisor of q above 1."""
-    if q < 2:
-        raise SchemaError(f"{q} is not a prime power")
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    k, m = 0, q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        raise SchemaError(f"{q} is not a prime power")
-    return p, k
+    """(p, k) with q = p^k and p prime (``is_prime``, which refuses p of
+    3.3e24 and more); SchemaError for any other q. The largest k with an
+    exact k-th root gives the one base p that is no perfect power."""
+    if (q := _whole(q, "q")) >= 2:
+        for k in range(q.bit_length() - 1, 0, -1):
+            if (p := _root(q, k)) ** k == q:
+                if is_prime(p):
+                    return p, k
+                break
+    raise SchemaError(f"{q} is not a prime power")
+
+
+def _root(q: int, k: int) -> int:
+    """The integer part of q^(1/k), for q >= 1, by Newton's method from above."""
+    x = 1 << -(-q.bit_length() // k)
+    while (y := ((k - 1) * x + q // x ** (k - 1)) // k) < x:
+        x = y
+    return x
 
 
 def _find_irreducible(p: int, k: int) -> tuple:
@@ -163,7 +171,7 @@ class Field:
     docstring); zero is 0 and one is 1 in every field."""
 
     def __init__(self, q: int):
-        if q > MAX_FIELD_ORDER:
+        if (q := _whole(q, "q")) > MAX_FIELD_ORDER:
             raise SchemaError(f"fields of order above {MAX_FIELD_ORDER} are refused, got {q}")
         self.q = q
         self.p, self.k = _factor_prime_power(q)
@@ -656,7 +664,7 @@ def invariant_form_matrix(entries, q: int, kind: str) -> Optional[tuple]:
     if kind not in ("symplectic", "symmetric", "quadratic"):
         raise SchemaError(f"unknown form kind {kind!r}")
     F = _field(q)
-    g = [_sparse([F.coerce(x) for x in row]) for row in entries]
+    g = GFMatrix(q, entries).rows
     n = len(g)
     wedge, quadratic = kind == "symplectic", kind == "quadratic"
     # the basis of _square_images: e_k e_l, k <= l, or e_k ^ e_l, k < l
@@ -823,7 +831,8 @@ def unipotent_matrix(partition: Sequence[int], q: int, form_kind: Optional[str])
     A parity rule refuses a partition without a search where it is
     necessary: Sp's for symplectic forms, SO's for symmetric and quadratic
     ones at odd p, and Sp's with one unpaired part 1 allowed for quadratic
-    ones at p = 2."""
+    ones at p = 2. Every part is a positive integer."""
+    partition = [_at_least(a, "a partition part", 1) for a in _iterable(partition, "partition")]
     F = _field(q)
     g = _block_diag(F, [_jordan_block(F, a, F.one) for a in sorted(partition, reverse=True)])
     if form_kind is None:
@@ -860,6 +869,8 @@ def centralizer_lie_dim(group: GroupSpec, m: GFMatrix) -> int:
     for Sp and SO alike it counts g-invariant symmetric bilinear forms (for SO
     not Lie(O(Q)) = {X : B(Xv, v) = 0 for all v})."""
     target = group.class_group()
+    if m.n != target.n:
+        raise SchemaError(f"a matrix of {target.family}{target.n} is {target.n} x {target.n}, not {m.n} x {m.n}")
     F = m.field
     if target.family != "SL":
         if m.form is None:
@@ -886,7 +897,20 @@ def centralizer_lie_dim(group: GroupSpec, m: GFMatrix) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _group_args(family: str, n: int, q: int) -> tuple[int, int]:
+    """(n, q) as ints, if n is at least 2, and even for Sp, and q is a prime
+    power (``_factor_prime_power``); SchemaError otherwise."""
+    if (n := _at_least(n, "n", 2)) % 2 and family == "Sp":
+        raise SchemaError(f"Sp needs even n, not {n}")
+    p, k = _factor_prime_power(q)
+    return n, p**k
+
+
 def group_order(family: str, n: int, q: int, epsilon: int = 1) -> int:
+    """|G(q)| for G = SL_n, Sp_n or SO_n (Spin8: SO8), of type epsilon = +-1 for SO at even n."""
+    n, q = _group_args(family, n, q)
+    if _whole(epsilon, "epsilon") not in (1, -1):
+        raise SchemaError(f"epsilon must be 1 or -1, not {epsilon}")
     m = n // 2
     if family == "SL":
         return q ** (n * (n - 1) // 2) * prod(q**i - 1 for i in range(2, n + 1))
@@ -906,6 +930,7 @@ def projective_order(family: str, n: int, q: int) -> int:
 
 
 def standard_generators(family: str, n: int, q: int) -> list[GFMatrix]:
+    n, q = _group_args(family, n, q)
     F = _field(q)
     adders = [F.one]
     if F.k > 1:
@@ -954,14 +979,6 @@ def _closure_order(F: Field, gen_entries, cap: int) -> int:
         moved=lambda g: next((e for e, col in zip(identity, zip(*g)) if col != e), None),
         cap=cap,
     )
-
-
-def _at_least(x, what: str, least: int) -> int:
-    """x as an int, if it is an integer (``_whole``) of at least ``least``;
-    SchemaError otherwise."""
-    if (x := _whole(x, what)) < least:
-        raise SchemaError(f"{what} must be at least {least}, not {x}")
-    return x
 
 
 def group_closure(generators: Iterable[GFMatrix], cap: int = 10**6):
@@ -1207,15 +1224,14 @@ def _group_data(family: str, n: int, q: int, cap: int) -> _GroupData:
 def _elements_of_orders(groupspec: tuple, r: int, s: int, cap: int) -> tuple:
     """(data, xr, xs): the ``_GroupData`` of the group, and its elements of
     order r and of order s modulo the centre. Raises SchemaError before any
-    work unless groupspec is (family, n, q) with integers n >= 1 and
-    q >= 2, r and s are integers and cap is a non-negative integer, and
-    before any permutation is built unless q is a prime power (``_field``);
-    raises NotApplicable when either list is empty."""
+    work unless groupspec is (family, n, q) as ``_group_args`` accepts it,
+    r and s are integers and cap is a non-negative integer; raises
+    NotApplicable when either list is empty."""
     try:
         family, n, q = groupspec
     except (TypeError, ValueError):
         raise SchemaError(f"a group is (family, n, q), not {groupspec!r}") from None
-    n, q, cap = _at_least(n, "n", 1), _at_least(q, "q", 2), _at_least(cap, "cap", 0)
+    (n, q), cap = _group_args(family, n, q), _at_least(cap, "cap", 0)
     r, s = _whole(r, "r"), _whole(s, "s")
     data = _group_data(family, n, q, cap)
     xr = [a for a, k in data.pg_orders if k == r]

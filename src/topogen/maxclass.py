@@ -20,6 +20,7 @@ from .algebra_core import (
     MAX_BLOCKS,
     ClassDescriptor,
     GroupSpec,
+    _check_family,
     _set_whole,
     _whole,
     dim_and_rank,
@@ -203,8 +204,10 @@ def max_class(group: GroupSpec, ctx: QContext) -> tuple[ClassDescriptor, int]:
 
 def rs_limit(family: str, n: int, p: int, r: int, s: int) -> Fraction:
     """Limit of the probability that a random (order r, order s) pair
-    topologically generates, along the family at fixed (r, s)."""
-    r, s = _whole(r, "r"), _whole(s, "s")
+    topologically generates, along the family at fixed (r, s). Types are
+    checked before primality, which refuses r or s past its bound."""
+    _check_family(family)
+    n, p, r, s = _whole(n, "n"), _whole(p, "p"), _whole(r, "r"), _whole(s, "s")
     if not (is_prime(r) and is_prime(s) and s > 2):
         raise NotApplicable("r, s must be prime with s > 2")
     GroupSpec(family, n, p)  # validates the family

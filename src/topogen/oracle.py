@@ -359,14 +359,6 @@ def _module_profiles(group, classes, spin8_profiles=None) -> tuple:
     if group.family == "Spin8":
         if spin8_profiles is None:
             spin8_profiles = [_once(c, "_spin8", _spin8) for c in classes]
-        elif len(spin8_profiles) != len(classes):
-            raise SchemaError("need one profile triple per class")
-        # a noncentral element acts non-scalarly on each 8-dimensional module
-        elif not all(
-            isinstance(t, (list, tuple)) and len(t) == 3 and all(type(d) is int and 1 <= d <= 7 for d in t)
-            for t in spin8_profiles
-        ):
-            raise SchemaError("a Spin8 profile is three integers (not bools) from 1 to 7")
         ds = [t[0] for t in spin8_profiles]
         bounded = [("module-1", 8, ds)]
         modules = {}
@@ -395,7 +387,15 @@ def decide(
     """Whether no tuple of the classes topologically generates the group:
     the first rule that fires, in the order below, or Generic. Witnesses:
     r, n, and d, e, sum_d, sum_e on the natural module; ``modules`` on the
-    others (``_module_profiles``). Only Spin8 reads ``spin8_profiles``."""
+    others (``_module_profiles``). Only Spin8 reads ``spin8_profiles``, but
+    it is checked for every group, before the classes are."""
+    if spin8_profiles is not None:
+        if not isinstance(spin8_profiles, (list, tuple)) or len(spin8_profiles) != len(classes):
+            raise SchemaError(f"need one profile triple per class, got {spin8_profiles!r}")
+        # a noncentral element acts non-scalarly on each 8-dimensional module
+        for t in spin8_profiles:
+            if not (isinstance(t, (list, tuple)) and len(t) == 3 and all(type(d) is int and 1 <= d <= 7 for d in t)):
+                raise SchemaError(f"a Spin8 profile is three integers (not bools) from 1 to 7, not {t!r}")
     classes = [validate_class(group, c) for c in classes]
     r = len(classes)
     if r < 2:

@@ -15,7 +15,7 @@ from typing import Optional, Union
 from .algebra_core import (
     ClassDescriptor,
     GroupSpec,
-    _whole,
+    _at_least,
     semisimple,
     unipotent,
     validate_class,
@@ -33,14 +33,18 @@ _EXCEPTIONAL = {
 }
 
 
+def _check_group(group) -> None:
+    if not isinstance(group, (GroupSpec, str)):
+        raise SchemaError(f"a group is a GroupSpec or an exceptional type name, not {group!r}")
+
+
 def _thresholds(group: Union[GroupSpec, str]) -> tuple[Fraction, Fraction]:
     """(d(G), d'(G)) as exact rationals."""
+    _check_group(group)
     if isinstance(group, str):
         if group in _EXCEPTIONAL:
             return _EXCEPTIONAL[group]
         raise UnsupportedGroup(f"no threshold row for {group!r}")
-    if not isinstance(group, GroupSpec):
-        raise SchemaError(f"a group is a GroupSpec or an exceptional type name, not {group!r}")
     n, p = group.n, group.p
     fam = group.family
     if fam == "SL":
@@ -71,10 +75,10 @@ def dprime_value(group: Union[GroupSpec, str]) -> Fraction:
 def generically_free(
     group: Union[GroupSpec, str], dimV: int, dimVG: int
 ) -> bool:
-    """True iff dim V - dim V^G strictly exceeds d(G)."""
-    dimV, dimVG = _whole(dimV, "dimV"), _whole(dimVG, "dimVG")
-    if dimV < 0 or dimVG < 0:
-        raise SchemaError(f"dimensions must be nonnegative, got dimV = {dimV}, dimVG = {dimVG}")
+    """True iff dim V - dim V^G strictly exceeds d(G). The group's type is
+    checked first, the dimensions next, the group's threshold row last."""
+    _check_group(group)
+    dimV, dimVG = _at_least(dimV, "dimV", 0), _at_least(dimVG, "dimVG", 0)
     if dimVG > dimV:
         raise UnsupportedGroup("fixed space cannot exceed the module")
     return Fraction(dimV - dimVG) > d_value(group)

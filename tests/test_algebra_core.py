@@ -96,6 +96,19 @@ class TestIntegerFields:
         with pytest.raises(SchemaError):
             GroupSpec("SL", 3, bad)
 
+    @pytest.mark.parametrize("family", [5, None, ["SL"], b"SL"])
+    def test_group_family_must_be_a_string(self, family):
+        with pytest.raises(SchemaError, match="family must be a string"):
+            GroupSpec(family, 4, 0)
+
+    def test_group_integers_are_checked_before_the_family(self):
+        # a malformed n is malformed whatever the family; an unknown family
+        # with well-formed integers is unsupported
+        with pytest.raises(SchemaError, match="n must be an integer"):
+            GroupSpec("XX", 1.5, 0)
+        with pytest.raises(UnsupportedGroup, match="unknown family"):
+            GroupSpec("XX", 4, 4)
+
     def test_group_index_types_become_ints(self):
         g = GroupSpec("Sp", _Index(4), _Index(3))
         assert type(g.n) is int and type(g.p) is int
@@ -135,6 +148,29 @@ class TestIntegerFields:
     def test_semisimple_multiplicities(self, kwargs):
         with pytest.raises(SchemaError):
             semisimple(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"pairs": 5}, "pairs must be a list, not 5"),
+            ({"pairs": None}, "pairs must be a list, not None"),
+            ({"free": 0}, "free eigenvalues must be a list, not 0"),
+            ({"relations": 5}, "relations must be a mapping or"),
+            ({"relations": [1]}, "relations must be a mapping or"),
+            ({"relations": [("a", "x", "y")]}, "relations must be a mapping or"),
+            # equal labels put the tags side by side, and they do not compare
+            ({"pairs": [("a", 2)], "relations": [("a", "x"), ("a", 5)]}, "relations must be a mapping or"),
+        ],
+    )
+    def test_semisimple_fields_that_are_not_lists(self, kwargs, message):
+        with pytest.raises(SchemaError, match=message):
+            semisimple(**kwargs)
+
+    @pytest.mark.parametrize("label", [None, 3, 1.5, ("a",), True])
+    @pytest.mark.parametrize("field", ["pairs", "free"])
+    def test_labels_must_be_strings(self, field, label):
+        with pytest.raises(SchemaError, match=r"must be a \(string label, multiplicity\) pair"):
+            semisimple(**{field: [(label, 1), ("b", 1)]})
 
     def test_semisimple_index_types_become_ints(self):
         c = semisimple(ones=_Index(2), pairs=[("a", _Index(1))])
@@ -261,6 +297,23 @@ class TestUnipotentValidation:
     def test_parts_sizes_and_mults_must_be_integers(self, kwargs):
         with pytest.raises(SchemaError):
             unipotent(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"partition": 5}, "partition must be a list, not 5"),
+            ({"decoration": 5}, "decoration must be a list, not 5"),
+            ({"partition": 2.5}, "partition must be a list, not 2.5"),
+        ],
+    )
+    def test_fields_that_are_not_lists(self, kwargs, message):
+        with pytest.raises(SchemaError, match=message):
+            unipotent(**kwargs)
+
+    @pytest.mark.parametrize("item", [{"V": 2, "W": 1}, {"W": 1, "V": 2, "mult": 1}, {"mult": 1}])
+    def test_decoration_record_names_one_of_v_and_w(self, item):
+        with pytest.raises(SchemaError, match="bad decoration record"):
+            unipotent(decoration=[item])
 
     @pytest.mark.parametrize("item", [("V", 2), 5, "VW", ("V", 2, 1, 0)])
     def test_decoration_items_are_mappings_or_triples(self, item):

@@ -503,6 +503,93 @@ class TestHandle:
         assert code == 3 and out.startswith("unsupported case: ")
 
 
+    @pytest.mark.parametrize("command", ["nope", None, ["decide"], "", 5])
+    def test_unknown_command_exit_2(self, command):
+        assert handle(command, RS) == (2, f"invalid input: unknown command {command!r}")
+
+
+SO5 = {"family": "SO", "n": 5, "p": 0}
+SPIN8_INVOLUTION = {"kind": "semisimple", "ones": 4, "minus_ones": 4, "order": 2}
+
+
+class TestOneCheckPerField:
+    """The CLI hands each JSON value to the library as it is; the library's
+    constructors and entry points are its one check."""
+
+    @pytest.mark.parametrize(
+        "command,doc,message",
+        [
+            ("decide", {"group": {**SP8, "n": "Sp"}, "classes": [INVOLUTION] * 3}, "n must be an integer, not 'Sp'"),
+            ("decide", {"group": {**SP8, "family": 5}, "classes": [INVOLUTION] * 3}, "family must be a string, not 5"),
+            ("decide", {"group": SP8, "classes": [{**INVOLUTION, "ones": 6.0}] * 3}, "ones must be an integer, not 6.0"),
+            ("decide", {"group": SP8, "classes": [{**INVOLUTION, "pairs": 5}] * 3}, "pairs must be a list, not 5"),
+            ("decide", {"group": SP8, "classes": 5}, "classes must be a list, not 5"),
+            ("decide", {"group": SP8, "classes": [5] * 3}, "a class document must be a JSON object"),
+            ("decide", {"group": "Sp", "classes": [INVOLUTION] * 3}, "a group document must be a JSON object"),
+            ("classdim", {"group": SP8, "class": {**PARTITION, "partition": 2}}, "partition must be a list, not 2"),
+            ("classdim", {"group": SP8, "class": {"kind": "semisimple", "pairs": [[3, 4]]}},
+             "a labelled pair must be a (string label, multiplicity) pair, not [3, 4]"),
+            ("maxclass", {"group": SP8, "r": 3, "is_p": "no"}, "is_p must be a bool, not 'no'"),
+            ("rslimit", {**RS, "family": 5}, "family must be a string, not 5"),
+            ("genfree", {"exceptional": 5, "dimV": 721, "dimVG": 0},
+             "a group is a GroupSpec or an exceptional type name, not 5"),
+            ("verify", {"suite": 5}, "unknown suite 5"),
+        ],
+    )
+    def test_the_library_words_the_refusal(self, command, doc, message):
+        assert handle(command, doc) == (2, f"invalid input: {message}")
+
+    @pytest.mark.parametrize(
+        "command,doc,code",
+        [
+            # a type fault is refused before a primality test that would
+            # find r past its bound
+            ("rslimit", {"family": 5, "n": 4, "p": 0, "r": 10**30, "s": 3}, 2),
+            ("rslimit", {"family": "Sp", "n": 1.5, "p": 0, "r": 10**30, "s": 3}, 2),
+            # r = 4 is not prime, whatever the family
+            ("rslimit", {"family": "XX", "n": 4, "p": 0, "r": 4, "s": 3}, 2),
+            ("maxclass", {"group": {"family": "XX", "n": 1.5}, "r": 3}, 2),
+            # dimV is malformed; SO5 has no threshold row
+            ("genfree", {"group": SO5, "dimV": 1.5, "dimVG": 0}, 2),
+            # the group comes first: p is past the primality bound
+            ("maxclass", {"group": {"family": "Sp", "n": 4, "p": 10**30}, "r": 3, "i": 1.5}, 3),
+            # a malformed group type comes before an unsupported fixed space
+            ("genfree", {"exceptional": None, "group": SO5, "dimV": 0, "dimVG": 1}, 2),
+            ("genfree", {"exceptional": 0, "dimV": 0, "dimVG": 1}, 2),
+            # a malformed Spin8 profile list comes before an order past the bound
+            ("decide", {"group": SPIN8, "classes": [{**SPIN8_INVOLUTION, "order": 2**89 - 1}] * 2, "spin8_profiles": 5}, 2),
+        ],
+    )
+    def test_two_fault_documents(self, command, doc, code):
+        assert handle(command, doc)[0] == code
+
+    def test_spin8_profiles_are_checked_for_every_group(self):
+        # exit 0 before: only Spin8 read the profiles, and none was checked
+        doc = {"group": SL4, "classes": [SL4_CLASS] * 2, "spin8_profiles": [[0, 0, 0], [1, 1, 1]]}
+        message = "a Spin8 profile is three integers (not bools) from 1 to 7, not [0, 0, 0]"
+        assert handle("decide", doc) == (2, f"invalid input: {message}")
+        plain = {"group": SL4, "classes": [SL4_CLASS] * 2}
+        assert handle("decide", {**plain, "spin8_profiles": [[1, 1, 1]] * 2}) == handle("decide", plain)
+
+    def test_null_spin8_profiles_exit_2(self):
+        # decide reads None as no profiles passed; null is not a list
+        doc = {"group": SPIN8, "classes": [SPIN8_INVOLUTION] * 2}
+        assert handle("decide", doc)[0] == 0
+        message = "spin8_profiles must be a list, not null"
+        assert handle("decide", {**doc, "spin8_profiles": None}) == (2, f"invalid input: {message}")
+
+    def test_empty_exceptional_name_falls_back_to_the_group(self):
+        doc = {"group": {"family": "SO", "n": 9, "p": 0}, "dimV": 100, "dimVG": 1}
+        assert handle("genfree", {**doc, "exceptional": ""}) == handle("genfree", doc)
+        assert handle("genfree", {**doc, "exceptional": "E8"})[1]["d"] == "720"
+
+    @pytest.mark.parametrize("blocks,code", [(0, 2), (-3, 2), (True, 2), (8, 3)])
+    def test_blocks_at_least_one(self, blocks, code):
+        # the library answers NoSuchClass (exit 3) for a count it cannot
+        # meet, m = 0 included; the CLI refuses a count below 1 as malformed
+        assert handle("closure", {"group": SP8, "blocks": blocks})[0] == code
+
+
 def call_main(monkeypatch, command, payload):
     """``main.main`` in the form an in-process caller uses: stdin and
     stdout swapped for buffers, ``standalone_mode=False``."""

@@ -4,6 +4,7 @@ import hashlib
 import math
 import operator
 import random
+import time
 import tracemalloc
 import types
 from fractions import Fraction
@@ -14,7 +15,7 @@ from math import gcd
 
 import pytest
 
-from topogen import finfield
+from topogen import finfield, oracle
 from topogen.algebra_core import GroupSpec, conjugate_partition, is_prime, semisimple, unipotent, validate_class
 from topogen.closure import _partitions
 from topogen.errors import (
@@ -757,6 +758,11 @@ class TestInvariantForms:
         with pytest.raises(SchemaError, match="unknown form kind"):
             finfield.invariant_form_matrix(((1, 0), (0, 1)), 3, "hermitian")
 
+    @pytest.mark.parametrize("entries", [[[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1, 0]], [[1, 0, 0], [0, 1], [0, 0, 1]]])
+    def test_matrix_must_be_square(self, entries):
+        with pytest.raises(SchemaError, match="matrix must be square"):
+            finfield.invariant_form_matrix(entries, 3, "symplectic")
+
 
 CENTRALIZER_GROUPS = [
     (family, n, q)
@@ -804,6 +810,14 @@ class TestCentralizers:
         m = matrix_from_class(g, c, 7)
         assert centralizer_lie_dim(g, m) == 3
 
+    def test_matrix_of_another_size_refused(self):
+        m = GFMatrix(3, ((1, 1), (0, 1)))
+        with pytest.raises(SchemaError, match="a matrix of SL3 is 3 x 3, not 2 x 2"):
+            centralizer_lie_dim(GroupSpec("SL", 3, 0), m)
+        # SO6 classes are given on the 4-dimensional SL4 module
+        with pytest.raises(SchemaError, match="a matrix of SL4 is 4 x 4, not 2 x 2"):
+            centralizer_lie_dim(GroupSpec("SO", 6, 0), m)
+
     def test_sp_matrix_without_a_form_refused(self):
         m = GFMatrix(3, finfield._identity(finfield._field(3), 4))
         with pytest.raises(SchemaError, match="form-tagged"):
@@ -822,6 +836,44 @@ class TestGroupOrders:
         assert projective_order("SL", 2, 5) == 60
         assert projective_order("SL", 2, 9) == 360
         assert projective_order("Sp", 4, 3) == 25920
+
+    @pytest.mark.parametrize(
+        "family,n,q,message",
+        [
+            ("SL", 0, 3, "n must be at least 2"),
+            ("SL", 1, 3, "n must be at least 2"),
+            ("SL", 2.0, 3, "n must be an integer"),
+            ("SL", 2, 1, "1 is not a prime power"),
+            ("SL", 2, 0, "0 is not a prime power"),
+            ("SL", 2, 6, "6 is not a prime power"),
+            ("SL", 2, 9.0, "q must be an integer"),
+            ("Sp", 3, 3, "Sp needs even n"),
+        ],
+    )
+    def test_malformed_groups_refused(self, family, n, q, message):
+        for call in (group_order, projective_order, standard_generators):
+            with pytest.raises(SchemaError, match=message):
+                call(family, n, q)
+
+    @pytest.mark.parametrize("epsilon", [0, 2, -2, 1.0])
+    def test_epsilon_is_plus_or_minus_one(self, epsilon):
+        with pytest.raises(SchemaError, match="epsilon"):
+            group_order("SO", 6, 3, epsilon)
+        # SO6 of minus type: q^6 (q^3 + 1)(q^2 - 1)(q^4 - 1)
+        assert group_order("SO", 6, 3, -1) == 3**6 * 28 * 8 * 80
+
+    def test_large_prime_field_order_answers_fast(self):
+        # trial division up to sqrt(q) would take minutes here
+        start = time.perf_counter()
+        q = 2**61 - 1
+        assert group_order("SL", 2, q) == q * (q * q - 1)
+        assert finfield._factor_prime_power(3**40) == (3, 40)
+        # past the primality bound: a power of a small prime, and a perfect
+        # power of a composite
+        assert finfield._factor_prime_power(2**100) == (2, 100)
+        with pytest.raises(SchemaError, match="is not a prime power"):
+            group_order("SL", 2, 10**30)
+        assert time.perf_counter() - start < 0.5
 
     def test_only_sl_and_sp_are_listed(self):
         with pytest.raises(UnsupportedGroup, match="projective order implemented for SL and Sp"):
@@ -957,6 +1009,16 @@ class TestPinnedConstructions:
                             continue
                         out.append((m.entries, m.form, m.form_kind))
         assert (len(out), _digest(out)) == (348, "6e130f0b0bb72e15")
+
+    @pytest.mark.parametrize("part,message", [((2.5,), "an integer"), ((0, 2), "at least 1"), ((2, -1), "at least 1")])
+    def test_parts_are_positive_integers(self, part, message):
+        with pytest.raises(SchemaError, match=f"a partition part must be {message}"):
+            unipotent_matrix(part, 3, None)
+
+    @pytest.mark.parametrize("part,q,message", [(5, 3, "partition must be a list"), ((2,), "3", "q must be an integer")])
+    def test_malformed_arguments_refused(self, part, q, message):
+        with pytest.raises(SchemaError, match=message):
+            unipotent_matrix(part, q, None)
 
     @pytest.mark.parametrize(
         "part,q,kind",
@@ -1350,7 +1412,8 @@ class TestArgumentRefusals:
     """The group entry points refuse malformed arguments with SchemaError
     before any permutation is built or any generator inspected: trials a
     positive integer, seed, r and s integers, cap a non-negative integer,
-    (family, n, q) with n >= 1 and q a prime power; never a bool."""
+    (family, n, q) with n >= 2, even for Sp, and q a prime power; never a
+    bool."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -1378,7 +1441,9 @@ class TestArgumentRefusals:
             group_closure(standard_generators("SL", 2, 5), cap=cap)
 
     @pytest.mark.parametrize(
-        "groupspec", [("SL", 2, 1), ("SL", 2, 6), ("SL", 2.0, 7), ("SL", 2, 7.0), ("SL", 0, 7), ("SL", True, 7), ("SL", 2, 7, 1)]
+        "groupspec",
+        [("SL", 2, 1), ("SL", 2, 6), ("SL", 2.0, 7), ("SL", 2, 7.0), ("SL", 0, 7), ("SL", 1, 7), ("Sp", 3, 7),
+         ("SL", True, 7), ("SL", 2, 7, 1)],
     )
     def test_group(self, groupspec):
         with pytest.raises(SchemaError):
@@ -1661,6 +1726,50 @@ class TestNaturalProfiles:
                 assert got == _natural_profile(cls), (family, n, cls)
                 seen["agree"] += 1
         assert seen == {"agree": agree, "refused": refused}
+
+
+class TestSO6ExteriorSquare:
+    """(d, e, quadratic) of ``oracle._so6_image`` at p = 0, which ``decide``
+    reads for SO6, against the Jordan type of the exterior square of a
+    matrix of every SL4 shape over GF(q). Where they differ, the labels the
+    matrix takes satisfy a relation the descriptor leaves out: for the
+    regular class (l1, l2, l3, l4), l1 l2 = l3 l4 = +-1, a repeated
+    eigenvalue of the exterior square; for (l1^2, l2^2), l1 l2 = 1, which
+    fixes the four l1 l2 eigenvectors. A label choice that avoids those
+    relations (ROADMAP item 12) changes the pins here."""
+
+    # (ones, minus_ones, free multiplicities)
+    REGULAR = (0, 0, (1, 1, 1, 1))
+    TWO_SQUARES = (0, 0, (2, 2))
+
+    @pytest.mark.parametrize(
+        "q,agree,differ,refused",
+        [
+            (5, 4, {TWO_SQUARES: ((4, 0, False), (4, 4, True))}, 3),
+            (7, 5, {REGULAR: ((1, 0, False), (2, 2, False))}, 2),
+            (9, 5, {TWO_SQUARES: ((4, 0, False), (4, 4, True)), REGULAR: ((1, 0, False), (2, 2, False))}, 1),
+            (11, 7, {REGULAR: ((1, 0, False), (2, 2, False))}, 0),
+            (13, 7, {REGULAR: ((1, 0, False), (2, 0, False))}, 0),
+        ],
+    )
+    def test_sweep(self, q, agree, differ, refused):
+        group = GroupSpec("SL", 4, 0)
+        seen = {"agree": 0, "differ": {}, "refused": 0}
+        for cls in enumerate_class_shapes(group):
+            try:
+                jt = jordan_type(induced_matrix(matrix_from_class(group, cls, q), "wedge2"))
+            except Uninstantiable:
+                seen["refused"] += 1
+                continue
+            got = (max(map(len, jt.values())), len(jt.get(1, ())), sum(p[0] for p in jt.values()) == 2)
+            profile, quadratic = oracle._so6_image(cls, 0)
+            want = (profile.d, profile.e, quadratic)
+            if got == want:
+                seen["agree"] += 1
+            else:
+                pat = cls.eigen
+                seen["differ"][(pat.mult_one, pat.mult_minus_one, tuple(m for _, m in pat.free))] = (want, got)
+        assert seen == {"agree": agree, "differ": differ, "refused": refused}
 
 
 class TestInvariantSubspaceCount:

@@ -39,8 +39,10 @@ def _lines(documents):
         yield f"{command} | {code} | {text}"
 
 
-def _digest(documents):
+def _digest(documents, codes_only=False):
     lines = list(_lines(documents))
+    if codes_only:
+        lines = [" | ".join(line.split(" | ", 2)[:2]) for line in lines]
     return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -67,9 +69,21 @@ class TestHandlePinned:
         # entry outside 1..7: Spin8 decide documents whose profiles hold a
         # 0, a 64 and a 2^31, exit 0 (QuadraticPair once, DimObstruction
         # twice) before, exit 2 now.
+        # Then 1015 refusal messages changed, and nothing else, when the
+        # library's constructors became the one check of each field: "bad
+        # group document: expected an integer, got 'Sp'" reads "n must be
+        # an integer, not 'Sp'" now (test_fuzz_exit_codes held).
         assert _digest(_documents()) == (
             1999,
-            "3a2f7e2d4716250f27f9423a336113c0d1a02b0b99caa09c5cc835aece536c5e",
+            "d9428bd217c72f600d7b306a7d1df2d95ca68c8687d3c6b518ba1a78cab60987",
+        )
+
+    def test_fuzz_exit_codes(self):
+        # (command, exit code) alone, so that a reworded refusal leaves it
+        # alone and a changed exit code shows here
+        assert _digest(_documents(), codes_only=True) == (
+            1999,
+            "f4bb015e736072b480a9a90b951116f65adee557f6453fdfec9a5a17ea0f1aab",
         )
 
     def test_shape_documents(self):

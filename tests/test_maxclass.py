@@ -8,7 +8,7 @@ import pytest
 
 from topogen import maxclass
 from topogen.algebra_core import MAX_BLOCKS, GroupSpec, semisimple, validate_class
-from topogen.errors import BoundExceeded, Infeasible, NotApplicable, SchemaError, TopogenError
+from topogen.errors import BoundExceeded, Infeasible, NotApplicable, SchemaError, TopogenError, UnsupportedGroup
 from topogen.invariants import class_dim
 from topogen.maxclass import MAX_LABELS, QContext, exchange_gain, max_class, rs_limit
 from topogen.stabilizers import _shape_table
@@ -396,6 +396,28 @@ class TestRsLimit:
     def test_nonprime_rejected(self):
         with pytest.raises(NotApplicable):
             rs_limit("Sp", 8, 0, 4, 3)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((5, 4, 0, 10**30, 3), "family must be a string, not 5"),
+            (("Sp", 1.5, 0, 10**30, 3), "n must be an integer, not 1.5"),
+            (("Sp", 4, "0", 10**30, 3), "p must be an integer, not '0'"),
+            (("Sp", 4, 0, 10**30, 3.0), "s must be an integer, not 3.0"),
+        ],
+    )
+    def test_types_are_checked_before_the_primality_test(self, args, message):
+        # r = 10^30 is past the bound of is_prime, which refuses it as unsupported
+        with pytest.raises(SchemaError, match=message):
+            rs_limit(*args)
+        with pytest.raises(BoundExceeded):
+            rs_limit("Sp", 4, 0, 10**30, 3)
+
+    def test_primality_comes_before_the_family(self):
+        with pytest.raises(NotApplicable):
+            rs_limit("XX", 4, 0, 4, 3)
+        with pytest.raises(UnsupportedGroup):
+            rs_limit("XX", 4, 0, 2, 3)
 
     @pytest.mark.parametrize("r,s", [(2.0, 3), (2, 3.0)])
     def test_orders_must_be_integers(self, r, s):

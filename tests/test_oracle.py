@@ -206,6 +206,31 @@ class TestSpin8:
             decide(g, [c, c], spin8_profiles=[(4, 4, 4), profile])
         decide(g, [c, c], spin8_profiles=[[1, 7, 4], (4, 4, 4)])
 
+    def test_profiles_are_checked_for_every_group(self):
+        # only Spin8 reads the profiles, but a malformed list is refused for
+        # every group
+        g, c = GroupSpec("SL", 4, 0), semisimple(ones=2, pairs=[("a", 1)])
+        with pytest.raises(SchemaError, match="from 1 to 7"):
+            decide(g, [c, c], spin8_profiles=[[0, 0, 0], [1, 1, 1]])
+        with pytest.raises(SchemaError, match="one profile triple per class"):
+            decide(g, [c, c], spin8_profiles=[])
+        assert decide(g, [c, c], spin8_profiles=[(1, 1, 1)] * 2) == decide(g, [c, c])
+
+    @pytest.mark.parametrize("profiles", [5, "abc", {(4, 4, 4), (4, 4, 3)}, [(4, 4, 4)], [(4, 4, 4)] * 3])
+    def test_profiles_are_a_list_with_one_entry_per_class(self, profiles):
+        g = GroupSpec("Spin8", 8, 0)
+        c = semisimple(ones=2, pairs=[2, 1])
+        with pytest.raises(SchemaError, match="one profile triple per class"):
+            decide(g, [c, c], spin8_profiles=profiles)
+
+    def test_profiles_are_checked_before_the_classes(self):
+        # the class's order is past the primality bound, which would refuse
+        # it as unsupported
+        g = GroupSpec("Spin8", 8, 0)
+        c = semisimple(ones=4, minus_ones=4, order=2**89 - 1)
+        with pytest.raises(SchemaError, match="one profile triple per class"):
+            decide(g, [c, c], spin8_profiles=5)
+
     def test_first_module_obstruction(self):
         g = GroupSpec("Spin8", 8, 3)
         c = unipotent(partition=(3, 1, 1, 1, 1, 1))
@@ -226,6 +251,68 @@ class TestSpin8:
         c = semisimple(ones=4, minus_ones=4, order=2)
         v = decide(g, [c, c])
         assert v.empty and v.reason == "QuadraticPair" and v.case_id == "so8"
+
+
+def _spin8_key(c) -> tuple:
+    """("u", partition), with the a/b/c type at p = 2, or ("s", ones,
+    minus_ones, pair multiplicities, relation tags...)."""
+    if c.kind == "unipotent":
+        return ("u", c.unip.partition) + ((c.unip.as_type,) if c.unip.decoration else ())
+    pat = c.eigen
+    return ("s", pat.mult_one, pat.mult_minus_one, tuple(m for _, m in pat.pairs)) + tuple(t for _, t in pat.relations)
+
+
+# why spin8_profile has no profile for a shape: the open ROADMAP item that
+# would give it one
+_ITEM_19 = "item 19: one weight engine for module profiles"
+_ITEMS_5_14 = "items 5 and 14: the profile read off a matrix of the class"
+_SPIN8_WAITS = {
+    ("s", 6, 2, ()): _ITEM_19,
+    ("s", 2, 6, ()): _ITEM_19,
+    ("s", 0, 0, (4,), "square_is_minus_one"): _ITEM_19,
+    ("s", 0, 0, (4,)): _ITEM_19,
+    ("s", 0, 0, (3, 1)): _ITEM_19,
+    ("s", 0, 0, (2, 1, 1)): _ITEM_19,
+    ("s", 0, 0, (1, 1, 1, 1)): _ITEM_19,
+    ("s", 2, 0, (2, 1)): _ITEM_19,
+    ("s", 2, 0, (1, 1, 1)): _ITEM_19,
+    ("u", (5, 1, 1, 1)): _ITEMS_5_14,
+    ("u", (4, 4)): _ITEMS_5_14,
+    ("u", (3, 2, 2, 1)): _ITEMS_5_14,
+    ("u", (2, 2, 1, 1, 1, 1)): _ITEMS_5_14,
+    ("u", (2, 2, 1, 1, 1, 1), "a"): _ITEMS_5_14,
+    ("u", (2, 2, 2, 2), "a"): _ITEMS_5_14,
+}
+_SEMISIMPLE = [k for k in _SPIN8_WAITS if k[0] == "s"]
+# no -1 eigenvalue and no square_is_minus_one tag at p = 2
+_SEMISIMPLE_P2 = [("s", 0, 0, (4,)), ("s", 0, 0, (3, 1)), ("s", 0, 0, (2, 1, 1)), ("s", 0, 0, (1, 1, 1, 1)),
+                  ("s", 2, 0, (2, 1)), ("s", 2, 0, (1, 1, 1))]
+
+
+class TestSpin8Refusals:
+    """Every Spin8 shape ``spin8_profile`` refuses, each with the open item
+    it waits on; a shape that gains a profile shows up here."""
+
+    @pytest.mark.parametrize(
+        "p,total,refused",
+        [
+            (0, 24, [("u", (5, 1, 1, 1)), ("u", (4, 4)), ("u", (3, 2, 2, 1)), ("u", (2, 2, 1, 1, 1, 1))] + _SEMISIMPLE),
+            (2, 15, [("u", (2, 2, 1, 1, 1, 1), "a"), ("u", (2, 2, 2, 2), "a")] + _SEMISIMPLE_P2),
+            # unipotent parts are at most 3
+            (3, 20, [("u", (3, 2, 2, 1)), ("u", (2, 2, 1, 1, 1, 1))] + _SEMISIMPLE),
+            (5, 23, [("u", (5, 1, 1, 1)), ("u", (4, 4)), ("u", (3, 2, 2, 1)), ("u", (2, 2, 1, 1, 1, 1))] + _SEMISIMPLE),
+        ],
+    )
+    def test_refused_shapes_are_pinned(self, p, total, refused):
+        shapes = enumerate_class_shapes(GroupSpec("Spin8", 8, p))
+        got = []
+        for c in shapes:
+            try:
+                spin8_profile(c)
+            except OutsideCatalog:
+                got.append(_spin8_key(c))
+        assert (len(shapes), sorted(got)) == (total, sorted(refused))
+        assert all(key in _SPIN8_WAITS for key in got)
 
 
 class TestScottBound:

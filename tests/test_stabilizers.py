@@ -73,6 +73,15 @@ class TestGenericallyFree:
         with pytest.raises(SchemaError, match="not 5"):
             generically_free(5, 30, 0)
 
+    def test_group_type_is_checked_first(self):
+        # a fixed space larger than the module is unsupported, a group
+        # that is neither a GroupSpec nor a name is malformed
+        with pytest.raises(SchemaError, match="not None"):
+            generically_free(None, 0, 1)
+        # the dimensions come before the threshold row, which SO5 lacks
+        with pytest.raises(SchemaError, match="dimV must be an integer"):
+            generically_free(GroupSpec("SO", 5, 0), 1.5, 0)
+
 
 class TestShapeEnumeration:
     def test_bound_exceeded(self):
