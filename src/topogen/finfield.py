@@ -273,6 +273,7 @@ class Field:
         raise AssertionError("the multiplicative group of GF(q) is cyclic")
 
 
+# callers with q from outside check it (``_whole``) first: the cache hashes q
 @lru_cache(maxsize=64)
 def _field(q: int) -> Field:
     return Field(q)
@@ -295,19 +296,21 @@ class GFMatrix:
 
     def __init__(self, q: int, entries, form=None, form_kind: Optional[str] = None):
         self.q = q
-        self.field = _field(q)
+        self.field = _field(_whole(q, "q"))
         F = self.field
         # an int in [0, bound) is coerced by one lookup, as Field.coerce does
         red, bound = F.red, F.bound
         self.entries = tuple(
-            tuple([red[x] if type(x) is int and 0 <= x < bound else F.coerce(x) for x in row])
-            for row in entries
+            tuple([red[x] if type(x) is int and 0 <= x < bound else F.coerce(x) for x in _iterable(row, "a row")])
+            for row in _iterable(entries, "matrix entries")
         )
         self.n = len(self.entries)
         if any(len(row) != self.n for row in self.entries):
             raise SchemaError("matrix must be square")
         _check_dim(self.n)
-        self.form = None if form is None else tuple(tuple(F.coerce(x) for x in row) for row in form)
+        self.form = None if form is None else tuple(
+            tuple(F.coerce(x) for x in _iterable(row, "a form row")) for row in _iterable(form, "form")
+        )
         self.form_kind = form_kind
         if self.form is not None and form_kind is None:
             raise SchemaError("form matrix given without a form kind")
@@ -663,8 +666,8 @@ def invariant_form_matrix(entries, q: int, kind: str) -> Optional[tuple]:
     """
     if kind not in ("symplectic", "symmetric", "quadratic"):
         raise SchemaError(f"unknown form kind {kind!r}")
-    F = _field(q)
-    g = GFMatrix(q, entries).rows
+    m = GFMatrix(q, entries)
+    F, g = m.field, m.rows
     n = len(g)
     wedge, quadratic = kind == "symplectic", kind == "quadratic"
     # the basis of _square_images: e_k e_l, k <= l, or e_k ^ e_l, k < l
@@ -795,7 +798,7 @@ def matrix_from_class(group: GroupSpec, cls: ClassDescriptor, q: int) -> GFMatri
     the 1s and of the -1s and each pair label, and ``_standard_form``."""
     target = group.class_group()
     cls = validate_class(group, cls)
-    F = _field(q)
+    F = _field(_whole(q, "q"))
     n = target.n
     kind = _FORM_KIND[target.family]
     if cls.kind == "unipotent":
@@ -833,7 +836,7 @@ def unipotent_matrix(partition: Sequence[int], q: int, form_kind: Optional[str])
     ones at odd p, and Sp's with one unpaired part 1 allowed for quadratic
     ones at p = 2. Every part is a positive integer."""
     partition = [_at_least(a, "a partition part", 1) for a in _iterable(partition, "partition")]
-    F = _field(q)
+    F = _field(_whole(q, "q"))
     g = _block_diag(F, [_jordan_block(F, a, F.one) for a in sorted(partition, reverse=True)])
     if form_kind is None:
         return GFMatrix(q, g)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .algebra_core import (
@@ -64,24 +65,36 @@ def _ss_sig(cls: ClassDescriptor) -> Optional[tuple]:
     )
 
 
+def _row_key(cls: ClassDescriptor) -> tuple:
+    """What the family rows read of a class: ``_ss_sig`` of a semisimple
+    class; of a unipotent one, its partition as (part, count) runs with the
+    parts decreasing, and its ``as_type`` at p = 2 (None undecorated); ()
+    for a class with unpaired eigenvalues. Linear in the number of parts."""
+    if cls.kind == "unipotent":
+        unip = cls.unip
+        runs = tuple(_part_counts(unip.partition).items())
+        return runs, unip.as_type if unip.decoration is not None else None
+    return _ss_sig(cls) or ()
+
+
+def _ss(a: int, b: int, *pairs: int) -> tuple:
+    """The row keys of the semisimple class (I_a, -I_b, one inverse pair of
+    eigenvalues per multiplicity in ``pairs``, decreasing) and of its twist
+    by the central -1, (I_b, -I_a, ...)."""
+    return (a, b, pairs), (b, a, pairs)
+
+
+def _u(*runs: tuple, as_type: Optional[str] = None) -> tuple:
+    """The row key of the unipotent class whose partition is ``runs``, (part,
+    count) pairs with the parts decreasing: ((3, 2), (2, 1)) is 3^2 2. It is
+    the undecorated class, or with ``as_type`` the p = 2 class of that type
+    ("none" for one that is no involution)."""
+    return ((runs, as_type),)
+
+
 # ---------------------------------------------------------------------------
 # symbolic eigenvalue arithmetic for the exterior-square transfer
 # ---------------------------------------------------------------------------
-
-
-def _symbols(pat) -> list:
-    """Distinct eigenvalues as (sign, exponent-vector) symbols with mults."""
-    syms = []
-    if pat.mult_one:
-        syms.append(((1, ()), pat.mult_one))
-    if pat.mult_minus_one:
-        syms.append(((-1, ()), pat.mult_minus_one))
-    for lab, m in pat.pairs:
-        syms.append(((1, ((lab, 1),)), m))
-        syms.append(((1, ((lab, -1),)), m))
-    for lab, m in pat.free:
-        syms.append(((1, ((lab, 1),)), m))
-    return syms
 
 
 def _mul_symbols(relations: dict, s1, s2):
@@ -117,33 +130,35 @@ def so6_transfer(sl4_class: ClassDescriptor) -> EigenProfile:
         total = sl4_class.eigen.total()
     if total != 4:
         raise SchemaError("transfer expects a 4-dimensional class")
-    return _so6_image(sl4_class, 0)[0]
+    d, e, _ = _so6_image(sl4_class)
+    return EigenProfile(d=d, e=e)
 
 
-def _so6_image(sl4_class: ClassDescriptor, p: int) -> tuple[EigenProfile, bool]:
-    """so6_transfer's profile, and whether the minimal polynomial on the
-    exterior square has degree 2 (in characteristic p)."""
+def _so6_image(sl4_class: ClassDescriptor) -> tuple:
+    """(d, e, quadratic) of an SL4 class on the exterior square, the natural
+    module of SO6, as ``_natural_profile`` reads them on the natural module.
+    Only the quadratic flag reads p: the class's stamp, or 0 unstamped."""
     if sl4_class.kind == "unipotent":
         parts = sl4_class.unip.partition
         blocks = _wedge2_blocks(parts)
+        stamp = sl4_class.validated_for
+        p = stamp.p if stamp is not None else 0
         # exterior-square Jordan types of the partitions of 4
-        quadratic = parts == (2, 1, 1) or (parts == (2, 2) and p == 2)
-        return EigenProfile(d=blocks, e=blocks), quadratic
+        return blocks, blocks, parts == (2, 1, 1) or (parts == (2, 2) and p == 2)
     products = _so6_products(sl4_class.eigen)
-    profile = EigenProfile(d=max(products.values()), e=products.get((1, ()), 0))
-    return profile, len(products) == 2
+    return max(products.values()), products.get((1, ()), 0), len(products) == 2
 
 
 def _so6_products(pat) -> Counter:
-    """Multiset of pairwise eigenvalue products (symbols with multiplicity)."""
-    syms = _symbols(pat)
+    """Multiset of the products of pairs of the four eigenvalues, each a
+    (sign, exponent-vector) symbol."""
+    eigenvalues = [((1, ()), pat.mult_one), ((-1, ()), pat.mult_minus_one)]
+    for lab, m in pat.pairs:
+        eigenvalues += [((1, ((lab, 1),)), m), ((1, ((lab, -1),)), m)]
+    eigenvalues += [((1, ((lab, 1),)), m) for lab, m in pat.free]
+    four = [s for s, m in eigenvalues for _ in range(m)]
     relations = dict(pat.relations)
-    products: Counter = Counter()
-    for i, (s1, m1) in enumerate(syms):
-        products[_mul_symbols(relations, s1, s1)] += m1 * (m1 - 1) // 2
-        for s2, m2 in syms[i + 1 :]:
-            products[_mul_symbols(relations, s1, s2)] += m1 * m2
-    return +products
+    return Counter(_mul_symbols(relations, s1, s2) for s1, s2 in combinations(four, 2))
 
 
 # (family, n) -> case of a quadratic pair, where that needs one
@@ -155,14 +170,17 @@ _QUADRATIC_CASE = {("SO", 6): "so6", ("Spin8", 8): "so8"}
 # ---------------------------------------------------------------------------
 
 
-# spin8_profile by odd-characteristic partition and by _ss_sig
-_SPIN8_UNIPOTENT = {
-    (3, 3, 1, 1): (4, 4, 4),
-    (5, 3): (2, 2, 2),
-    (7, 1): (2, 2, 2),
-    (3, 1, 1, 1, 1, 1): (6, 4, 4),
-}
-_SPIN8_SEMISIMPLE = {
+# spin8_profile by _row_key (_u gives a row's tuple of one key): unipotent
+# classes, undecorated at odd p or of a named type at p = 2, then
+# semisimple ones by _ss_sig
+_SPIN8 = {
+    _u((2, 4))[0]: (4, 6, 4),
+    _u((2, 4), as_type="c")[0]: (4, 4, 4),
+    _u((2, 2), (1, 4), as_type="c")[0]: (6, 6, 6),
+    _u((3, 2), (1, 2))[0]: (4, 4, 4),
+    _u((5, 1), (3, 1))[0]: (2, 2, 2),
+    _u((7, 1), (1, 1))[0]: (2, 2, 2),
+    _u((3, 1), (1, 5))[0]: (6, 4, 4),
     (4, 4, ()): (4, 4, 4),
     (6, 0, (1,)): (6, 4, 4),
     (2, 0, (3,)): (3, 4, 4),
@@ -174,55 +192,20 @@ _SPIN8_SEMISIMPLE = {
 
 def spin8_profile(cls: ClassDescriptor) -> tuple:
     """Largest-eigenspace dimensions across the three 8-dimensional modules."""
-    if cls.kind == "unipotent":
-        parts = cls.unip.partition
-        char2 = cls.unip.decoration is not None
-        if parts == (2, 2, 2, 2):
-            if char2:
-                if cls.unip.as_type == "c":
-                    return (4, 4, 4)
-                raise OutsideCatalog("only c-type (2^4) involutions are catalogued")
-            return (4, 6, 4)
-        if char2 and parts == (2, 2, 1, 1, 1, 1) and cls.unip.as_type == "c":
-            return (6, 6, 6)
-        if not char2 and parts in _SPIN8_UNIPOTENT:
-            return _SPIN8_UNIPOTENT[parts]
-        raise OutsideCatalog(f"no catalogued profile for partition {parts}")
-    sig = _ss_sig(cls)
-    if sig in _SPIN8_SEMISIMPLE:
-        return _SPIN8_SEMISIMPLE[sig]
-    raise OutsideCatalog(f"no catalogued profile for pattern {sig}")
+    profile = _SPIN8.get(_row_key(cls))
+    if profile is not None:
+        return profile
+    if cls.kind == "semisimple":
+        raise OutsideCatalog(f"no catalogued profile for pattern {_ss_sig(cls)}")
+    parts = cls.unip.partition
+    if parts == (2, 2, 2, 2) and cls.unip.decoration is not None:
+        raise OutsideCatalog("only c-type (2^4) involutions are catalogued")
+    raise OutsideCatalog(f"no catalogued profile for partition {parts}")
 
 
 # ---------------------------------------------------------------------------
 # family rows (the first three rules already checked)
 # ---------------------------------------------------------------------------
-
-
-def _row_key(cls: ClassDescriptor) -> tuple:
-    """What the family rows read of a class: ``_ss_sig`` of a semisimple
-    class; of a unipotent one, its partition as (part, count) runs with the
-    parts decreasing, and its a/b/c type at p = 2 ("none" elsewhere); ()
-    for a class with unpaired eigenvalues. Linear in the number of parts."""
-    if cls.kind == "unipotent":
-        unip = cls.unip
-        runs = tuple(_part_counts(unip.partition).items())
-        return runs, unip.as_type if unip.decoration is not None else "none"
-    return _ss_sig(cls) or ()
-
-
-def _ss(a: int, b: int, *pairs: int) -> tuple:
-    """The row keys of the semisimple class (I_a, -I_b, one inverse pair of
-    eigenvalues per multiplicity in ``pairs``, decreasing) and of its twist
-    by the central -1, (I_b, -I_a, ...)."""
-    return (a, b, pairs), (b, a, pairs)
-
-
-def _u(*runs: tuple, as_type: str = "none") -> tuple:
-    """The row key of the unipotent class whose partition is ``runs``, (part,
-    count) pairs with the parts decreasing: ((3, 2), (2, 1)) is 3^2 2. At
-    p = 2 it is the class of type ``as_type``."""
-    return ((runs, as_type),)
 
 
 def _one_of(keys):
@@ -323,14 +306,6 @@ def _fires(slots: tuple, classes: list, m: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _so6_natural(cls: ClassDescriptor) -> tuple:
-    """(d, e, quadratic) of an SL4 class on the exterior square, the natural
-    module of SO6; the quadratic flag depends on p, which the descriptor's
-    stamp fixes."""
-    profile, quadratic = _so6_image(cls, cls.validated_for.p)
-    return profile.d, profile.e, quadratic
-
-
 def _spin8(cls: ClassDescriptor) -> tuple:
     try:
         return spin8_profile(cls)
@@ -372,7 +347,7 @@ def _module_profiles(group, classes, spin8_profiles=None) -> tuple:
     if group.family == "SO" and group.n == 6:
         d = [t[0] for t in profiles]
         modules = {"W": {"dim": 4, "d": d, "sum_d": sum(d)}}
-        profiles = [_once(c, "_so6", _so6_natural) for c in classes]
+        profiles = [_once(c, "_so6", _so6_image) for c in classes]
     else:
         modules = {}
     ds = [t[0] for t in profiles]

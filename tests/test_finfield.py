@@ -1413,7 +1413,8 @@ class TestArgumentRefusals:
     before any permutation is built or any generator inspected: trials a
     positive integer, seed, r and s integers, cap a non-negative integer,
     (family, n, q) with n >= 2, even for Sp, and q a prime power; never a
-    bool."""
+    bool. The matrix constructors refuse entries, rows and forms that are
+    not lists, and a q that is not an integer."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -1457,6 +1458,24 @@ class TestArgumentRefusals:
             finfield.exact_generation_probability(("SL", 2, 7), r, s, cap=cap)
         with pytest.raises(SchemaError):
             finfield.estimate_generation_probability(("SL", 2, 7), r, s, trials=5, seed=1, cap=cap)
+
+    @pytest.mark.parametrize(
+        "build,match",
+        [
+            (lambda: GFMatrix(3, 5), "entries"),
+            (lambda: GFMatrix(3, [5]), "row"),
+            (lambda: GFMatrix(3, [[1]], form=5, form_kind="symmetric"), "form"),
+            (lambda: GFMatrix(3, [[1]], form=[5], form_kind="symmetric"), "row"),
+            (lambda: GFMatrix([3], [[1]]), "q"),
+            (lambda: finfield.unipotent_matrix((2, 1), [3], None), "q"),
+            (lambda: finfield.matrix_from_class(GroupSpec("SL", 2, 0), unipotent(partition=(2,)), [3]), "q"),
+            (lambda: finfield.invariant_form_matrix([[1]], [3], "symmetric"), "q"),
+        ],
+        ids=["entries", "row", "form", "form-row", "q", "unipotent-q", "class-q", "form-search-q"],
+    )
+    def test_matrix_constructors(self, build, match):
+        with pytest.raises(SchemaError, match=match):
+            build()
 
 
 def _bfs_generates(F, gen_entries, order):
@@ -1762,8 +1781,7 @@ class TestSO6ExteriorSquare:
                 seen["refused"] += 1
                 continue
             got = (max(map(len, jt.values())), len(jt.get(1, ())), sum(p[0] for p in jt.values()) == 2)
-            profile, quadratic = oracle._so6_image(cls, 0)
-            want = (profile.d, profile.e, quadratic)
+            want = oracle._so6_image(cls)
             if got == want:
                 seen["agree"] += 1
             else:

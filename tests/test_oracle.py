@@ -17,9 +17,10 @@ from topogen.errors import (
     TopogenError,
     UnsupportedGroup,
 )
-from topogen.closure import in_closure
-from topogen.invariants import class_dim, eigen_profile
+from topogen.closure import _partitions, in_closure
+from topogen.invariants import _natural_profile, class_dim, eigen_profile
 from topogen.oracle import (
+    _so6_image,
     decide,
     min_generators,
     scott_lower_bound,
@@ -436,6 +437,85 @@ class TestSO6Pinned:
             ]
             got[p] = (len(verdicts), hashlib.sha256(repr(verdicts).encode()).hexdigest()[:16])
         assert got == digests
+
+
+# a label's tag in the exterior-square products (``_mul_symbols``), or none
+_TAGS = (None, "square_is_minus_one", "order:3", "order:4", "order:5", "order:6", "order:8")
+
+
+def _so6_hand_patterns() -> list:
+    """Unstamped SL4 patterns of pairs and free labels, with each tag of
+    _TAGS on one label or on all of them."""
+    out = []
+    for t in _TAGS:
+        def rel(*labs):
+            return {lab: t for lab in labs} if t else None
+
+        out += [
+            semisimple(pairs=[("a", 2)], relations=rel("a")),
+            semisimple(ones=2, pairs=[("a", 1)], relations=rel("a")),
+            semisimple(minus_ones=2, pairs=[("a", 1)], relations=rel("a")),
+            semisimple(ones=1, minus_ones=1, pairs=[("a", 1)], relations=rel("a")),
+            semisimple(pairs=[("a", 1), ("b", 1)], relations=rel("a")),
+            semisimple(pairs=[("a", 1), ("b", 1)], relations=rel("a", "b")),
+            semisimple(pairs=[("a", 1)], free=[("b", 1), ("c", 1)], relations=rel("a", "b")),
+            semisimple(free=[("a", 2), ("b", 2)], relations=rel("a")),
+            semisimple(free=[("a", 2), ("b", 2)], relations=rel("a", "b")),
+            semisimple(free=[("a", 1), ("b", 1), ("c", 1), ("d", 1)], relations=rel("a", "b", "c", "d")),
+            semisimple(ones=1, free=[("a", 3)], relations=rel("a")),
+            semisimple(ones=1, minus_ones=1, free=[("a", 2)], relations=rel("a")),
+            semisimple(minus_ones=2, free=[("a", 1), ("b", 1)], relations=rel("a")),
+        ]
+    return out
+
+
+class TestSO6ImagePinned:
+    def test_profiles_unchanged(self):
+        # sha256 of the repr of (class, p, (d, e, quadratic)) on the exterior
+        # square, for every SL4 shape at p and the hand patterns at p = 0, as
+        # _so6_image gave them with one symbol per distinct eigenvalue; first
+        # 16 hex digits
+        rows = [
+            (repr(c), p, _so6_image(c)) for p in (0, 2, 3, 5) for c in enumerate_class_shapes(GroupSpec("SL", 4, p))
+        ]
+        rows += [(repr(c), 0, _so6_image(c)) for c in _so6_hand_patterns()]
+        assert (len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()[:16]) == (120, "7f8c2018efb09a40")
+
+
+def _spin8_answer(c):
+    """spin8_profile of the class, or its refusal message."""
+    try:
+        return spin8_profile(c)
+    except OutsideCatalog as exc:
+        return str(exc)
+
+
+class TestSpin8Catalogue:
+    def test_answers_unchanged(self):
+        # sha256 of the repr of (class, profile or refusal message) for the
+        # undecorated partitions of 8, decorated classes of every a/b/c type
+        # (W(3) + W(1) is no involution), and every Spin8 shape at p, as
+        # spin8_profile gave them from one table per kind; first 16 hex digits
+        classes = [unipotent(partition=parts) for parts in _partitions(8)]
+        classes += [
+            unipotent(decoration=d)
+            for d in (
+                [("W", 3, 1), ("W", 1, 1)], [("W", 2, 2)], [("V", 2, 2), ("W", 2, 1)], [("V", 2, 2), ("W", 1, 2)],
+                [("W", 4, 1)], [("V", 2, 1), ("W", 1, 3)], [("W", 2, 1), ("W", 1, 2)], [("V", 2, 4)], [("W", 1, 4)],
+            )
+        ]
+        classes += [c for p in (0, 2, 3, 5) for c in enumerate_class_shapes(GroupSpec("Spin8", 8, p))]
+        rows = [(repr(c), _spin8_answer(c)) for c in classes]
+        assert (len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()[:16]) == (113, "65eb8884cdbbce74")
+
+    def test_module_1_is_the_natural_module(self):
+        agree = 0
+        for p in (0, 2, 3, 5, 7):
+            for c in enumerate_class_shapes(GroupSpec("Spin8", 8, p)):
+                if isinstance(profile := _spin8_answer(c), tuple):
+                    assert profile[0] == _natural_profile(c)[0], (p, c)
+                    agree += 1
+        assert agree == 48
 
 
 class TestRuleChainSweep:
